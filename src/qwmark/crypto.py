@@ -5,10 +5,18 @@ Conventions
 -----------
 * Bit strings are Python ``str`` of ``'0'``/``'1'``, big-endian: the leftmost
   character is bit index 0.  Helpers convert to/from bytes and ints.
+* Bit strings are validated by ``check_bits`` where they enter a primitive
+  (``ggm_eval``, ``prg``, the PE circuits, the CLI and record loaders).
+* ``xor_bits`` and ``bytes_to_bits`` work on whole ints and assume validated
+  input: ``xor_bits`` checks only that the lengths agree.
 * All key material is derived from fixed-size byte seeds (SEED_BYTES).
 * The stream primitive is SHA-256 in counter mode with domain-separation
   prefixes.  Every derivation is a pure function of its inputs, so repeated
   calls are referentially transparent.
+* GGM node derivation goes through ``_walk``, which memoizes whole root-to-node
+  paths in a fixed-size LRU (``_WALK_MEMO_SIZE`` entries).  A trial walks the
+  same paths more than once: Sim encrypts, the marked circuit decrypts the same
+  ciphertexts, and the live probe's PRF value is recomputed by the circuit.
 * Serialized keys use length-prefixed byte layouts, documented per type.
 """
 
@@ -17,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import FormatError, IndexRangeError, LengthError
 
@@ -28,7 +37,7 @@ SEED_BYTES = 16
 
 
 def check_bits(bits: str, length: int | None = None, *, what: str = "bit string") -> str:
-    if not isinstance(bits, str) or any(c not in "01" for c in bits):
+    if not isinstance(bits, str) or bits.strip("01"):
         raise LengthError(f"{what} must be a str of '0'/'1', got {bits!r}")
     if length is not None and len(bits) != length:
         raise LengthError(f"{what} must have {length} bits, got {len(bits)}")
@@ -58,13 +67,14 @@ def bits_to_bytes(bits: str) -> bytes:
 def bytes_to_bits(data: bytes, length: int) -> str:
     if len(data) * 8 < length:
         raise LengthError(f"need {length} bits, got {len(data)} bytes")
-    return "".join(format(byte, "08b") for byte in data)[:length]
+    return format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")[:length]
 
 
 def xor_bits(a: str, b: str) -> str:
+    """XOR of two validated bit strings of equal length."""
     if len(a) != len(b):
         raise LengthError(f"xor of unequal lengths {len(a)} and {len(b)}")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b") if a else ""
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +89,10 @@ def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
     """
     if out_bits < 0:
         raise LengthError("out_bits must be nonnegative")
-    blocks = []
-    need = (out_bits + 7) // 8
-    ctr = 0
-    while sum(len(b) for b in blocks) < need:
-        blocks.append(hashlib.sha256(domain + b"|" + seed + struct.pack(">I", ctr)).digest())
-        ctr += 1
-    return bytes_to_bits(b"".join(blocks), out_bits)
+    prefix = domain + b"|" + seed
+    n_blocks = -(-out_bits // 256)
+    stream = b"".join(hashlib.sha256(prefix + struct.pack(">I", ctr)).digest() for ctr in range(n_blocks))
+    return bytes_to_bits(stream, out_bits)
 
 
 def prg(seed_bits: str, out_bits: int) -> str:
@@ -109,8 +116,19 @@ def random_seed(rng) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _node_child(seed: bytes, bit: str) -> bytes:
-    return hashlib.sha256(b"node" + bit.encode() + seed).digest()[:SEED_BYTES]
+# node child = SHA256("node" || bit || seed)[:SEED_BYTES], from pre-keyed states
+_NODE_HASH = {"0": hashlib.sha256(b"node0"), "1": hashlib.sha256(b"node1")}
+_WALK_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_WALK_MEMO_SIZE)
+def _walk(seed: bytes, path: str) -> bytes:
+    """Seed of the node reached from `seed` along the validated bit path."""
+    for bit in path:
+        node = _NODE_HASH[bit].copy()
+        node.update(seed)
+        seed = node.digest()[:SEED_BYTES]
+    return seed
 
 
 def _leaf_output(seed: bytes, out_bits: int) -> str:
@@ -158,10 +176,7 @@ def ggm_gen(domain_bits: int, out_bits: int, rng) -> GgmKey:
 
 def ggm_eval(key: GgmKey, x: str) -> str:
     check_bits(x, key.domain_bits, what="PPRF input")
-    seed = key.seed
-    for bit in x:
-        seed = _node_child(seed, bit)
-    return _leaf_output(seed, key.out_bits)
+    return _leaf_output(_walk(key.seed, x), key.out_bits)
 
 
 @dataclass(frozen=True)
@@ -236,8 +251,8 @@ def ggm_puncture(key: GgmKey, points: set[str] | frozenset[str] | tuple[str, ...
             return  # punctured leaf: drop
         left = [p for p in under if p[len(prefix)] == "0"]
         right = [p for p in under if p[len(prefix)] == "1"]
-        descend(prefix + "0", _node_child(seed, "0"), left)
-        descend(prefix + "1", _node_child(seed, "1"), right)
+        descend(prefix + "0", _walk(seed, "0"), left)
+        descend(prefix + "1", _walk(seed, "1"), right)
 
     descend("", key.seed, pts)
     nodes.sort()
@@ -249,9 +264,7 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
     check_bits(x, pkey.domain_bits, what="PPRF input")
     for depth, prefix, seed in pkey.nodes:
         if x.startswith(prefix):
-            for bit in x[depth:]:
-                seed = _node_child(seed, bit)
-            return _leaf_output(seed, pkey.out_bits)
+            return _leaf_output(_walk(seed, x[depth:]), pkey.out_bits)
     return None
 
 
@@ -264,17 +277,25 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
 
 
 def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[int, ...], int]:
+    """Column words and offset of the affine map.
+
+    The stream holds the out_bits x in_bits matrix row by row, then the
+    offset.  Column j (input bit j, leftmost first) is read as an out_bits-wide
+    word whose leftmost bit is row 0.
+    """
     stream = prg_expand(seed, out_bits * in_bits + out_bits, domain=b"aff")
-    rows = tuple(bits_to_int(stream[i * in_bits : (i + 1) * in_bits]) for i in range(out_bits))
-    offset = bits_to_int(stream[out_bits * in_bits :])
-    return rows, offset
+    matrix = stream[: out_bits * in_bits]
+    columns = tuple(int(matrix[j::in_bits], 2) for j in range(in_bits))
+    return columns, int(stream[out_bits * in_bits :], 2)
 
 
-def _affine_apply(rows: tuple[int, ...], offset: int, x_int: int, out_bits: int) -> str:
-    acc = 0
-    for row in rows:
-        acc = (acc << 1) | ((row & x_int).bit_count() & 1)
-    return int_to_bits(acc ^ offset, out_bits)
+def _affine_mask(base: str, affine: tuple[tuple[int, ...], int], x: str) -> str:
+    """base xor (A x + b): XOR in the column of every set bit of x."""
+    columns, acc = affine
+    for column, bit in zip(columns, x):
+        if bit == "1":
+            acc ^= column
+    return format(int(base, 2) ^ acc, f"0{len(base)}b")
 
 
 @dataclass(frozen=True)
@@ -332,15 +353,19 @@ def injective_pprf_gen(in_bits: int, out_bits: int, rng) -> InjectivePprfKey:
 
 
 def injective_pprf_eval(key: InjectivePprfKey, x: str) -> str:
-    base = ggm_eval(key.ggm, x)
-    rows, offset = key._affine
-    return xor_bits(base, _affine_apply(rows, offset, bits_to_int(x), key.out_bits))
+    return _affine_mask(ggm_eval(key.ggm, x), key._affine, x)
 
 
 @dataclass(frozen=True)
 class PuncturedInjectivePprfKey:
     ggm: PuncturedGgmKey
     mask_seed: bytes
+    _affine: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_affine", _derive_affine(self.mask_seed, self.ggm.domain_bits, self.ggm.out_bits)
+        )
 
 
 def injective_pprf_puncture(key: InjectivePprfKey, points) -> PuncturedInjectivePprfKey:
@@ -351,8 +376,7 @@ def injective_pprf_eval_punctured(pkey: PuncturedInjectivePprfKey, x: str) -> st
     base = ggm_eval_punctured(pkey.ggm, x)
     if base is None:
         return None
-    rows, offset = _derive_affine(pkey.mask_seed, pkey.ggm.domain_bits, pkey.ggm.out_bits)
-    return xor_bits(base, _affine_apply(rows, offset, bits_to_int(x), pkey.ggm.out_bits))
+    return _affine_mask(base, pkey._affine, x)
 
 
 # ---------------------------------------------------------------------------
