@@ -51,8 +51,15 @@ EXIT_NUMERIC = 6
 EXIT_OTHER = 7
 
 
+def _seed_bytes(seed: int) -> bytes:
+    """A seed as 8 big-endian bytes; every seed lies in 0..2^64-1."""
+    if not 0 <= seed < 1 << 64:
+        raise IndexRangeError(f"seed {seed} outside 0..2^64-1")
+    return seed.to_bytes(8, "big")
+
+
 def _rng_from_seed(seed: int, label: bytes = b"") -> np.random.Generator:
-    stream = keyed_rand(seed.to_bytes(8, "big", signed=False), b"rng" + label, 64)
+    stream = keyed_rand(_seed_bytes(seed), b"rng" + label, 64)
     return np.random.default_rng(int(stream, 2))
 
 
@@ -112,7 +119,7 @@ def cmd_eval(args) -> int:
 def cmd_sim(args) -> int:
     tag = elwm.TagIo.from_bytes(Path(args.tag).read_bytes())
     coin_key = Path(args.xk).read_bytes()
-    master_seed = args.seed.to_bytes(8, "big")
+    master_seed = _seed_bytes(args.seed)
     triples = []
     for r in range(args.count):
         coins = keyed_rand(
@@ -310,6 +317,10 @@ def cmd_experiment(args) -> int:
         config["trials"] = args.trials
     if args.seed is not None:
         config["seed"] = args.seed
+    try:
+        _seed_bytes(int(config["seed"]))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"config seed must be an integer, got {config['seed']!r}") from exc
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trials = int(config["trials"])

@@ -5,10 +5,10 @@ Conventions
 -----------
 * Bit strings are Python ``str`` of ``'0'``/``'1'``, big-endian: the leftmost
   character is bit index 0.  Helpers convert to/from bytes and ints.
-* Bit strings are validated by ``check_bits`` where they enter a primitive
+* Bit strings are validated where they enter a primitive
   (``ggm_eval``, ``prg``, the PE circuits, the CLI and record loaders).
-* ``xor_bits`` and ``bytes_to_bits`` work on whole ints and assume validated
-  input: ``xor_bits`` checks only that the lengths agree.
+* The bit helpers run at C level on whole strings and ints.  ``xor_bits``
+  assumes validated input and checks only that the lengths agree.
 * All key material is derived from fixed-size byte seeds (SEED_BYTES).
 * The stream primitive is SHA-256 in counter mode with domain-separation
   prefixes.  Every derivation is a pure function of its inputs, so repeated
@@ -17,7 +17,8 @@ Conventions
   paths in a fixed-size LRU (``_WALK_MEMO_SIZE`` entries).  A trial walks the
   same paths more than once: Sim encrypts, the marked circuit decrypts the same
   ciphertexts, and the live probe's PRF value is recomputed by the circuit.
-* Serialized keys use length-prefixed byte layouts, documented per type.
+* Serialized keys use length-prefixed byte layouts, documented per type.  A
+  truncated or undecodable record raises ``FormatError``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,26 @@ def xor_bits(a: str, b: str) -> str:
     if len(a) != len(b):
         raise LengthError(f"xor of unequal lengths {len(a)} and {len(b)}")
     return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b") if a else ""
+
+
+# ---------------------------------------------------------------------------
+# record helpers: every malformed record ends in FormatError
+# ---------------------------------------------------------------------------
+
+
+def read_header(fmt: str, data: bytes, what: str) -> tuple[tuple[int, ...], bytes]:
+    """Unpack a fixed-width struct header; returns (fields, rest)."""
+    size = struct.calcsize(fmt)
+    if len(data) < size:
+        raise FormatError(f"{what} record truncated in its header")
+    return struct.unpack(fmt, data[:size]), data[size:]
+
+
+def decode_text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid UTF-8") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +183,10 @@ class GgmKey:
 
     @classmethod
     def read_from(cls, data: bytes) -> tuple["GgmKey", bytes]:
-        if len(data) < 6:
-            raise FormatError("GgmKey record too short")
-        domain_bits, out_bits, n = struct.unpack(">HHH", data[:6])
-        if len(data) < 6 + n:
+        (domain_bits, out_bits, n), rest = read_header(">HHH", data, "GgmKey")
+        if len(rest) < n:
             raise FormatError("GgmKey seed truncated")
-        return cls(data[6 : 6 + n], domain_bits, out_bits), data[6 + n :]
+        return cls(rest[:n], domain_bits, out_bits), rest[n:]
 
 
 def ggm_gen(domain_bits: int, out_bits: int, rng) -> GgmKey:
@@ -340,12 +359,10 @@ class InjectivePprfKey:
     @classmethod
     def read_from(cls, data: bytes) -> tuple["InjectivePprfKey", bytes]:
         ggm, rest = GgmKey.read_from(data)
-        if len(rest) < 2:
-            raise FormatError("InjectivePprfKey mask seed missing")
-        (n,) = struct.unpack(">H", rest[:2])
-        if len(rest) < 2 + n:
+        (n,), rest = read_header(">H", rest, "InjectivePprfKey mask seed")
+        if len(rest) < n:
             raise FormatError("InjectivePprfKey mask seed truncated")
-        return cls(ggm, rest[2 : 2 + n]), rest[2 + n :]
+        return cls(ggm, rest[:n]), rest[n:]
 
 
 def injective_pprf_gen(in_bits: int, out_bits: int, rng) -> InjectivePprfKey:

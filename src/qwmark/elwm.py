@@ -39,15 +39,18 @@ from .crypto import (
     GgmKey,
     bytes_to_bits,
     check_bits,
+    decode_text,
     ggm_eval,
     ggm_gen,
     int_to_bits,
     keyed_rand,
     prg,
+    read_header,
 )
 from .errors import FormatError, IndexRangeError, LengthError
 from .pe import (
     DecryptionCircuit,
+    EncryptionCircuit,
     ObfuscatedCircuit,
     Obfuscator,
     DEFAULT_OBFUSCATOR,
@@ -101,10 +104,14 @@ class ElwmParams:
 
     @classmethod
     def read_from(cls, data: bytes) -> tuple["ElwmParams", bytes]:
-        if len(data) < 6:
-            raise FormatError("params record too short")
-        msg_bits, seed_bits, range_bits = struct.unpack(">HHH", data[:6])
-        return cls(msg_bits, seed_bits, range_bits), data[6:]
+        (msg_bits, seed_bits, range_bits), rest = read_header(">HHH", data, "params")
+        return cls(msg_bits, seed_bits, range_bits), rest
+
+
+def _expect_kind(circuit, cls: type, role: str):
+    if not isinstance(circuit, cls):
+        raise FormatError(f"{role} holds a {type(circuit).__name__}, expected a {cls.__name__}")
+    return circuit
 
 
 @dataclass(frozen=True)
@@ -133,14 +140,13 @@ class PrfKeyIo:
         if data[:5] != PRFK_MAGIC:
             raise FormatError("bad PRF key magic")
         params, rest = ElwmParams.read_from(data[5:])
-        nf, nd, ng = struct.unpack(">HHH", rest[:6])
-        body = rest[6:]
+        (nf, nd, ng), body = read_header(">HHH", rest, "PRF key")
         if len(body) != nf + nd + ng:
             raise FormatError("PRF key record length mismatch")
         return cls(
             params,
             GgmKey.from_bytes(body[:nf]),
-            circuit_from_bytes(body[nf : nf + nd]),
+            _expect_kind(circuit_from_bytes(body[nf : nf + nd]), DecryptionCircuit, "PRF key"),
             body[nf + nd :],
         )
 
@@ -168,11 +174,12 @@ class TagIo:
         if data[:5] != TAG_MAGIC:
             raise FormatError("bad tag magic")
         params, rest = ElwmParams.read_from(data[5:])
-        ne, ng = struct.unpack(">HH", rest[:4])
-        body = rest[4:]
+        (ne, ng), body = read_header(">HH", rest, "tag")
         if len(body) != ne + ng:
             raise FormatError("tag record length mismatch")
-        return cls(params, ObfuscatedCircuit.from_bytes(body[:ne]), body[ne:])
+        pe_ek = ObfuscatedCircuit.from_bytes(body[:ne])
+        _expect_kind(pe_ek.circuit, EncryptionCircuit, "tag")
+        return cls(params, pe_ek, body[ne:])
 
 
 def gen(params: ElwmParams, rng, obfuscator: Obfuscator | None = None) -> tuple[PrfKeyIo, TagIo]:
@@ -233,15 +240,17 @@ class MarkedEvalCircuit:
     @classmethod
     def from_payload(cls, data: bytes) -> "MarkedEvalCircuit":
         params, rest = ElwmParams.read_from(data)
-        nf, nd, nm = struct.unpack(">HHH", rest[:6])
-        body = rest[6:]
+        (nf, nd, nm), body = read_header(">HHH", rest, "marked circuit")
         if len(body) != nf + nd + nm:
             raise FormatError("marked circuit payload length mismatch")
+        message = decode_text(body[nf + nd :], "marked circuit message")
+        if len(message) != params.msg_bits or message.strip("01"):
+            raise FormatError(f"marked circuit message must be {params.msg_bits} bits, got {message!r}")
         return cls(
             params,
             GgmKey.from_bytes(body[:nf]),
-            circuit_from_bytes(body[nf : nf + nd]),
-            body[nf + nd :].decode(),
+            _expect_kind(circuit_from_bytes(body[nf : nf + nd]), DecryptionCircuit, "marked circuit"),
+            message,
         )
 
 
@@ -262,7 +271,9 @@ def marked_circuit_to_bytes(circuit: ObfuscatedCircuit) -> bytes:
 def marked_circuit_from_bytes(data: bytes) -> ObfuscatedCircuit:
     if data[:5] != CIRCUIT_MAGIC:
         raise FormatError("bad marked circuit magic")
-    return ObfuscatedCircuit.from_bytes(data[5:])
+    circuit = ObfuscatedCircuit.from_bytes(data[5:])
+    _expect_kind(circuit.circuit, MarkedEvalCircuit, "marked circuit file")
+    return circuit
 
 
 # ---------------------------------------------------------------------------

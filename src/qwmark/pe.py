@@ -34,11 +34,13 @@ from .crypto import (
     bits_to_bytes,
     bytes_to_bits,
     check_bits,
+    decode_text,
     ggm_eval,
     ggm_gen,
     injective_pprf_eval,
     injective_pprf_gen,
     prg,
+    read_header,
     xor_bits,
 )
 from .errors import FormatError, LengthError
@@ -98,10 +100,11 @@ class ObfuscatedCircuit:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ObfuscatedCircuit":
-        if len(data) < 2:
-            raise FormatError("obfuscated circuit record too short")
-        (n,) = struct.unpack(">H", data[:2])
-        return cls(circuit_from_bytes(data[2 + n :]), data[2 : 2 + n].decode())
+        (n,), rest = read_header(">H", data, "obfuscated circuit")
+        if len(rest) < n:
+            raise FormatError("obfuscated circuit scheme truncated")
+        scheme = decode_text(rest[:n], "obfuscation scheme")
+        return cls(circuit_from_bytes(rest[n:]), scheme)
 
 
 class IdentityObfuscator:
@@ -117,6 +120,20 @@ DEFAULT_OBFUSCATOR = IdentityObfuscator()
 # ---------------------------------------------------------------------------
 # the encryption / decryption circuits
 # ---------------------------------------------------------------------------
+
+
+def _write_keys(circuit) -> bytes:
+    f = circuit.f_key.to_bytes()
+    g = circuit.g_key.to_bytes()
+    return struct.pack(">HHH", circuit.ell, len(f), len(g)) + f + g
+
+
+def _read_keys(data: bytes, what: str) -> tuple[InjectivePprfKey, GgmKey, int]:
+    """(f_key, g_key, ell) from the payload shared by both plain circuits."""
+    (ell, nf, ng), body = read_header(">HHH", data, what)
+    if len(body) != nf + ng:
+        raise FormatError(f"{what} payload length mismatch")
+    return InjectivePprfKey.from_bytes(body[:nf]), GgmKey.from_bytes(body[nf:]), ell
 
 
 def _split_ct(c: str, ell: int) -> tuple[str, str, str]:
@@ -141,20 +158,11 @@ class EncryptionCircuit:
         return alpha + beta + gamma
 
     def payload_bytes(self) -> bytes:
-        f = self.f_key.to_bytes()
-        g = self.g_key.to_bytes()
-        return struct.pack(">HHH", self.ell, len(f), len(g)) + f + g
+        return _write_keys(self)
 
     @classmethod
     def from_payload(cls, data: bytes) -> "EncryptionCircuit":
-        ell, nf, ng = struct.unpack(">HHH", data[:6])
-        if len(data) != 6 + nf + ng:
-            raise FormatError("encryption circuit payload length mismatch")
-        return cls(
-            InjectivePprfKey.from_bytes(data[6 : 6 + nf]),
-            GgmKey.from_bytes(data[6 + nf :]),
-            ell,
-        )
+        return cls(*_read_keys(data, "encryption circuit"))
 
 
 @dataclass(frozen=True)
@@ -173,20 +181,11 @@ class DecryptionCircuit:
         return m
 
     def payload_bytes(self) -> bytes:
-        f = self.f_key.to_bytes()
-        g = self.g_key.to_bytes()
-        return struct.pack(">HHH", self.ell, len(f), len(g)) + f + g
+        return _write_keys(self)
 
     @classmethod
     def from_payload(cls, data: bytes) -> "DecryptionCircuit":
-        ell, nf, ng = struct.unpack(">HHH", data[:6])
-        if len(data) != 6 + nf + ng:
-            raise FormatError("decryption circuit payload length mismatch")
-        return cls(
-            InjectivePprfKey.from_bytes(data[6 : 6 + nf]),
-            GgmKey.from_bytes(data[6 + nf :]),
-            ell,
-        )
+        return cls(*_read_keys(data, "decryption circuit"))
 
 
 @dataclass(frozen=True)
@@ -214,14 +213,14 @@ class PuncturedDecryptionCircuit:
 
     @classmethod
     def from_payload(cls, data: bytes) -> "PuncturedDecryptionCircuit":
-        ell, nf, ng, nc = struct.unpack(">HHHH", data[:8])
-        if len(data) != 8 + nf + ng + nc:
+        (ell, nf, ng, nc), body = read_header(">HHHH", data, "punctured decryption circuit")
+        if len(body) != nf + ng + nc:
             raise FormatError("punctured decryption circuit payload length mismatch")
         return cls(
-            InjectivePprfKey.from_bytes(data[8 : 8 + nf]),
-            GgmKey.from_bytes(data[8 + nf : 8 + nf + ng]),
+            InjectivePprfKey.from_bytes(body[:nf]),
+            GgmKey.from_bytes(body[nf : nf + ng]),
             ell,
-            bytes_to_bits(data[8 + nf + ng :], 12 * ell),
+            bytes_to_bits(body[nf + ng :], 12 * ell),
         )
 
 

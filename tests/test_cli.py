@@ -298,6 +298,34 @@ def test_exit_codes_for_library_errors(tmp_path, keys, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_rejected(tmp_path, keys, capsys, seed):
+    out = tmp_path / "bad" / "demo"
+    assert run_cli("keygen", "--k", 3, "--seed", seed, "--out", out) == cli.EXIT_LENGTH
+    assert not out.with_suffix(".prfk").exists()
+    assert run_cli("sim", "--tag", keys["tag"], "--xk", keys["xk"], "--index", 1, "--seed", seed) == cli.EXIT_LENGTH
+    circ_path = tmp_path / "marked.circ"
+    assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
+    argv = ["extract", "--tag", keys["tag"], "--xk", keys["xk"], "--circuit", circ_path, "--eps", 0.25]
+    assert run_cli(*argv, "--seed", seed) == cli.EXIT_LENGTH
+    config = experiment_config(tmp_path, trials=1)
+    assert run_cli("experiment", "--config", config, "--out", tmp_path / "x", "--seed", seed) == cli.EXIT_LENGTH
+    assert run_cli("experiment", "--config", experiment_config(tmp_path, seed=seed), "--out", tmp_path / "y") == cli.EXIT_LENGTH
+    assert not (tmp_path / "y" / "rows.csv").exists()
+    capsys.readouterr()
+
+
+def test_largest_seed_is_accepted(tmp_path, capsys):
+    assert run_cli("keygen", "--k", 3, "--seed", 2**64 - 1, "--out", tmp_path / "max") == 0
+    capsys.readouterr()
+
+
+def test_experiment_rejects_non_integer_seed(tmp_path, capsys):
+    config = experiment_config(tmp_path, seed="seven")
+    assert run_cli("experiment", "--config", config, "--out", tmp_path / "x") == cli.EXIT_FORMAT
+    capsys.readouterr()
+
+
 def test_wilson_interval_properties():
     low, high = cli.wilson_interval(0, 0)
     assert (low, high) == (0.0, 1.0)

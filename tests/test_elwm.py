@@ -9,6 +9,7 @@ import pytest
 from qwmark import elwm
 from qwmark.crypto import int_to_bits, keyed_rand, prg
 from qwmark.errors import FormatError, IndexRangeError, LengthError
+from qwmark.pe import ObfuscatedCircuit
 
 from conftest import rng_for
 
@@ -139,6 +140,51 @@ def test_marked_circuit_serialization():
     assert restored.run(x) == circuit.run(x)
     with pytest.raises(FormatError):
         elwm.marked_circuit_from_bytes(b"XXXXX" + blob[5:])
+
+
+def _records():
+    prfk, tag = elwm.gen(small_params(), rng_for("elwm-records"))
+    circuit = elwm.mark(prfk, "0110")
+    return prfk, tag, {
+        "prfk": (prfk.to_bytes(), elwm.PrfKeyIo.from_bytes),
+        "tag": (tag.to_bytes(), elwm.TagIo.from_bytes),
+        "circ": (elwm.marked_circuit_to_bytes(circuit), elwm.marked_circuit_from_bytes),
+    }
+
+
+@pytest.mark.parametrize("name", ["prfk", "tag", "circ"])
+def test_truncated_records_raise_format_error(name):
+    blob, load = _records()[2][name]
+    load(blob)
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            load(blob[:cut])
+
+
+@pytest.mark.parametrize("name", ["tag", "circ"])
+def test_corrupt_scheme_raises_format_error(name):
+    blob, load = _records()[2][name]
+    at = blob.index(b"identity")
+    with pytest.raises(FormatError):
+        load(blob[:at] + b"\xff" + blob[at + 1 :])
+
+
+@pytest.mark.parametrize("last", [b"\xff", b"2"])
+def test_corrupt_message_raises_format_error(last):
+    blob, load = _records()[2]["circ"]
+    with pytest.raises(FormatError):
+        load(blob[:-1] + last)
+
+
+def test_records_reject_circuits_of_the_wrong_kind():
+    prfk, tag, _ = _records()
+    enc = tag.pe_ek.circuit
+    with pytest.raises(FormatError):
+        elwm.PrfKeyIo.from_bytes(elwm.PrfKeyIo(prfk.params, prfk.f_main, enc, prfk.gen_id).to_bytes())
+    with pytest.raises(FormatError):
+        elwm.TagIo.from_bytes(elwm.TagIo(prfk.params, ObfuscatedCircuit(prfk.pe_dk), tag.gen_id).to_bytes())
+    with pytest.raises(FormatError):
+        elwm.marked_circuit_from_bytes(elwm.marked_circuit_to_bytes(ObfuscatedCircuit(prfk.pe_dk)))
 
 
 # ---------------------------------------------------------------------------

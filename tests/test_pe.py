@@ -129,6 +129,20 @@ def test_circuit_round_trips():
         assert pe.circuit_from_bytes(blob) == circ
 
 
+def test_truncated_circuits_raise_format_error():
+    keys = pe.pe_gen(5, rng_for("pe-trunc"))
+    pdk = pe.pe_puncture(keys.dk, pe.pe_enc(keys.ek, "10011", rng_for("pe-trunc-enc"))).circuit
+    for blob, load in (
+        (keys.ek.to_bytes(), pe.ObfuscatedCircuit.from_bytes),
+        (pe.circuit_to_bytes(keys.dk), pe.circuit_from_bytes),
+        (pe.circuit_to_bytes(pdk), pe.circuit_from_bytes),
+    ):
+        load(blob)
+        for cut in range(len(blob)):
+            with pytest.raises(FormatError):
+                load(blob[:cut])
+
+
 def test_circuit_from_bytes_rejects_unknown_tag():
     with pytest.raises(FormatError):
         pe.circuit_from_bytes(b"\xff" + b"payload")
