@@ -3,6 +3,7 @@ sparse SKE, and keyed coin derivation."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qwmark import crypto
+from qwmark import crypto, elwm, wmprf
 from qwmark.errors import FormatError, LengthError
+from qwmark.pirates import honest_pirate
 
 from conftest import rng_for
 
@@ -51,6 +53,74 @@ def test_bits_validation():
         crypto.check_bits("10a1")
     with pytest.raises(LengthError):
         crypto.check_bits("101", 4)
+
+
+# The per-character definitions the C-level helpers replaced, kept as oracles.
+
+
+def oracle_check_bits(bits, length=None):
+    if not isinstance(bits, str) or any(c not in "01" for c in bits):
+        raise LengthError("not a bit string")
+    if length is not None and len(bits) != length:
+        raise LengthError("wrong length")
+    return bits
+
+
+def oracle_bytes_to_bits(data: bytes, length: int) -> str:
+    if len(data) * 8 < length:
+        raise LengthError("too few bytes")
+    return "".join(format(byte, "08b") for byte in data)[:length]
+
+
+def oracle_xor_bits(a: str, b: str) -> str:
+    if len(a) != len(b):
+        raise LengthError("unequal lengths")
+    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LengthError:
+        return LengthError
+
+
+@given(st.text(alphabet="01ab_ \n１", max_size=12), st.none() | st.integers(min_value=0, max_value=12))
+def test_check_bits_matches_oracle(bits, length):
+    assert _outcome(crypto.check_bits, bits, length) == _outcome(oracle_check_bits, bits, length)
+
+
+@given(st.binary(max_size=40), st.integers(min_value=0, max_value=330))
+def test_bytes_to_bits_matches_oracle(data, length):
+    assert _outcome(crypto.bytes_to_bits, data, length) == _outcome(oracle_bytes_to_bits, data, length)
+
+
+@given(st.text(alphabet="01", max_size=300), st.data())
+def test_xor_bits_matches_oracle(a, data):
+    b = data.draw(st.text(alphabet="01", min_size=len(a), max_size=len(a)))
+    assert crypto.xor_bits(a, b) == oracle_xor_bits(a, b)
+    with pytest.raises(LengthError):
+        crypto.xor_bits(a, b + "1")
+
+
+def test_bit_helpers_on_empty_strings():
+    assert crypto.check_bits("") == ""
+    assert crypto.check_bits("", 0) == ""
+    assert crypto.bytes_to_bits(b"", 0) == ""
+    assert crypto.bytes_to_bits(b"\xff", 0) == ""
+    assert crypto.xor_bits("", "") == ""
+    with pytest.raises(LengthError):
+        crypto.bytes_to_bits(b"", 1)
+
+
+@pytest.mark.parametrize("bits", ["0_1", " 01", "01 ", "0b1", "+1", "-1", "１", "0１", "01\n", None, b"01"])
+def test_int_parsable_non_bit_strings_are_rejected(bits):
+    # int(s, 2) accepts most of these; a bit string must not
+    with pytest.raises(LengthError):
+        crypto.check_bits(bits)
+    if isinstance(bits, str):
+        with pytest.raises(LengthError):
+            crypto.bits_to_int(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +181,37 @@ def test_ggm_eval_deterministic_and_sized():
     assert crypto.ggm_eval(key, x) == y
     with pytest.raises(LengthError):
         crypto.ggm_eval(key, "101")
+
+
+def straight_line_ggm(seed: bytes, x: str, out_bits: int) -> str:
+    for bit in x:
+        seed = hashlib.sha256(b"node" + bit.encode() + seed).digest()[:16]
+    return crypto.prg_expand(seed, out_bits, domain=b"leaf")
+
+
+@given(st.binary(min_size=16, max_size=16), st.text(alphabet="01", min_size=1, max_size=130))
+def test_ggm_eval_matches_straight_line_walk(seed, x):
+    key = crypto.GgmKey(seed, len(x), 16)
+    assert crypto.ggm_eval(key, x) == straight_line_ggm(seed, x, 16)
+
+
+def test_walk_memo_hits_in_s64_extraction():
+    # Sim's encryption and the marked circuit's decryption walk the same
+    # paths, so an extraction must hit the memo; the memo never outgrows its bound
+    params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=64, engine="fast")
+    crypto._walk.cache_clear()
+    result = wmprf.run_event_trial(
+        params,
+        honest_pirate,
+        "10",
+        rng_for("walk-memo"),
+        elwm_params=elwm.ElwmParams(3, seed_bits=6, range_bits=12),
+    )
+    assert result.report.decoded == "10"
+    info = crypto._walk.cache_info()
+    assert info.maxsize == 1024
+    assert info.hits > 0
+    assert 0 < info.currsize <= info.maxsize
 
 
 def test_ggm_exhaustive_distinctness_small_domain():
