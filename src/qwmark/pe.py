@@ -214,7 +214,7 @@ class PuncturedDecryptionCircuit:
     @classmethod
     def from_payload(cls, data: bytes) -> "PuncturedDecryptionCircuit":
         (ell, nf, ng, nc), body = read_header(">HHHH", data, "punctured decryption circuit")
-        if len(body) != nf + ng + nc:
+        if len(body) != nf + ng + nc or nc != (12 * ell + 7) // 8:
             raise FormatError("punctured decryption circuit payload length mismatch")
         return cls(
             InjectivePprfKey.from_bytes(body[:nf]),

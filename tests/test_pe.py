@@ -3,6 +3,8 @@ sparseness, and circuit serialization."""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,12 @@ def test_truncated_circuits_raise_format_error():
         for cut in range(len(blob)):
             with pytest.raises(FormatError):
                 load(blob[:cut])
+    # a punctured ciphertext field shorter than 12*ell bits
+    blob = pe.circuit_to_bytes(pdk)
+    ell, nf, ng, nc = struct.unpack(">HHHH", blob[1:9])
+    short = blob[:1] + struct.pack(">HHHH", ell, nf, ng, nc - 1) + blob[9:-1]
+    with pytest.raises(FormatError):
+        pe.circuit_from_bytes(short)
 
 
 def test_circuit_from_bytes_rejects_unknown_tag():
