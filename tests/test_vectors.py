@@ -1,9 +1,11 @@
-"""Known-answer vectors: raw crypto outputs, serialized records and the
-experiment artifacts, frozen from the reference implementation.
+"""Known-answer vectors: raw crypto outputs, serialized records, exact API
+walks and the experiment artifacts, frozen from the reference implementation.
 
-Every value below was computed by the straightforward per-node, per-character
-code that preceded the fast paths in `crypto`.  A refactor that changes any
-of them changes the stored keys, tags, circuits or rows of every user.
+The crypto values were computed by the straightforward per-node,
+per-character code that preceded the fast paths in `crypto`; the exact-walk
+values by the per-block loop that preceded the batched walk in `api`.  A
+refactor that changes any of them changes the stored keys, tags, circuits or
+rows of every user.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import math
 
 import numpy as np
 
-from qwmark import cli, crypto, elwm, pe
+from qwmark import api, cli, crypto, elwm, pe
 from qwmark.crypto import GgmKey, InjectivePprfKey, keyed_rand
+
+from conftest import FakeDistribution, random_program, random_triples, rng_for
 
 ROOT_SEED = b"kat-ggm-root-000"
 MASK_SEED = b"kat-affine-mask0"
@@ -101,8 +105,17 @@ CIRCUIT_ON_SIM = [(0,
   "011100110111",
   "101010000101")]
 CIRCUIT_ON_RANDOM = ["111111111000", "011110000110", "110010100111"]
+# (s, reverse) -> (t, flush rounds, sha256 of the main-loop and flush bits)
+EXACT_WALK = {(1, False): (0, 0, "b9f8bbd8e5da0e74b5ed70d34554a297a3cc8b370a4f5e5784397bd1a0a60e3a"),
+ (1, True): (0, 0, "b9f8bbd8e5da0e74b5ed70d34554a297a3cc8b370a4f5e5784397bd1a0a60e3a"),
+ (3, False): (105, 7, "196695e622091918d47b9486396ba8b4857e3a750684a4937a85e0c9b21a45f8"),
+ (3, True): (19, 2, "0c7ee800afe7719e9c6843e3aa36e85f43f61ceb5f66ab74886ffdea39d62854"),
+ (8, False): (53, 1, "f8b69b5cf99d21c81d3855a9cad718b33463ab70330c4b76b9d4ef96c9ea3f8d"),
+ (8, True): (79, 1, "ce2e5059dad442567eaaba9e6deb8df109810ca40fe3b749630a740ab0d5785b")}
 ROWS_SHA = "b54e3600932edbe1e62c367d5f19517a768ee3aa11e0719e1cb191f2ccc1d982"
 SUMMARY_SHA = "01b623fc8a7eaa47cbcbf0ef9d02afb70a3853e2a2832449c6ac74535c547e01"
+EXACT_ROWS_SHA = "334bc9c0a5482345f068ebe9a06b01e838ae5ce0f2ce2e41fa93f5328adfd806"
+EXACT_SUMMARY_SHA = "9dc741e79bb3994fabd81292166b1f9b1abd08bbec29e581feb479af9d492ece"
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +247,33 @@ def test_marked_circuit_vectors(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# exact API walk
+# ---------------------------------------------------------------------------
+
+
+def exact_walk_vectors():
+    """One seeded exact run per (s, reverse) on a fixed 4-dim program.
+
+    Every case with s > 1 ends its main loop on an IsU reject and so takes
+    flush rounds; at s = 1 IsU is the identity and never does.
+    """
+    prog = random_program(4, "kat-exact")
+    params = api.ApiParams(0.25, 0.1)
+    out = {}
+    for s in (1, 3, 8):
+        dist = FakeDistribution(random_triples(s, f"kat-exact-{s}"))
+        for reverse in (False, True):
+            rng = rng_for(f"kat-exact-run-{s}-{int(reverse)}-0")
+            _, _, tr = api.api_exact(dist, prog, params, rng, reverse=reverse)
+            out[s, reverse] = (tr.t, tr.flush_rounds, _sha("".join(map(str, tr.bits + tr.flush_bits))))
+    return out
+
+
+def test_exact_walk_vectors():
+    assert exact_walk_vectors() == EXACT_WALK
+
+
+# ---------------------------------------------------------------------------
 # experiment artifacts
 # ---------------------------------------------------------------------------
 
@@ -257,9 +297,30 @@ EXPERIMENT_CONFIG = {
 }
 
 
-def experiment_digests(tmp_path):
+# every trial of this config runs the exact engine (T = 2524 per measurement)
+EXACT_EXPERIMENT_CONFIG = {
+    "k": 2,
+    "eps": 0.5,
+    "trials": 2,
+    "seed": 17,
+    "seed_bits": 6,
+    "range_bits": 12,
+    "delta_prime": 0.05,
+    "s": 4,
+    "engine": "exact",
+    "message": "random",
+    "pirates": [
+        {"kind": "honest"},
+        {"kind": "coin"},
+        {"kind": "noisy", "eta": 0.125},
+        {"kind": "superposed", "theta": math.pi / 4},
+    ],
+}
+
+
+def experiment_digests(tmp_path, config_dict=EXPERIMENT_CONFIG):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(EXPERIMENT_CONFIG))
+    config.write_text(json.dumps(config_dict))
     out = tmp_path / "run"
     assert cli.main(["experiment", "--config", str(config), "--out", str(out)]) == 0
     return _sha((out / "rows.csv").read_bytes()), _sha((out / "summary.json").read_bytes())
@@ -270,3 +331,10 @@ def test_experiment_artifact_digests(tmp_path, capsys):
     capsys.readouterr()
     assert rows_sha == ROWS_SHA
     assert summary_sha == SUMMARY_SHA
+
+
+def test_exact_experiment_artifact_digests(tmp_path, capsys):
+    rows_sha, summary_sha = experiment_digests(tmp_path, EXACT_EXPERIMENT_CONFIG)
+    capsys.readouterr()
+    assert rows_sha == EXACT_ROWS_SHA
+    assert summary_sha == EXACT_SUMMARY_SHA
