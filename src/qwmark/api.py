@@ -21,7 +21,12 @@ projectivity).
 
 Two engines:
 
-* api_exact simulates the alternating measurements literally on H_R (x) H.
+* api_exact simulates the alternating measurements literally on H_R (x) H,
+  holding the state as an (s, d) array.  CProj is applied as one batched
+  product of the (s, d, d) projector stack with the coin blocks, IsU as the
+  column mean broadcast back over the register, and every measurement makes
+  exactly one uniform draw, in the fixed order CProj, IsU, CProj, IsU, ...
+  of the main loop and then of the flush.
 * api_fast uses the Jordan structure: range(IsU) compresses CProj to the
   accept operator P_D on H, so sampling an eigenvalue cluster p_j of P_D with
   the Born weights and drawing t ~ Binomial(2T, p_j) (or 1-p_j reversed)
@@ -42,7 +47,7 @@ from .errors import (
     FlushLimitError,
     InvariantError,
 )
-from .qcore import BinaryProjector, QuantumProgram, StateVector, dimension_cap, program_projector
+from .qcore import QuantumProgram, StateVector, dimension_cap, program_projector
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     MixedBinaryPOVM,
@@ -117,44 +122,30 @@ def agreement_count(bits: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class ControlledProjection:
-    """The coin-controlled projector pair on H_R (x) H, stored blockwise."""
+    """The coin-controlled projector pair on H_R (x) H, stored as one stack.
 
-    blocks: tuple[np.ndarray, ...]  # per-coin accept projectors on H
+    stack[r] is the accept projector on H of coin r; a state on H_R (x) H is
+    an (s, d) array whose row r is the H-component under coin r.
+    """
 
-    def __post_init__(self):
-        dims = {b.shape for b in self.blocks}
-        if len(dims) != 1:
-            raise DimensionError("controlled-projection blocks must share a dimension")
+    stack: np.ndarray  # (s, d, d)
+
+    @classmethod
+    def from_povm(cls, povm: MixedBinaryPOVM) -> "ControlledProjection":
+        return cls(np.stack([p.matrix for p in povm.projectors]))
 
     @property
     def s(self) -> int:
-        return len(self.blocks)
+        return self.stack.shape[0]
 
     @property
     def block_dim(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.stack.shape[1]
 
-    def apply_accept(self, vec: np.ndarray, reverse: bool) -> np.ndarray:
-        """Apply the accept operator (complemented blocks when reverse)."""
-        mat = vec.reshape(self.s, self.block_dim)
-        out = np.empty_like(mat)
-        for r, block in enumerate(self.blocks):
-            branch = block @ mat[r]
-            out[r] = (mat[r] - branch) if reverse else branch
-        return out.reshape(-1)
-
-    def dense_cproj(self) -> BinaryProjector:
-        """Materialize CProj^1 as a block-diagonal projector (test/inspection use)."""
-        s, d = self.s, self.block_dim
-        mat = np.zeros((s * d, s * d), dtype=complex)
-        for r, block in enumerate(self.blocks):
-            mat[r * d : (r + 1) * d, r * d : (r + 1) * d] = block
-        return BinaryProjector(mat)
-
-    def dense_isu(self) -> BinaryProjector:
-        s, d = self.s, self.block_dim
-        ones = np.full((s, s), 1.0 / s, dtype=complex)
-        return BinaryProjector(np.kron(ones, np.eye(d)))
+    def apply_accept(self, mat: np.ndarray, reverse: bool) -> np.ndarray:
+        """Apply the accept operator (complemented blocks when reverse) to an (s, d) state."""
+        branch = np.matmul(self.stack, mat[:, :, None])[:, :, 0]
+        return mat - branch if reverse else branch
 
 
 def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
@@ -166,18 +157,6 @@ def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
     return MixedBinaryPOVM(
         tuple(program_projector(prog, gamma, x, y) for gamma, x, y in dist.triples)
     )
-
-
-def controlled_projection(prog: QuantumProgram, dist) -> ControlledProjection:
-    return ControlledProjection(
-        tuple(program_projector(prog, gamma, x, y).matrix for gamma, x, y in dist.triples)
-    )
-
-
-def _apply_isu(vec: np.ndarray, s: int, d: int) -> np.ndarray:
-    mat = vec.reshape(s, d)
-    mean = mat.mean(axis=0)
-    return np.broadcast_to(mean, (s, d)).reshape(-1).copy()
 
 
 def api_exact(
@@ -193,48 +172,48 @@ def api_exact(
     Returns (estimate, post state on H, transcript).  With reverse=True the
     projector roles of the controlled measurement swap, estimating 1 - p.
     """
-    cproj = controlled_projection(prog, dist)
-    s, d = cproj.s, cproj.block_dim
-    if prog.dim != d:
+    povm = distribution_povm(prog, dist)
+    if povm.dim != prog.dim:
         raise DimensionError("program dimension changed under projector construction")
+    cproj = ControlledProjection.from_povm(povm)
+    s, d = cproj.s, cproj.block_dim
     if s * d > dimension_cap():
         raise DimensionCapError(f"composite dimension {s * d} exceeds cap {dimension_cap()}")
-    vec = (np.full(s, 1.0 / np.sqrt(s), dtype=complex)[:, None] * prog.state.amplitudes[None, :]).reshape(-1)
+    ones_col = np.ones((s, 1))
+    vec = np.full((s, 1), 1.0 / np.sqrt(s), dtype=complex) * prog.state.amplitudes[None, :]
 
-    def sample_branch(v: np.ndarray, accept: np.ndarray) -> tuple[int, np.ndarray]:
-        p1 = min(1.0, max(0.0, float(np.real(np.vdot(v, accept)))))
-        branch = accept if rng.random() < p1 else v - accept
-        norm = np.linalg.norm(branch)
+    def measure(v: np.ndarray, accept: np.ndarray) -> tuple[int, np.ndarray]:
+        """Measure (accept, v - accept) with one uniform draw; return the bit and branch."""
+        p1 = min(1.0, max(0.0, float(np.vdot(v, accept).real)))
+        if rng.random() < p1:
+            bit, branch = 1, accept
+        else:
+            bit, branch = 0, v - accept
+        norm = math.sqrt(np.vdot(branch, branch).real)
         if norm < 1e-12:
             raise DegenerateStateError("measurement branch vanished during API run")
-        return (1 if branch is accept else 0), branch / norm
-
-    def measure_cproj(v: np.ndarray) -> tuple[int, np.ndarray]:
-        return sample_branch(v, cproj.apply_accept(v, reverse))
-
-    def measure_isu(v: np.ndarray) -> tuple[int, np.ndarray]:
-        return sample_branch(v, _apply_isu(v, s, d))
+        return bit, branch / norm
 
     bits: list[int] = []
     for _ in range(params.T):
-        b, vec = measure_cproj(vec)
+        b, vec = measure(vec, cproj.apply_accept(vec, reverse))
         bits.append(b)
-        b, vec = measure_isu(vec)
+        b, vec = measure(vec, ones_col * (vec.sum(0) / s))
         bits.append(b)
     flush: list[int] = []
     rounds = 0
     while (flush[-1] if flush else bits[-1]) != 1:
         if rounds >= params.max_flush_rounds:
             raise FlushLimitError(f"no register re-anchor after {rounds} flush rounds")
-        b, vec = measure_cproj(vec)
+        b, vec = measure(vec, cproj.apply_accept(vec, reverse))
         flush.append(b)
-        b, vec = measure_isu(vec)
+        b, vec = measure(vec, ones_col * (vec.sum(0) / s))
         flush.append(b)
         rounds += 1
     t = agreement_count(tuple(bits))
     # after an IsU accept the register factors as |1_R> (x) phi exactly
-    phi = vec.reshape(s, d).sum(axis=0) / np.sqrt(s)
-    residual = vec - (np.full(s, 1.0 / np.sqrt(s))[:, None] * phi[None, :]).reshape(-1)
+    phi = vec.sum(axis=0) / np.sqrt(s)
+    residual = vec - np.full((s, 1), 1.0 / np.sqrt(s)) * phi[None, :]
     if np.linalg.norm(residual) > 1e-8:
         raise InvariantError("post state failed to factor out the uniform register")
     transcript = ApiTranscript(tuple(bits), tuple(flush), t, t / (2 * params.T))

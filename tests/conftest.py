@@ -1,15 +1,17 @@
-"""Shared fixtures: deterministic rngs, a small watermarking stack, and a
-reusable random-program builder for measurement tests."""
+"""Shared fixtures: deterministic rngs, a small watermarking stack, a
+reusable random-program builder for measurement tests, and the dense
+operators of the API walk on H_R (x) H."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.linalg import block_diag
 
 from qwmark import elwm, wmprf
 from qwmark.crypto import keyed_rand
-from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle
+from qwmark.qcore import BinaryProjector, QuantumProgram, StateVector, UnitaryOracle
 
 settings.register_profile("repo", derandomize=True, max_examples=25)
 settings.load_profile("repo")
@@ -66,6 +68,16 @@ class FakeDistribution:
         self.triples = tuple(triples)
         self.s = len(self.triples)
         self.kind = "fake"
+
+
+def dense_cproj(cp) -> BinaryProjector:
+    """CProj^1 of a ControlledProjection as a block-diagonal projector on H_R (x) H."""
+    return BinaryProjector(block_diag(*cp.stack))
+
+
+def dense_isu(s: int, d: int) -> BinaryProjector:
+    """IsU = |1_R><1_R| (x) I on H_R (x) H."""
+    return BinaryProjector(np.kron(np.full((s, s), 1.0 / s, dtype=complex), np.eye(d)))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Alternating-measurement estimator: round-count formula, transcript
-bookkeeping, engine agreement, and the binomial outcome law."""
+bookkeeping, the batched exact walk against its per-block oracle, engine
+agreement on the post state, and the binomial outcome law."""
 
 from __future__ import annotations
 
@@ -12,7 +13,14 @@ from qwmark.errors import InvariantError
 from qwmark.qcore import StateVector
 from qwmark.spectral import spectral_measurement
 
-from conftest import FakeDistribution, random_program, random_triples, rng_for
+from conftest import (
+    FakeDistribution,
+    dense_cproj,
+    dense_isu,
+    random_program,
+    random_triples,
+    rng_for,
+)
 from qwmark.api import distribution_povm
 from qwmark.pirates import classical_pirate, coin_pirate, superposed_pirate
 
@@ -65,35 +73,40 @@ def test_transcript_validation():
 # ---------------------------------------------------------------------------
 
 
+def controlled_projection(prog, dist) -> api.ControlledProjection:
+    return api.ControlledProjection.from_povm(distribution_povm(prog, dist))
+
+
 def test_dense_operators_are_projectors():
     prog = random_program(4, "api-dense")
-    cp = api.controlled_projection(prog, FakeDistribution(random_triples(3, "api-dense")))
+    cp = controlled_projection(prog, FakeDistribution(random_triples(3, "api-dense")))
     assert cp.s == 3 and cp.block_dim == 4
-    for op in (cp.dense_cproj(), cp.dense_isu()):
+    for op in (dense_cproj(cp), dense_isu(cp.s, cp.block_dim)):
         m = op.matrix
         assert np.allclose(m @ m, m, atol=1e-10)
 
 
 def test_apply_accept_matches_dense():
     prog = random_program(4, "api-accept")
-    cp = api.controlled_projection(prog, FakeDistribution(random_triples(3, "api-accept")))
+    cp = controlled_projection(prog, FakeDistribution(random_triples(3, "api-accept")))
     local = rng_for("api-accept-vec")
     vec = local.normal(size=12) + 1j * local.normal(size=12)
-    dense = cp.dense_cproj().matrix
-    assert np.allclose(cp.apply_accept(vec, reverse=False), dense @ vec)
-    assert np.allclose(cp.apply_accept(vec, reverse=True), vec - dense @ vec)
+    dense = dense_cproj(cp).matrix
+    mat = vec.reshape(cp.s, cp.block_dim)
+    assert np.allclose(cp.apply_accept(mat, reverse=False).reshape(-1), dense @ vec)
+    assert np.allclose(cp.apply_accept(mat, reverse=True).reshape(-1), vec - dense @ vec)
 
 
 def test_compression_identity():
     # projecting CProj^1 into range(IsU) reproduces P_D on the small space
     prog = random_program(4, "api-compress")
     dist = FakeDistribution(random_triples(5, "api-compress"))
-    cp = api.controlled_projection(prog, dist)
+    cp = controlled_projection(prog, dist)
     s, d = cp.s, cp.block_dim
-    isu = cp.dense_isu().matrix
-    cproj = cp.dense_cproj().matrix
+    cproj = dense_cproj(cp).matrix
     # embed: |1_R> (x) e_i for the standard basis of H
     embed = np.kron(np.full((s, 1), 1.0 / np.sqrt(s)), np.eye(d))
+    assert np.allclose(embed @ embed.conj().T, dense_isu(s, d).matrix, atol=1e-12)
     compressed = embed.conj().T @ cproj @ embed
     assert np.allclose(compressed, distribution_povm(prog, dist).average(), atol=1e-12)
 
@@ -171,6 +184,87 @@ def test_exact_collapses_on_binary_spectrum():
         overlap = float(np.real(np.vdot(post.amplitudes, proj @ post.amplitudes)))
         assert overlap > 1.0 - 1e-8
     assert seen == {0.0, 1.0}  # both branches show up across seeded repeats
+
+
+def reference_exact(dist, prog, params, rng, reverse=False):
+    """The per-block walk that preceded the batched one: (bits, flush bits, post state)."""
+    blocks = tuple(p.matrix for p in distribution_povm(prog, dist).projectors)
+    s, d = len(blocks), prog.dim
+    vec = (np.full(s, 1.0 / np.sqrt(s), dtype=complex)[:, None] * prog.state.amplitudes[None, :]).reshape(-1)
+
+    def cproj_accept(v):
+        mat = v.reshape(s, d)
+        out = np.empty_like(mat)
+        for r, block in enumerate(blocks):
+            branch = block @ mat[r]
+            out[r] = (mat[r] - branch) if reverse else branch
+        return out.reshape(-1)
+
+    def isu_accept(v):
+        return np.broadcast_to(v.reshape(s, d).mean(axis=0), (s, d)).reshape(-1).copy()
+
+    def measure_round(v, out):
+        for accept_of in (cproj_accept, isu_accept):
+            accept = accept_of(v)
+            p1 = min(1.0, max(0.0, float(np.real(np.vdot(v, accept)))))
+            branch = accept if rng.random() < p1 else v - accept
+            out.append(1 if branch is accept else 0)
+            v = branch / np.linalg.norm(branch)
+        return v
+
+    bits: list[int] = []
+    for _ in range(params.T):
+        vec = measure_round(vec, bits)
+    flush: list[int] = []
+    while (flush[-1] if flush else bits[-1]) != 1:
+        vec = measure_round(vec, flush)
+    phi = vec.reshape(s, d).sum(axis=0)
+    return tuple(bits), tuple(flush), phi / np.linalg.norm(phi)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("s", [1, 3, 8])
+@pytest.mark.parametrize("d", [2, 4])
+def test_exact_matches_per_block_oracle(d, s, reverse):
+    prog = random_program(d, f"api-oracle-{d}")
+    dist = FakeDistribution(random_triples(s, f"api-oracle-{d}-{s}"))
+    params = api.ApiParams(0.25, 0.1)
+    flushed = 0
+    for run in range(6):
+        label = f"api-oracle-run-{d}-{s}-{int(reverse)}-{run}"
+        bits, flush, post = reference_exact(dist, prog, params, rng_for(label), reverse)
+        _, state, tr = api.api_exact(dist, prog, params, rng_for(label), reverse=reverse)
+        assert (tr.bits, tr.flush_bits) == (bits, flush)
+        assert np.max(np.abs(state.amplitudes - post)) < 1e-10
+        flushed += tr.flush_rounds > 0
+    # IsU is the identity at s = 1; above it the seeds exercise the flush
+    assert (flushed > 0) == (s > 1)
+
+
+def test_exact_post_state_lies_in_one_eigencluster():
+    # The outcome record of a Jordan block with eigenvalue p is an agreement
+    # sequence of rate p, so a wrong cluster at distance g keeps a relative
+    # weight near exp(-2T * KL(p || p + g)).  At T = 1753 a gap of 0.05 puts
+    # that below 1e-8; programs whose spectrum is more crowded are skipped.
+    params = api.ApiParams(0.05, 0.05)
+    checked = 0
+    for d, s in ((2, 3), (4, 3), (4, 8)):
+        for i in range(6):
+            prog = random_program(d, f"api-post-{d}-{i}")
+            dist = FakeDistribution(random_triples(s, f"api-post-{d}-{s}-{i}"))
+            spec = spectral_measurement(distribution_povm(prog, dist).average())
+            if min(np.diff(spec.eigenvalues), default=1.0) < 0.05:
+                continue
+            for reverse in (False, True):
+                label = f"api-post-run-{d}-{s}-{i}-{int(reverse)}"
+                est, post, _ = api.api_exact(dist, prog, params, rng_for(label), reverse=reverse)
+                weights = [float(np.real(np.vdot(post.amplitudes, p @ post.amplitudes))) for p in spec.eigenprojectors]
+                j = int(np.argmax(weights))
+                assert weights[j] > 1.0 - 1e-8
+                p = spec.eigenvalues[j]
+                assert abs(est - (1.0 - p if reverse else p)) <= params.eps  # seeded
+                checked += 1
+    assert checked >= 28
 
 
 # ---------------------------------------------------------------------------

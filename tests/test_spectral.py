@@ -10,7 +10,15 @@ from qwmark import spectral
 from qwmark.errors import DimensionError, InvariantError
 from qwmark.qcore import BinaryProjector, StateVector, program_projector, uniform_superposition
 
-from conftest import FakeDistribution, random_program, random_state, random_triples, rng_for
+from conftest import (
+    FakeDistribution,
+    dense_cproj,
+    dense_isu,
+    random_program,
+    random_state,
+    random_triples,
+    rng_for,
+)
 from qwmark.api import distribution_povm
 from qwmark.pirates import classical_pirate, superposed_pirate
 
@@ -218,14 +226,14 @@ def test_jordan_w_only_and_outside_records():
 
 def test_jordan_eigen_angles_equal_average_spectrum():
     # compression identity: Jordan angles of (IsU, CProj) equal eig(P_D)
-    from qwmark.api import controlled_projection
+    from qwmark.api import ControlledProjection
 
     triples = random_triples(4, "jordan-api")
     prog = random_program(4, "jordan-api-prog")
-    cp = controlled_projection(prog, FakeDistribution(triples))
-    dec = spectral.jordan(cp.dense_isu(), cp.dense_cproj())
-    angles = sorted({round(s.p, 9) for s in dec.subspaces if s.v is not None})
     povm = distribution_povm(prog, FakeDistribution(triples))
+    cp = ControlledProjection.from_povm(povm)
+    dec = spectral.jordan(dense_isu(cp.s, cp.block_dim), dense_cproj(cp))
+    angles = sorted({round(s.p, 9) for s in dec.subspaces if s.v is not None})
     spec = spectral.spectral_measurement(povm.average())
     expected = sorted({round(v, 9) for v in spec.eigenvalues})
     assert angles == expected
