@@ -189,6 +189,20 @@ def _batch_label(spec: PirateSpec) -> str:
     return spec.kind
 
 
+CONFIG_INTS = ("k", "s", "seed_bits", "range_bits", "trials")
+CONFIG_NUMBERS = ("eps", "delta_prime")
+
+
+def _check_config_numbers(config: dict) -> None:
+    """Reject a non-numeric field here, before any trial or worker starts."""
+    for key in CONFIG_INTS + CONFIG_NUMBERS:
+        value = config[key]
+        allowed = int if key in CONFIG_INTS else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            kind = "an integer" if key in CONFIG_INTS else "a number"
+            raise FormatError(f"config field {key!r} must be {kind}, got {value!r}")
+
+
 def _experiment_config(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -321,6 +335,7 @@ def cmd_experiment(args) -> int:
         _seed_bytes(int(config["seed"]))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"config seed must be an integer, got {config['seed']!r}") from exc
+    _check_config_numbers(config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trials = int(config["trials"])

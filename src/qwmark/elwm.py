@@ -337,9 +337,10 @@ def real_at(i: int) -> str:
 def _parse_kind(kind: str) -> tuple[str, int | None]:
     if kind in (REAL, REAL_REV):
         return kind, None
-    for base, label in (("SimTau", "SimTau"), ("DRealAt", "DRealAt")):
-        if kind.startswith(base + "(") and kind.endswith(")"):
-            return label, int(kind[len(base) + 1 : -1])
+    for base in ("SimTau", "DRealAt"):
+        digits = kind[len(base) + 1 : -1]
+        if kind.startswith(base + "(") and kind.endswith(")") and digits.isascii() and digits.isdigit():
+            return base, int(digits)
     raise FormatError(f"unknown distribution kind {kind!r}")
 
 

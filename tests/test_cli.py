@@ -326,6 +326,27 @@ def test_experiment_rejects_non_integer_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", "two"),
+        ("k", 2.0),
+        ("eps", "0.25"),
+        ("delta_prime", None),
+        ("s", [8]),
+        ("seed_bits", True),
+        ("range_bits", "12"),
+        ("trials", "three"),
+    ],
+)
+def test_experiment_rejects_non_numeric_fields(tmp_path, capsys, field, value):
+    config = experiment_config(tmp_path, **{field: value})
+    out = tmp_path / "x"
+    assert run_cli("experiment", "--config", config, "--out", out, "--jobs", "2") == cli.EXIT_FORMAT
+    assert repr(field) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wilson_interval_properties():
     low, high = cli.wilson_interval(0, 0)
     assert (low, high) == (0.0, 1.0)

@@ -250,6 +250,14 @@ def test_kind_labels_parse():
         )
 
 
+@pytest.mark.parametrize(
+    "kind", ["SimTau(x)", "SimTau()", "SimTau(-1)", "SimTau( 1)", "DRealAt(1_0)", "DRealAt(+1)", "DRealAt(\u0661)"]
+)
+def test_kind_labels_with_non_digit_indices_are_rejected(kind):
+    with pytest.raises(FormatError):
+        elwm.build_distribution(kind, params=small_params(), s=2, master_seed=b"m" * 16, coin_key=b"k" * 16)
+
+
 def stack():
     params = small_params()
     gen_rng = rng_for("elwm-dist-stack")
