@@ -189,18 +189,19 @@ def _batch_label(spec: PirateSpec) -> str:
     return spec.kind
 
 
-CONFIG_INTS = ("k", "s", "seed_bits", "range_bits", "trials")
-CONFIG_NUMBERS = ("eps", "delta_prime")
+CONFIG_FIELD_TYPES = (
+    (("k", "s", "seed_bits", "range_bits", "trials"), int, "an integer"),
+    (("eps", "delta_prime"), (int, float), "a number"),
+)
 
 
 def _check_config_numbers(config: dict) -> None:
     """Reject a non-numeric field here, before any trial or worker starts."""
-    for key in CONFIG_INTS + CONFIG_NUMBERS:
-        value = config[key]
-        allowed = int if key in CONFIG_INTS else (int, float)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            kind = "an integer" if key in CONFIG_INTS else "a number"
-            raise FormatError(f"config field {key!r} must be {kind}, got {value!r}")
+    for keys, allowed, kind in CONFIG_FIELD_TYPES:
+        for key in keys:
+            value = config[key]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise FormatError(f"config field {key!r} must be {kind}, got {value!r}")
 
 
 def _experiment_config(path: str) -> dict:
