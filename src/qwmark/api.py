@@ -19,7 +19,8 @@ probability <= delta (almost projectivity); reversing the projector roles
 on the second run gives estimates summing to ~1 (reverse almost
 projectivity).
 
-Two engines:
+There are two engines.  Both take a distribution's projectors as one checked
+(s, d, d) stack from `distribution_povm`.
 
 * api_exact simulates the alternating measurements literally on H_R (x) H,
   holding the state as an (s, d) array.  CProj is applied as one batched
@@ -47,12 +48,8 @@ from .errors import (
     FlushLimitError,
     InvariantError,
 )
-from .qcore import QuantumProgram, StateVector, dimension_cap, program_projector
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    MixedBinaryPOVM,
-    spectral_measurement,
-)
+from .qcore import QuantumProgram, StateVector, dimension_cap, program_projectors
+from .spectral import DEFAULT_CLUSTER_TOL, MixedBinaryPOVM, projimp_cluster
 
 FLUSH_ROUNDS_PER_T = 64
 
@@ -130,10 +127,6 @@ class ControlledProjection:
 
     stack: np.ndarray  # (s, d, d)
 
-    @classmethod
-    def from_povm(cls, povm: MixedBinaryPOVM) -> "ControlledProjection":
-        return cls(np.stack([p.matrix for p in povm.projectors]))
-
     @property
     def s(self) -> int:
         return self.stack.shape[0]
@@ -152,11 +145,9 @@ def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
     """Binary POVM mixture induced by a program on a finite triple distribution.
 
     The r-th member accepts when the program answers the triple's first
-    component on query (x_r, y_r).
+    component on query (x_r, y_r); the members form one checked stack.
     """
-    return MixedBinaryPOVM(
-        tuple(program_projector(prog, gamma, x, y) for gamma, x, y in dist.triples)
-    )
+    return MixedBinaryPOVM(program_projectors(prog, dist.triples))
 
 
 def api_exact(
@@ -175,7 +166,7 @@ def api_exact(
     povm = distribution_povm(prog, dist)
     if povm.dim != prog.dim:
         raise DimensionError("program dimension changed under projector construction")
-    cproj = ControlledProjection.from_povm(povm)
+    cproj = ControlledProjection(povm.stack)
     s, d = cproj.s, cproj.block_dim
     if s * d > dimension_cap():
         raise DimensionCapError(f"composite dimension {s * d} exceeds cap {dimension_cap()}")
@@ -237,14 +228,7 @@ def api_fast(
     a cluster j with Born weight, then t ~ Binomial(2T, p_j) forward or
     Binomial(2T, 1 - p_j) reversed.  Returns (estimate, post state, j).
     """
-    povm = distribution_povm(prog, dist)
-    if povm.dim != prog.dim:
-        raise DimensionError("POVM/program dimension mismatch")
-    spec = spectral_measurement(povm.average(), cluster_tol)
-    probs = spec.probabilities(prog.state)
-    idx = int(rng.choice(len(probs), p=probs))
-    post = StateVector.from_unnormalized(spec.eigenprojectors[idx] @ prog.state.amplitudes)
-    q = spec.eigenvalues[idx]
+    idx, q, post = projimp_cluster(distribution_povm(prog, dist), prog.state, rng, cluster_tol)
     if reverse:
         q = 1.0 - q
     t = int(rng.binomial(2 * params.T, min(1.0, max(0.0, q))))

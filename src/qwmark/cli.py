@@ -117,18 +117,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    if args.count < 1:
+        raise IndexRangeError(f"--count must be at least 1, got {args.count}")
     tag = elwm.TagIo.from_bytes(Path(args.tag).read_bytes())
-    coin_key = Path(args.xk).read_bytes()
-    master_seed = _seed_bytes(args.seed)
-    triples = []
-    for r in range(args.count):
-        coins = keyed_rand(
-            coin_key,
-            master_seed + b"S" + args.index.to_bytes(2, "big") + r.to_bytes(4, "big"),
-            elwm.sim_coin_bits(tag.params),
-        )
-        gamma, x, y = elwm.sim(tag.params, tag, args.index, coins)
-        triples.append({"gamma": gamma, "x": x, "y": y})
+    dist = elwm.build_distribution(
+        elwm.sim_tau(args.index),
+        params=tag.params,
+        s=args.count,
+        master_seed=_seed_bytes(args.seed),
+        coin_key=Path(args.xk).read_bytes(),
+        tag=tag,
+    )
+    triples = [{"gamma": gamma, "x": x, "y": y} for gamma, x, y in dist.triples]
     _dump_json({"index": args.index, "count": args.count, "triples": triples}, args.out)
     return 0
 
@@ -337,6 +337,10 @@ def cmd_experiment(args) -> int:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"config seed must be an integer, got {config['seed']!r}") from exc
     _check_config_numbers(config)
+    if config["trials"] < 1:
+        raise IndexRangeError(f"config trials must be at least 1, got {config['trials']}")
+    if not isinstance(config["pirates"], list) or not config["pirates"]:
+        raise FormatError(f"config pirates must be a non-empty list, got {config['pirates']!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trials = int(config["trials"])

@@ -91,6 +91,14 @@ def read_header(fmt: str, data: bytes, what: str) -> tuple[tuple[int, ...], byte
     return struct.unpack(fmt, data[:size]), data[size:]
 
 
+def load_field(make, *args, what: str):
+    """Build a field read from a record; a width its constructor rejects is a format fault."""
+    try:
+        return make(*args)
+    except LengthError as exc:
+        raise FormatError(f"{what}: {exc}") from exc
+
+
 def decode_text(raw: bytes, what: str) -> str:
     try:
         return raw.decode()
@@ -186,7 +194,7 @@ class GgmKey:
         (domain_bits, out_bits, n), rest = read_header(">HHH", data, "GgmKey")
         if len(rest) < n:
             raise FormatError("GgmKey seed truncated")
-        return cls(rest[:n], domain_bits, out_bits), rest[n:]
+        return load_field(cls, rest[:n], domain_bits, out_bits, what="GgmKey"), rest[n:]
 
 
 def ggm_gen(domain_bits: int, out_bits: int, rng) -> GgmKey:
@@ -362,7 +370,7 @@ class InjectivePprfKey:
         (n,), rest = read_header(">H", rest, "InjectivePprfKey mask seed")
         if len(rest) < n:
             raise FormatError("InjectivePprfKey mask seed truncated")
-        return cls(ggm, rest[:n]), rest[n:]
+        return load_field(cls, ggm, rest[:n], what="InjectivePprfKey"), rest[n:]
 
 
 def injective_pprf_gen(in_bits: int, out_bits: int, rng) -> InjectivePprfKey:

@@ -44,6 +44,7 @@ from .crypto import (
     ggm_gen,
     int_to_bits,
     keyed_rand,
+    load_field,
     prg,
     read_header,
 )
@@ -105,13 +106,24 @@ class ElwmParams:
     @classmethod
     def read_from(cls, data: bytes) -> tuple["ElwmParams", bytes]:
         (msg_bits, seed_bits, range_bits), rest = read_header(">HHH", data, "params")
-        return cls(msg_bits, seed_bits, range_bits), rest
+        return load_field(cls, msg_bits, seed_bits, range_bits, what="params"), rest
 
 
 def _expect_kind(circuit, cls: type, role: str):
     if not isinstance(circuit, cls):
         raise FormatError(f"{role} holds a {type(circuit).__name__}, expected a {cls.__name__}")
     return circuit
+
+
+def _check_widths(params: ElwmParams, role: str, pe_circuit, f_main: GgmKey | None = None) -> None:
+    """A loaded record's keys must have the widths its params declare."""
+    if pe_circuit.ell != params.pt_bits:
+        raise FormatError(f"{role} PE plaintext width {pe_circuit.ell} != pt_bits {params.pt_bits}")
+    if f_main is not None and (f_main.domain_bits, f_main.out_bits) != (params.domain_bits, params.range_bits):
+        raise FormatError(
+            f"{role} PRF key maps {f_main.domain_bits} -> {f_main.out_bits} bits, "
+            f"params need {params.domain_bits} -> {params.range_bits}"
+        )
 
 
 @dataclass(frozen=True)
@@ -143,12 +155,10 @@ class PrfKeyIo:
         (nf, nd, ng), body = read_header(">HHH", rest, "PRF key")
         if len(body) != nf + nd + ng:
             raise FormatError("PRF key record length mismatch")
-        return cls(
-            params,
-            GgmKey.from_bytes(body[:nf]),
-            _expect_kind(circuit_from_bytes(body[nf : nf + nd]), DecryptionCircuit, "PRF key"),
-            body[nf + nd :],
-        )
+        f_main = GgmKey.from_bytes(body[:nf])
+        pe_dk = _expect_kind(circuit_from_bytes(body[nf : nf + nd]), DecryptionCircuit, "PRF key")
+        _check_widths(params, "PRF key", pe_dk, f_main)
+        return cls(params, f_main, pe_dk, body[nf + nd :])
 
 
 @dataclass(frozen=True)
@@ -178,7 +188,7 @@ class TagIo:
         if len(body) != ne + ng:
             raise FormatError("tag record length mismatch")
         pe_ek = ObfuscatedCircuit.from_bytes(body[:ne])
-        _expect_kind(pe_ek.circuit, EncryptionCircuit, "tag")
+        _check_widths(params, "tag", _expect_kind(pe_ek.circuit, EncryptionCircuit, "tag"))
         return cls(params, pe_ek, body[ne:])
 
 
@@ -246,12 +256,10 @@ class MarkedEvalCircuit:
         message = decode_text(body[nf + nd :], "marked circuit message")
         if len(message) != params.msg_bits or message.strip("01"):
             raise FormatError(f"marked circuit message must be {params.msg_bits} bits, got {message!r}")
-        return cls(
-            params,
-            GgmKey.from_bytes(body[:nf]),
-            _expect_kind(circuit_from_bytes(body[nf : nf + nd]), DecryptionCircuit, "marked circuit"),
-            message,
-        )
+        f_main = GgmKey.from_bytes(body[:nf])
+        pe_dk = _expect_kind(circuit_from_bytes(body[nf : nf + nd]), DecryptionCircuit, "marked circuit")
+        _check_widths(params, "marked circuit", pe_dk, f_main)
+        return cls(params, f_main, pe_dk, message)
 
 
 register_circuit_kind(MarkedEvalCircuit.KIND_TAG, MarkedEvalCircuit)
@@ -383,6 +391,8 @@ def build_distribution(
     elif base == "SimTau":
         if tag is None or index is None:
             raise LengthError("SimTau distributions need the tag and an index")
+        if not (1 <= index <= params.msg_bits):
+            raise IndexRangeError(f"index {index} outside 1..{params.msg_bits}")
         for r in range(s):
             coins = keyed_rand(
                 coin_key,

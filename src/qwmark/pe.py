@@ -128,12 +128,24 @@ def _write_keys(circuit) -> bytes:
     return struct.pack(">HHH", circuit.ell, len(f), len(g)) + f + g
 
 
+def _check_key_widths(f_key: InjectivePprfKey, g_key: GgmKey, ell: int, what: str) -> None:
+    """A loaded circuit's keys must map 3ell -> 9ell and 9ell -> ell bits."""
+    widths = (f_key.in_bits, f_key.out_bits, g_key.domain_bits, g_key.out_bits)
+    if widths != (3 * ell, 9 * ell, 9 * ell, ell):
+        raise FormatError(
+            f"{what} keys map {widths[0]} -> {widths[1]} and {widths[2]} -> {widths[3]} bits, "
+            f"ell={ell} needs {3 * ell} -> {9 * ell} and {9 * ell} -> {ell}"
+        )
+
+
 def _read_keys(data: bytes, what: str) -> tuple[InjectivePprfKey, GgmKey, int]:
     """(f_key, g_key, ell) from the payload shared by both plain circuits."""
     (ell, nf, ng), body = read_header(">HHH", data, what)
     if len(body) != nf + ng:
         raise FormatError(f"{what} payload length mismatch")
-    return InjectivePprfKey.from_bytes(body[:nf]), GgmKey.from_bytes(body[nf:]), ell
+    f_key, g_key = InjectivePprfKey.from_bytes(body[:nf]), GgmKey.from_bytes(body[nf:])
+    _check_key_widths(f_key, g_key, ell, what)
+    return f_key, g_key, ell
 
 
 def _split_ct(c: str, ell: int) -> tuple[str, str, str]:
@@ -216,12 +228,9 @@ class PuncturedDecryptionCircuit:
         (ell, nf, ng, nc), body = read_header(">HHHH", data, "punctured decryption circuit")
         if len(body) != nf + ng + nc or nc != (12 * ell + 7) // 8:
             raise FormatError("punctured decryption circuit payload length mismatch")
-        return cls(
-            InjectivePprfKey.from_bytes(body[:nf]),
-            GgmKey.from_bytes(body[nf : nf + ng]),
-            ell,
-            bytes_to_bits(body[nf + ng :], 12 * ell),
-        )
+        f_key, g_key = InjectivePprfKey.from_bytes(body[:nf]), GgmKey.from_bytes(body[nf : nf + ng])
+        _check_key_widths(f_key, g_key, ell, "punctured decryption circuit")
+        return cls(f_key, g_key, ell, bytes_to_bits(body[nf + ng :], 12 * ell))
 
 
 register_circuit_kind(EncryptionCircuit.KIND_TAG, EncryptionCircuit)

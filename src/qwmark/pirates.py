@@ -87,10 +87,13 @@ def superposed_pirate(theta: float, prog_a: QuantumProgram, prog_b: QuantumProgr
     amps[1::2] = math.sin(theta) * prog_b.state.amplitudes
     state = StateVector.from_unnormalized(amps)  # unit norm up to float dust
 
+    # The branch matrices go in unchecked: for an interleaved block-diagonal
+    # U the largest entry of U U^dag - I is the larger of the two branches'
+    # largest entries, so the oracle's own unitarity check covers both.
     def evaluate(x: str, y: str) -> np.ndarray:
         u = np.zeros((2 * d, 2 * d), dtype=complex)
-        u[0::2, 0::2] = prog_a.unitaries.matrix(x, y)
-        u[1::2, 1::2] = prog_b.unitaries.matrix(x, y)
+        u[0::2, 0::2] = prog_a.unitaries.evaluate(x, y)
+        u[1::2, 1::2] = prog_b.unitaries.evaluate(x, y)
         return u
 
     return QuantumProgram(state, UnitaryOracle(2 * d, evaluate))

@@ -8,6 +8,12 @@ U_{x,y} and reading its first qubit, so the projector onto answer b is
 
     P_{b,x,y} = U_{x,y}^dag (|b><b| (x) I) U_{x,y}.
 
+A distribution's projectors live in one (s, d, d) stack built by
+`program_projectors`: the oracle matrices of all s queries are evaluated and
+checked for unitarity in one batched product, and the stack is checked for
+Hermiticity and idempotence as a whole, at the same tolerances as a single
+`BinaryProjector`.
+
 Everything is dense complex numpy; dimensions are desk-scale and capped
 (default 256, override via the QWMARK_DIM_CAP environment variable).
 """
@@ -149,15 +155,32 @@ class UnitaryOracle:
     evaluate: Callable[[str, str], np.ndarray]
     _checked: set = field(default_factory=set, repr=False, compare=False)
 
-    def matrix(self, x: str, y: str) -> np.ndarray:
-        mat = np.asarray(self.evaluate(x, y), dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise DimensionError(f"oracle returned shape {mat.shape}, expected {(self.dim, self.dim)}")
-        if (x, y) not in self._checked:
-            if np.max(np.abs(mat @ mat.conj().T - np.eye(self.dim))) > UNITARY_TOL:
+    def matrices(self, pairs) -> np.ndarray:
+        """(n, d, d) stack of U_{x,y} over the query pairs, in order.
+
+        The pairs not checked before are checked for unitarity in one
+        batched product and then remembered.
+        """
+        pairs = list(pairs)
+        try:
+            mats = np.array([self.evaluate(x, y) for x, y in pairs], dtype=complex, ndmin=3)
+        except ValueError as exc:
+            raise DimensionError(f"oracle returned matrices of differing shapes: {exc}") from exc
+        if mats.shape != (len(pairs), self.dim, self.dim):
+            raise DimensionError(f"oracle returned shape {mats.shape[1:]}, expected {(self.dim, self.dim)}")
+        fresh = [i for i, pair in enumerate(pairs) if pair not in self._checked]
+        if fresh:
+            u = mats[fresh]
+            dev = np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(self.dim)).max(axis=(1, 2))
+            bad = np.flatnonzero(dev > UNITARY_TOL)
+            if bad.size:
+                x, y = pairs[fresh[bad[0]]]
                 raise InvariantError(f"oracle matrix for ({x!r}, {y!r}) is not unitary")
-            self._checked.add((x, y))
-        return mat
+            self._checked.update(pairs[i] for i in fresh)
+        return mats
+
+    def matrix(self, x: str, y: str) -> np.ndarray:
+        return self.matrices([(x, y)])[0]
 
 
 @dataclass(frozen=True)
@@ -185,18 +208,34 @@ class QuantumProgram:
         return QuantumProgram(state, self.unitaries)
 
 
-def program_projector(prog: QuantumProgram, b: int, x: str, y: str) -> BinaryProjector:
-    """Projector onto the program answering b on query (x, y).
+def program_projectors(prog: QuantumProgram, triples) -> np.ndarray:
+    """Read-only (s, d, d) stack of the accept projectors of (b, x, y) triples.
 
     P = U^dag Pi_b U where Pi_b keeps the half of the index space whose first
-    qubit reads b.  Computed as U_b^dag U_b from the b-half rows of U.
+    qubit reads b.  Each member is computed as U_b^dag U_b from the b-half
+    rows of U; the whole stack is checked for Hermiticity and idempotence.
     """
-    if b not in (0, 1):
-        raise InvariantError(f"answer bit must be 0 or 1, got {b!r}")
-    u = prog.unitaries.matrix(x, y)
-    half = prog.dim // 2
-    rows = u[b * half : (b + 1) * half, :]
-    return BinaryProjector(rows.conj().T @ rows)
+    if not triples:
+        raise DimensionError("a projector stack needs at least one triple")
+    bits = [b for b, _, _ in triples]
+    bad = [b for b in bits if b not in (0, 1)]
+    if bad:
+        raise InvariantError(f"answer bit must be 0 or 1, got {bad[0]!r}")
+    d = check_dimension(prog.dim, what="projector dimension")
+    us = prog.unitaries.matrices([(x, y) for _, x, y in triples])
+    rows = us.reshape(len(bits), 2, d // 2, d)[np.arange(len(bits)), np.array(bits, dtype=np.intp)]
+    stack = rows.conj().transpose(0, 2, 1) @ rows
+    if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > PROJECTOR_TOL:
+        raise InvariantError("projector is not Hermitian within tolerance")
+    if np.max(np.abs(stack @ stack - stack)) > PROJECTOR_TOL:
+        raise InvariantError("projector is not idempotent within tolerance")
+    stack.flags.writeable = False
+    return stack
+
+
+def program_projector(prog: QuantumProgram, b: int, x: str, y: str) -> BinaryProjector:
+    """Projector onto the program answering b on query (x, y)."""
+    return BinaryProjector(program_projectors(prog, [(b, x, y)])[0])
 
 
 def measure_binary(state: StateVector, proj: BinaryProjector, rng) -> tuple[int, StateVector, float]:

@@ -3,10 +3,11 @@ binary POVMs, two-projector (Jordan) decompositions, and the shift distance
 between outcome distributions.
 
 A mixture of binary projective measurements {(P_i, I-P_i)} with uniform weight
-has accept operator P_D = mean_i P_i.  Its *projective implementation*
-measures the eigenbasis of P_D and reports the eigenvalue: a projective
-measurement whose outcome p, followed by a Bernoulli(p) draw, reproduces the
-original POVM's statistics exactly.
+has accept operator P_D = mean_i P_i.  The mixture holds its members as one
+checked (s, d, d) stack, as `qcore.program_projectors` builds it.  Its
+*projective implementation* measures the eigenbasis of P_D and reports the
+eigenvalue: a projective measurement whose outcome p, followed by a
+Bernoulli(p) draw, reproduces the original POVM's statistics exactly.
 
 The Jordan decomposition splits a Hilbert space into one- and two-dimensional
 subspaces invariant under a pair of projectors (Pi_v, Pi_w); on each
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,27 +34,45 @@ RANK_TOL = 1e-7
 
 @dataclass(frozen=True)
 class MixedBinaryPOVM:
-    """Uniform mixture of binary projective measurements."""
+    """Uniform mixture of binary projective measurements.
 
-    projectors: tuple[BinaryProjector, ...]
+    stack[i] is the accept projector of member i; the stack is taken as
+    checked, so build it with `qcore.program_projectors` or `of`.
+    """
+
+    stack: np.ndarray  # (s, d, d)
 
     def __post_init__(self):
-        if not self.projectors:
+        if self.stack.ndim != 3 or self.stack.shape[1] != self.stack.shape[2]:
+            raise DimensionError(f"a POVM mixture needs an (s, d, d) stack, got shape {self.stack.shape}")
+        if not len(self.stack):
             raise DimensionError("a POVM mixture needs at least one projector")
-        dims = {p.dim for p in self.projectors}
+
+    @classmethod
+    def of(cls, projectors: Sequence[BinaryProjector]) -> "MixedBinaryPOVM":
+        """Mixture of checked projectors of one dimension."""
+        if not projectors:
+            raise DimensionError("a POVM mixture needs at least one projector")
+        dims = {p.dim for p in projectors}
         if len(dims) != 1:
             raise DimensionError(f"mixed projector dimensions: {sorted(dims)}")
+        return cls(np.stack([p.matrix for p in projectors]))
+
+    @property
+    def s(self) -> int:
+        return self.stack.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].dim
+        return self.stack.shape[1]
 
     def average(self) -> np.ndarray:
-        """Accept operator P_D = mean of the member projectors."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for p in self.projectors:
-            acc += p.matrix
-        return acc / len(self.projectors)
+        """Accept operator P_D = mean of the member projectors.
+
+        The sum over axis 0 of a C-contiguous stack adds the members in
+        order, so this is the left-to-right running sum bit for bit.
+        """
+        return self.stack.sum(0) / self.s
 
 
 @dataclass(frozen=True)
@@ -111,6 +131,26 @@ def spectral_measurement(accept: np.ndarray, cluster_tol: float = DEFAULT_CLUSTE
     return SpectralMeasurement(tuple(eigenvalues), tuple(projectors))
 
 
+def projimp_cluster(
+    povm: MixedBinaryPOVM,
+    state: StateVector,
+    rng,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> tuple[int, float, StateVector]:
+    """Born draw of an eigencluster of P_D: (cluster index, eigenvalue, post state).
+
+    Makes exactly one `rng.choice` draw; the post state is the normalized
+    projection onto the drawn cluster.
+    """
+    if povm.dim != state.dim:
+        raise DimensionError(f"POVM dim {povm.dim} vs state dim {state.dim}")
+    spec = spectral_measurement(povm.average(), cluster_tol)
+    probs = spec.probabilities(state)
+    idx = int(rng.choice(len(probs), p=probs))
+    post = StateVector.from_unnormalized(spec.eigenprojectors[idx] @ state.amplitudes)
+    return idx, spec.eigenvalues[idx], post
+
+
 def projimp(
     povm: MixedBinaryPOVM,
     state: StateVector,
@@ -122,13 +162,8 @@ def projimp(
     Returns (eigenvalue, post state).  Repeating on the post state returns the
     same eigenvalue with certainty (projectivity).
     """
-    if povm.dim != state.dim:
-        raise DimensionError(f"POVM dim {povm.dim} vs state dim {state.dim}")
-    spec = spectral_measurement(povm.average(), cluster_tol)
-    probs = spec.probabilities(state)
-    idx = int(rng.choice(len(probs), p=probs))
-    post = StateVector.from_unnormalized(spec.eigenprojectors[idx] @ state.amplitudes)
-    return spec.eigenvalues[idx], post
+    _, value, post = projimp_cluster(povm, state, rng, cluster_tol)
+    return value, post
 
 
 def projimp_bernoulli_check(povm: MixedBinaryPOVM, state: StateVector) -> float:

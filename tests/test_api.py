@@ -74,7 +74,7 @@ def test_transcript_validation():
 
 
 def controlled_projection(prog, dist) -> api.ControlledProjection:
-    return api.ControlledProjection.from_povm(distribution_povm(prog, dist))
+    return api.ControlledProjection(distribution_povm(prog, dist).stack)
 
 
 def test_dense_operators_are_projectors():
@@ -188,7 +188,7 @@ def test_exact_collapses_on_binary_spectrum():
 
 def reference_exact(dist, prog, params, rng, reverse=False):
     """The per-block walk that preceded the batched one: (bits, flush bits, post state)."""
-    blocks = tuple(p.matrix for p in distribution_povm(prog, dist).projectors)
+    blocks = distribution_povm(prog, dist).stack
     s, d = len(blocks), prog.dim
     vec = (np.full(s, 1.0 / np.sqrt(s), dtype=complex)[:, None] * prog.state.amplitudes[None, :]).reshape(-1)
 

@@ -108,6 +108,18 @@ def test_sim_rejects_bad_index(keys, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "index, count, code",
+    [(1, 0, cli.EXIT_LENGTH), (1, -2, cli.EXIT_LENGTH), (70000, 1, cli.EXIT_LENGTH), (-1, 1, cli.EXIT_FORMAT)],
+)
+def test_sim_rejects_empty_counts_and_out_of_range_indices(tmp_path, keys, capsys, index, count, code):
+    out = tmp_path / "triples.json"
+    argv = ["sim", "--tag", keys["tag"], "--xk", keys["xk"], "--index", index, "--count", count, "--seed", 11]
+    assert run_cli(*argv, "--out", out) == code
+    assert not out.exists()
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------
@@ -345,6 +357,24 @@ def test_experiment_rejects_non_numeric_fields(tmp_path, capsys, field, value):
     assert run_cli("experiment", "--config", config, "--out", out, "--jobs", "2") == cli.EXIT_FORMAT
     assert repr(field) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, code",
+    [
+        ({"trials": 0}, [], cli.EXIT_LENGTH),
+        ({"trials": -1}, [], cli.EXIT_LENGTH),
+        ({}, ["--trials", "0"], cli.EXIT_LENGTH),
+        ({"pirates": []}, [], cli.EXIT_FORMAT),
+        ({"pirates": {"kind": "honest"}}, [], cli.EXIT_FORMAT),
+    ],
+)
+def test_experiment_rejects_runs_without_trials(tmp_path, capsys, overrides, argv, code):
+    out = tmp_path / "x"
+    config = experiment_config(tmp_path, **overrides)
+    assert run_cli("experiment", "--config", config, "--out", out, "--jobs", "2", *argv) == code
+    assert not out.exists()
+    capsys.readouterr()
 
 
 def test_wilson_interval_properties():

@@ -3,8 +3,12 @@ coin-indexed query distributions."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwmark import elwm
 from qwmark.crypto import int_to_bits, keyed_rand, prg
@@ -142,9 +146,10 @@ def test_marked_circuit_serialization():
         elwm.marked_circuit_from_bytes(b"XXXXX" + blob[5:])
 
 
-def _records():
-    prfk, tag = elwm.gen(small_params(), rng_for("elwm-records"))
-    circuit = elwm.mark(prfk, "0110")
+@functools.cache
+def _records(k: int = 3):
+    prfk, tag = elwm.gen(elwm.ElwmParams(k + 1, seed_bits=6, range_bits=12), rng_for("elwm-records"))
+    circuit = elwm.mark(prfk, "0110"[: k + 1])
     return prfk, tag, {
         "prfk": (prfk.to_bytes(), elwm.PrfKeyIo.from_bytes),
         "tag": (tag.to_bytes(), elwm.TagIo.from_bytes),
@@ -174,6 +179,58 @@ def test_corrupt_message_raises_format_error(last):
     blob, load = _records()[2]["circ"]
     with pytest.raises(FormatError):
         load(blob[:-1] + last)
+
+
+def _assert_widths_agree(record) -> None:
+    """A loaded record's keys have the widths its params declare, and it runs."""
+    if isinstance(record, ObfuscatedCircuit):  # a marked circuit file
+        params, f_main, pe = record.circuit.params, record.circuit.f_main, record.circuit.pe_dk
+        assert len(record.circuit.message) == params.msg_bits
+    elif isinstance(record, elwm.TagIo):
+        params, f_main, pe = record.params, None, record.pe_ek.circuit
+    else:
+        params, f_main, pe = record.params, record.f_main, record.pe_dk
+    ell = params.pt_bits
+    assert pe.ell == ell
+    assert (pe.f_key.in_bits, pe.f_key.out_bits, pe.g_key.domain_bits, pe.g_key.out_bits) == (3 * ell, 9 * ell, 9 * ell, ell)
+    if f_main is not None:
+        assert (f_main.domain_bits, f_main.out_bits) == (params.domain_bits, params.range_bits)
+    x = "0" * params.domain_bits
+    if isinstance(record, elwm.TagIo):
+        assert len(record.pe_ek.run("0" * ell, "1" * ell)) == params.domain_bits
+    elif isinstance(record, ObfuscatedCircuit):
+        assert len(record.run(x)) == params.range_bits
+    else:
+        assert len(elwm.eval_prf(record, x)) == params.range_bits
+
+
+def _load_or_format_error(load, blob: bytes) -> None:
+    try:
+        record = load(blob)
+    except FormatError:
+        return
+    _assert_widths_agree(record)
+
+
+@pytest.mark.parametrize("name", ["prfk", "tag", "circ"])
+def test_every_single_bit_flip_fails_or_loads_consistent(name):
+    blob, load = _records(k=2)[2][name]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        _load_or_format_error(load, bytes(flipped))
+
+
+@pytest.mark.parametrize("name", ["prfk", "tag", "circ"])
+@given(st.data())
+def test_truncated_and_flipped_records_fail_or_load_consistent(name, data):
+    blob, load = _records(k=2)[2][name]
+    flips = data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), max_size=4), label="flips")
+    cut = data.draw(st.integers(0, len(blob)), label="cut")
+    damaged = bytearray(blob)
+    for bit in flips:
+        damaged[bit // 8] ^= 0x80 >> (bit % 8)
+    _load_or_format_error(load, bytes(damaged[:cut]))
 
 
 def test_records_reject_circuits_of_the_wrong_kind():

@@ -8,8 +8,8 @@ import pytest
 
 from qwmark import pirates
 from qwmark.api import distribution_povm
-from qwmark.errors import DimensionError, FormatError
-from qwmark.qcore import program_projector
+from qwmark.errors import DimensionError, FormatError, InvariantError
+from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, program_projector
 from qwmark.spectral import projimp, spectral_measurement
 
 from conftest import FakeDistribution, random_triples, rng_for
@@ -207,6 +207,15 @@ def test_superposed_pirate_output_register_stays_first_qubit():
     expect = np.cos(theta) ** 2 * 1.0 + np.sin(theta) ** 2 * 0.5
     got = program_projector(prog, 1, x, y).expectation(prog.state)
     assert abs(got - expect) < 1e-12
+
+
+def test_superposed_pirate_rejects_non_unitary_branch():
+    circ = ToyCircuit()
+    leaky = QuantumProgram(StateVector.basis(2, 0), UnitaryOracle(2, lambda x, y: np.diag([1.0, 0.5])))
+    for branches in ((pirates.honest_pirate(circ), leaky), (leaky, pirates.coin_pirate())):
+        prog = pirates.superposed_pirate(0.4, *branches)
+        with pytest.raises(InvariantError):
+            program_projector(prog, 1, "011011", circ.run("011011"))
 
 
 def test_superposed_pirate_rejects_dim_mismatch():

@@ -98,6 +98,62 @@ def test_unitary_oracle_rechecks_only_new_points():
     assert calls == [("0", "1"), ("0", "1")]
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_oracle_batch_rejects_non_unitary_at_any_position(position):
+    pairs = [("0", format(i, "02b")) for i in range(4)]
+    bad_y = pairs[position][1]
+
+    def build(x, y):
+        return np.diag([1.0, 2.0]) if y == bad_y else np.eye(2)
+
+    oracle = qcore.UnitaryOracle(2, build)
+    with pytest.raises(InvariantError, match=repr(bad_y)):
+        oracle.matrices(pairs)
+    assert oracle._checked == set()
+
+
+def test_oracle_batch_checks_each_pair_once():
+    # an oracle that turns non-unitary after its first evaluation goes unseen
+    # on a pair already checked, and is caught on a pair seen for the first time
+    seen = set()
+
+    def build(x, y):
+        scale = 2.0 if (x, y) in seen else 1.0
+        seen.add((x, y))
+        return scale * np.eye(2)
+
+    oracle = qcore.UnitaryOracle(2, build)
+    oracle.matrices([("0", "0"), ("0", "1")])
+    assert oracle._checked == {("0", "0"), ("0", "1")}
+    assert np.array_equal(oracle.matrices([("0", "0"), ("0", "1")]), 2.0 * np.stack([np.eye(2)] * 2))
+    with pytest.raises(InvariantError):
+        oracle.matrices([("0", "0"), ("1", "1"), ("1", "1")])
+
+
+def test_oracle_batch_rejects_wrong_shapes():
+    oracle = qcore.UnitaryOracle(2, lambda x, y: np.eye(2 if x == "0" else 4))
+    with pytest.raises(DimensionError):
+        oracle.matrices([("0", "0"), ("1", "0")])
+    with pytest.raises(DimensionError):
+        oracle.matrices([("1", "0")])
+
+
+def test_program_projector_is_a_slice_of_the_stack():
+    prog = random_program(8, "qc-stack")
+    triples = [(b, format(i, "03b"), "10") for i, b in enumerate((0, 1, 1, 0, 1, 0))]
+    stack = qcore.program_projectors(prog, triples)
+    assert stack.shape == (6, 8, 8) and not stack.flags.writeable
+    for r, (b, x, y) in enumerate(triples):
+        assert np.array_equal(qcore.program_projector(prog, b, x, y).matrix, stack[r])
+        # the per-triple product that preceded the batched one
+        rows = prog.unitaries.evaluate(x, y)[b * 4 : (b + 1) * 4, :]
+        assert np.array_equal(rows.conj().T @ rows, stack[r])
+    with pytest.raises(InvariantError):
+        qcore.program_projectors(prog, [(1, "0", "1"), (2, "0", "1")])
+    with pytest.raises(DimensionError):
+        qcore.program_projectors(prog, [])
+
+
 def test_program_projector_shape_and_idempotence():
     prog = random_program(8, "qc-proj")
     for b in (0, 1):

@@ -33,12 +33,26 @@ def diag_proj(*bits):
 
 
 def test_mixture_average():
-    povm = spectral.MixedBinaryPOVM((diag_proj(1, 0), diag_proj(1, 1)))
+    povm = spectral.MixedBinaryPOVM.of((diag_proj(1, 0), diag_proj(1, 1)))
     assert np.allclose(povm.average(), np.diag([1.0, 0.5]))
     with pytest.raises(DimensionError):
-        spectral.MixedBinaryPOVM(())
+        spectral.MixedBinaryPOVM.of(())
     with pytest.raises(DimensionError):
-        spectral.MixedBinaryPOVM((diag_proj(1, 0), diag_proj(1, 0, 0, 0)))
+        spectral.MixedBinaryPOVM.of((diag_proj(1, 0), diag_proj(1, 0, 0, 0)))
+    for bad in (np.zeros((0, 2, 2)), np.eye(2), np.zeros((3, 2, 4))):
+        with pytest.raises(DimensionError):
+            spectral.MixedBinaryPOVM(bad)
+
+
+def test_mixture_average_equals_running_sum():
+    # the per-member loop that preceded the batched sum, kept as the oracle
+    prog = random_program(8, "mix-running-sum")
+    povm = distribution_povm(prog, FakeDistribution(random_triples(16, "mix-running-sum")))
+    assert povm.stack.shape == (16, 8, 8)
+    acc = np.zeros((8, 8), dtype=complex)
+    for member in povm.stack:
+        acc += member
+    assert np.array_equal(povm.average(), acc / 16)
 
 
 def test_spectral_measurement_clusters_close_eigenvalues():
@@ -69,7 +83,7 @@ def test_probabilities_born_rule():
 
 
 def test_projimp_on_eigenvector_is_deterministic():
-    povm = spectral.MixedBinaryPOVM((diag_proj(1, 0), diag_proj(1, 1)))
+    povm = spectral.MixedBinaryPOVM.of((diag_proj(1, 0), diag_proj(1, 1)))
     val, post = spectral.projimp(povm, StateVector.basis(2, 1), rng_for("proj-eig"))
     assert val == 0.5
     assert abs(abs(post.amplitudes[1]) - 1.0) < 1e-12
@@ -77,7 +91,7 @@ def test_projimp_on_eigenvector_is_deterministic():
 
 def test_projimp_identity_mixture():
     # every member accepts everything: the only eigenvalue is 1
-    povm = spectral.MixedBinaryPOVM((diag_proj(1, 1, 1, 1),))
+    povm = spectral.MixedBinaryPOVM.of((diag_proj(1, 1, 1, 1),))
     val, post = spectral.projimp(povm, random_state(4, rng_for("proj-id")), rng_for("proj-id2"))
     assert val == 1.0
 
@@ -95,7 +109,7 @@ def test_projimp_is_projective():
 
 def test_projimp_outcome_statistics_two_point():
     # P_D = diag(0.25, 0.75); |psi> = (|0>+|1>)/sqrt(2) lands on each with 1/2
-    povm = spectral.MixedBinaryPOVM(
+    povm = spectral.MixedBinaryPOVM.of(
         (diag_proj(0, 1), diag_proj(0, 1), diag_proj(1, 1), diag_proj(0, 0))
     )
     assert np.allclose(povm.average(), np.diag([0.25, 0.75]))
@@ -119,8 +133,8 @@ def test_projimp_bernoulli_check_matches_quadratic_form():
 
 def test_projimp_member_order_irrelevant():
     a, b, c = diag_proj(1, 0, 0, 1), diag_proj(0, 1, 0, 1), diag_proj(1, 1, 0, 0)
-    p1 = spectral.MixedBinaryPOVM((a, b, c)).average()
-    p2 = spectral.MixedBinaryPOVM((c, a, b)).average()
+    p1 = spectral.MixedBinaryPOVM.of((a, b, c)).average()
+    p2 = spectral.MixedBinaryPOVM.of((c, a, b)).average()
     assert np.allclose(p1, p2)
 
 
@@ -231,7 +245,7 @@ def test_jordan_eigen_angles_equal_average_spectrum():
     triples = random_triples(4, "jordan-api")
     prog = random_program(4, "jordan-api-prog")
     povm = distribution_povm(prog, FakeDistribution(triples))
-    cp = ControlledProjection.from_povm(povm)
+    cp = ControlledProjection(povm.stack)
     dec = spectral.jordan(dense_isu(cp.s, cp.block_dim), dense_cproj(cp))
     angles = sorted({round(s.p, 9) for s in dec.subspaces if s.v is not None})
     spec = spectral.spectral_measurement(povm.average())
