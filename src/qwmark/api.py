@@ -28,7 +28,7 @@ There are two engines.  Both take a distribution's projectors as one checked
   column mean broadcast back over the register, and every measurement makes
   exactly one uniform draw, in the fixed order CProj, IsU, CProj, IsU, ...
   of the main loop and then of the flush.
-* api_fast uses the Jordan structure: range(IsU) compresses CProj to the
+* api_fast uses the two-projector structure: range(IsU) compresses CProj to the
   accept operator P_D on H, so sampling an eigenvalue cluster p_j of P_D with
   the Born weights and drawing t ~ Binomial(2T, p_j) (or 1-p_j reversed)
   reproduces the estimate law, and the post state is the cluster projection.
@@ -49,7 +49,7 @@ from .errors import (
     InvariantError,
 )
 from .qcore import QuantumProgram, StateVector, dimension_cap, program_projectors
-from .spectral import DEFAULT_CLUSTER_TOL, MixedBinaryPOVM, projimp_cluster
+from .spectral import MixedBinaryPOVM, projimp_cluster
 
 FLUSH_ROUNDS_PER_T = 64
 
@@ -63,7 +63,6 @@ class ApiParams:
 
     eps: float
     delta: float
-    max_flush_rounds: int = 0  # 0 means the default cap of 64*T
     T: int = field(init=False)
 
     def __post_init__(self):
@@ -72,10 +71,11 @@ class ApiParams:
         if not (0.0 < self.delta < 1.0):
             raise InvariantError(f"delta must lie in (0,1), got {self.delta}")
         object.__setattr__(self, "T", math.ceil(math.log(4.0 / self.delta) / self.eps**2))
-        if self.max_flush_rounds == 0:
-            object.__setattr__(self, "max_flush_rounds", FLUSH_ROUNDS_PER_T * self.T)
-        if self.max_flush_rounds < 1:
-            raise InvariantError("max_flush_rounds must be positive")
+
+    @property
+    def max_flush_rounds(self) -> int:
+        """Cap on the flush rounds of one exact run."""
+        return FLUSH_ROUNDS_PER_T * self.T
 
 
 @dataclass(frozen=True)
@@ -218,17 +218,17 @@ def api_fast(
     rng,
     *,
     reverse: bool = False,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> tuple[float, StateVector, int]:
-    """Jordan-compressed API: identical estimate law and cluster post states.
+    """Compressed API: identical estimate law and cluster post states.
 
-    Compressing CProj^1 by the range of IsU gives exactly P_D, so the Jordan
-    angles of (IsU, CProj^1) are the eigenvalues of P_D and the invariant
-    vectors are |1_R> (x) phi_j with phi_j the eigenvectors.  The run samples
-    a cluster j with Born weight, then t ~ Binomial(2T, p_j) forward or
-    Binomial(2T, 1 - p_j) reversed.  Returns (estimate, post state, j).
+    Compressing CProj^1 by the range of IsU gives exactly P_D, so the squared
+    cosines of the principal angles of (IsU, CProj^1) are the eigenvalues of
+    P_D and the invariant vectors are |1_R> (x) phi_j with phi_j the
+    eigenvectors.  The run samples a cluster j with Born weight, then
+    t ~ Binomial(2T, p_j) forward or Binomial(2T, 1 - p_j) reversed.
+    Returns (estimate, post state, j).
     """
-    idx, q, post = projimp_cluster(distribution_povm(prog, dist), prog.state, rng, cluster_tol)
+    idx, q, post = projimp_cluster(distribution_povm(prog, dist), prog.state, rng)
     if reverse:
         q = 1.0 - q
     t = int(rng.binomial(2 * params.T, min(1.0, max(0.0, q))))

@@ -190,7 +190,7 @@ def _batch_label(spec: PirateSpec) -> str:
 
 
 CONFIG_FIELD_TYPES = (
-    (("k", "s", "seed_bits", "range_bits", "trials"), int, "an integer"),
+    (("k", "s", "seed_bits", "range_bits", "trials", "seed"), int, "an integer"),
     (("eps", "delta_prime"), (int, float), "a number"),
 )
 
@@ -222,22 +222,32 @@ def _experiment_config(path: str) -> dict:
     return raw
 
 
-def _run_trial(config: dict, batch: int, trial: int) -> dict:
-    spec = PirateSpec.from_dict(config["pirates"][batch])
-    rng = _trial_rng(int(config["seed"]), batch, trial)
-    k = int(config["k"])
-    if config["message"] == "random":
-        message = "".join(str(b) for b in rng.integers(0, 2, size=k))
-    else:
-        message = check_bits(str(config["message"]), k, what="config message")
+def _trial_inputs(config: dict) -> tuple[list[PirateSpec], wmprf.ExtractParams, elwm.ElwmParams, str]:
+    """(pirate specs, extraction params, carrier params, message) of a checked config.
+
+    The message is "random" or a checked k-bit string.
+    """
+    k = config["k"]
+    message = config["message"]
+    if message != "random":
+        message = check_bits(str(message), k, what="config message")
     params = wmprf.ExtractParams(
         k=k,
         eps=float(config["eps"]),
         delta_prime=float(config["delta_prime"]),
-        s=int(config["s"]),
+        s=config["s"],
         engine=str(config["engine"]),
     )
-    elwm_params = elwm.ElwmParams(k + 1, int(config["seed_bits"]), int(config["range_bits"]))
+    elwm_params = elwm.ElwmParams(k + 1, config["seed_bits"], config["range_bits"])
+    return [PirateSpec.from_dict(raw) for raw in config["pirates"]], params, elwm_params, message
+
+
+def _run_trial(config: dict, batch: int, trial: int) -> dict:
+    specs, params, elwm_params, message = _trial_inputs(config)
+    spec = specs[batch]
+    rng = _trial_rng(config["seed"], batch, trial)
+    if message == "random":
+        message = "".join(str(b) for b in rng.integers(0, 2, size=params.k))
     result = wmprf.run_event_trial(
         params,
         lambda circuit: build_pirate(spec, circuit),
@@ -256,8 +266,8 @@ def _run_trial(config: dict, batch: int, trial: int) -> dict:
         "gate_estimate": repr(report.gate_estimate),
         "decoded": report.decoded,
         "fallback": int(report.fallback),
-        "good_ext": int(not report.unmarked),
-        "bad_ext": int((not report.unmarked) and report.decoded != message),
+        "good_ext": int(result.good_ext),
+        "bad_ext": int(result.bad_ext),
         "bit_estimates": ";".join(repr(e) for e in report.bit_estimates),
     }
 
@@ -277,6 +287,12 @@ def wilson_interval(count: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def freq(count: int, n: int) -> dict:
+    """Count, frequency and Wilson interval of an event seen `count` times in n trials."""
+    low, high = wilson_interval(count, n)
+    return {"count": count, "freq": count / n, "wilson_low": low, "wilson_high": high}
+
+
 def summarize_rows(rows: list[dict], config: dict) -> dict:
     """Aggregate per-trial rows into per-batch frequencies with Wilson intervals."""
     batches: dict[int, list[dict]] = {}
@@ -286,37 +302,14 @@ def summarize_rows(rows: list[dict], config: dict) -> dict:
     for batch in sorted(batches):
         rs = batches[batch]
         n = len(rs)
-
-        def freq(key, rs=rs, n=n):
-            count = sum(int(r[key]) for r in rs)
-            low, high = wilson_interval(count, n)
-            return {"count": count, "freq": count / n, "wilson_low": low, "wilson_high": high}
-
-        decode_exact = sum(1 for r in rs if r["decoded"] == r["message"])
-        unmarked = sum(1 for r in rs if r["decoded"] == wmprf.UNMARKED)
-        low_u, high_u = wilson_interval(unmarked, n)
-        low_d, high_d = wilson_interval(decode_exact, n)
         summary_batches.append(
             {
                 "batch": batch,
                 "pirate": rs[0]["pirate"],
                 "trials": n,
-                "live": freq("live"),
-                "good_ext": freq("good_ext"),
-                "bad_ext": freq("bad_ext"),
-                "fallback": freq("fallback"),
-                "unmarked": {
-                    "count": unmarked,
-                    "freq": unmarked / n,
-                    "wilson_low": low_u,
-                    "wilson_high": high_u,
-                },
-                "decode_exact": {
-                    "count": decode_exact,
-                    "freq": decode_exact / n,
-                    "wilson_low": low_d,
-                    "wilson_high": high_d,
-                },
+                **{key: freq(sum(int(r[key]) for r in rs), n) for key in ("live", "good_ext", "bad_ext", "fallback")},
+                "unmarked": freq(sum(r["decoded"] == wmprf.UNMARKED for r in rs), n),
+                "decode_exact": freq(sum(r["decoded"] == r["message"] for r in rs), n),
             }
         )
     return {
@@ -332,15 +325,13 @@ def cmd_experiment(args) -> int:
         config["trials"] = args.trials
     if args.seed is not None:
         config["seed"] = args.seed
-    try:
-        _seed_bytes(int(config["seed"]))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"config seed must be an integer, got {config['seed']!r}") from exc
     _check_config_numbers(config)
+    _seed_bytes(config["seed"])
     if config["trials"] < 1:
         raise IndexRangeError(f"config trials must be at least 1, got {config['trials']}")
     if not isinstance(config["pirates"], list) or not config["pirates"]:
         raise FormatError(f"config pirates must be a non-empty list, got {config['pirates']!r}")
+    _trial_inputs(config)  # a malformed config fails here, before any output or worker exists
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trials = int(config["trials"])

@@ -1,5 +1,5 @@
 """Symmetric building blocks: PRG, GGM puncturable PRF, statistically injective
-PPRF, sparse secret-key encryption, and keyed coin derivation.
+PPRF, and keyed coin derivation.
 
 Conventions
 -----------
@@ -212,55 +212,12 @@ class PuncturedGgmKey:
 
     Stores the subtree cover of the complement of S: sorted (depth, prefix)
     records with their node seeds.  No seed on any root-to-S path is kept.
-
-    Serialized layout: u16 domain_bits || u16 out_bits || u32 |S| || points
-    (each ceil(domain_bits/8) bytes) || u32 n_nodes || records of
-    (u16 depth || u16 len(prefix bytes) || prefix bytes || u16 len(seed) || seed).
     """
 
     domain_bits: int
     out_bits: int
     points: tuple[str, ...]
     nodes: tuple[tuple[int, str, bytes], ...]  # (depth, prefix, seed), sorted
-
-    def to_bytes(self) -> bytes:
-        pt_len = (self.domain_bits + 7) // 8
-        out = [struct.pack(">HHI", self.domain_bits, self.out_bits, len(self.points))]
-        for p in self.points:
-            out.append(bits_to_bytes(p).ljust(pt_len, b"\x00"))
-        out.append(struct.pack(">I", len(self.nodes)))
-        for depth, prefix, seed in self.nodes:
-            pb = bits_to_bytes(prefix)
-            out.append(struct.pack(">HH", depth, len(pb)) + pb + struct.pack(">H", len(seed)) + seed)
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PuncturedGgmKey":
-        try:
-            domain_bits, out_bits, n_pts = struct.unpack(">HHI", data[:8])
-            off = 8
-            pt_len = (domain_bits + 7) // 8
-            points = []
-            for _ in range(n_pts):
-                points.append(bytes_to_bits(data[off : off + pt_len], domain_bits))
-                off += pt_len
-            (n_nodes,) = struct.unpack(">I", data[off : off + 4])
-            off += 4
-            nodes = []
-            for _ in range(n_nodes):
-                depth, pblen = struct.unpack(">HH", data[off : off + 4])
-                off += 4
-                prefix = bytes_to_bits(data[off : off + pblen], depth)
-                off += pblen
-                (slen,) = struct.unpack(">H", data[off : off + 2])
-                off += 2
-                nodes.append((depth, prefix, data[off : off + slen]))
-                off += slen
-            if off != len(data):
-                raise FormatError("trailing bytes after PuncturedGgmKey")
-        except struct.error as exc:
-            raise FormatError(f"malformed PuncturedGgmKey: {exc}") from exc
-        return cls(domain_bits, out_bits, tuple(points), tuple(nodes))
 
 
 def ggm_puncture(key: GgmKey, points: set[str] | frozenset[str] | tuple[str, ...]) -> PuncturedGgmKey:
@@ -402,58 +359,3 @@ def injective_pprf_eval_punctured(pkey: PuncturedInjectivePprfKey, x: str) -> st
     if base is None:
         return None
     return _affine_mask(base, pkey._affine, x)
-
-
-# ---------------------------------------------------------------------------
-# sparse secret-key encryption
-# ---------------------------------------------------------------------------
-#
-# ct = (r, PRF_k(r) xor (0^pad || m)).  Decryption checks the zero pad, so a
-# uniform ciphertext is valid with probability 2^-pad: the scheme is sparse.
-
-
-@dataclass(frozen=True)
-class SkeKey:
-    """Serialized layout: u16 nonce_bits || u16 pad_bits || u16 msg_bits || u16 len(seed) || seed."""
-
-    seed: bytes
-    nonce_bits: int = 32
-    pad_bits: int = 16
-    msg_bits: int = 8
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">HHHH", self.nonce_bits, self.pad_bits, self.msg_bits, len(self.seed)) + self.seed
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SkeKey":
-        if len(data) < 8:
-            raise FormatError("SkeKey record too short")
-        nonce_bits, pad_bits, msg_bits, n = struct.unpack(">HHHH", data[:8])
-        if len(data) != 8 + n:
-            raise FormatError("SkeKey seed length mismatch")
-        return cls(data[8:], nonce_bits, pad_bits, msg_bits)
-
-
-def ske_gen(rng, nonce_bits: int = 32, pad_bits: int = 16, msg_bits: int = 8) -> SkeKey:
-    return SkeKey(random_seed(rng), nonce_bits, pad_bits, msg_bits)
-
-
-def _ske_mask(key: SkeKey, nonce: str) -> str:
-    return prg_expand(key.seed + b"@" + bits_to_bytes(nonce), key.pad_bits + key.msg_bits, domain=b"ske")
-
-
-def ske_enc(key: SkeKey, msg: str, rng) -> tuple[str, str]:
-    check_bits(msg, key.msg_bits, what="SKE plaintext")
-    nonce = bytes_to_bits(rng.bytes((key.nonce_bits + 7) // 8), key.nonce_bits)
-    body = xor_bits(_ske_mask(key, nonce), "0" * key.pad_bits + msg)
-    return nonce, body
-
-
-def ske_dec(key: SkeKey, ct: tuple[str, str]) -> str | None:
-    nonce, body = ct
-    check_bits(nonce, key.nonce_bits, what="SKE nonce")
-    check_bits(body, key.pad_bits + key.msg_bits, what="SKE body")
-    opened = xor_bits(_ske_mask(key, nonce), body)
-    if opened[: key.pad_bits] != "0" * key.pad_bits:
-        return None
-    return opened[key.pad_bits :]

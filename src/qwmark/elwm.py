@@ -37,7 +37,6 @@ from typing import ClassVar
 from .crypto import (
     SEED_BYTES,
     GgmKey,
-    bytes_to_bits,
     check_bits,
     decode_text,
     ggm_eval,
@@ -53,8 +52,6 @@ from .pe import (
     DecryptionCircuit,
     EncryptionCircuit,
     ObfuscatedCircuit,
-    Obfuscator,
-    DEFAULT_OBFUSCATOR,
     PeKeys,
     circuit_from_bytes,
     circuit_to_bytes,
@@ -192,10 +189,10 @@ class TagIo:
         return cls(params, pe_ek, body[ne:])
 
 
-def gen(params: ElwmParams, rng, obfuscator: Obfuscator | None = None) -> tuple[PrfKeyIo, TagIo]:
+def gen(params: ElwmParams, rng) -> tuple[PrfKeyIo, TagIo]:
     """Sample a PRF key and its matched public tag."""
     f_main = ggm_gen(params.domain_bits, params.range_bits, rng)
-    pe_keys: PeKeys = pe_gen(params.pt_bits, rng, obfuscator)
+    pe_keys: PeKeys = pe_gen(params.pt_bits, rng)
     gen_id = rng.bytes(SEED_BYTES)
     return (
         PrfKeyIo(params, f_main, pe_keys.dk, gen_id),
@@ -265,11 +262,10 @@ class MarkedEvalCircuit:
 register_circuit_kind(MarkedEvalCircuit.KIND_TAG, MarkedEvalCircuit)
 
 
-def mark(prfk: PrfKeyIo, message: str, obfuscator: Obfuscator | None = None) -> ObfuscatedCircuit:
+def mark(prfk: PrfKeyIo, message: str) -> ObfuscatedCircuit:
     """Embed a message: returns the obfuscated marked evaluator."""
     check_bits(message, prfk.params.msg_bits, what="message")
-    obf = obfuscator or DEFAULT_OBFUSCATOR
-    return obf.obfuscate(MarkedEvalCircuit(prfk.params, prfk.f_main, prfk.pe_dk, message))
+    return ObfuscatedCircuit(MarkedEvalCircuit(prfk.params, prfk.f_main, prfk.pe_dk, message))
 
 
 def marked_circuit_to_bytes(circuit: ObfuscatedCircuit) -> bytes:
@@ -288,10 +284,8 @@ def marked_circuit_from_bytes(data: bytes) -> ObfuscatedCircuit:
 # simulation and distribution building
 # ---------------------------------------------------------------------------
 
-SIM_COIN_BITS_DOC = "1 (gamma) + seed_bits (PRG seed) + pt_bits (encryption seed)"
-
-
 def sim_coin_bits(params: ElwmParams) -> int:
+    """1 (gamma) + seed_bits (PRG seed) + pt_bits (encryption seed)."""
     return 1 + params.seed_bits + params.pt_bits
 
 
@@ -317,7 +311,7 @@ def sim(params: ElwmParams, tag: TagIo, i: int, coins: str) -> tuple[int, str, s
 class TripleDistribution:
     """Finite coin-indexed stand-in for a query distribution.
 
-    kind is a readable label ("RealD", "RealDRev", "SimTau(3)", "DRealAt(2)");
+    kind is a readable label ("RealD" or "SimTau(3)");
     triples[r] = (gamma, x, y) for coin r.
     """
 
@@ -331,30 +325,20 @@ class TripleDistribution:
 
 
 REAL = "RealD"
-REAL_REV = "RealDRev"
 
 
 def sim_tau(i: int) -> str:
     return f"SimTau({i})"
 
 
-def real_at(i: int) -> str:
-    return f"DRealAt({i})"
-
-
-def _parse_kind(kind: str) -> tuple[str, int | None]:
-    if kind in (REAL, REAL_REV):
-        return kind, None
-    for base in ("SimTau", "DRealAt"):
-        digits = kind[len(base) + 1 : -1]
-        if kind.startswith(base + "(") and kind.endswith(")") and digits.isascii() and digits.isdigit():
-            return base, int(digits)
+def _parse_kind(kind: str) -> int | None:
+    """None for RealD, i for SimTau(i)."""
+    if kind == REAL:
+        return None
+    digits = kind[len("SimTau(") : -1]
+    if kind.startswith("SimTau(") and kind.endswith(")") and digits.isascii() and digits.isdigit():
+        return int(digits)
     raise FormatError(f"unknown distribution kind {kind!r}")
-
-
-def _real_coins(params: ElwmParams, coin_key: bytes, master_seed: bytes, r: int) -> tuple[str, str, str]:
-    bits = keyed_rand(coin_key, master_seed + b"R" + r.to_bytes(4, "big"), 1 + params.domain_bits + params.range_bits)
-    return bits[0], bits[1 : 1 + params.domain_bits], bits[1 + params.domain_bits :]
 
 
 def build_distribution(
@@ -366,31 +350,28 @@ def build_distribution(
     coin_key: bytes,
     prfk: PrfKeyIo | None = None,
     tag: TagIo | None = None,
-    message: str | None = None,
 ) -> TripleDistribution:
     """Instantiate a distribution as s pseudorandom triples.
 
-    RealD      : b <- coins, x <- coins, y = Eval(x) if b else fresh coins.
-    RealDRev   : RealD with the first component complemented, same coins.
-    SimTau(i)  : the Sim output on keyed coins.
-    DRealAt(i) : gamma <- coins, x <- coins; y fresh if gamma = m[i], Eval(x) otherwise.
+    RealD     : b <- coins, x <- coins, y = Eval(x) if b else fresh coins.
+    SimTau(i) : the Sim output on keyed coins.
 
-    The same (coin_key, master_seed) yields byte-identical triples; RealD and
-    DRealAt share the coin layout so their recipes coincide when m[i] = 0.
+    The same (coin_key, master_seed) yields byte-identical triples.
     """
-    base, index = _parse_kind(kind)
+    index = _parse_kind(kind)
     triples: list[tuple[int, str, str]] = []
-    if base in (REAL, REAL_REV):
+    if index is None:
         if prfk is None:
             raise LengthError("RealD distributions need the PRF key")
+        n = params.domain_bits
         for r in range(s):
-            b, x, y_rand = _real_coins(params, coin_key, master_seed, r)
-            y = eval_prf(prfk, x) if b == "1" else y_rand
-            bit = int(b) if base == REAL else 1 - int(b)
-            triples.append((bit, x, y))
-    elif base == "SimTau":
-        if tag is None or index is None:
-            raise LengthError("SimTau distributions need the tag and an index")
+            bits = keyed_rand(coin_key, master_seed + b"R" + r.to_bytes(4, "big"), 1 + n + params.range_bits)
+            x = bits[1 : 1 + n]
+            y = eval_prf(prfk, x) if bits[0] == "1" else bits[1 + n :]
+            triples.append((int(bits[0]), x, y))
+    else:
+        if tag is None:
+            raise LengthError("SimTau distributions need the tag")
         if not (1 <= index <= params.msg_bits):
             raise IndexRangeError(f"index {index} outside 1..{params.msg_bits}")
         for r in range(s):
@@ -400,22 +381,9 @@ def build_distribution(
                 sim_coin_bits(params),
             )
             triples.append(sim(params, tag, index, coins))
-    else:  # DRealAt
-        if prfk is None or message is None or index is None:
-            raise LengthError("DRealAt distributions need the PRF key, message, and index")
-        if not (1 <= index <= len(message)):
-            raise IndexRangeError(f"index {index} outside 1..{len(message)}")
-        for r in range(s):
-            g, x, y_rand = _real_coins(params, coin_key, master_seed, r)
-            y = y_rand if g == message[index - 1] else eval_prf(prfk, x)
-            triples.append((int(g), x, y))
     return TripleDistribution(kind, s, tuple(triples))
 
 
 def new_coin_key(rng) -> bytes:
     """Sample the keyed-coin-derivation key (the extraction key of the wrapper)."""
-    return rng.bytes(SEED_BYTES)
-
-
-def derive_master_seed(rng) -> bytes:
     return rng.bytes(SEED_BYTES)

@@ -15,18 +15,19 @@ Puncturing at a ciphertext c* wraps the decryption circuit with an equality
 gate that returns bottom on c* and is unchanged elsewhere.
 
 Encryption/decryption programs are *circuit records*: plain data (keys plus a
-kind tag) evaluated by a fixed interpreter, so they can be serialized and
-passed through an obfuscator.  The default obfuscator is the identity: it
-preserves functionality and hides nothing.  Every security claim downstream
-of obfuscation is therefore vacuous in this build; the package verifies
-functional and measurement-theoretic behavior only.
+kind tag) evaluated by a fixed interpreter, so they can be serialized.  The
+published handle of a circuit is an `ObfuscatedCircuit` under the "identity"
+scheme: it wraps the record unchanged, preserves functionality and hides
+nothing.  Every security claim downstream of obfuscation is therefore vacuous
+in this build; the package verifies functional and measurement-theoretic
+behavior only.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, Protocol
+from typing import ClassVar
 
 from .crypto import (
     GgmKey,
@@ -46,7 +47,7 @@ from .crypto import (
 from .errors import FormatError, LengthError
 
 # ---------------------------------------------------------------------------
-# circuit records and the obfuscator contract
+# circuit records and their published handle
 # ---------------------------------------------------------------------------
 
 _CIRCUIT_REGISTRY: dict[int, type] = {}
@@ -73,19 +74,12 @@ def circuit_from_bytes(data: bytes):
     return cls.from_payload(data[1:])
 
 
-class Obfuscator(Protocol):
-    """Transforms a circuit record into an evaluable handle with identical
-    input/output behavior.  Implementations may not change functionality."""
-
-    def obfuscate(self, circuit) -> "ObfuscatedCircuit": ...
-
-
 @dataclass(frozen=True)
 class ObfuscatedCircuit:
-    """Evaluable handle produced by an obfuscator.
+    """Evaluable handle of a circuit record.
 
-    The identity obfuscator keeps the record accessible as `.circuit`; an
-    actual hiding transformation would not.
+    The identity scheme keeps the record accessible as `.circuit`; an actual
+    hiding transformation would not.
     """
 
     circuit: object
@@ -105,16 +99,6 @@ class ObfuscatedCircuit:
             raise FormatError("obfuscated circuit scheme truncated")
         scheme = decode_text(rest[:n], "obfuscation scheme")
         return cls(circuit_from_bytes(rest[n:]), scheme)
-
-
-class IdentityObfuscator:
-    """No-op obfuscator: wraps the record unchanged.  Provides zero hiding."""
-
-    def obfuscate(self, circuit) -> ObfuscatedCircuit:
-        return ObfuscatedCircuit(circuit, "identity")
-
-
-DEFAULT_OBFUSCATOR = IdentityObfuscator()
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +229,19 @@ register_circuit_kind(PuncturedDecryptionCircuit.KIND_TAG, PuncturedDecryptionCi
 
 @dataclass(frozen=True)
 class PeKeys:
-    """ek is the (obfuscated) encryption circuit; dk stays a plain record."""
+    """ek is the published encryption circuit handle; dk stays a plain record."""
 
     ek: ObfuscatedCircuit
     dk: DecryptionCircuit
     ell: int
 
 
-def pe_gen(ell: int, rng, obfuscator: Obfuscator | None = None) -> PeKeys:
+def pe_gen(ell: int, rng) -> PeKeys:
     if ell < 1:
         raise LengthError("plaintext length must be positive")
-    obf = obfuscator or DEFAULT_OBFUSCATOR
     f_key = injective_pprf_gen(3 * ell, 9 * ell, rng)
     g_key = ggm_gen(9 * ell, ell, rng)
-    return PeKeys(obf.obfuscate(EncryptionCircuit(f_key, g_key, ell)), DecryptionCircuit(f_key, g_key, ell), ell)
+    return PeKeys(ObfuscatedCircuit(EncryptionCircuit(f_key, g_key, ell)), DecryptionCircuit(f_key, g_key, ell), ell)
 
 
 def pe_enc(ek: ObfuscatedCircuit, m: str, rng) -> str:
@@ -271,20 +254,16 @@ def pe_dec(dk, c: str) -> str | None:
     return dk.run(c)
 
 
-def pe_puncture(dk: DecryptionCircuit, c_star: str, obfuscator: Obfuscator | None = None) -> ObfuscatedCircuit:
+def pe_puncture(dk: DecryptionCircuit, c_star: str) -> ObfuscatedCircuit:
     check_bits(c_star, 12 * dk.ell, what="punctured ciphertext")
-    obf = obfuscator or DEFAULT_OBFUSCATOR
-    return obf.obfuscate(PuncturedDecryptionCircuit(dk.f_key, dk.g_key, dk.ell, c_star))
+    return ObfuscatedCircuit(PuncturedDecryptionCircuit(dk.f_key, dk.g_key, dk.ell, c_star))
 
 
 __all__ = [
     "EncryptionCircuit",
     "DecryptionCircuit",
     "PuncturedDecryptionCircuit",
-    "Obfuscator",
     "ObfuscatedCircuit",
-    "IdentityObfuscator",
-    "DEFAULT_OBFUSCATOR",
     "PeKeys",
     "pe_gen",
     "pe_enc",

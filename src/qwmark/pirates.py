@@ -44,18 +44,19 @@ def anti_pirate(circuit) -> QuantumProgram:
     return classical_pirate(lambda x, y: circuit.run(x) != y)
 
 
-def noisy_pirate(circuit, eta: float, noise_key: bytes = b"noisy-pirate") -> QuantumProgram:
+def noisy_pirate(circuit, eta: float) -> QuantumProgram:
     """Honest except on a deterministic eta-fraction of query pairs.
 
-    The flipped pairs are selected by a keyed hash of (x, y), so the induced
-    POVM eigenvalue on any finite distribution is exactly 1 minus the flipped
-    fraction among its coins (up to PRF/PRG collisions).
+    The flipped pairs are selected by a hash of (x, y) under the fixed key
+    b"noisy-pirate", so the induced POVM eigenvalue on any finite distribution
+    is exactly 1 minus the flipped fraction among its coins (up to PRF/PRG
+    collisions).
     """
     if not (0.0 <= eta <= 1.0):
         raise FormatError(f"noise rate must lie in [0,1], got {eta}")
 
     def flipped(x: str, y: str) -> bool:
-        digest = keyed_rand(noise_key, bits_to_bytes(x) + b"/" + bits_to_bytes(y), 53)
+        digest = keyed_rand(b"noisy-pirate", bits_to_bytes(x) + b"/" + bits_to_bytes(y), 53)
         return int(digest, 2) / (1 << 53) < eta
 
     def answer(x: str, y: str) -> int:
@@ -104,9 +105,16 @@ def superposed_pirate(theta: float, prog_a: QuantumProgram, prog_b: QuantumProgr
 # ---------------------------------------------------------------------------
 
 
+SIMPLE_KINDS = ("honest", "anti", "coin")
+
+
 @dataclass(frozen=True)
 class PirateSpec:
-    """Declarative pirate description: kind plus parameters."""
+    """Declarative pirate description: kind plus parameters.
+
+    A spec is checked when it is made, so a malformed one fails before any
+    key or circuit exists.
+    """
 
     kind: str
     eta: float = 0.0
@@ -114,8 +122,24 @@ class PirateSpec:
     branch_a: str = "honest"
     branch_b: str = "coin"
 
+    def __post_init__(self):
+        if self.kind not in SIMPLE_KINDS + ("noisy", "superposed"):
+            raise FormatError(f"unknown pirate kind {self.kind!r}")
+        for name in ("eta", "theta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"pirate {name} must be a real number, got {value!r}")
+        if self.kind == "noisy" and not 0.0 <= self.eta <= 1.0:
+            raise FormatError(f"noise rate must lie in [0,1], got {self.eta}")
+        if self.kind == "superposed":
+            for name in (self.branch_a, self.branch_b):
+                if name not in SIMPLE_KINDS:
+                    raise FormatError(f"superposed branches must be one of {sorted(SIMPLE_KINDS)}, got {name!r}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "PirateSpec":
+        if not isinstance(raw, dict) or "kind" not in raw:
+            raise FormatError(f"a pirate spec must be an object with a kind, got {raw!r}")
         known = {"kind", "eta", "theta", "branch_a", "branch_b"}
         extra = set(raw) - known
         if extra:
@@ -130,15 +154,8 @@ def build_pirate(spec: PirateSpec, circuit) -> QuantumProgram:
         "anti": lambda: anti_pirate(circuit),
         "coin": lambda: coin_pirate(),
     }
-    if spec.kind in simple:
-        return simple[spec.kind]()
     if spec.kind == "noisy":
         return noisy_pirate(circuit, spec.eta)
     if spec.kind == "superposed":
-        branches = []
-        for name in (spec.branch_a, spec.branch_b):
-            if name not in simple:
-                raise FormatError(f"superposed branches must be one of {sorted(simple)}, got {name!r}")
-            branches.append(simple[name]())
-        return superposed_pirate(spec.theta, *branches)
-    raise FormatError(f"unknown pirate kind {spec.kind!r}")
+        return superposed_pirate(spec.theta, simple[spec.branch_a](), simple[spec.branch_b]())
+    return simple[spec.kind]()

@@ -105,10 +105,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def uniform_superposition(dim: int) -> StateVector:
-    return StateVector(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
-
-
 @dataclass(frozen=True)
 class BinaryProjector:
     """Hermitian idempotent matrix; the accept operator of a yes/no measurement."""
@@ -131,9 +127,6 @@ class BinaryProjector:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def complement(self) -> "BinaryProjector":
-        return BinaryProjector(np.eye(self.dim) - self.matrix)
 
     def expectation(self, state: StateVector) -> float:
         if state.dim != self.dim:
@@ -236,19 +229,3 @@ def program_projectors(prog: QuantumProgram, triples) -> np.ndarray:
 def program_projector(prog: QuantumProgram, b: int, x: str, y: str) -> BinaryProjector:
     """Projector onto the program answering b on query (x, y)."""
     return BinaryProjector(program_projectors(prog, [(b, x, y)])[0])
-
-
-def measure_binary(state: StateVector, proj: BinaryProjector, rng) -> tuple[int, StateVector, float]:
-    """Projectively measure (P, I-P).  Returns (outcome, post state, Pr[1])."""
-    if state.dim != proj.dim:
-        raise DimensionError(f"state dim {state.dim} vs projector dim {proj.dim}")
-    branch_one = proj.matrix @ state.amplitudes
-    p_one = min(1.0, max(0.0, float(np.real(np.vdot(state.amplitudes, branch_one)))))
-    outcome = 1 if rng.random() < p_one else 0
-    branch = branch_one if outcome == 1 else state.amplitudes - branch_one
-    norm = np.linalg.norm(branch)
-    if norm < 1e-12:
-        raise DegenerateStateError(
-            f"measurement branch {outcome} has vanishing norm (Pr[1]={p_one!r})"
-        )
-    return outcome, StateVector(branch / norm), p_one

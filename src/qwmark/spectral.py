@@ -1,6 +1,5 @@
 """Spectral measurement machinery: projective implementation of mixtures of
-binary POVMs, two-projector (Jordan) decompositions, and the shift distance
-between outcome distributions.
+binary POVMs and the shift distance between outcome distributions.
 
 A mixture of binary projective measurements {(P_i, I-P_i)} with uniform weight
 has accept operator P_D = mean_i P_i.  The mixture holds its members as one
@@ -8,12 +7,6 @@ checked (s, d, d) stack, as `qcore.program_projectors` builds it.  Its
 *projective implementation* measures the eigenbasis of P_D and reports the
 eigenvalue: a projective measurement whose outcome p, followed by a
 Bernoulli(p) draw, reproduces the original POVM's statistics exactly.
-
-The Jordan decomposition splits a Hilbert space into one- and two-dimensional
-subspaces invariant under a pair of projectors (Pi_v, Pi_w); on each
-two-dimensional piece the pair acts like two lines at angle theta with
-p = cos^2(theta) = |<v_j|w_j>|^2.  Phases are fixed so <v_j|w_j> = sqrt(p_j)
-is real and nonnegative.
 """
 
 from __future__ import annotations
@@ -28,8 +21,7 @@ from .errors import DimensionError, EigensolverError, InvariantError
 from .qcore import BinaryProjector, StateVector
 
 EIGENVALUE_SLACK = 1e-9  # clamp eigenvalues this far outside [0, 1]; error beyond
-DEFAULT_CLUSTER_TOL = 1e-9
-RANK_TOL = 1e-7
+CLUSTER_TOL = 1e-9  # eigenvalues this close are one eigenvalue of P_D
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,7 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def spectral_measurement(accept: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralMeasurement:
+def spectral_measurement(accept: np.ndarray) -> SpectralMeasurement:
     accept = np.asarray(accept, dtype=complex)
     if np.max(np.abs(accept - accept.conj().T)) > 1e-8:
         raise InvariantError("accept operator is not Hermitian")
@@ -124,19 +116,14 @@ def spectral_measurement(accept: np.ndarray, cluster_tol: float = DEFAULT_CLUSTE
     vals = np.clip(vals, 0.0, 1.0)
     eigenvalues = []
     projectors = []
-    for group in _cluster(vals, cluster_tol):
+    for group in _cluster(vals, CLUSTER_TOL):
         cols = vecs[:, group]
         eigenvalues.append(float(np.mean(vals[group])))
         projectors.append(cols @ cols.conj().T)
     return SpectralMeasurement(tuple(eigenvalues), tuple(projectors))
 
 
-def projimp_cluster(
-    povm: MixedBinaryPOVM,
-    state: StateVector,
-    rng,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> tuple[int, float, StateVector]:
+def projimp_cluster(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[int, float, StateVector]:
     """Born draw of an eigencluster of P_D: (cluster index, eigenvalue, post state).
 
     Makes exactly one `rng.choice` draw; the post state is the normalized
@@ -144,25 +131,20 @@ def projimp_cluster(
     """
     if povm.dim != state.dim:
         raise DimensionError(f"POVM dim {povm.dim} vs state dim {state.dim}")
-    spec = spectral_measurement(povm.average(), cluster_tol)
+    spec = spectral_measurement(povm.average())
     probs = spec.probabilities(state)
     idx = int(rng.choice(len(probs), p=probs))
     post = StateVector.from_unnormalized(spec.eigenprojectors[idx] @ state.amplitudes)
     return idx, spec.eigenvalues[idx], post
 
 
-def projimp(
-    povm: MixedBinaryPOVM,
-    state: StateVector,
-    rng,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> tuple[float, StateVector]:
+def projimp(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[float, StateVector]:
     """Projective implementation: measure the eigenbasis of P_D, report the eigenvalue.
 
     Returns (eigenvalue, post state).  Repeating on the post state returns the
     same eigenvalue with certainty (projectivity).
     """
-    _, value, post = projimp_cluster(povm, state, rng, cluster_tol)
+    _, value, post = projimp_cluster(povm, state, rng)
     return value, post
 
 
@@ -182,113 +164,6 @@ def projimp_bernoulli_check(povm: MixedBinaryPOVM, state: StateVector) -> float:
             f"quadratic form gives {direct!r}"
         )
     return direct
-
-
-# ---------------------------------------------------------------------------
-# Jordan decomposition of a projector pair
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JordanSubspace:
-    """One invariant subspace of a projector pair.
-
-    Two-dimensional pieces carry the full frame (v, w, v_perp, w_perp) with
-      w = sqrt(p) v + sqrt(1-p) v_perp,   w_perp = sqrt(1-p) v - sqrt(p) v_perp.
-    One-dimensional pieces carry whichever of v (in range Pi_v) / w (in range
-    Pi_w) exists; a vector outside both ranges has only `other`.
-    """
-
-    p: float
-    v: np.ndarray | None = None
-    w: np.ndarray | None = None
-    v_perp: np.ndarray | None = None
-    w_perp: np.ndarray | None = None
-    other: np.ndarray | None = None
-
-    @property
-    def two_dimensional(self) -> bool:
-        return self.v_perp is not None
-
-
-@dataclass(frozen=True)
-class JordanDecomposition:
-    subspaces: tuple[JordanSubspace, ...]
-    dim: int
-
-    def reconstruction(self) -> np.ndarray:
-        """Sum of rank-1 projectors over all stored basis vectors; must be I."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for sub in self.subspaces:
-            for vec in (sub.v, sub.v_perp, sub.other):
-                if vec is not None:
-                    acc += np.outer(vec, vec.conj())
-            if sub.v is None and sub.w is not None:
-                acc += np.outer(sub.w, sub.w.conj())
-        return acc
-
-
-def jordan(
-    pi_v: BinaryProjector,
-    pi_w: BinaryProjector,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> JordanDecomposition:
-    """Decompose the space into subspaces invariant under both projectors.
-
-    Eigenvalues p_j of Pi_v Pi_w Pi_v restricted to range(Pi_v) give the
-    squared cosines; eigenvalues within cluster_tol are treated as one angle
-    but kept as separate (orthogonal) subspace records.
-    """
-    if pi_v.dim != pi_w.dim:
-        raise DimensionError(f"projector dims {pi_v.dim} vs {pi_w.dim}")
-    dim = pi_v.dim
-    vals_v, vecs_v = np.linalg.eigh(pi_v.matrix)
-    basis_v = vecs_v[:, vals_v > 0.5]  # orthonormal basis of range(Pi_v)
-    subspaces: list[JordanSubspace] = []
-    claimed: list[np.ndarray] = []
-    if basis_v.shape[1] > 0:
-        compressed = basis_v.conj().T @ pi_w.matrix @ basis_v
-        try:
-            p_vals, p_vecs = np.linalg.eigh(compressed)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"Jordan compression failed: {exc}") from exc
-        p_vals = np.clip(p_vals, 0.0, 1.0)
-        snap = max(cluster_tol, RANK_TOL)
-        # snap near-0/near-1 angles to exact; each eigenvector gets its own record
-        for p_raw, col in zip(p_vals, p_vecs.T):
-            v = basis_v @ col
-            p = float(p_raw)
-            if p >= 1.0 - snap:
-                w = pi_w.matrix @ v
-                w = w / np.linalg.norm(w)
-                subspaces.append(JordanSubspace(p=1.0, v=v, w=w))
-                claimed.append(v)
-            elif p <= snap:
-                subspaces.append(JordanSubspace(p=0.0, v=v))
-                claimed.append(v)
-            else:
-                w = pi_w.matrix @ v / np.sqrt(p)  # <v|w> = sqrt(p) >= 0 by construction
-                v_perp = (w - np.sqrt(p) * v) / np.sqrt(1.0 - p)
-                w_perp = np.sqrt(1.0 - p) * v - np.sqrt(p) * v_perp
-                subspaces.append(JordanSubspace(p=p, v=v, w=w, v_perp=v_perp, w_perp=w_perp))
-                claimed.append(v)
-                claimed.append(v_perp)
-    # residual: the part of the space orthogonal to every claimed vector
-    residual = np.eye(dim, dtype=complex)
-    for vec in claimed:
-        residual -= np.outer(vec, vec.conj())
-    r_vals, r_vecs = np.linalg.eigh(residual)
-    r_basis = r_vecs[:, r_vals > 0.5]
-    if r_basis.shape[1] > 0:
-        inner = r_basis.conj().T @ pi_w.matrix @ r_basis
-        w_vals, w_vecs = np.linalg.eigh(inner)
-        for val, col in zip(w_vals, w_vecs.T):
-            vec = r_basis @ col
-            if val > 0.5:
-                subspaces.append(JordanSubspace(p=0.0, w=vec))  # in range(Pi_w) only
-            else:
-                subspaces.append(JordanSubspace(p=0.0, other=vec))  # outside both
-    return JordanDecomposition(tuple(subspaces), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +197,13 @@ class OutcomeDistribution:
         support, counts = np.unique(values, return_counts=True)
         return cls(tuple(float(s) for s in support), tuple(float(c) / values.size for c in counts))
 
-    def cdf(self, x: float, slack: float = 1e-12) -> float:
+    def cdf(self, x: float) -> float:
         """Pr[X <= x], with a hair of slack so grid points compare as intended."""
-        return float(sum(self.masses[: bisect_right(self.support, x + slack)]))
+        return float(sum(self.masses[: bisect_right(self.support, x + 1e-12)]))
 
-    def sf(self, x: float, slack: float = 1e-12) -> float:
+    def sf(self, x: float) -> float:
         """Pr[X >= x]."""
-        return float(sum(self.masses[bisect_left(self.support, x - slack) :]))
+        return float(sum(self.masses[bisect_left(self.support, x - 1e-12) :]))
 
 
 def shift_distance(d0: OutcomeDistribution, d1: OutcomeDistribution, eps: float) -> float:

@@ -131,21 +131,21 @@ class ExtractionReport:
         }
 
 
-def wm_gen(params: ExtractParams, elwm_params: ElwmParams | None, rng, *, seed_bits: int = 8, range_bits: int = 16):
+def wm_gen(params: ExtractParams, elwm_params: ElwmParams | None, rng):
     """Key generation: message space inside the carrier is k+1 bits."""
-    ep = elwm_params or ElwmParams(params.k + 1, seed_bits, range_bits)
+    ep = elwm_params or ElwmParams(params.k + 1)
     if ep.msg_bits != params.k + 1:
         raise LengthError(f"carrier message space {ep.msg_bits} != k+1 = {params.k + 1}")
     return elwm.gen(ep, rng)
 
 
-def wm_mark(prfk: PrfKeyIo, message: str, obfuscator=None) -> ObfuscatedCircuit:
+def wm_mark(prfk: PrfKeyIo, message: str) -> ObfuscatedCircuit:
     """Mark with the user message extended by the reserved zero bit."""
     if len(message) != prfk.params.msg_bits - 1:
         raise LengthError(
             f"message must have {prfk.params.msg_bits - 1} bits, got {len(message)}"
         )
-    return elwm.mark(prfk, message + "0", obfuscator)
+    return elwm.mark(prfk, message + "0")
 
 
 def extract(
@@ -233,6 +233,16 @@ class TrialResult:
     live_p: float
     report: ExtractionReport
 
+    @property
+    def good_ext(self) -> bool:
+        """GoodExt: extraction returned anything but "unmarked"."""
+        return not self.report.unmarked
+
+    @property
+    def bad_ext(self) -> bool:
+        """BadExt: extraction returned a message other than the embedded one."""
+        return self.good_ext and self.report.decoded != self.message
+
 
 @dataclass(frozen=True)
 class EventTally:
@@ -281,7 +291,6 @@ def run_event_trial(
     rng,
     *,
     elwm_params: ElwmParams | None = None,
-    obfuscator=None,
 ) -> TrialResult:
     """One independent game: fresh keys, fresh mark, fresh pirate, both probes.
 
@@ -290,7 +299,7 @@ def run_event_trial(
     """
     prfk, tag = wm_gen(params, elwm_params, rng)
     coin_key = elwm.new_coin_key(rng)
-    circuit = wm_mark(prfk, message, obfuscator)
+    circuit = wm_mark(prfk, message)
     prog = pirate_builder(circuit)
     live, live_p = live_probe(prog, prfk, params, coin_key, rng.bytes(16), rng)
     report = extract(coin_key, tag, prog, params, rng)
@@ -301,7 +310,7 @@ def classify_events(results: Sequence[TrialResult]) -> EventTally:
     """Aggregate trials into the Live / GoodExt / BadExt tally."""
     live = sum(r.live for r in results)
     unmarked = sum(r.report.unmarked for r in results)
-    good = sum(not r.report.unmarked for r in results)
-    bad = sum((not r.report.unmarked) and r.report.decoded != r.message for r in results)
+    good = sum(r.good_ext for r in results)
+    bad = sum(r.bad_ext for r in results)
     fallback = sum(r.report.fallback for r in results)
     return EventTally(len(results), live, good, bad, unmarked, fallback)

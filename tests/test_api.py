@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from qwmark import api
-from qwmark.errors import InvariantError
+from qwmark.errors import FlushLimitError, InvariantError
 from qwmark.qcore import StateVector
 from qwmark.spectral import spectral_measurement
 
@@ -48,6 +48,30 @@ def test_round_count_not_settable():
 def test_flush_cap_default_scales_with_rounds():
     params = api.ApiParams(0.5, 0.5)
     assert params.max_flush_rounds == api.FLUSH_ROUNDS_PER_T * params.T
+
+
+def test_flush_cap_raises_exactly_when_the_walk_needs_more_rounds(monkeypatch):
+    # Uncapped runs give the flush rounds each seed needs; at a cap of 0 the
+    # seeds that need any are those whose last main-loop IsU outcome is 0.
+    prog = random_program(4, "api-flush-cap")
+    dist = FakeDistribution(random_triples(3, "api-flush-cap"))
+    params = api.ApiParams(0.7, 0.9)  # T = 4
+    needed = []
+    for i in range(40):
+        _, _, tr = api.api_exact(dist, prog, params, rng_for(f"api-flush-cap-{i}"))
+        assert (tr.flush_rounds > 0) == (tr.bits[-1] == 0)
+        needed.append(tr.flush_rounds)
+    for per_t in (0, 1):
+        monkeypatch.setattr(api, "FLUSH_ROUNDS_PER_T", per_t)
+        hit = 0
+        for i, rounds in enumerate(needed):
+            if rounds > per_t * params.T:
+                with pytest.raises(FlushLimitError):
+                    api.api_exact(dist, prog, params, rng_for(f"api-flush-cap-{i}"))
+                hit += 1
+            else:
+                api.api_exact(dist, prog, params, rng_for(f"api-flush-cap-{i}"))
+        assert 0 < hit < len(needed)
 
 
 def test_agreement_count_examples():
@@ -242,7 +266,7 @@ def test_exact_matches_per_block_oracle(d, s, reverse):
 
 
 def test_exact_post_state_lies_in_one_eigencluster():
-    # The outcome record of a Jordan block with eigenvalue p is an agreement
+    # The outcome record of an invariant block with eigenvalue p is an agreement
     # sequence of rate p, so a wrong cluster at distance g keeps a relative
     # weight near exp(-2T * KL(p || p + g)) <= exp(-4T g^2) (Pinsker).  At
     # T = 1753 a gap of 0.06 puts that near 1e-11, so every program drawn

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qwmark import cli, elwm, wmprf
+from qwmark import api, cli, elwm, wmprf
 from qwmark.crypto import keyed_rand
 from qwmark.pirates import honest_pirate
 
@@ -375,6 +375,45 @@ def test_experiment_rejects_runs_without_trials(tmp_path, capsys, overrides, arg
     assert run_cli("experiment", "--config", config, "--out", out, "--jobs", "2", *argv) == code
     assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        ({"pirates": [{"kind": "plunder"}]}, cli.EXIT_FORMAT),
+        ({"pirates": [5]}, cli.EXIT_FORMAT),
+        ({"pirates": [{"eta": 0.1}]}, cli.EXIT_FORMAT),
+        ({"pirates": [{"kind": "noisy", "eta": "x"}]}, cli.EXIT_FORMAT),
+        ({"pirates": [{"kind": "noisy", "eta": 2.0}]}, cli.EXIT_FORMAT),
+        ({"pirates": [{"kind": "superposed", "theta": "x"}]}, cli.EXIT_FORMAT),
+        ({"pirates": [{"kind": "superposed", "branch_a": "noisy"}]}, cli.EXIT_FORMAT),
+        ({"engine": "fastest"}, cli.EXIT_NUMERIC),
+        ({"eps": 0.9}, cli.EXIT_NUMERIC),
+        ({"message": "abc"}, cli.EXIT_LENGTH),
+        ({"seed": 2.5}, cli.EXIT_FORMAT),
+        ({"seed": True}, cli.EXIT_FORMAT),
+        ({"seed": "7"}, cli.EXIT_FORMAT),
+    ],
+)
+def test_experiment_checks_the_whole_config_before_any_output(tmp_path, capsys, overrides, code):
+    out = tmp_path / "x"
+    config = experiment_config(tmp_path, **overrides)
+    assert run_cli("experiment", "--config", config, "--out", out, "--jobs", "2") == code
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_extract_maps_flush_limit_to_numeric_exit(tmp_path, keys, capsys, monkeypatch):
+    circ_path = tmp_path / "marked.circ"
+    assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
+    argv = ["extract", "--tag", keys["tag"], "--xk", keys["xk"], "--circuit", circ_path, "--pirate", "coin"]
+    argv += ["--eps", 0.5, "--delta-prime", 0.9, "--s", 4, "--engine", "exact", "--seed", 2]
+    assert run_cli(*argv) == 0
+    # at seed 2 the gate walk ends on an IsU outcome of 0, so a cap of zero
+    # flush rounds is hit
+    monkeypatch.setattr(api, "FLUSH_ROUNDS_PER_T", 0)
+    assert run_cli(*argv) == cli.EXIT_NUMERIC
+    assert "flush rounds" in capsys.readouterr().err
 
 
 def test_wilson_interval_properties():

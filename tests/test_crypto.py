@@ -272,9 +272,6 @@ def test_ggm_empty_puncture_keeps_function():
 def test_ggm_key_serialization_round_trip():
     key = crypto.ggm_gen(10, 24, rng_for("ggm-ser"))
     assert crypto.GgmKey.from_bytes(key.to_bytes()) == key
-    punctured = crypto.ggm_puncture(key, {crypto.int_to_bits(77, 10), crypto.int_to_bits(901, 10)})
-    restored = crypto.PuncturedGgmKey.from_bytes(punctured.to_bytes())
-    assert restored == punctured
     with pytest.raises(FormatError):
         crypto.GgmKey.from_bytes(key.to_bytes() + b"junk")
 
@@ -326,46 +323,6 @@ def test_injective_pprf_puncture_agrees_off_set():
 def test_injective_pprf_serialization_round_trip():
     key = crypto.injective_pprf_gen(6, 18, rng_for("inj-ser"))
     assert crypto.InjectivePprfKey.from_bytes(key.to_bytes()) == key
-
-
-# ---------------------------------------------------------------------------
-# sparse SKE
-# ---------------------------------------------------------------------------
-
-
-def test_ske_round_trip_exhaustive_small():
-    local = rng_for("ske-rt")
-    for trial in range(20):
-        key = crypto.ske_gen(local, nonce_bits=16, pad_bits=12, msg_bits=4)
-        for v in range(16):
-            m = crypto.int_to_bits(v, 4)
-            assert crypto.ske_dec(key, crypto.ske_enc(key, m, local)) == m
-
-
-def test_ske_sparseness_uniform_strings():
-    # valid ciphertexts need pad_bits of zeros: expect ~10^4 * 2^-16 = 0 hits
-    local = rng_for("ske-sparse")
-    key = crypto.ske_gen(local, nonce_bits=16, pad_bits=16, msg_bits=8)
-    valid = 0
-    for _ in range(10_000):
-        nonce = crypto.bytes_to_bits(local.bytes(2), 16)
-        body = crypto.bytes_to_bits(local.bytes(3), 24)
-        if crypto.ske_dec(key, (nonce, body)) is not None:
-            valid += 1
-    assert valid == 0
-
-
-def test_ske_tamper_detection():
-    local = rng_for("ske-tamper")
-    key = crypto.ske_gen(local, nonce_bits=16, pad_bits=16, msg_bits=8)
-    nonce, body = crypto.ske_enc(key, "10101010", local)
-    flipped = ("1" if body[0] == "0" else "0") + body[1:]
-    assert crypto.ske_dec(key, (nonce, flipped)) is None
-
-
-def test_ske_key_serialization():
-    key = crypto.ske_gen(rng_for("ske-ser"), nonce_bits=24, pad_bits=18, msg_bits=6)
-    assert crypto.SkeKey.from_bytes(key.to_bytes()) == key
 
 
 # ---------------------------------------------------------------------------

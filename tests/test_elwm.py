@@ -300,7 +300,6 @@ def test_sim_marked_circuit_answers_complement_on_disagreement():
 
 def test_kind_labels_parse():
     assert elwm.sim_tau(3) == "SimTau(3)"
-    assert elwm.real_at(2) == "DRealAt(2)"
     with pytest.raises(FormatError):
         elwm.build_distribution(
             "Nonsense", params=small_params(), s=2, master_seed=b"m" * 16, coin_key=b"k" * 16
@@ -308,7 +307,7 @@ def test_kind_labels_parse():
 
 
 @pytest.mark.parametrize(
-    "kind", ["SimTau(x)", "SimTau()", "SimTau(-1)", "SimTau( 1)", "DRealAt(1_0)", "DRealAt(+1)", "DRealAt(\u0661)"]
+    "kind", ["SimTau(x)", "SimTau()", "SimTau(-1)", "SimTau( 1)", "SimTau(1_0)", "SimTau(+1)", "SimTau(\u0661)"]
 )
 def test_kind_labels_with_non_digit_indices_are_rejected(kind):
     with pytest.raises(FormatError):
@@ -320,7 +319,7 @@ def stack():
     gen_rng = rng_for("elwm-dist-stack")
     prfk, tag = elwm.gen(params, gen_rng)
     coin_key = elwm.new_coin_key(gen_rng)
-    master_seed = elwm.derive_master_seed(gen_rng)
+    master_seed = gen_rng.bytes(16)
     return params, prfk, tag, coin_key, master_seed
 
 
@@ -341,18 +340,6 @@ def test_real_distribution_structure():
         elwm.REAL, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
     )
     assert d2.triples == d.triples
-
-
-def test_real_rev_flips_only_the_bit():
-    params, prfk, tag, coin_key, master_seed = stack()
-    d = elwm.build_distribution(
-        elwm.REAL, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
-    )
-    rev = elwm.build_distribution(
-        elwm.REAL_REV, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
-    )
-    for (b, x, y), (rb, rx, ry) in zip(d.triples, rev.triples):
-        assert rb == 1 - b and rx == x and ry == y
 
 
 def test_sim_tau_distribution_reproducible_and_indexed():
@@ -376,43 +363,6 @@ def test_sim_tau_distribution_reproducible_and_indexed():
         assert idx == 2
 
 
-def test_real_at_matches_real_when_bit_is_zero():
-    # coin layouts coincide, so at m[i] = "0" the triples are byte-identical
-    params, prfk, tag, coin_key, master_seed = stack()
-    message = "0110"
-    real = elwm.build_distribution(
-        elwm.REAL, params=params, s=10, master_seed=master_seed, coin_key=coin_key, prfk=prfk
-    )
-    at1 = elwm.build_distribution(
-        elwm.real_at(1),
-        params=params,
-        s=10,
-        master_seed=master_seed,
-        coin_key=coin_key,
-        prfk=prfk,
-        message=message,
-    )
-    assert at1.triples == real.triples  # m[1] = "0"
-    at2 = elwm.build_distribution(
-        elwm.real_at(2),
-        params=params,
-        s=10,
-        master_seed=master_seed,
-        coin_key=coin_key,
-        prfk=prfk,
-        message=message,
-    )
-    # m[2] = "1": positions with g = 1 get fresh y instead of Eval, so the
-    # marked/real split flips exactly on those coins
-    assert at2.triples != real.triples
-    for (g, x, y), (b, _, _) in zip(at2.triples, real.triples):
-        assert g == b  # the first component is the same coin either way
-        if str(g) == "1":
-            assert y != elwm.eval_prf(prfk, x)
-        else:
-            assert y == elwm.eval_prf(prfk, x)
-
-
 def test_distribution_missing_inputs():
     params, prfk, tag, coin_key, master_seed = stack()
     with pytest.raises(LengthError):
@@ -425,11 +375,5 @@ def test_distribution_missing_inputs():
         )
     with pytest.raises(IndexRangeError):
         elwm.build_distribution(
-            elwm.real_at(9),
-            params=params,
-            s=4,
-            master_seed=master_seed,
-            coin_key=coin_key,
-            prfk=prfk,
-            message="0110",
+            elwm.sim_tau(9), params=params, s=4, master_seed=master_seed, coin_key=coin_key, tag=tag
         )

@@ -1,5 +1,4 @@
-"""State vectors, oracle unitarity checks, acceptance projectors, and binary
-measurement mechanics."""
+"""State vectors, oracle unitarity checks, and acceptance projectors."""
 
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from qwmark.errors import (
     InvariantError,
 )
 
-from conftest import haar_unitary, random_program, random_state, rng_for
+from conftest import haar_unitary, random_program, rng_for
 
 
 def test_state_vector_validation():
@@ -38,11 +37,6 @@ def test_state_vector_helpers():
     assert abs(np.linalg.norm(fixed.amplitudes) - 1.0) < 1e-12
     with pytest.raises(DegenerateStateError):
         qcore.StateVector.from_unnormalized(np.zeros(4))
-
-
-def test_uniform_superposition():
-    psi = qcore.uniform_superposition(4)
-    assert np.allclose(psi.amplitudes, 0.5)
 
 
 def test_dimension_cap_env(monkeypatch):
@@ -71,11 +65,8 @@ def test_binary_projector_validation():
 
 def test_binary_projector_complement_and_expectation():
     p = qcore.BinaryProjector(np.diag([1.0, 0.0, 1.0, 0.0]))
-    comp = p.complement()
-    assert np.allclose(p.matrix + comp.matrix, np.eye(4))
     psi = qcore.StateVector(np.array([0.6, 0.8, 0.0, 0.0]))
     assert abs(p.expectation(psi) - 0.36) < 1e-12
-    assert abs(comp.expectation(psi) - 0.64) < 1e-12
 
 
 def test_unitary_oracle_rejects_non_unitary():
@@ -202,35 +193,6 @@ def test_classical_answer_program_expectation():
             a = (xv + yv) % 2
             got = qcore.program_projector(prog, 1, x, y).expectation(prog.state)
             assert abs(got - a) < 1e-12
-
-
-def test_measure_binary_statistics_and_post_state():
-    local = rng_for("qc-measure")
-    proj = qcore.BinaryProjector(np.diag([1.0, 0.0, 0.0, 0.0]))
-    psi = qcore.StateVector(np.array([0.6, 0.8, 0.0, 0.0]))
-    ones = 0
-    for _ in range(2000):
-        outcome, post, prob = qcore.measure_binary(psi, proj, local)
-        assert abs(prob - 0.36) < 1e-12
-        assert abs(np.linalg.norm(post.amplitudes) - 1.0) < 1e-10
-        if outcome == 1:
-            ones += 1
-            assert abs(abs(post.amplitudes[0]) - 1.0) < 1e-10
-        else:
-            assert abs(abs(post.amplitudes[1]) - 1.0) < 1e-10
-    # Hoeffding: 2000 draws of Bernoulli(0.36) stay within 0.05 w.h.p.
-    assert abs(ones / 2000 - 0.36) < 0.05
-
-
-def test_measure_binary_projective():
-    local = rng_for("qc-repeat")
-    proj = qcore.BinaryProjector(np.diag([1.0, 1.0, 0.0, 0.0]))
-    psi = random_state(4, local)
-    outcome, post, _ = qcore.measure_binary(psi, proj, local)
-    again, post2, prob2 = qcore.measure_binary(post, proj, local)
-    assert again == outcome
-    assert min(abs(prob2), abs(prob2 - 1.0)) < 1e-10
-    assert abs(abs(post.inner(post2)) - 1.0) < 1e-10
 
 
 def test_with_state_preserves_oracle():

@@ -1,5 +1,4 @@
-"""Projective implementation of POVM mixtures, Jordan two-projector frames,
-and the shift distance."""
+"""Projective implementation of POVM mixtures and the shift distance."""
 
 from __future__ import annotations
 
@@ -8,12 +7,10 @@ import pytest
 
 from qwmark import spectral
 from qwmark.errors import DimensionError, InvariantError
-from qwmark.qcore import BinaryProjector, StateVector, program_projector, uniform_superposition
+from qwmark.qcore import BinaryProjector, StateVector, program_projector
 
 from conftest import (
     FakeDistribution,
-    dense_cproj,
-    dense_isu,
     random_program,
     random_state,
     random_triples,
@@ -56,7 +53,7 @@ def test_mixture_average_equals_running_sum():
 
 
 def test_spectral_measurement_clusters_close_eigenvalues():
-    spec = spectral.spectral_measurement(np.diag([0.5, 0.5 + 1e-12, 0.9]), cluster_tol=1e-9)
+    spec = spectral.spectral_measurement(np.diag([0.5, 0.5 + 1e-12, 0.9]))
     assert len(spec.eigenvalues) == 2
     assert abs(spec.eigenvalues[0] - 0.5) < 1e-10
     assert spec.eigenprojectors[0].shape == (3, 3)
@@ -114,7 +111,7 @@ def test_projimp_outcome_statistics_two_point():
     )
     assert np.allclose(povm.average(), np.diag([0.25, 0.75]))
     local = rng_for("proj-stats")
-    psi = uniform_superposition(2)
+    psi = StateVector(np.full(2, 1 / np.sqrt(2)))
     hits = {0.25: 0, 0.75: 0}
     for _ in range(4000):
         val, _ = spectral.projimp(povm, psi, local)
@@ -156,101 +153,6 @@ def test_projimp_superposed_pirate_mixture_weights():
     assert set(weight) == {round(f1, 9), round(1 - f1, 9)}
     assert abs(weight[round(f1, 9)] - np.cos(theta) ** 2) < 1e-10
     assert abs(weight[round(1 - f1, 9)] - np.sin(theta) ** 2) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Jordan decomposition
-# ---------------------------------------------------------------------------
-
-
-def test_jordan_aligned_projectors():
-    dec = spectral.jordan(diag_proj(1, 0), diag_proj(1, 0))
-    two_dim = [s for s in dec.subspaces if s.two_dimensional]
-    assert not two_dim
-    ones = [s for s in dec.subspaces if s.p == 1.0]
-    assert len(ones) == 1
-
-
-def test_jordan_half_angle_example():
-    # Pi_v = |0><0|, Pi_w = |+><+|: one 2-dim subspace with p = 1/2
-    plus = np.full((2, 2), 0.5)
-    dec = spectral.jordan(diag_proj(1, 0), BinaryProjector(plus))
-    two_dim = [s for s in dec.subspaces if s.two_dimensional]
-    assert len(two_dim) == 1
-    sub = two_dim[0]
-    assert abs(sub.p - 0.5) < 1e-12
-    # phase convention: <v|w> = sqrt(p), real and nonnegative
-    assert abs(np.vdot(sub.v, sub.w) - np.sqrt(0.5)) < 1e-12
-    # frame relations
-    assert np.allclose(sub.w, np.sqrt(sub.p) * sub.v + np.sqrt(1 - sub.p) * sub.v_perp)
-    assert np.allclose(sub.w_perp, np.sqrt(1 - sub.p) * sub.v - np.sqrt(sub.p) * sub.v_perp)
-
-
-def test_jordan_angle_matches_overlap():
-    theta = 0.3
-    c, s = np.cos(theta), np.sin(theta)
-    line = np.array([[c * c, c * s], [c * s, s * s]])
-    dec = spectral.jordan(diag_proj(1, 0), BinaryProjector(line))
-    sub = next(s_ for s_ in dec.subspaces if s_.two_dimensional)
-    assert abs(sub.p - c * c) < 1e-12
-
-
-def test_jordan_reconstruction_random_projectors():
-    local = rng_for("jordan-recon")
-    for trial in range(5):
-        dim = 8
-        # random rank-3 and rank-5 projectors from Haar frames
-        from conftest import haar_unitary
-
-        u1 = haar_unitary(dim, local)
-        u2 = haar_unitary(dim, local)
-        pv = BinaryProjector(u1[:, :3] @ u1[:, :3].conj().T)
-        pw = BinaryProjector(u2[:, :5] @ u2[:, :5].conj().T)
-        dec = spectral.jordan(pv, pw)
-        assert np.max(np.abs(dec.reconstruction() - np.eye(dim))) < 1e-8
-        # every stored vector is unit length
-        for sub in dec.subspaces:
-            for vec in (sub.v, sub.w, sub.v_perp, sub.w_perp, sub.other):
-                if vec is not None:
-                    assert abs(np.linalg.norm(vec) - 1.0) < 1e-8
-        # overlap convention holds on every 2-dim record
-        for sub in dec.subspaces:
-            if sub.two_dimensional:
-                ov = np.vdot(sub.v, sub.w)
-                assert abs(ov.imag) < 1e-8
-                assert abs(ov.real - np.sqrt(sub.p)) < 1e-8
-
-
-def test_jordan_w_only_and_outside_records():
-    # Pi_v = |0><0| on dim 3, Pi_w = |1><1|: orthogonal ranges plus a leftover
-    dec = spectral.jordan(diag_proj(1, 0, 0), diag_proj(0, 1, 0))
-    kinds = {"v": 0, "w": 0, "other": 0}
-    for sub in dec.subspaces:
-        if sub.two_dimensional:
-            kinds.setdefault("two", 0)
-            kinds["two"] += 1
-        elif sub.v is not None:
-            kinds["v"] += 1
-        elif sub.w is not None:
-            kinds["w"] += 1
-        else:
-            kinds["other"] += 1
-    assert kinds == {"v": 1, "w": 1, "other": 1}
-
-
-def test_jordan_eigen_angles_equal_average_spectrum():
-    # compression identity: Jordan angles of (IsU, CProj) equal eig(P_D)
-    from qwmark.api import ControlledProjection
-
-    triples = random_triples(4, "jordan-api")
-    prog = random_program(4, "jordan-api-prog")
-    povm = distribution_povm(prog, FakeDistribution(triples))
-    cp = ControlledProjection(povm.stack)
-    dec = spectral.jordan(dense_isu(cp.s, cp.block_dim), dense_cproj(cp))
-    angles = sorted({round(s.p, 9) for s in dec.subspaces if s.v is not None})
-    spec = spectral.spectral_measurement(povm.average())
-    expected = sorted({round(v, 9) for v in spec.eigenvalues})
-    assert angles == expected
 
 
 # ---------------------------------------------------------------------------
