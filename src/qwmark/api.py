@@ -22,12 +22,13 @@ projectivity).
 There are two engines.  Both take a distribution's projectors as one checked
 (s, d, d) stack from `distribution_povm`.
 
-* api_exact simulates the alternating measurements literally on H_R (x) H,
-  holding the state as an (s, d) array.  CProj is applied as one batched
-  product of the (s, d, d) projector stack with the coin blocks, IsU as the
-  column mean broadcast back over the register, and every measurement makes
-  exactly one uniform draw, in the fixed order CProj, IsU, CProj, IsU, ...
-  of the main loop and then of the flush.
+* api_exact runs the alternating measurements on the Jordan blocks of
+  (CProj, IsU), one per eigenvector phi_j of P_D: in the block spanned by
+  |1_R> (x) phi_j and CProj |1_R> (x) phi_j every measurement repeats the
+  previous outcome with probability p_j (1 - p_j reversed), so d block
+  weights carry the state.  It makes the literal walk's draws, one uniform
+  per measurement in the order CProj, IsU, ... of the main loop and then of
+  the flush; the literal walk on H_R (x) H is its oracle in the tests.
 * api_fast uses the two-projector structure: range(IsU) compresses CProj to the
   accept operator P_D on H, so sampling an eigenvalue cluster p_j of P_D with
   the Born weights and drawing t ~ Binomial(2T, p_j) (or 1-p_j reversed)
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -47,11 +49,15 @@ from .errors import (
     DimensionError,
     FlushLimitError,
     InvariantError,
+    RoundLimitError,
 )
 from .qcore import QuantumProgram, StateVector, dimension_cap, program_projectors
-from .spectral import MixedBinaryPOVM, projimp_cluster
+from .spectral import MixedBinaryPOVM, accept_eigenbasis, projimp_cluster
 
 FLUSH_ROUNDS_PER_T = 64
+MAX_EXACT_ROUNDS = 1 << 20  # largest T api_exact runs; T grows as 1/eps^2
+DRAW_CHUNK = 4096  # main-loop uniforms per rng.random call
+RESCALE_BELOW = 1e-150  # block weights are rescaled once their sum falls below this
 
 
 @dataclass(frozen=True)
@@ -117,30 +123,6 @@ def agreement_count(bits: tuple[int, ...]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ControlledProjection:
-    """The coin-controlled projector pair on H_R (x) H, stored as one stack.
-
-    stack[r] is the accept projector on H of coin r; a state on H_R (x) H is
-    an (s, d) array whose row r is the H-component under coin r.
-    """
-
-    stack: np.ndarray  # (s, d, d)
-
-    @property
-    def s(self) -> int:
-        return self.stack.shape[0]
-
-    @property
-    def block_dim(self) -> int:
-        return self.stack.shape[1]
-
-    def apply_accept(self, mat: np.ndarray, reverse: bool) -> np.ndarray:
-        """Apply the accept operator (complemented blocks when reverse) to an (s, d) state."""
-        branch = np.matmul(self.stack, mat[:, :, None])[:, :, 0]
-        return mat - branch if reverse else branch
-
-
 def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
     """Binary POVM mixture induced by a program on a finite triple distribution.
 
@@ -148,6 +130,22 @@ def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
     component on query (x_r, y_r); the members form one checked stack.
     """
     return MixedBinaryPOVM(program_projectors(prog, dist.triples))
+
+
+def _uniforms(rng, params: ApiParams, bits: bytearray):
+    """The 2T main-loop uniforms in chunks, then one flush uniform at a time
+    for as long as the last outcome appended to `bits` is an IsU reject, so
+    the stream ends where one draw per measurement would leave it."""
+    n = 2 * params.T
+    for start in range(0, n, DRAW_CHUNK):
+        yield from rng.random(min(DRAW_CHUNK, n - start)).tolist()
+    rounds = 0
+    while bits[-1] != 1:
+        if rounds >= params.max_flush_rounds:
+            raise FlushLimitError(f"no register re-anchor after {rounds} flush rounds")
+        yield rng.random()
+        yield rng.random()
+        rounds += 1
 
 
 def api_exact(
@@ -158,57 +156,59 @@ def api_exact(
     *,
     reverse: bool = False,
 ) -> tuple[float, StateVector, ApiTranscript]:
-    """Run the alternating-measurement algorithm literally on H_R (x) H.
+    """Run the alternating-measurement algorithm on the Jordan blocks of (CProj, IsU).
 
-    Returns (estimate, post state on H, transcript).  With reverse=True the
-    projector roles of the controlled measurement swap, estimating 1 - p.
+    Block j starts with weight |<phi_j|psi>|^2.  An outcome that repeats the
+    previous one (1 before the first) scales each w_j by q_j = p_j (1 - p_j
+    reversed), a flip by 1 - q_j, so outcome 1 has probability sum_j w_j q_j
+    after a 1 and 1 - sum_j w_j q_j after a 0.  The post state is
+    (-1)^n00 sum_j sqrt(w_j) phase(<phi_j|psi>) phi_j, n00 counting 0 -> 0
+    repeats.  Returns (estimate, post state on H, transcript).
     """
+    if params.T > MAX_EXACT_ROUNDS:
+        raise RoundLimitError(f"exact engine needs T = {params.T} rounds, cap is {MAX_EXACT_ROUNDS}")
     povm = distribution_povm(prog, dist)
     if povm.dim != prog.dim:
         raise DimensionError("program dimension changed under projector construction")
-    cproj = ControlledProjection(povm.stack)
-    s, d = cproj.s, cproj.block_dim
-    if s * d > dimension_cap():
-        raise DimensionCapError(f"composite dimension {s * d} exceeds cap {dimension_cap()}")
-    ones_col = np.ones((s, 1))
-    vec = np.full((s, 1), 1.0 / np.sqrt(s), dtype=complex) * prog.state.amplitudes[None, :]
-
-    def measure(v: np.ndarray, accept: np.ndarray) -> tuple[int, np.ndarray]:
-        """Measure (accept, v - accept) with one uniform draw; return the bit and branch."""
-        p1 = min(1.0, max(0.0, float(np.vdot(v, accept).real)))
-        if rng.random() < p1:
-            bit, branch = 1, accept
+    if povm.s * povm.dim > dimension_cap():
+        raise DimensionCapError(f"composite dimension {povm.s * povm.dim} exceeds cap {dimension_cap()}")
+    p, eigvecs = accept_eigenbasis(povm.average())
+    coef = eigvecs.conj().T @ prog.state.amplitudes
+    born = np.abs(coef) ** 2
+    if abs(born.sum() - 1.0) > 1e-8:
+        raise InvariantError(f"eigen-coefficients of the state sum to {born.sum()!r}, not 1")
+    held = born > 0  # a block without weight adds exact zeros to every sum
+    p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]
+    agree, flip = ((1.0 - p).tolist(), p.tolist()) if reverse else (p.tolist(), (1.0 - p).tolist())
+    # The weights stay unnormalized, with sum `total`, and are rescaled only
+    # before they could underflow; this saves a pass over them per step.
+    weights, total = born.tolist(), float(born.sum())
+    bits = bytearray()
+    prev = 1
+    for u in _uniforms(rng, params, bits):
+        num = sum(map(mul, weights, agree))
+        g = num / total
+        bit = int(u < (g if prev else 1.0 - g))
+        if bit == prev:
+            weights, kept = list(map(mul, weights, agree)), num
         else:
-            bit, branch = 0, v - accept
-        norm = math.sqrt(np.vdot(branch, branch).real)
-        if norm < 1e-12:
+            weights = list(map(mul, weights, flip))
+            kept = sum(weights)
+        if kept < 1e-24 * total:
             raise DegenerateStateError("measurement branch vanished during API run")
-        return bit, branch / norm
-
-    bits: list[int] = []
-    for _ in range(params.T):
-        b, vec = measure(vec, cproj.apply_accept(vec, reverse))
-        bits.append(b)
-        b, vec = measure(vec, ones_col * (vec.sum(0) / s))
-        bits.append(b)
-    flush: list[int] = []
-    rounds = 0
-    while (flush[-1] if flush else bits[-1]) != 1:
-        if rounds >= params.max_flush_rounds:
-            raise FlushLimitError(f"no register re-anchor after {rounds} flush rounds")
-        b, vec = measure(vec, cproj.apply_accept(vec, reverse))
-        flush.append(b)
-        b, vec = measure(vec, ones_col * (vec.sum(0) / s))
-        flush.append(b)
-        rounds += 1
-    t = agreement_count(tuple(bits))
-    # after an IsU accept the register factors as |1_R> (x) phi exactly
-    phi = vec.sum(axis=0) / np.sqrt(s)
-    residual = vec - np.full((s, 1), 1.0 / np.sqrt(s)) * phi[None, :]
-    if np.linalg.norm(residual) > 1e-8:
-        raise InvariantError("post state failed to factor out the uniform register")
-    transcript = ApiTranscript(tuple(bits), tuple(flush), t, t / (2 * params.T))
-    return transcript.estimate, StateVector.from_unnormalized(phi), transcript
+        total = kept
+        if total < RESCALE_BELOW:
+            weights = [w / total for w in weights]
+            total = sum(weights)
+        bits.append(bit)
+        prev = bit
+    main, flush = tuple(bits[: 2 * params.T]), tuple(bits[2 * params.T :])
+    zeros = np.frombuffer(bits, dtype=np.uint8) == 0
+    n00 = int(np.count_nonzero(zeros[1:] & zeros[:-1]))
+    amps = eigvecs @ (coef / np.abs(coef) * np.sqrt(np.array(weights) / total))
+    t = agreement_count(main)
+    transcript = ApiTranscript(main, flush, t, t / (2 * params.T))
+    return transcript.estimate, StateVector.from_unnormalized(-amps if n00 % 2 else amps), transcript
 
 
 def api_fast(

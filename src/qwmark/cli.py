@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elwm, wmprf
-from .crypto import check_bits, keyed_rand
+from .crypto import check_bits, decode_text, keyed_rand
 from .errors import (
     DegenerateStateError,
     DimensionCapError,
@@ -41,6 +42,7 @@ from .errors import (
     InvariantError,
     LengthError,
     QwmarkError,
+    RoundLimitError,
 )
 from .pirates import PirateSpec, build_pirate
 
@@ -81,6 +83,8 @@ def _dump_json(obj, out: str | None):
 
 
 def cmd_keygen(args) -> int:
+    if args.k < 1:
+        raise IndexRangeError(f"--k must be at least 1, got {args.k}")
     params = elwm.ElwmParams(args.k + 1, args.seed_bits, args.range_bits)
     rng = _rng_from_seed(args.seed, b"keygen")
     prfk, tag = elwm.gen(params, rng)
@@ -125,7 +129,7 @@ def cmd_sim(args) -> int:
         params=tag.params,
         s=args.count,
         master_seed=_seed_bytes(args.seed),
-        coin_key=Path(args.xk).read_bytes(),
+        coin_key=elwm.coin_key_from_bytes(Path(args.xk).read_bytes()),
         tag=tag,
     )
     triples = [{"gamma": gamma, "x": x, "y": y} for gamma, x, y in dist.triples]
@@ -145,7 +149,7 @@ def _pirate_spec_from_args(args) -> PirateSpec:
 
 def cmd_extract(args) -> int:
     tag = elwm.TagIo.from_bytes(Path(args.tag).read_bytes())
-    coin_key = Path(args.xk).read_bytes()
+    coin_key = elwm.coin_key_from_bytes(Path(args.xk).read_bytes())
     circuit = elwm.marked_circuit_from_bytes(Path(args.circuit).read_bytes())
     prog = build_pirate(_pirate_spec_from_args(args), circuit)
     params = wmprf.ExtractParams(
@@ -206,9 +210,11 @@ def _check_config_numbers(config: dict) -> None:
 
 def _experiment_config(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(decode_text(Path(path).read_bytes(), "config"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise FormatError("config must be a JSON object")
     required = {"k", "eps", "trials", "seed", "pirates"}
     missing = required - set(raw)
     if missing:
@@ -362,14 +368,24 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with Path(args.rows).open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    reader = csv.DictReader(io.StringIO(decode_text(Path(args.rows).read_bytes(), "rows file"), newline=""))
+    rows = list(reader)
+    if reader.fieldnames != ROW_FIELDS:
+        raise FormatError(f"rows file header {reader.fieldnames!r} is not {ROW_FIELDS!r}")
     if not rows:
         raise FormatError("rows file holds no trials")
-    stored = json.loads(Path(args.summary).read_text())
+    try:
+        stored = json.loads(decode_text(Path(args.summary).read_bytes(), "summary file"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"summary is not valid JSON: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise FormatError("summary must be a JSON object")
     config = dict(stored.get("config", {}))
     config["pirates"] = stored.get("pirates", [])
-    recomputed = summarize_rows(rows, config)
+    try:
+        recomputed = summarize_rows(rows, config)
+    except ValueError as exc:
+        raise FormatError(f"rows file holds a malformed row: {exc}") from exc
     if recomputed["batches"] != stored.get("batches"):
         print("MISMATCH: summary does not match rows", file=sys.stderr)
         return 1
@@ -453,7 +469,7 @@ _EXIT_CODES = [
     ((FormatError,), EXIT_FORMAT),
     ((LengthError, IndexRangeError), EXIT_LENGTH),
     ((DimensionError, DimensionCapError), EXIT_DIMENSION),
-    ((InvariantError, EigensolverError, DegenerateStateError, FlushLimitError), EXIT_NUMERIC),
+    ((InvariantError, EigensolverError, DegenerateStateError, FlushLimitError, RoundLimitError), EXIT_NUMERIC),
     ((QwmarkError,), EXIT_OTHER),
 ]
 

@@ -84,6 +84,10 @@ class ElwmParams:
             raise LengthError("msg_bits must be positive")
         if self.seed_bits < 1 or self.range_bits < 1:
             raise LengthError("seed_bits and range_bits must be positive")
+        # every width is written to a u16 field; domain_bits = 12 * pt_bits is the widest
+        for name in ("msg_bits", "seed_bits", "range_bits", "domain_bits"):
+            if getattr(self, name) > 0xFFFF:
+                raise LengthError(f"{name} = {getattr(self, name)} does not fit a 16-bit field")
 
     @property
     def idx_bits(self) -> int:
@@ -387,3 +391,10 @@ def build_distribution(
 def new_coin_key(rng) -> bytes:
     """Sample the keyed-coin-derivation key (the extraction key of the wrapper)."""
     return rng.bytes(SEED_BYTES)
+
+
+def coin_key_from_bytes(data: bytes) -> bytes:
+    """A stored coin key: exactly SEED_BYTES bytes, taken as they are."""
+    if len(data) != SEED_BYTES:
+        raise LengthError(f"coin key must be {SEED_BYTES} bytes, got {len(data)}")
+    return data

@@ -36,6 +36,10 @@ class FlushLimitError(QwmarkError):
     """The post-loop flush phase exceeded its round cap without re-anchoring."""
 
 
+class RoundLimitError(QwmarkError):
+    """An exact API run would need more rounds than the engine's cap."""
+
+
 class LengthError(QwmarkError):
     """A bit string or byte record has the wrong length for its role."""
 

@@ -127,8 +127,8 @@ class PirateSpec:
             raise FormatError(f"unknown pirate kind {self.kind!r}")
         for name in ("eta", "theta"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise FormatError(f"pirate {name} must be a real number, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise FormatError(f"pirate {name} must be a finite real number, got {value!r}")
         if self.kind == "noisy" and not 0.0 <= self.eta <= 1.0:
             raise FormatError(f"noise rate must lie in [0,1], got {self.eta}")
         if self.kind == "superposed":

@@ -101,7 +101,13 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def spectral_measurement(accept: np.ndarray) -> SpectralMeasurement:
+def accept_eigenbasis(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, unclustered eigendecomposition of an accept operator.
+
+    Returns the ascending eigenvalues, clipped to [0, 1], and the orthonormal
+    eigenvectors as columns.  Eigenvalues further than EIGENVALUE_SLACK
+    outside [0, 1] raise InvariantError.
+    """
     accept = np.asarray(accept, dtype=complex)
     if np.max(np.abs(accept - accept.conj().T)) > 1e-8:
         raise InvariantError("accept operator is not Hermitian")
@@ -113,7 +119,11 @@ def spectral_measurement(accept: np.ndarray) -> SpectralMeasurement:
         raise InvariantError(
             f"accept-operator eigenvalues [{vals.min()!r}, {vals.max()!r}] leave [0,1] beyond slack"
         )
-    vals = np.clip(vals, 0.0, 1.0)
+    return np.clip(vals, 0.0, 1.0), vecs
+
+
+def spectral_measurement(accept: np.ndarray) -> SpectralMeasurement:
+    vals, vecs = accept_eigenbasis(accept)
     eigenvalues = []
     projectors = []
     for group in _cluster(vals, CLUSTER_TOL):

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import elwm
-from .api import ApiParams, distribution_povm, run_api
+from .api import MAX_EXACT_ROUNDS, ApiParams, distribution_povm, run_api
 from .elwm import ElwmParams, ObfuscatedCircuit, PrfKeyIo, TagIo, build_distribution
-from .errors import IndexRangeError, InvariantError, LengthError
+from .errors import IndexRangeError, InvariantError, LengthError, RoundLimitError
 from .qcore import QuantumProgram
 from .spectral import projimp
 
@@ -75,6 +75,9 @@ class ExtractParams:
         if self.engine not in ("fast", "exact"):
             raise InvariantError(f"engine must be 'fast' or 'exact', got {self.engine!r}")
         object.__setattr__(self, "eps_prime", self.eps / (4.0 * (self.k + 1)))
+        rounds = self.api_params().T
+        if self.engine == "exact" and rounds > MAX_EXACT_ROUNDS:
+            raise RoundLimitError(f"exact engine needs T = {rounds} rounds, cap is {MAX_EXACT_ROUNDS}")
 
     def api_params(self) -> ApiParams:
         return ApiParams(self.eps_prime, self.delta_prime)

@@ -70,9 +70,19 @@ class FakeDistribution:
         self.kind = "fake"
 
 
-def dense_cproj(cp) -> BinaryProjector:
-    """CProj^1 of a ControlledProjection as a block-diagonal projector on H_R (x) H."""
-    return BinaryProjector(block_diag(*cp.stack))
+def dense_cproj(stack: np.ndarray) -> BinaryProjector:
+    """CProj^1 of an (s, d, d) projector stack as a block-diagonal projector on H_R (x) H."""
+    return BinaryProjector(block_diag(*stack))
+
+
+def apply_accept(stack: np.ndarray, mat: np.ndarray, reverse: bool) -> np.ndarray:
+    """CProj^1 (CProj^0 when reverse) applied to an (s, d) state on H_R (x) H.
+
+    Row r of the state is its H-component under coin r, and stack[r] is the
+    accept projector of coin r.
+    """
+    branch = np.matmul(stack, mat[:, :, None])[:, :, 0]
+    return mat - branch if reverse else branch
 
 
 def dense_isu(s: int, d: int) -> BinaryProjector:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import FakeDistribution, random_program, random_triples, rng_for
-from qwmark import cli, elwm, pirates, wmprf
+from qwmark import cli, elwm, pirates
 from qwmark.api import ApiParams, api_exact, api_fast, distribution_povm
 from qwmark.crypto import (
     ggm_eval,

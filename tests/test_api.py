@@ -1,6 +1,6 @@
 """Alternating-measurement estimator: round-count formula, transcript
-bookkeeping, the batched exact walk against its per-block oracle, engine
-agreement on the post state, and the binomial outcome law."""
+bookkeeping, the Jordan-block exact walk against the literal per-block walk,
+engine agreement on the post state, and the binomial outcome law."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qwmark import api
-from qwmark.errors import FlushLimitError, InvariantError
-from qwmark.qcore import StateVector
+from qwmark import api, elwm
+from qwmark.errors import FlushLimitError, InvariantError, RoundLimitError
 from qwmark.spectral import spectral_measurement
 
 from conftest import (
     FakeDistribution,
+    apply_accept,
     dense_cproj,
     dense_isu,
     random_program,
@@ -22,7 +22,7 @@ from conftest import (
     rng_for,
 )
 from qwmark.api import distribution_povm
-from qwmark.pirates import classical_pirate, coin_pirate, superposed_pirate
+from qwmark.pirates import classical_pirate, coin_pirate, honest_pirate, superposed_pirate
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,19 @@ def test_flush_cap_raises_exactly_when_the_walk_needs_more_rounds(monkeypatch):
         assert 0 < hit < len(needed)
 
 
+def test_round_cap_is_checked_before_any_draw():
+    # eps = 0.001 needs about 2.1e6 rounds; the largest T in use, 10 097, is
+    # that of an extraction at k = 2, eps = 0.25 and delta' = 0.05
+    params = api.ApiParams(0.001, 0.5)
+    assert params.T > api.MAX_EXACT_ROUNDS > api.ApiParams(0.25 / 12, 0.05).T == 10097
+    prog = random_program(2, "api-round-cap")
+    dist = FakeDistribution(random_triples(2, "api-round-cap"))
+    local = rng_for("api-round-cap-run")
+    with pytest.raises(RoundLimitError):
+        api.api_exact(dist, prog, params, local)
+    assert local.random() == rng_for("api-round-cap-run").random()
+
+
 def test_agreement_count_examples():
     # leading 1 is implicit: (1, 1,1,1,1) has 4 agreements
     assert api.agreement_count((1, 1, 1, 1)) == 4
@@ -97,37 +110,33 @@ def test_transcript_validation():
 # ---------------------------------------------------------------------------
 
 
-def controlled_projection(prog, dist) -> api.ControlledProjection:
-    return api.ControlledProjection(distribution_povm(prog, dist).stack)
-
-
 def test_dense_operators_are_projectors():
     prog = random_program(4, "api-dense")
-    cp = controlled_projection(prog, FakeDistribution(random_triples(3, "api-dense")))
-    assert cp.s == 3 and cp.block_dim == 4
-    for op in (dense_cproj(cp), dense_isu(cp.s, cp.block_dim)):
+    stack = distribution_povm(prog, FakeDistribution(random_triples(3, "api-dense"))).stack
+    assert stack.shape == (3, 4, 4)
+    for op in (dense_cproj(stack), dense_isu(3, 4)):
         m = op.matrix
         assert np.allclose(m @ m, m, atol=1e-10)
 
 
 def test_apply_accept_matches_dense():
     prog = random_program(4, "api-accept")
-    cp = controlled_projection(prog, FakeDistribution(random_triples(3, "api-accept")))
+    stack = distribution_povm(prog, FakeDistribution(random_triples(3, "api-accept"))).stack
     local = rng_for("api-accept-vec")
     vec = local.normal(size=12) + 1j * local.normal(size=12)
-    dense = dense_cproj(cp).matrix
-    mat = vec.reshape(cp.s, cp.block_dim)
-    assert np.allclose(cp.apply_accept(mat, reverse=False).reshape(-1), dense @ vec)
-    assert np.allclose(cp.apply_accept(mat, reverse=True).reshape(-1), vec - dense @ vec)
+    dense = dense_cproj(stack).matrix
+    mat = vec.reshape(3, 4)
+    assert np.allclose(apply_accept(stack, mat, reverse=False).reshape(-1), dense @ vec)
+    assert np.allclose(apply_accept(stack, mat, reverse=True).reshape(-1), vec - dense @ vec)
 
 
 def test_compression_identity():
     # projecting CProj^1 into range(IsU) reproduces P_D on the small space
     prog = random_program(4, "api-compress")
     dist = FakeDistribution(random_triples(5, "api-compress"))
-    cp = controlled_projection(prog, dist)
-    s, d = cp.s, cp.block_dim
-    cproj = dense_cproj(cp).matrix
+    stack = distribution_povm(prog, dist).stack
+    s, d = stack.shape[:2]
+    cproj = dense_cproj(stack).matrix
     # embed: |1_R> (x) e_i for the standard basis of H
     embed = np.kron(np.full((s, 1), 1.0 / np.sqrt(s)), np.eye(d))
     assert np.allclose(embed @ embed.conj().T, dense_isu(s, d).matrix, atol=1e-12)
@@ -211,7 +220,7 @@ def test_exact_collapses_on_binary_spectrum():
 
 
 def reference_exact(dist, prog, params, rng, reverse=False):
-    """The per-block walk that preceded the batched one: (bits, flush bits, post state)."""
+    """The literal walk on H_R (x) H, one coin block at a time: (bits, flush bits, post state)."""
     blocks = distribution_povm(prog, dist).stack
     s, d = len(blocks), prog.dim
     vec = (np.full(s, 1.0 / np.sqrt(s), dtype=complex)[:, None] * prog.state.amplitudes[None, :]).reshape(-1)
@@ -246,6 +255,19 @@ def reference_exact(dist, prog, params, rng, reverse=False):
     return tuple(bits), tuple(flush), phi / np.linalg.norm(phi)
 
 
+def assert_matches_oracle(dist, prog, params, label, reverse) -> int:
+    """Run the oracle and api_exact on one seed; both must give the same bits,
+    flush bits, post state (phase included) and next draw.  Returns the
+    flush rounds."""
+    oracle_rng, exact_rng = rng_for(label), rng_for(label)
+    bits, flush, post = reference_exact(dist, prog, params, oracle_rng, reverse)
+    _, state, tr = api.api_exact(dist, prog, params, exact_rng, reverse=reverse)
+    assert (tr.bits, tr.flush_bits) == (bits, flush)
+    assert np.max(np.abs(state.amplitudes - post)) < 1e-10
+    assert exact_rng.random() == oracle_rng.random()
+    return tr.flush_rounds
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("s", [1, 3, 8])
 @pytest.mark.parametrize("d", [2, 4])
@@ -256,13 +278,46 @@ def test_exact_matches_per_block_oracle(d, s, reverse):
     flushed = 0
     for run in range(6):
         label = f"api-oracle-run-{d}-{s}-{int(reverse)}-{run}"
-        bits, flush, post = reference_exact(dist, prog, params, rng_for(label), reverse)
-        _, state, tr = api.api_exact(dist, prog, params, rng_for(label), reverse=reverse)
-        assert (tr.bits, tr.flush_bits) == (bits, flush)
-        assert np.max(np.abs(state.amplitudes - post)) < 1e-10
-        flushed += tr.flush_rounds > 0
+        flushed += assert_matches_oracle(dist, prog, params, label, reverse) > 0
     # IsU is the identity at s = 1; above it the seeds exercise the flush
     assert (flushed > 0) == (s > 1)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", ["superposed-0", "superposed-pi/4", "binary-spectrum", "long-walk"])
+def test_exact_matches_per_block_oracle_on_more_programs(small_stack, case, reverse):
+    # The honest/coin superposition on a SimTau(1) sample of s = 64 coins, at
+    # the angle whose state lies in the honest branch and at an even mix; a
+    # program whose spectrum is {0, 1}, so every Jordan block is
+    # 1-dimensional; and a walk of T = 1753 rounds, long enough that the
+    # block weights are rescaled many times on the way.
+    params = api.ApiParams(0.25, 0.1)
+    if case == "long-walk":
+        params = api.ApiParams(0.05, 0.05)
+        prog = random_program(4, "api-oracle-long")
+        dist = FakeDistribution(random_triples(3, "api-oracle-long"))
+    elif case == "binary-spectrum":
+        prog = superposed_pirate(
+            np.pi / 4, classical_pirate(lambda x, y: True), classical_pirate(lambda x, y: False)
+        )
+        dist = FakeDistribution(tuple((1, x, y) for _, x, y in random_triples(4, "api-oracle-binary")))
+    else:
+        theta = 0.0 if case == "superposed-0" else np.pi / 4
+        prog = superposed_pirate(theta, honest_pirate(small_stack["circuit"]), coin_pirate())
+        dist = elwm.build_distribution(
+            elwm.sim_tau(1),
+            params=small_stack["elwm_params"],
+            s=64,
+            master_seed=b"api-oracle-sim-1",
+            coin_key=small_stack["coin_key"],
+            tag=small_stack["tag"],
+        )
+    assert prog.dim == 4
+    spec = spectral_measurement(distribution_povm(prog, dist).average())
+    binary = all(min(v, 1.0 - v) < 1e-12 for v in spec.eigenvalues)
+    assert binary == (case == "binary-spectrum")
+    for run in range(2 if case == "long-walk" else 6):
+        assert_matches_oracle(dist, prog, params, f"api-oracle-run-{case}-{int(reverse)}-{run}", reverse)
 
 
 def test_exact_post_state_lies_in_one_eigencluster():

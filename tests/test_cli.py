@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,11 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{nope")
     assert run_cli("experiment", "--config", notjson, "--out", tmp_path / "y") == cli.EXIT_FORMAT
+    for i, blob in enumerate((b"\xff\xfe{", b"5", b'"k"')):
+        other = tmp_path / f"other{i}.json"
+        other.write_bytes(blob)
+        assert run_cli("experiment", "--config", other, "--out", tmp_path / "z") == cli.EXIT_FORMAT
+        assert "Traceback" not in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -393,6 +399,8 @@ def test_experiment_rejects_runs_without_trials(tmp_path, capsys, overrides, arg
         ({"seed": 2.5}, cli.EXIT_FORMAT),
         ({"seed": True}, cli.EXIT_FORMAT),
         ({"seed": "7"}, cli.EXIT_FORMAT),
+        ({"engine": "exact", "eps": 0.001}, cli.EXIT_NUMERIC),
+        ({"pirates": [{"kind": "superposed", "theta": float("nan")}]}, cli.EXIT_FORMAT),
     ],
 )
 def test_experiment_checks_the_whole_config_before_any_output(tmp_path, capsys, overrides, code):
@@ -414,6 +422,70 @@ def test_extract_maps_flush_limit_to_numeric_exit(tmp_path, keys, capsys, monkey
     monkeypatch.setattr(api, "FLUSH_ROUNDS_PER_T", 0)
     assert run_cli(*argv) == cli.EXIT_NUMERIC
     assert "flush rounds" in capsys.readouterr().err
+
+
+def test_keygen_rejects_empty_messages_and_overwide_fields(tmp_path, capsys):
+    out = tmp_path / "bad" / "demo"
+    # k = 3 gives pt_bits = seed_bits + 3, so --seed-bits 5460 needs a 65 556-bit PRF domain
+    bad = (["--k", 0], ["--k", -1], ["--k", 70000], ["--k", 3, "--range-bits", 100000], ["--k", 3, "--seed-bits", 5460])
+    for argv in bad:
+        assert run_cli("keygen", *argv, "--seed", 1, "--out", out) == cli.EXIT_LENGTH
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
+def test_coin_key_must_be_seed_sized(tmp_path, keys, capsys):
+    circ_path = tmp_path / "marked.circ"
+    assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
+    short = tmp_path / "short.xk"
+    short.write_bytes(keys["xk"].read_bytes()[:-1])
+    for xk in (keys["tag"], short):
+        assert run_cli("sim", "--tag", keys["tag"], "--xk", xk, "--index", 1, "--seed", 1) == cli.EXIT_LENGTH
+        argv = ["extract", "--tag", keys["tag"], "--xk", xk, "--circuit", circ_path, "--eps", 0.25, "--seed", 1]
+        assert run_cli(*argv) == cli.EXIT_LENGTH
+        assert "coin key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--theta", "nan"], ["--theta", "inf"], ["--eta", "nan"]])
+def test_extract_rejects_non_finite_pirate_parameters(tmp_path, keys, capsys, argv):
+    circ_path = tmp_path / "marked.circ"
+    assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
+    base = ["extract", "--tag", keys["tag"], "--xk", keys["xk"], "--circuit", circ_path, "--eps", 0.25, "--seed", 1]
+    assert run_cli(*base, "--pirate", "superposed", *argv) == cli.EXIT_FORMAT
+    assert "finite" in capsys.readouterr().err
+
+
+def test_exact_extract_beyond_the_round_cap_exits_at_once(tmp_path, keys, capsys):
+    # eps = 0.001 at k = 3 asks for T of about 1.5e9 rounds per measurement
+    circ_path = tmp_path / "marked.circ"
+    assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
+    argv = ["extract", "--tag", keys["tag"], "--xk", keys["xk"], "--circuit", circ_path]
+    start = time.monotonic()
+    assert run_cli(*argv, "--eps", 0.001, "--engine", "exact", "--seed", 1) == cli.EXIT_NUMERIC
+    assert time.monotonic() - start < 2.0
+    err = capsys.readouterr().err
+    assert "rounds" in err and "Traceback" not in err
+
+
+def test_verify_rejects_undecodable_and_malformed_files(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("experiment", "--config", experiment_config(tmp_path, trials=1), "--out", out) == 0
+    rows, summary = out / "rows.csv", out / "summary.json"
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00batch\x80")
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{nope")
+    foreign = tmp_path / "foreign.csv"
+    foreign.write_text("a,b\n1,2\n")
+    bad_batch = tmp_path / "bad_batch.csv"
+    header, first = rows.read_text().splitlines()[:2]
+    bad_batch.write_text(f"{header}\nx{first[1:]}\n")
+    pairs = [(binary, summary), (rows, binary), (rows, not_json), (rows, rows), (foreign, summary), (bad_batch, summary)]
+    for r, s in pairs:
+        assert run_cli("verify", "--rows", r, "--summary", s) == cli.EXIT_FORMAT
+        assert "Traceback" not in capsys.readouterr().err
+    assert run_cli("verify", "--rows", rows, "--summary", summary) == 0
+    capsys.readouterr()
 
 
 def test_wilson_interval_properties():

@@ -4,9 +4,7 @@ sparse SKE, and keyed coin derivation."""
 from __future__ import annotations
 
 import hashlib
-import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qwmark import elwm
-from qwmark.crypto import int_to_bits, keyed_rand, prg
+from qwmark.crypto import int_to_bits, prg
 from qwmark.errors import FormatError, IndexRangeError, LengthError
 from qwmark.pe import ObfuscatedCircuit
 
@@ -47,6 +46,17 @@ def test_param_serialization():
 def test_param_validation():
     with pytest.raises(LengthError):
         elwm.ElwmParams(0, seed_bits=6, range_bits=12)
+
+
+def test_params_reject_widths_beyond_their_u16_fields():
+    # msg_bits = 4 has idx_bits = 2, so seed_bits = 5458 gives pt_bits = 5461
+    # and domain_bits = 65 532, the widest domain that fits
+    widest = elwm.ElwmParams(4, seed_bits=5458, range_bits=0xFFFF)
+    assert widest.domain_bits == 65532
+    assert elwm.ElwmParams.read_from(widest.to_bytes())[0] == widest
+    for msg_bits, seed_bits, range_bits in ((0x10000, 6, 12), (4, 5459, 12), (4, 6, 0x10000), (70001, 6, 12)):
+        with pytest.raises(LengthError):
+            elwm.ElwmParams(msg_bits, seed_bits=seed_bits, range_bits=range_bits)
 
 
 # ---------------------------------------------------------------------------

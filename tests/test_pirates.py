@@ -12,7 +12,7 @@ from qwmark.errors import DimensionError, FormatError, InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, program_projector
 from qwmark.spectral import projimp, spectral_measurement
 
-from conftest import FakeDistribution, random_triples, rng_for
+from conftest import FakeDistribution, rng_for
 
 
 class ToyCircuit:
@@ -236,6 +236,14 @@ def test_pirate_spec_round_trip():
     assert spec.kind == "noisy" and spec.eta == 0.25
     with pytest.raises(FormatError):
         pirates.PirateSpec.from_dict({"kind": "noisy", "volume": 11})
+
+
+@pytest.mark.parametrize("kind", ["noisy", "superposed"])
+@pytest.mark.parametrize("field", ["eta", "theta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_pirate_spec_rejects_non_finite_parameters(kind, field, value):
+    with pytest.raises(FormatError, match="finite"):
+        pirates.PirateSpec(kind=kind, **{field: value})
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 
 from qwmark import spectral
 from qwmark.errors import DimensionError, InvariantError
-from qwmark.qcore import BinaryProjector, StateVector, program_projector
+from qwmark.qcore import BinaryProjector, StateVector
 
 from conftest import (
     FakeDistribution,

@@ -3,7 +3,6 @@ tallies."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from qwmark import elwm, pirates, wmprf
