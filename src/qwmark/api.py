@@ -28,7 +28,12 @@ There are two engines.  Both take a distribution's projectors as one checked
   previous outcome with probability p_j (1 - p_j reversed), so d block
   weights carry the state.  It makes the literal walk's draws, one uniform
   per measurement in the order CProj, IsU, ... of the main loop and then of
-  the flush; the literal walk on H_R (x) H is its oracle in the tests.
+  the flush; the literal walk on H_R (x) H is its oracle in the tests.  When
+  one block holds all the weight (classical and honest pirates), each
+  main-loop step is a fixed map of the previous bit and the bits follow from
+  a prefix scan over the uniforms.  A uniform within SCAN_MARGIN of q or
+  1 - q, or a step that would vanish, sends the run back to the per-step
+  block walk on the same draws, so both give the same bytes.
 * api_fast uses the two-projector structure: range(IsU) compresses CProj to the
   accept operator P_D on H, so sampling an eigenvalue cluster p_j of P_D with
   the Born weights and drawing t ~ Binomial(2T, p_j) (or 1-p_j reversed)
@@ -38,7 +43,9 @@ There are two engines.  Both take a distribution's projectors as one checked
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -58,6 +65,8 @@ FLUSH_ROUNDS_PER_T = 64
 MAX_EXACT_ROUNDS = 1 << 20  # largest T api_exact runs; T grows as 1/eps^2
 DRAW_CHUNK = 4096  # main-loop uniforms per rng.random call
 RESCALE_BELOW = 1e-150  # block weights are rescaled once their sum falls below this
+VANISHED_BELOW = 1e-24  # a drawn outcome keeping less of the weight than this raises
+SCAN_MARGIN = 1e-9  # a uniform this close to q or 1 - q sends a one-block walk to the block walk
 
 
 @dataclass(frozen=True)
@@ -109,18 +118,14 @@ class ApiTranscript:
         return len(self.flush_bits) // 2
 
 
-def agreement_count(bits: tuple[int, ...]) -> int:
+def agreement_count(bits: Sequence[int]) -> int:
     """Number of adjacent agreements in (1, b_1, ..., b_2T).
 
     The leading 1 reflects the initial state lying in range(IsU), i.e. the
     run starts as if the previous uniformity test had accepted.
     """
-    prev, count = 1, 0
-    for b in bits:
-        if b == prev:
-            count += 1
-        prev = b
-    return count
+    padded = np.frombuffer(b"\x01" + bytes(bits), dtype=np.uint8)
+    return int(np.count_nonzero(padded[1:] == padded[:-1]))
 
 
 def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
@@ -132,20 +137,95 @@ def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
     return MixedBinaryPOVM(program_projectors(prog, dist.triples))
 
 
-def _uniforms(rng, params: ApiParams, bits: bytearray):
-    """The 2T main-loop uniforms in chunks, then one flush uniform at a time
-    for as long as the last outcome appended to `bits` is an IsU reject, so
-    the stream ends where one draw per measurement would leave it."""
-    n = 2 * params.T
-    for start in range(0, n, DRAW_CHUNK):
-        yield from rng.random(min(DRAW_CHUNK, n - start)).tolist()
+def _main_uniforms(draws: np.ndarray):
+    """The main-loop uniforms one at a time, converted DRAW_CHUNK at a time."""
+    for start in range(0, len(draws), DRAW_CHUNK):
+        yield from draws[start : start + DRAW_CHUNK].tolist()
+
+
+def _flush_uniforms(rng, params: ApiParams, bits: bytearray, drawn=()):
+    """Flush uniforms in pairs for as long as the last outcome appended to
+    `bits` is an IsU reject: first the already `drawn` ones, then one
+    rng.random() at a time, so the stream ends where one draw per
+    measurement would leave it."""
+    fresh = chain(drawn, iter(rng.random, None))  # rng.random() never returns None
     rounds = 0
     while bits[-1] != 1:
         if rounds >= params.max_flush_rounds:
             raise FlushLimitError(f"no register re-anchor after {rounds} flush rounds")
-        yield rng.random()
-        yield rng.random()
+        yield next(fresh)
+        yield next(fresh)
         rounds += 1
+
+
+def _block_walk(born: np.ndarray, agree: list, flip: list, uniforms, bits: bytearray) -> np.ndarray:
+    """Append one outcome per uniform to `bits`; return the final block weights over their sum."""
+    # The weights stay unnormalized, with sum `total`, and are rescaled only
+    # before they could underflow; this saves a pass over them per step.
+    weights, total = born.tolist(), float(born.sum())
+    prev = 1
+    for u in uniforms:
+        num = sum(map(mul, weights, agree))
+        g = num / total
+        bit = int(u < (g if prev else 1.0 - g))
+        if bit == prev:
+            weights, kept = list(map(mul, weights, agree)), num
+        else:
+            weights = list(map(mul, weights, flip))
+            kept = sum(weights)
+        if kept < VANISHED_BELOW * total:
+            raise DegenerateStateError("measurement branch vanished during API run")
+        total = kept
+        if total < RESCALE_BELOW:
+            weights = [w / total for w in weights]
+            total = sum(weights)
+        bits.append(bit)
+        prev = bit
+    return np.array(weights) / total
+
+
+def _one_block_walk(main: np.ndarray, agree: float, flip: float, rng, params: ApiParams, drawn: list):
+    """Outcome bits of a walk whose state lies in one Jordan block, or None
+    where `_block_walk` must decide them; `drawn` keeps the flush uniforms
+    taken so far.
+
+    After a 1 the bit is u < q, after a 0 it is u < 1 - q (q = agree), so
+    each main-loop step is a fixed map of the previous bit: constant 0,
+    constant 1, the identity or a negation.  A bit is then the value of the
+    last constant step up to it (the leading 1 counts as one), flipped by the
+    parity of the negations since.  The block walk compares u with
+    fl(fl(w q) / w), which can sit an ulp from q, so a uniform within
+    SCAN_MARGIN of q or 1 - q is left to it; so is a step whose factor would
+    let it raise DegenerateStateError.  With one block the weight ratio the
+    block walk returns is exactly 1.
+    """
+
+    def near(u):
+        return (np.abs(u - agree) < SCAN_MARGIN) | (np.abs(u - (1.0 - agree)) < SCAN_MARGIN)
+
+    if np.any(near(main)):
+        return None
+    after_one = np.empty(len(main) + 1, dtype=bool)
+    after_zero = np.empty(len(main) + 1, dtype=bool)
+    after_one[0] = after_zero[0] = True
+    np.less(main, agree, out=after_one[1:])
+    np.less(main, 1.0 - agree, out=after_zero[1:])
+    steps = np.arange(len(after_one), dtype=np.int32)  # 2T + 1 <= 2**21 + 1
+    last_constant = np.maximum.accumulate(np.where(after_one == after_zero, steps, 0))
+    odd = np.logical_xor.accumulate(after_zero & ~after_one)  # parity of the negations so far
+    scan = after_one[last_constant] ^ odd ^ odd[last_constant]
+    repeats = scan[1:] == scan[:-1]
+    if (agree <= VANISHED_BELOW and repeats.any()) or (flip <= VANISHED_BELOW and not repeats.all()):
+        return None
+    bits = bytearray(scan[1:].view(np.uint8))
+    for u in _flush_uniforms(rng, params, bits):
+        drawn.append(u)
+        prev = bits[-1]
+        bit = int(u < (agree if prev else 1.0 - agree))
+        if near(u) or (agree if bit == prev else flip) <= VANISHED_BELOW:
+            return None
+        bits.append(bit)
+    return bits
 
 
 def api_exact(
@@ -180,34 +260,23 @@ def api_exact(
     held = born > 0  # a block without weight adds exact zeros to every sum
     p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]
     agree, flip = ((1.0 - p).tolist(), p.tolist()) if reverse else (p.tolist(), (1.0 - p).tolist())
-    # The weights stay unnormalized, with sum `total`, and are rescaled only
-    # before they could underflow; this saves a pass over them per step.
-    weights, total = born.tolist(), float(born.sum())
-    bits = bytearray()
-    prev = 1
-    for u in _uniforms(rng, params, bits):
-        num = sum(map(mul, weights, agree))
-        g = num / total
-        bit = int(u < (g if prev else 1.0 - g))
-        if bit == prev:
-            weights, kept = list(map(mul, weights, agree)), num
-        else:
-            weights = list(map(mul, weights, flip))
-            kept = sum(weights)
-        if kept < 1e-24 * total:
-            raise DegenerateStateError("measurement branch vanished during API run")
-        total = kept
-        if total < RESCALE_BELOW:
-            weights = [w / total for w in weights]
-            total = sum(weights)
-        bits.append(bit)
-        prev = bit
-    main, flush = tuple(bits[: 2 * params.T]), tuple(bits[2 * params.T :])
+    n = 2 * params.T
+    draws = np.empty(n)
+    for start in range(0, n, DRAW_CHUNK):
+        rng.random(out=draws[start : start + DRAW_CHUNK])
+    drawn: list[float] = []
+    bits = _one_block_walk(draws, agree[0], flip[0], rng, params, drawn) if len(agree) == 1 else None
+    if bits is None:
+        bits = bytearray()
+        uniforms = chain(_main_uniforms(draws), _flush_uniforms(rng, params, bits, drawn))
+        ratio = _block_walk(born, agree, flip, uniforms, bits)
+    else:
+        ratio = np.ones(1)  # the one block keeps all the weight
     zeros = np.frombuffer(bits, dtype=np.uint8) == 0
     n00 = int(np.count_nonzero(zeros[1:] & zeros[:-1]))
-    amps = eigvecs @ (coef / np.abs(coef) * np.sqrt(np.array(weights) / total))
-    t = agreement_count(main)
-    transcript = ApiTranscript(main, flush, t, t / (2 * params.T))
+    amps = eigvecs @ (coef / np.abs(coef) * np.sqrt(ratio))
+    t = agreement_count(bits[:n])
+    transcript = ApiTranscript(tuple(bits[:n]), tuple(bits[n:]), t, t / n)
     return transcript.estimate, StateVector.from_unnormalized(-amps if n00 % 2 else amps), transcript
 
 

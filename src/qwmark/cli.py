@@ -380,13 +380,16 @@ def cmd_verify(args) -> int:
         raise FormatError(f"summary is not valid JSON: {exc}") from exc
     if not isinstance(stored, dict):
         raise FormatError("summary must be a JSON object")
-    config = dict(stored.get("config", {}))
-    config["pirates"] = stored.get("pirates", [])
+    config, pirates, batches = stored.get("config", {}), stored.get("pirates", []), stored.get("batches")
+    if not isinstance(config, dict):
+        raise FormatError("summary config must be a JSON object")
+    if not isinstance(pirates, list) or not isinstance(batches, list):
+        raise FormatError("summary pirates and batches must be JSON lists")
     try:
-        recomputed = summarize_rows(rows, config)
+        recomputed = summarize_rows(rows, {**config, "pirates": pirates})
     except ValueError as exc:
         raise FormatError(f"rows file holds a malformed row: {exc}") from exc
-    if recomputed["batches"] != stored.get("batches"):
+    if recomputed["batches"] != batches:
         print("MISMATCH: summary does not match rows", file=sys.stderr)
         return 1
     print(f"OK: {len(rows)} rows, {len(recomputed['batches'])} batches consistent")

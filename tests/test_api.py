@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from qwmark import api, elwm
-from qwmark.errors import FlushLimitError, InvariantError, RoundLimitError
+from qwmark.errors import DegenerateStateError, FlushLimitError, InvariantError, RoundLimitError
 from qwmark.spectral import spectral_measurement
 
 from conftest import (
@@ -94,6 +96,24 @@ def test_agreement_count_examples():
     assert api.agreement_count((0, 1, 0, 1)) == 0
     assert api.agreement_count((1, 0, 1, 0)) == 1
     assert api.agreement_count(()) == 0
+
+
+def literal_agreement_count(bits) -> int:
+    """The agreement count as a loop over (1, b_1, ..., b_2T)."""
+    prev, count = 1, 0
+    for b in bits:
+        if b == prev:
+            count += 1
+        prev = b
+    return count
+
+
+@given(st.lists(st.integers(0, 1), max_size=200).map(tuple))
+@example(())
+@example((0,))
+@example((1,))
+def test_agreement_count_matches_literal_loop(bits):
+    assert api.agreement_count(bits) == literal_agreement_count(bits)
 
 
 def test_transcript_validation():
@@ -318,6 +338,135 @@ def test_exact_matches_per_block_oracle_on_more_programs(small_stack, case, reve
     assert binary == (case == "binary-spectrum")
     for run in range(2 if case == "long-walk" else 6):
         assert_matches_oracle(dist, prog, params, f"api-oracle-run-{case}-{int(reverse)}-{run}", reverse)
+
+
+# ---------------------------------------------------------------------------
+# one-block scan
+# ---------------------------------------------------------------------------
+
+
+def one_block_program(accepted: int, s: int):
+    """A classical pirate on s triples, `accepted` of which it answers: its
+    state is the eigenvector of P_D with p = accepted / s, so one Jordan block
+    holds all the weight."""
+    triples = random_triples(s, f"api-one-block-{accepted}-{s}")
+    dist = FakeDistribution(tuple((int(i < accepted), x, y) for i, (_, x, y) in enumerate(triples)))
+    return dist, classical_pirate(lambda x, y: True)
+
+
+ONE_BLOCK_CASES = {"q=0": (0, 4), "q=1": (4, 4), "q=0.3": (3, 10), "q=0.5": (1, 2), "q=0.9": (9, 10)}
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The walks each api_exact call took, in order: 'scan' when the one-block
+    scan decided the bits, 'fallback:k' when it left them to the block walk
+    after drawing k flush uniforms, and 'block' for each block walk."""
+    taken: list[str] = []
+    scan, block = api._one_block_walk, api._block_walk
+
+    def spy_scan(main, agree, flip, rng, params, drawn):
+        bits = scan(main, agree, flip, rng, params, drawn)
+        taken.append("scan" if bits is not None else f"fallback:{len(drawn)}")
+        return bits
+
+    def spy_block(*args):
+        taken.append("block")
+        return block(*args)
+
+    monkeypatch.setattr(api, "_one_block_walk", spy_scan)
+    monkeypatch.setattr(api, "_block_walk", spy_block)
+    return taken
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", ONE_BLOCK_CASES)
+def test_one_block_scan_matches_oracle(case, reverse, walks):
+    dist, prog = one_block_program(*ONE_BLOCK_CASES[case])
+    params = api.ApiParams(0.25, 0.1)
+    flushes = [
+        assert_matches_oracle(dist, prog, params, f"api-one-block-run-{case}-{int(reverse)}-{run}", reverse)
+        for run in range(6)
+    ]
+    assert walks == ["scan"] * 6
+    # q = 0.9 keeps a 0 with probability 0.9, so a walk ending in 0 takes
+    # several flush rounds to re-anchor
+    if case == "q=0.9":
+        assert max(flushes) >= 3
+
+
+def test_one_block_scan_matches_oracle_past_the_rescale(walks):
+    # 2T = 878 factors of 1/2 take the block weight below RESCALE_BELOW, so
+    # the block walk and the literal walk both rescale on the way
+    dist, prog = one_block_program(*ONE_BLOCK_CASES["q=0.5"])
+    params = api.ApiParams(0.1, 0.05)
+    assert 0.5 ** (2 * params.T) < api.RESCALE_BELOW
+    for reverse in (False, True):
+        assert_matches_oracle(dist, prog, params, f"api-one-block-rescale-{int(reverse)}", reverse)
+    assert walks == ["scan"] * 2
+
+
+def exact_outcome(dist, prog, params, label):
+    """Bits, flush bits, post amplitudes and next draw of one seeded exact run."""
+    local = rng_for(label)
+    _, post, tr = api.api_exact(dist, prog, params, local)
+    return tr.bits, tr.flush_bits, post.amplitudes, local.random()
+
+
+def test_one_block_fallback_leaves_results_unchanged(monkeypatch, walks):
+    # A margin of 2 sends every run to the block walk before any flush draw;
+    # at T = 4 a margin of 0.02 lets some scans decide and sends others back
+    # after flush uniforms were drawn, which the block walk must replay.
+    params = api.ApiParams(0.7, 0.9)
+    labels = [(case, f"api-one-block-fallback-{case}-{run}") for case in ONE_BLOCK_CASES for run in range(8)]
+    scanned = [exact_outcome(*one_block_program(*ONE_BLOCK_CASES[case]), params, label) for case, label in labels]
+    assert walks == ["scan"] * len(labels)
+    for margin in (2.0, 0.02):
+        walks.clear()
+        monkeypatch.setattr(api, "SCAN_MARGIN", margin)
+        for (case, label), want in zip(labels, scanned):
+            got = exact_outcome(*one_block_program(*ONE_BLOCK_CASES[case]), params, label)
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2]) and got[3] == want[3]
+        fell_back = [int(w.split(":")[1]) for w in walks if w.startswith("fallback")]
+        assert walks.count("block") == len(fell_back)
+        if margin == 2.0:
+            assert fell_back == [0] * len(labels)
+        else:
+            assert "scan" in walks and 0 in fell_back and max(fell_back) > 0
+    dist, prog = one_block_program(*ONE_BLOCK_CASES["q=0.9"])
+    for run in range(8):
+        assert_matches_oracle(dist, prog, params, f"api-one-block-fallback-q=0.9-{run}", False)
+
+
+def test_one_block_degenerate_step_raises_as_the_block_walk_does(monkeypatch, walks):
+    # With the limit above both factors, 0.3 and 0.7, the first step of any
+    # walk vanishes: the scan must leave it to the block walk, which raises.
+    monkeypatch.setattr(api, "VANISHED_BELOW", 0.75)
+    dist, prog = one_block_program(*ONE_BLOCK_CASES["q=0.3"])
+    for reverse in (False, True):
+        with pytest.raises(DegenerateStateError):
+            api.api_exact(dist, prog, api.ApiParams(0.7, 0.9), rng_for("api-one-block-vanish"), reverse=reverse)
+    assert walks == ["fallback:0", "block"] * 2
+
+
+def test_release_gate_programs_take_the_one_block_scan(small_stack, walks):
+    # The honest pirate, and the honest/coin superposition at theta = 0 that
+    # the exact benchmark runs, are eigenvectors of P_D with exact zeros
+    # elsewhere, so the scan must decide their walks.
+    dist = elwm.build_distribution(
+        elwm.sim_tau(1),
+        params=small_stack["elwm_params"],
+        s=8,
+        master_seed=b"api-one-block-sim-1",
+        coin_key=small_stack["coin_key"],
+        tag=small_stack["tag"],
+    )
+    honest = honest_pirate(small_stack["circuit"])
+    params = api.ApiParams(0.25, 0.1)
+    for i, prog in enumerate((honest, superposed_pirate(0.0, honest, coin_pirate()))):
+        for reverse in (False, True):
+            api.api_exact(dist, prog, params, rng_for(f"api-one-block-gate-{i}-{int(reverse)}"), reverse=reverse)
+    assert walks == ["scan"] * 4
 
 
 def test_exact_post_state_lies_in_one_eigencluster():

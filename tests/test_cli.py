@@ -488,6 +488,22 @@ def test_verify_rejects_undecodable_and_malformed_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_summary_fields_of_the_wrong_type(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("experiment", "--config", experiment_config(tmp_path, trials=1), "--out", out) == 0
+    rows, good = out / "rows.csv", json.loads((out / "summary.json").read_text())
+    summaries = [{"config": 5, "batches": []}]
+    summaries += [{**good, field: value} for field, value in (("config", 5), ("config", [1]), ("pirates", 7))]
+    summaries += [{**good, "batches": value} for value in (7, "x", None)]
+    for i, summary in enumerate(summaries):
+        path = tmp_path / f"summary{i}.json"
+        path.write_text(json.dumps(summary))
+        assert run_cli("verify", "--rows", rows, "--summary", path) == cli.EXIT_FORMAT
+        assert "Traceback" not in capsys.readouterr().err
+    assert run_cli("verify", "--rows", rows, "--summary", out / "summary.json") == 0
+    capsys.readouterr()
+
+
 def test_wilson_interval_properties():
     low, high = cli.wilson_interval(0, 0)
     assert (low, high) == (0.0, 1.0)
