@@ -25,7 +25,7 @@ from .pirates import (
     noisy_pirate,
     superposed_pirate,
 )
-from .qcore import BinaryProjector, QuantumProgram, StateVector, UnitaryOracle
+from .qcore import QuantumProgram, StateVector, UnitaryOracle
 from .spectral import (
     MixedBinaryPOVM,
     OutcomeDistribution,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApiParams",
-    "BinaryProjector",
     "ElwmParams",
     "ExtractParams",
     "ExtractionReport",

@@ -53,16 +53,16 @@ import numpy as np
 from .errors import (
     DegenerateStateError,
     DimensionCapError,
-    DimensionError,
     FlushLimitError,
     InvariantError,
     RoundLimitError,
 )
-from .qcore import QuantumProgram, StateVector, dimension_cap, program_projectors
+from .qcore import DIMENSION_CAP, QuantumProgram, StateVector, program_projectors
 from .spectral import MixedBinaryPOVM, accept_eigenbasis, projimp_cluster
 
 FLUSH_ROUNDS_PER_T = 64
 MAX_EXACT_ROUNDS = 1 << 20  # largest T api_exact runs; T grows as 1/eps^2
+MAX_ROUNDS = (2**63 - 1) // 2  # largest T whose 2T fits the int64 of api_fast's binomial draw
 DRAW_CHUNK = 4096  # main-loop uniforms per rng.random call
 RESCALE_BELOW = 1e-150  # block weights are rescaled once their sum falls below this
 VANISHED_BELOW = 1e-24  # a drawn outcome keeping less of the weight than this raises
@@ -73,7 +73,7 @@ SCAN_MARGIN = 1e-9  # a uniform this close to q or 1 - q sends a one-block walk 
 class ApiParams:
     """Accuracy/confidence pair; the round count T is derived, never set.
 
-    T = ceil(ln(4/delta) / eps^2).
+    T = ceil(ln(4/delta) / eps^2), at most MAX_ROUNDS.
     """
 
     eps: float
@@ -85,7 +85,13 @@ class ApiParams:
             raise InvariantError(f"eps must lie in (0,1), got {self.eps}")
         if not (0.0 < self.delta < 1.0):
             raise InvariantError(f"delta must lie in (0,1), got {self.delta}")
-        object.__setattr__(self, "T", math.ceil(math.log(4.0 / self.delta) / self.eps**2))
+        # eps^2 underflows to 0 below about 1e-162, and 4/delta overflows to inf
+        rounds = math.log(4.0 / self.delta) / self.eps**2 if self.eps**2 else math.inf
+        if not (math.isfinite(rounds) and math.ceil(rounds) <= MAX_ROUNDS):
+            raise RoundLimitError(
+                f"eps={self.eps!r} and delta={self.delta!r} need {rounds:.3g} rounds, cap is {MAX_ROUNDS}"
+            )
+        object.__setattr__(self, "T", math.ceil(rounds))
 
     @property
     def max_flush_rounds(self) -> int:
@@ -248,10 +254,8 @@ def api_exact(
     if params.T > MAX_EXACT_ROUNDS:
         raise RoundLimitError(f"exact engine needs T = {params.T} rounds, cap is {MAX_EXACT_ROUNDS}")
     povm = distribution_povm(prog, dist)
-    if povm.dim != prog.dim:
-        raise DimensionError("program dimension changed under projector construction")
-    if povm.s * povm.dim > dimension_cap():
-        raise DimensionCapError(f"composite dimension {povm.s * povm.dim} exceeds cap {dimension_cap()}")
+    if povm.s * povm.dim > DIMENSION_CAP:
+        raise DimensionCapError(f"composite dimension {povm.s * povm.dim} exceeds cap {DIMENSION_CAP}")
     p, eigvecs = accept_eigenbasis(povm.average())
     coef = eigvecs.conj().T @ prog.state.amplitudes
     born = np.abs(coef) ** 2

@@ -11,14 +11,14 @@ Subcommands:
 
 Determinism: every command takes --seed; identical seeds and inputs yield
 byte-identical outputs.  Wall-clock timings go to a separate timings file so
-the row data stays reproducible.  The Hilbert-space dimension cap can be
-overridden with the QWMARK_DIM_CAP environment variable.
+the row data stays reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -51,6 +51,14 @@ EXIT_LENGTH = 4
 EXIT_DIMENSION = 5
 EXIT_NUMERIC = 6
 EXIT_OTHER = 7
+
+# flag and config-field defaults, read off the parameter classes
+DEFAULTS = {
+    f.name: f.default
+    for cls in (elwm.ElwmParams, wmprf.ExtractParams)
+    for f in dataclasses.fields(cls)
+    if f.default is not dataclasses.MISSING
+}
 
 
 def _seed_bytes(seed: int) -> bytes:
@@ -219,13 +227,7 @@ def _experiment_config(path: str) -> dict:
     missing = required - set(raw)
     if missing:
         raise FormatError(f"config missing fields: {sorted(missing)}")
-    raw.setdefault("seed_bits", 8)
-    raw.setdefault("range_bits", 16)
-    raw.setdefault("delta_prime", 0.01)
-    raw.setdefault("s", 16)
-    raw.setdefault("engine", "fast")
-    raw.setdefault("message", "random")
-    return raw
+    return {**DEFAULTS, "message": "random", **raw}
 
 
 def _trial_inputs(config: dict) -> tuple[list[PirateSpec], wmprf.ExtractParams, elwm.ElwmParams, str]:
@@ -407,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="sample PRF key, tag, and coin key")
     p.add_argument("--k", type=int, required=True, help="user message length in bits")
-    p.add_argument("--seed-bits", type=int, default=8)
-    p.add_argument("--range-bits", type=int, default=16)
+    p.add_argument("--seed-bits", type=int, default=DEFAULTS["seed_bits"])
+    p.add_argument("--range-bits", type=int, default=DEFAULTS["range_bits"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_keygen)
@@ -445,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch-a", default="honest")
     p.add_argument("--branch-b", default="coin")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta-prime", type=float, default=0.01)
-    p.add_argument("--s", type=int, default=16)
-    p.add_argument("--engine", choices=("fast", "exact"), default="fast")
+    p.add_argument("--delta-prime", type=float, default=DEFAULTS["delta_prime"])
+    p.add_argument("--s", type=int, default=DEFAULTS["s"])
+    p.add_argument("--engine", choices=("fast", "exact"), default=DEFAULTS["engine"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_extract)

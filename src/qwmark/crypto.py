@@ -45,11 +45,6 @@ def check_bits(bits: str, length: int | None = None, *, what: str = "bit string"
     return bits
 
 
-def bits_to_int(bits: str) -> int:
-    check_bits(bits)
-    return int(bits, 2) if bits else 0
-
-
 def int_to_bits(value: int, length: int) -> str:
     if value < 0 or value >= (1 << length):
         raise IndexRangeError(f"value {value} does not fit in {length} bits")

@@ -35,7 +35,6 @@ from .crypto import (
     bits_to_bytes,
     bytes_to_bits,
     check_bits,
-    decode_text,
     ggm_eval,
     ggm_gen,
     injective_pprf_eval,
@@ -79,11 +78,13 @@ class ObfuscatedCircuit:
     """Evaluable handle of a circuit record.
 
     The identity scheme keeps the record accessible as `.circuit`; an actual
-    hiding transformation would not.
+    hiding transformation would not.  It is the only scheme, and a record
+    naming any other is malformed.
     """
 
+    scheme: ClassVar[str] = "identity"
+
     circuit: object
-    scheme: str = "identity"
 
     def run(self, *args):
         return self.circuit.run(*args)
@@ -95,10 +96,9 @@ class ObfuscatedCircuit:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ObfuscatedCircuit":
         (n,), rest = read_header(">H", data, "obfuscated circuit")
-        if len(rest) < n:
-            raise FormatError("obfuscated circuit scheme truncated")
-        scheme = decode_text(rest[:n], "obfuscation scheme")
-        return cls(circuit_from_bytes(rest[n:]), scheme)
+        if rest[:n] != cls.scheme.encode():
+            raise FormatError(f"obfuscation scheme {rest[:n]!r} is not {cls.scheme!r}")
+        return cls(circuit_from_bytes(rest[n:]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, EigensolverError, InvariantError
-from .qcore import BinaryProjector, StateVector
+from .qcore import StateVector
 
 EIGENVALUE_SLACK = 1e-9  # clamp eigenvalues this far outside [0, 1]; error beyond
 CLUSTER_TOL = 1e-9  # eigenvalues this close are one eigenvalue of P_D
@@ -29,7 +28,7 @@ class MixedBinaryPOVM:
     """Uniform mixture of binary projective measurements.
 
     stack[i] is the accept projector of member i; the stack is taken as
-    checked, so build it with `qcore.program_projectors` or `of`.
+    passed by `qcore.check_projectors`.
     """
 
     stack: np.ndarray  # (s, d, d)
@@ -39,16 +38,6 @@ class MixedBinaryPOVM:
             raise DimensionError(f"a POVM mixture needs an (s, d, d) stack, got shape {self.stack.shape}")
         if not len(self.stack):
             raise DimensionError("a POVM mixture needs at least one projector")
-
-    @classmethod
-    def of(cls, projectors: Sequence[BinaryProjector]) -> "MixedBinaryPOVM":
-        """Mixture of checked projectors of one dimension."""
-        if not projectors:
-            raise DimensionError("a POVM mixture needs at least one projector")
-        dims = {p.dim for p in projectors}
-        if len(dims) != 1:
-            raise DimensionError(f"mixed projector dimensions: {sorted(dims)}")
-        return cls(np.stack([p.matrix for p in projectors]))
 
     @property
     def s(self) -> int:
@@ -156,24 +145,6 @@ def projimp(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[float, Stat
     """
     _, value, post = projimp_cluster(povm, state, rng)
     return value, post
-
-
-def projimp_bernoulli_check(povm: MixedBinaryPOVM, state: StateVector) -> float:
-    """Acceptance probability of projimp-then-Bernoulli(p); must equal <psi|P_D|psi>.
-
-    Raises InvariantError if the spectral average and the quadratic form
-    disagree beyond 1e-8; returns the common value.
-    """
-    spec = spectral_measurement(povm.average())
-    probs = spec.probabilities(state)
-    via_spectrum = float(np.dot(probs, spec.eigenvalues))
-    direct = float(np.real(np.vdot(state.amplitudes, povm.average() @ state.amplitudes)))
-    if abs(via_spectrum - direct) > 1e-8:
-        raise InvariantError(
-            f"Bernoulli-equivalence probe failed: spectrum gives {via_spectrum!r}, "
-            f"quadratic form gives {direct!r}"
-        )
-    return direct
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,11 @@ class ExtractionReport:
         }
 
 
-def wm_gen(params: ExtractParams, elwm_params: ElwmParams | None, rng):
+def wm_gen(params: ExtractParams, elwm_params: ElwmParams, rng):
     """Key generation: message space inside the carrier is k+1 bits."""
-    ep = elwm_params or ElwmParams(params.k + 1)
-    if ep.msg_bits != params.k + 1:
-        raise LengthError(f"carrier message space {ep.msg_bits} != k+1 = {params.k + 1}")
-    return elwm.gen(ep, rng)
+    if elwm_params.msg_bits != params.k + 1:
+        raise LengthError(f"carrier message space {elwm_params.msg_bits} != k+1 = {params.k + 1}")
+    return elwm.gen(elwm_params, rng)
 
 
 def wm_mark(prfk: PrfKeyIo, message: str) -> ObfuscatedCircuit:
@@ -165,6 +164,8 @@ def extract(
     api_params = params.api_params()
     master_seed = rng.bytes(16)
 
+    calls: list[dict] = []
+
     def measure(i: int, program: QuantumProgram):
         dist = build_distribution(
             elwm.sim_tau(i),
@@ -175,41 +176,27 @@ def extract(
             tag=tag,
         )
         est, post, info = run_api(dist, program, api_params, rng, engine=params.engine)
-        info = dict(info, index=i)
-        return est, program.with_state(post), info
+        calls.append(dict(info, index=i))
+        return est, program.with_state(post)
 
-    calls: list[dict] = []
-    gate_estimate, current, info = measure(params.k + 1, prog)
-    calls.append(info)
-    if gate_estimate < params.gate_threshold():
-        return ExtractionReport(
-            params.k,
-            params.eps,
-            params.eps_prime,
-            params.delta_prime,
-            params.engine,
-            gate_estimate,
-            (),
-            UNMARKED,
-            False,
-            tuple(calls),
-        )
-    bits: list[str] = []
+    gate_estimate, current = measure(params.k + 1, prog)
     estimates: list[float] = []
-    fallback = False
-    for i in range(1, params.k + 1):
-        est, current, info = measure(i, current)
-        calls.append(info)
-        estimates.append(est)
-        zero_above, one_below = params.bit_thresholds(i)
-        if est > zero_above:
-            bits.append("0")
-        elif est < one_below:
-            bits.append("1")
-        else:
-            fallback = True
-            break
-    decoded = "0" * params.k if fallback else "".join(bits)
+    if gate_estimate < params.gate_threshold():
+        decoded, fallback = UNMARKED, False
+    else:
+        bits: list[str] = []
+        for i in range(1, params.k + 1):
+            est, current = measure(i, current)
+            estimates.append(est)
+            zero_above, one_below = params.bit_thresholds(i)
+            if est > zero_above:
+                bits.append("0")
+            elif est < one_below:
+                bits.append("1")
+            else:
+                break
+        fallback = len(bits) < params.k
+        decoded = "0" * params.k if fallback else "".join(bits)
     return ExtractionReport(
         params.k,
         params.eps,
@@ -261,16 +248,6 @@ class EventTally:
             if not (0 <= getattr(self, name) <= self.trials):
                 raise InvariantError(f"tally {name} outside 0..{self.trials}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "live": self.live,
-            "good_ext": self.good_ext,
-            "bad_ext": self.bad_ext,
-            "unmarked": self.unmarked,
-            "fallback": self.fallback,
-        }
-
 
 def live_probe(prog: QuantumProgram, prfk: PrfKeyIo, params: ExtractParams, coin_key: bytes, master_seed: bytes, rng) -> tuple[bool, float]:
     """Projective implementation of the real query mixture on a fresh copy."""
@@ -293,7 +270,7 @@ def run_event_trial(
     message: str,
     rng,
     *,
-    elwm_params: ElwmParams | None = None,
+    elwm_params: ElwmParams,
 ) -> TrialResult:
     """One independent game: fresh keys, fresh mark, fresh pirate, both probes.
 

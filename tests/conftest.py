@@ -1,6 +1,6 @@
 """Shared fixtures: deterministic rngs, a small watermarking stack, a
-reusable random-program builder for measurement tests, and the dense
-operators of the API walk on H_R (x) H."""
+reusable random-program builder for measurement tests, the dense
+operators of the API walk on H_R (x) H, and measurement oracles."""
 
 from __future__ import annotations
 
@@ -11,7 +11,9 @@ from scipy.linalg import block_diag
 
 from qwmark import elwm, wmprf
 from qwmark.crypto import keyed_rand
-from qwmark.qcore import BinaryProjector, QuantumProgram, StateVector, UnitaryOracle
+from qwmark.errors import InvariantError
+from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
+from qwmark.spectral import MixedBinaryPOVM, spectral_measurement
 
 settings.register_profile("repo", derandomize=True, max_examples=25)
 settings.load_profile("repo")
@@ -70,9 +72,9 @@ class FakeDistribution:
         self.kind = "fake"
 
 
-def dense_cproj(stack: np.ndarray) -> BinaryProjector:
+def dense_cproj(stack: np.ndarray) -> np.ndarray:
     """CProj^1 of an (s, d, d) projector stack as a block-diagonal projector on H_R (x) H."""
-    return BinaryProjector(block_diag(*stack))
+    return check_projectors(block_diag(*stack)[None])[0]
 
 
 def apply_accept(stack: np.ndarray, mat: np.ndarray, reverse: bool) -> np.ndarray:
@@ -85,9 +87,38 @@ def apply_accept(stack: np.ndarray, mat: np.ndarray, reverse: bool) -> np.ndarra
     return mat - branch if reverse else branch
 
 
-def dense_isu(s: int, d: int) -> BinaryProjector:
+def dense_isu(s: int, d: int) -> np.ndarray:
     """IsU = |1_R><1_R| (x) I on H_R (x) H."""
-    return BinaryProjector(np.kron(np.full((s, s), 1.0 / s, dtype=complex), np.eye(d)))
+    return check_projectors(np.kron(np.full((s, s), 1.0 / s, dtype=complex), np.eye(d))[None])[0]
+
+
+def expectation(proj: np.ndarray, state: StateVector) -> float:
+    """<psi|P|psi> of a projector, clamped to [0, 1] against float dust."""
+    val = float(np.real(np.vdot(state.amplitudes, proj @ state.amplitudes)))
+    return min(1.0, max(0.0, val))
+
+
+def accept_probability(prog: QuantumProgram, b: int, x: str, y: str) -> float:
+    """Probability that the program answers b on query (x, y)."""
+    return expectation(program_projectors(prog, [(b, x, y)])[0], prog.state)
+
+
+def projimp_bernoulli_check(povm: MixedBinaryPOVM, state: StateVector) -> float:
+    """Acceptance probability of projimp-then-Bernoulli(p); must equal <psi|P_D|psi>.
+
+    Raises InvariantError if the spectral average and the quadratic form
+    disagree beyond 1e-8; returns the common value.
+    """
+    spec = spectral_measurement(povm.average())
+    probs = spec.probabilities(state)
+    via_spectrum = float(np.dot(probs, spec.eigenvalues))
+    direct = float(np.real(np.vdot(state.amplitudes, povm.average() @ state.amplitudes)))
+    if abs(via_spectrum - direct) > 1e-8:
+        raise InvariantError(
+            f"Bernoulli-equivalence probe failed: spectrum gives {via_spectrum!r}, "
+            f"quadratic form gives {direct!r}"
+        )
+    return direct
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from conftest import FakeDistribution, random_program, random_triples, rng_for
+from conftest import FakeDistribution, projimp_bernoulli_check, random_program, random_triples, rng_for
 from qwmark import cli, elwm, pirates
 from qwmark.api import ApiParams, api_exact, api_fast, distribution_povm
 from qwmark.crypto import (
@@ -33,7 +33,6 @@ from qwmark.pe import pe_dec, pe_enc, pe_gen, pe_puncture
 from qwmark.spectral import (
     OutcomeDistribution,
     projimp,
-    projimp_bernoulli_check,
     shift_distance,
     spectral_measurement,
 )

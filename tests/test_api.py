@@ -4,6 +4,8 @@ engine agreement on the post state, and the binomial outcome law."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -40,6 +42,37 @@ def test_round_count_formula():
         api.ApiParams(0.0, 0.5)
     with pytest.raises(InvariantError):
         api.ApiParams(0.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "eps, delta",
+    [
+        (1e-9 / 16, 0.01),  # 2T beyond int64: extract --eps 1e-9 at k = 3
+        (1e-200 / 16, 0.01),  # eps^2 underflows to 0
+        (0.25 / 16, 5e-324),  # 4 / delta overflows to inf
+    ],
+)
+def test_round_count_must_be_finite_and_fit_one_binomial_draw(eps, delta):
+    with pytest.raises(RoundLimitError):
+        api.ApiParams(eps, delta)
+
+
+def test_largest_round_count_runs_the_fast_engine():
+    # the smallest eps accepted at delta = 0.5, one ulp above one refused
+    eps = math.sqrt(math.log(8.0) / api.MAX_ROUNDS)
+    while True:
+        try:
+            params = api.ApiParams(eps, 0.5)
+            break
+        except RoundLimitError:
+            eps = math.nextafter(eps, 1.0)
+    with pytest.raises(RoundLimitError):
+        api.ApiParams(math.nextafter(eps, 0.0), 0.5)
+    assert api.MAX_ROUNDS - 4096 < params.T <= api.MAX_ROUNDS == (2**63 - 1) // 2
+    prog = coin_pirate()
+    dist = FakeDistribution(random_triples(4, "api-largest-T"))
+    estimate, _, _ = api.api_fast(dist, prog, params, rng_for("api-largest-T"))
+    assert 0.0 <= estimate <= 1.0
 
 
 def test_round_count_not_settable():
@@ -134,8 +167,7 @@ def test_dense_operators_are_projectors():
     prog = random_program(4, "api-dense")
     stack = distribution_povm(prog, FakeDistribution(random_triples(3, "api-dense"))).stack
     assert stack.shape == (3, 4, 4)
-    for op in (dense_cproj(stack), dense_isu(3, 4)):
-        m = op.matrix
+    for m in (dense_cproj(stack), dense_isu(3, 4)):
         assert np.allclose(m @ m, m, atol=1e-10)
 
 
@@ -144,7 +176,7 @@ def test_apply_accept_matches_dense():
     stack = distribution_povm(prog, FakeDistribution(random_triples(3, "api-accept"))).stack
     local = rng_for("api-accept-vec")
     vec = local.normal(size=12) + 1j * local.normal(size=12)
-    dense = dense_cproj(stack).matrix
+    dense = dense_cproj(stack)
     mat = vec.reshape(3, 4)
     assert np.allclose(apply_accept(stack, mat, reverse=False).reshape(-1), dense @ vec)
     assert np.allclose(apply_accept(stack, mat, reverse=True).reshape(-1), vec - dense @ vec)
@@ -156,10 +188,10 @@ def test_compression_identity():
     dist = FakeDistribution(random_triples(5, "api-compress"))
     stack = distribution_povm(prog, dist).stack
     s, d = stack.shape[:2]
-    cproj = dense_cproj(stack).matrix
+    cproj = dense_cproj(stack)
     # embed: |1_R> (x) e_i for the standard basis of H
     embed = np.kron(np.full((s, 1), 1.0 / np.sqrt(s)), np.eye(d))
-    assert np.allclose(embed @ embed.conj().T, dense_isu(s, d).matrix, atol=1e-12)
+    assert np.allclose(embed @ embed.conj().T, dense_isu(s, d), atol=1e-12)
     compressed = embed.conj().T @ cproj @ embed
     assert np.allclose(compressed, distribution_povm(prog, dist).average(), atol=1e-12)
 

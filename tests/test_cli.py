@@ -3,12 +3,17 @@ experiment artifacts, and exit codes."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwmark import api, cli, elwm, wmprf
 from qwmark.crypto import keyed_rand
@@ -401,6 +406,9 @@ def test_experiment_rejects_runs_without_trials(tmp_path, capsys, overrides, arg
         ({"seed": "7"}, cli.EXIT_FORMAT),
         ({"engine": "exact", "eps": 0.001}, cli.EXIT_NUMERIC),
         ({"pirates": [{"kind": "superposed", "theta": float("nan")}]}, cli.EXIT_FORMAT),
+        ({"eps": 1e-9}, cli.EXIT_NUMERIC),
+        ({"eps": 1e-200}, cli.EXIT_NUMERIC),
+        ({"delta_prime": 5e-324}, cli.EXIT_NUMERIC),
     ],
 )
 def test_experiment_checks_the_whole_config_before_any_output(tmp_path, capsys, overrides, code):
@@ -467,6 +475,17 @@ def test_exact_extract_beyond_the_round_cap_exits_at_once(tmp_path, keys, capsys
     assert "rounds" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("eps, delta_prime", [(1e-9, 0.01), (1e-200, 0.01), (0.25, 5e-324)])
+def test_round_counts_beyond_one_binomial_draw_exit_numeric(tmp_path, keys, capsys, eps, delta_prime):
+    # 2T overflows int64, eps'^2 underflows to 0, or 4 / delta' overflows to inf
+    circ_path = tmp_path / "marked.circ"
+    assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
+    argv = ["extract", "--tag", keys["tag"], "--xk", keys["xk"], "--circuit", circ_path, "--s", 4, "--seed", 1]
+    assert run_cli(*argv, "--eps", eps, "--delta-prime", delta_prime) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "rounds" in err and "Traceback" not in err
+
+
 def test_verify_rejects_undecodable_and_malformed_files(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("experiment", "--config", experiment_config(tmp_path, trials=1), "--out", out) == 0
@@ -502,6 +521,93 @@ def test_verify_rejects_summary_fields_of_the_wrong_type(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
     assert run_cli("verify", "--rows", rows, "--summary", out / "summary.json") == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the numeric inputs of extract, sim and experiment
+# ---------------------------------------------------------------------------
+
+ODD_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.25, 5e-324, 1e-200, 1e-9, 2.0**16, 2.0**64)
+ODD_INTS = (0, -1, -(2**16), 2**16, 2**64)
+QWMARK_EXITS = range(cli.EXIT_FORMAT, cli.EXIT_OTHER + 1)
+FUZZ_SECONDS = 5.0
+
+
+def odd_or(plausible, odd=ODD_FLOATS + ODD_INTS):
+    """One of the odd values half the time, else a value from `plausible`."""
+    return st.sampled_from(odd) | plausible
+
+
+# a config field takes any JSON number; an integer flag only integers, since
+# argparse refuses anything else with a usage error before the program runs
+FUZZED = {
+    "k": odd_or(st.integers(1, 3)),
+    "eps": odd_or(st.floats(1e-3, 0.5)),
+    "delta_prime": odd_or(st.floats(1e-300, 0.99)),
+    "theta": odd_or(st.floats(-10.0, 10.0)),
+    "eta": odd_or(st.floats(0.0, 1.0)),
+    "seed": odd_or(st.integers(0, 2**64 - 1)),
+}
+INT_FLAGS = {
+    "seed": odd_or(st.integers(0, 2**64 - 1), ODD_INTS),
+    "index": odd_or(st.integers(1, 4), ODD_INTS),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """keygen (k = 3) and a marked circuit, shared by every fuzzed call."""
+    out = tmp_path_factory.mktemp("fuzz") / "demo"
+    assert run_cli("keygen", "--k", 3, "--seed-bits", 6, "--range-bits", 12, "--seed", 7, "--out", out) == 0
+    circ = out.with_suffix(".circ")
+    assert run_cli("mark", "--key", out.with_suffix(".prfk"), "--message", "101", "--out", circ) == 0
+    return {"tag": out.with_suffix(".tag"), "xk": out.with_suffix(".xk"), "circuit": circ}
+
+
+def exits_cleanly(*argv) -> int:
+    """Run the CLI in-process; it must return 0 or a QwmarkError code, quickly and without a traceback."""
+    err = io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert time.monotonic() - start < FUZZ_SECONDS
+    assert code == 0 or code in QWMARK_EXITS
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.fixed_dictionaries({name: FUZZED[name] for name in ("eps", "delta_prime", "theta", "eta")}), INT_FLAGS["seed"])
+@example({"eps": 1e-9, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0}, 1)
+@example({"eps": 1e-200, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0}, 1)
+@example({"eps": 0.25, "delta_prime": 5e-324, "theta": 0.0, "eta": 0.0}, 1)
+def test_fuzz_extract_numeric_inputs(fuzz_files, values, seed):
+    files = [f"--{name}={path}" for name, path in fuzz_files.items()]
+    numbers = [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+    for kind in ("noisy", "superposed"):
+        exits_cleanly("extract", *files, *numbers, f"--seed={seed!r}", f"--pirate={kind}", "--s=4")
+
+
+@settings(deadline=None)
+@given(index=INT_FLAGS["index"], seed=INT_FLAGS["seed"])
+def test_fuzz_sim_numeric_inputs(fuzz_files, index, seed):
+    files = [f"--tag={fuzz_files['tag']}", f"--xk={fuzz_files['xk']}"]
+    exits_cleanly("sim", *files, f"--index={index!r}", f"--seed={seed!r}")
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.fixed_dictionaries({name: FUZZED[name] for name in ("k", "eps", "delta_prime", "theta", "eta", "seed")}))
+@example({"k": 2, "eps": 1e-9, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0, "seed": 1})
+@example({"k": 2, "eps": 1e-200, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0, "seed": 1})
+@example({"k": 2, "eps": 0.25, "delta_prime": 5e-324, "theta": 0.0, "eta": 0.0, "seed": 1})
+def test_fuzz_experiment_numeric_inputs(values):
+    pirates = [{"kind": "superposed", "theta": values.pop("theta")}, {"kind": "noisy", "eta": values.pop("eta")}]
+    config = {"trials": 1, "seed_bits": 6, "range_bits": 12, "s": 4, "pirates": pirates, **values}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))  # NaN and Infinity go in as JSON extensions
+        if exits_cleanly("experiment", "--config", path, "--out", Path(tmp) / "run") != 0:
+            assert not (Path(tmp) / "run").exists()
 
 
 def test_wilson_interval_properties():

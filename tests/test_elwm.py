@@ -180,8 +180,10 @@ def test_truncated_records_raise_format_error(name):
 def test_corrupt_scheme_raises_format_error(name):
     blob, load = _records()[2][name]
     at = blob.index(b"identity")
-    with pytest.raises(FormatError):
-        load(blob[:at] + b"\xff" + blob[at + 1 :])
+    # an undecodable byte, and a well-formed name of a scheme that does not exist
+    for first in (b"\xff", b"x"):
+        with pytest.raises(FormatError):
+            load(blob[:at] + first + blob[at + 1 :])
 
 
 @pytest.mark.parametrize("last", [b"\xff", b"2"])

@@ -13,7 +13,7 @@ from qwmark.errors import (
     InvariantError,
 )
 
-from conftest import haar_unitary, random_program, rng_for
+from conftest import accept_probability, expectation, haar_unitary, random_program, rng_for
 
 
 def test_state_vector_validation():
@@ -28,9 +28,7 @@ def test_state_vector_validation():
 
 def test_state_vector_helpers():
     psi = qcore.StateVector.basis(8, 3)
-    assert psi.amplitudes[3] == 1.0
-    assert abs(psi.inner(qcore.StateVector.basis(8, 3)) - 1.0) < 1e-14
-    assert abs(psi.inner(qcore.StateVector.basis(8, 4))) < 1e-14
+    assert np.array_equal(psi.amplitudes, np.eye(8)[3])
 
     raw = np.array([3.0, 4.0])
     fixed = qcore.StateVector.from_unnormalized(raw)
@@ -39,14 +37,10 @@ def test_state_vector_helpers():
         qcore.StateVector.from_unnormalized(np.zeros(4))
 
 
-def test_dimension_cap_env(monkeypatch):
-    monkeypatch.setenv(qcore.DIM_CAP_ENV_VAR, "8")
-    assert qcore.dimension_cap() == 8
+def test_dimension_cap():
+    assert qcore.check_dimension(qcore.DIMENSION_CAP) == qcore.DIMENSION_CAP
     with pytest.raises(DimensionCapError):
-        qcore.check_dimension(16)
-    qcore.check_dimension(8)
-    monkeypatch.delenv(qcore.DIM_CAP_ENV_VAR)
-    assert qcore.dimension_cap() == qcore.DEFAULT_DIMENSION_CAP
+        qcore.check_dimension(2 * qcore.DIMENSION_CAP)
 
 
 def test_check_dimension_power_of_two():
@@ -55,24 +49,29 @@ def test_check_dimension_power_of_two():
     qcore.check_dimension(6)
 
 
-def test_binary_projector_validation():
-    with pytest.raises(InvariantError):
-        qcore.BinaryProjector(np.array([[0.5, 0.0], [0.0, 0.0]]))
-    not_hermitian = np.array([[1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(InvariantError):
-        qcore.BinaryProjector(not_hermitian)
+def test_check_projectors_rejects_non_projectors():
+    # a Hermitian non-idempotent member and an idempotent non-Hermitian one,
+    # each caught at every position of the stack
+    for member, message in ((np.diag([0.5, 0.0]), "idempotent"), (np.array([[1.0, 1.0], [0.0, 0.0]]), "Hermitian")):
+        for position in range(3):
+            stack = np.stack([np.diag([1.0, 0.0])] * 3).astype(complex)
+            stack[position] = member
+            with pytest.raises(InvariantError, match=message):
+                qcore.check_projectors(stack)
+    stack = np.stack([np.diag([1.0, 0.0]), np.eye(2)]).astype(complex)
+    assert qcore.check_projectors(stack) is stack and not stack.flags.writeable
 
 
-def test_binary_projector_complement_and_expectation():
-    p = qcore.BinaryProjector(np.diag([1.0, 0.0, 1.0, 0.0]))
+def test_projector_expectation():
+    p = np.diag([1.0, 0.0, 1.0, 0.0])
     psi = qcore.StateVector(np.array([0.6, 0.8, 0.0, 0.0]))
-    assert abs(p.expectation(psi) - 0.36) < 1e-12
+    assert abs(expectation(p, psi) - 0.36) < 1e-12
 
 
 def test_unitary_oracle_rejects_non_unitary():
     bad = qcore.UnitaryOracle(2, lambda x, y: np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(InvariantError):
-        bad.matrix("0", "0")
+        bad.matrices([("0", "0")])
 
 
 def test_unitary_oracle_rechecks_only_new_points():
@@ -83,8 +82,8 @@ def test_unitary_oracle_rechecks_only_new_points():
         return np.eye(2, dtype=complex)
 
     oracle = qcore.UnitaryOracle(2, build)
-    oracle.matrix("0", "1")
-    oracle.matrix("0", "1")
+    oracle.matrices([("0", "1")])
+    oracle.matrices([("0", "1")])
     # evaluate runs every call (no matrix cache) but both calls succeed
     assert calls == [("0", "1"), ("0", "1")]
 
@@ -135,7 +134,7 @@ def test_program_projector_is_a_slice_of_the_stack():
     stack = qcore.program_projectors(prog, triples)
     assert stack.shape == (6, 8, 8) and not stack.flags.writeable
     for r, (b, x, y) in enumerate(triples):
-        assert np.array_equal(qcore.program_projector(prog, b, x, y).matrix, stack[r])
+        assert np.array_equal(qcore.program_projectors(prog, [(b, x, y)])[0], stack[r])
         # the per-triple product that preceded the batched one
         rows = prog.unitaries.evaluate(x, y)[b * 4 : (b + 1) * 4, :]
         assert np.array_equal(rows.conj().T @ rows, stack[r])
@@ -148,8 +147,7 @@ def test_program_projector_is_a_slice_of_the_stack():
 def test_program_projector_shape_and_idempotence():
     prog = random_program(8, "qc-proj")
     for b in (0, 1):
-        proj = qcore.program_projector(prog, b, "0110", "101")
-        m = proj.matrix
+        m = qcore.program_projectors(prog, [(b, "0110", "101")])[0]
         assert m.shape == (8, 8)
         assert np.allclose(m, m.conj().T)
         assert np.allclose(m @ m, m, atol=1e-10)
@@ -158,8 +156,7 @@ def test_program_projector_shape_and_idempotence():
 def test_program_projector_completeness():
     # accepting b and accepting 1-b partition the space for fixed (x, y)
     prog = random_program(4, "qc-complete")
-    p0 = qcore.program_projector(prog, 0, "00", "1").matrix
-    p1 = qcore.program_projector(prog, 1, "00", "1").matrix
+    p0, p1 = qcore.program_projectors(prog, [(0, "00", "1"), (1, "00", "1")])
     assert np.allclose(p0 + p1, np.eye(4), atol=1e-10)
 
 
@@ -172,10 +169,8 @@ def test_program_projector_output_register_is_first_qubit():
         qcore.StateVector.basis(4, 0),
         qcore.UnitaryOracle(4, lambda x, y: x_first),
     )
-    accept1 = qcore.program_projector(prog, 1, "0", "0")
-    assert abs(accept1.expectation(prog.state) - 1.0) < 1e-12
-    accept0 = qcore.program_projector(prog, 0, "0", "0")
-    assert abs(accept0.expectation(prog.state)) < 1e-12
+    assert abs(accept_probability(prog, 1, "0", "0") - 1.0) < 1e-12
+    assert abs(accept_probability(prog, 0, "0", "0")) < 1e-12
 
 
 def test_classical_answer_program_expectation():
@@ -191,7 +186,7 @@ def test_classical_answer_program_expectation():
         for yv in range(2):
             x, y = format(xv, "02b"), format(yv, "01b")
             a = (xv + yv) % 2
-            got = qcore.program_projector(prog, 1, x, y).expectation(prog.state)
+            got = accept_probability(prog, 1, x, y)
             assert abs(got - a) < 1e-12
 
 

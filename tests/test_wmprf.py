@@ -87,6 +87,32 @@ def test_honest_pirate_decodes_exactly(small_stack):
     assert len(report.calls) == params.k + 1
 
 
+@pytest.mark.parametrize(
+    "estimates, decoded, fallback",
+    [
+        ((0.5,), "unmarked", False),  # below the gate threshold 0.6875
+        ((1.0, 0.9, 0.1, 0.9), "010", False),
+        ((1.0, 0.9, 0.5), "000", True),  # 0.5 lies inside position 2's band (0.4375, 0.5625)
+    ],
+)
+def test_extraction_report_of_each_outcome(small_stack, monkeypatch, estimates, decoded, fallback):
+    # the estimates come in order: the gate (position k + 1), then positions 1..k
+    scripted = iter(estimates)
+
+    def run_api(dist, prog, params, rng, *, engine):
+        est = next(scripted)
+        return est, prog.state, {"engine": engine, "estimate": est}
+
+    monkeypatch.setattr(wmprf, "run_api", run_api)
+    prog = pirates.honest_pirate(small_stack["circuit"])
+    report = wmprf.extract(
+        small_stack["coin_key"], small_stack["tag"], prog, small_stack["params"], rng_for("wm-outcomes")
+    )
+    assert (report.decoded, report.fallback) == (decoded, fallback)
+    assert (report.gate_estimate, report.bit_estimates) == (estimates[0], estimates[1:])
+    assert [call["index"] for call in report.calls] == [4, 1, 2, 3][: len(estimates)]
+
+
 def test_honest_pirate_decodes_with_exact_engine(small_stack):
     params = wmprf.ExtractParams(
         k=small_stack["params"].k,
@@ -205,6 +231,4 @@ def test_run_event_trial_and_classify():
 def test_event_tally_validation():
     with pytest.raises(InvariantError):
         wmprf.EventTally(trials=2, live=3, good_ext=0, bad_ext=0, unmarked=0, fallback=0)
-    tally = wmprf.EventTally(trials=2, live=1, good_ext=1, bad_ext=0, unmarked=1, fallback=0)
-    d = tally.to_json_dict()
-    assert d["trials"] == 2 and d["unmarked"] == 1
+    wmprf.EventTally(trials=2, live=1, good_ext=1, bad_ext=0, unmarked=1, fallback=0)
