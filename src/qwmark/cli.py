@@ -22,6 +22,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -328,6 +329,8 @@ def summarize_rows(rows: list[dict], config: dict) -> dict:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise IndexRangeError(f"--jobs must be at least 1, got {args.jobs}")
     config = _experiment_config(args.config)
     if args.trials is not None:
         config["trials"] = args.trials
@@ -345,9 +348,10 @@ def cmd_experiment(args) -> int:
     trials = int(config["trials"])
     tasks = [(b, t) for b in range(len(config["pirates"])) for t in range(trials)]
     started = time.monotonic()
-    if args.jobs > 1:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         config_json = json.dumps(config)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_trial_task, [config_json] * len(tasks), *zip(*tasks), chunksize=8))
     else:
         rows = [_run_trial(config, b, t) for b, t in tasks]
@@ -376,6 +380,9 @@ def cmd_verify(args) -> int:
         raise FormatError(f"rows file header {reader.fieldnames!r} is not {ROW_FIELDS!r}")
     if not rows:
         raise FormatError("rows file holds no trials")
+    # DictReader fills a short row with None values and files extra fields under the key None
+    if any(None in row or None in row.values() for row in rows):
+        raise FormatError(f"rows file holds a row without exactly the {len(ROW_FIELDS)} header fields")
     try:
         stored = json.loads(decode_text(Path(args.summary).read_bytes(), "summary file"))
     except json.JSONDecodeError as exc:
@@ -459,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--trials", type=int, help="override config trial count")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes; at most one per trial and per CPU start")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", help="recompute a summary from rows and compare")

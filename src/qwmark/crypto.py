@@ -17,8 +17,10 @@ Conventions
   paths in a fixed-size LRU (``_WALK_MEMO_SIZE`` entries).  A trial walks the
   same paths more than once: Sim encrypts, the marked circuit decrypts the same
   ciphertexts, and the live probe's PRF value is recomputed by the circuit.
-* Serialized keys use length-prefixed byte layouts, documented per type.  A
-  truncated or undecodable record raises ``FormatError``.
+* Every serialized key, tag and circuit is built from one record layout,
+  written by ``write_record`` and read by ``read_record``: u16 fields, then
+  the u16 length of each blob, then the blobs, all big-endian.  A truncated,
+  overlong or undecodable record raises ``FormatError``.
 """
 
 from __future__ import annotations
@@ -78,12 +80,36 @@ def xor_bits(a: str, b: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def read_header(fmt: str, data: bytes, what: str) -> tuple[tuple[int, ...], bytes]:
-    """Unpack a fixed-width struct header; returns (fields, rest)."""
-    size = struct.calcsize(fmt)
-    if len(data) < size:
+def write_record(fields, blobs) -> bytes:
+    """Serialize a record: each field as a big-endian u16, then the u16 length of each blob, then the blobs.
+
+    This is the one layout of every key, tag and circuit; a record may follow a
+    magic or a kind byte, and may itself be followed by another record.
+    """
+    return struct.pack(f">{len(fields) + len(blobs)}H", *fields, *map(len, blobs)) + b"".join(blobs)
+
+
+def read_record(data: bytes, n_fields: int, n_blobs: int, what: str) -> tuple[tuple[int, ...], list[bytes], bytes]:
+    """Inverse of ``write_record`` on a prefix of `data`; returns (fields, blobs, rest)."""
+    at = 2 * (n_fields + n_blobs)
+    if len(data) < at:
         raise FormatError(f"{what} record truncated in its header")
-    return struct.unpack(fmt, data[:size]), data[size:]
+    header = struct.unpack(f">{n_fields + n_blobs}H", data[:at])
+    blobs = []
+    for n in header[n_fields:]:
+        if len(data) < at + n:
+            raise FormatError(f"{what} record truncated")
+        blobs.append(data[at : at + n])
+        at += n
+    return header[:n_fields], blobs, data[at:]
+
+
+def read_whole_record(data: bytes, n_fields: int, n_blobs: int, what: str) -> tuple[tuple[int, ...], list[bytes]]:
+    """``read_record`` on all of `data`: trailing bytes are malformed."""
+    fields, blobs, rest = read_record(data, n_fields, n_blobs, what)
+    if rest:
+        raise FormatError(f"trailing bytes after {what} record")
+    return fields, blobs
 
 
 def load_field(make, *args, what: str):
@@ -163,7 +189,7 @@ def _leaf_output(seed: bytes, out_bits: int) -> str:
 class GgmKey:
     """Root of a GGM tree mapping {0,1}^domain_bits -> {0,1}^out_bits.
 
-    Serialized layout: u16 domain_bits || u16 out_bits || u16 len(seed) || seed.
+    Its record has the fields (domain_bits, out_bits) and the blob seed.
     """
 
     seed: bytes
@@ -175,21 +201,12 @@ class GgmKey:
             raise LengthError("domain_bits and out_bits must be positive")
 
     def to_bytes(self) -> bytes:
-        return struct.pack(">HHH", self.domain_bits, self.out_bits, len(self.seed)) + self.seed
+        return write_record((self.domain_bits, self.out_bits), (self.seed,))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GgmKey":
-        key, rest = cls.read_from(data)
-        if rest:
-            raise FormatError("trailing bytes after GgmKey")
-        return key
-
-    @classmethod
-    def read_from(cls, data: bytes) -> tuple["GgmKey", bytes]:
-        (domain_bits, out_bits, n), rest = read_header(">HHH", data, "GgmKey")
-        if len(rest) < n:
-            raise FormatError("GgmKey seed truncated")
-        return load_field(cls, rest[:n], domain_bits, out_bits, what="GgmKey"), rest[n:]
+        (domain_bits, out_bits), (seed,) = read_whole_record(data, 2, 1, "GgmKey")
+        return load_field(cls, seed, domain_bits, out_bits, what="GgmKey")
 
 
 def ggm_gen(domain_bits: int, out_bits: int, rng) -> GgmKey:
@@ -281,7 +298,7 @@ def _affine_mask(base: str, affine: tuple[tuple[int, ...], int], x: str) -> str:
 class InjectivePprfKey:
     """GGM key plus affine mask seed.
 
-    Serialized layout: GgmKey bytes || u16 len(mask_seed) || mask_seed.
+    Serialized as the GgmKey record followed by a record with the blob mask_seed.
     """
 
     ggm: GgmKey
@@ -307,22 +324,14 @@ class InjectivePprfKey:
         return self.ggm.out_bits
 
     def to_bytes(self) -> bytes:
-        return self.ggm.to_bytes() + struct.pack(">H", len(self.mask_seed)) + self.mask_seed
+        return self.ggm.to_bytes() + write_record((), (self.mask_seed,))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "InjectivePprfKey":
-        key, rest = cls.read_from(data)
-        if rest:
-            raise FormatError("trailing bytes after InjectivePprfKey")
-        return key
-
-    @classmethod
-    def read_from(cls, data: bytes) -> tuple["InjectivePprfKey", bytes]:
-        ggm, rest = GgmKey.read_from(data)
-        (n,), rest = read_header(">H", rest, "InjectivePprfKey mask seed")
-        if len(rest) < n:
-            raise FormatError("InjectivePprfKey mask seed truncated")
-        return load_field(cls, ggm, rest[:n], what="InjectivePprfKey"), rest[n:]
+        (domain_bits, out_bits), (seed,), rest = read_record(data, 2, 1, "InjectivePprfKey")
+        ggm = load_field(GgmKey, seed, domain_bits, out_bits, what="InjectivePprfKey")
+        _, (mask_seed,) = read_whole_record(rest, 0, 1, "InjectivePprfKey mask seed")
+        return load_field(cls, ggm, mask_seed, what="InjectivePprfKey")
 
 
 def injective_pprf_gen(in_bits: int, out_bits: int, rng) -> InjectivePprfKey:

@@ -30,8 +30,7 @@ makes the simulation public.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import ClassVar
 
 from .crypto import (
@@ -45,7 +44,8 @@ from .crypto import (
     keyed_rand,
     load_field,
     prg,
-    read_header,
+    read_whole_record,
+    write_record,
 )
 from .errors import FormatError, IndexRangeError, LengthError
 from .pe import (
@@ -56,7 +56,6 @@ from .pe import (
     circuit_from_bytes,
     circuit_to_bytes,
     pe_gen,
-    register_circuit_kind,
 )
 
 PRFK_MAGIC = b"QWPK1"
@@ -73,6 +72,8 @@ class ElwmParams:
     range_bits: PRF output length.
     Derived: idx_bits = bits to address a message position, pt_bits the
     plaintext width, domain_bits = 12 * pt_bits the PRF domain width.
+    The fields, in this order, are the fields of the PRF key, tag and marked
+    circuit records.
     """
 
     msg_bits: int
@@ -101,20 +102,6 @@ class ElwmParams:
     def domain_bits(self) -> int:
         return 12 * self.pt_bits
 
-    def to_bytes(self) -> bytes:
-        return struct.pack(">HHH", self.msg_bits, self.seed_bits, self.range_bits)
-
-    @classmethod
-    def read_from(cls, data: bytes) -> tuple["ElwmParams", bytes]:
-        (msg_bits, seed_bits, range_bits), rest = read_header(">HHH", data, "params")
-        return load_field(cls, msg_bits, seed_bits, range_bits, what="params"), rest
-
-
-def _expect_kind(circuit, cls: type, role: str):
-    if not isinstance(circuit, cls):
-        raise FormatError(f"{role} holds a {type(circuit).__name__}, expected a {cls.__name__}")
-    return circuit
-
 
 def _check_widths(params: ElwmParams, role: str, pe_circuit, f_main: GgmKey | None = None) -> None:
     """A loaded record's keys must have the widths its params declare."""
@@ -137,29 +124,19 @@ class PrfKeyIo:
     gen_id: bytes  # shared with the tag produced by the same gen() call
 
     def to_bytes(self) -> bytes:
-        f = self.f_main.to_bytes()
-        d = circuit_to_bytes(self.pe_dk)
-        return (
-            PRFK_MAGIC
-            + self.params.to_bytes()
-            + struct.pack(">HHH", len(f), len(d), len(self.gen_id))
-            + f
-            + d
-            + self.gen_id
-        )
+        blobs = (self.f_main.to_bytes(), circuit_to_bytes(self.pe_dk), self.gen_id)
+        return PRFK_MAGIC + write_record(astuple(self.params), blobs)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PrfKeyIo":
         if data[:5] != PRFK_MAGIC:
             raise FormatError("bad PRF key magic")
-        params, rest = ElwmParams.read_from(data[5:])
-        (nf, nd, ng), body = read_header(">HHH", rest, "PRF key")
-        if len(body) != nf + nd + ng:
-            raise FormatError("PRF key record length mismatch")
-        f_main = GgmKey.from_bytes(body[:nf])
-        pe_dk = _expect_kind(circuit_from_bytes(body[nf : nf + nd]), DecryptionCircuit, "PRF key")
+        fields, (f, d, gen_id) = read_whole_record(data[5:], 3, 3, "PRF key")
+        params = load_field(ElwmParams, *fields, what="PRF key params")
+        f_main = GgmKey.from_bytes(f)
+        pe_dk = circuit_from_bytes(d, DecryptionCircuit, "PRF key")
         _check_widths(params, "PRF key", pe_dk, f_main)
-        return cls(params, f_main, pe_dk, body[nf + nd :])
+        return cls(params, f_main, pe_dk, gen_id)
 
 
 @dataclass(frozen=True)
@@ -171,26 +148,17 @@ class TagIo:
     gen_id: bytes
 
     def to_bytes(self) -> bytes:
-        e = self.pe_ek.to_bytes()
-        return (
-            TAG_MAGIC
-            + self.params.to_bytes()
-            + struct.pack(">HH", len(e), len(self.gen_id))
-            + e
-            + self.gen_id
-        )
+        return TAG_MAGIC + write_record(astuple(self.params), (self.pe_ek.to_bytes(), self.gen_id))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TagIo":
         if data[:5] != TAG_MAGIC:
             raise FormatError("bad tag magic")
-        params, rest = ElwmParams.read_from(data[5:])
-        (ne, ng), body = read_header(">HH", rest, "tag")
-        if len(body) != ne + ng:
-            raise FormatError("tag record length mismatch")
-        pe_ek = ObfuscatedCircuit.from_bytes(body[:ne])
-        _check_widths(params, "tag", _expect_kind(pe_ek.circuit, EncryptionCircuit, "tag"))
-        return cls(params, pe_ek, body[ne:])
+        fields, (e, gen_id) = read_whole_record(data[5:], 3, 2, "tag")
+        params = load_field(ElwmParams, *fields, what="tag params")
+        pe_ek = ObfuscatedCircuit.from_bytes(e, EncryptionCircuit, "tag")
+        _check_widths(params, "tag", pe_ek.circuit)
+        return cls(params, pe_ek, gen_id)
 
 
 def gen(params: ElwmParams, rng) -> tuple[PrfKeyIo, TagIo]:
@@ -243,27 +211,20 @@ class MarkedEvalCircuit:
         return ggm_eval(self.f_main, x)
 
     def payload_bytes(self) -> bytes:
-        f = self.f_main.to_bytes()
-        d = circuit_to_bytes(self.pe_dk)
-        msg = self.message.encode()
-        return self.params.to_bytes() + struct.pack(">HHH", len(f), len(d), len(msg)) + f + d + msg
+        blobs = (self.f_main.to_bytes(), circuit_to_bytes(self.pe_dk), self.message.encode())
+        return write_record(astuple(self.params), blobs)
 
     @classmethod
     def from_payload(cls, data: bytes) -> "MarkedEvalCircuit":
-        params, rest = ElwmParams.read_from(data)
-        (nf, nd, nm), body = read_header(">HHH", rest, "marked circuit")
-        if len(body) != nf + nd + nm:
-            raise FormatError("marked circuit payload length mismatch")
-        message = decode_text(body[nf + nd :], "marked circuit message")
+        fields, (f, d, msg) = read_whole_record(data, 3, 3, "marked circuit")
+        params = load_field(ElwmParams, *fields, what="marked circuit params")
+        message = decode_text(msg, "marked circuit message")
         if len(message) != params.msg_bits or message.strip("01"):
             raise FormatError(f"marked circuit message must be {params.msg_bits} bits, got {message!r}")
-        f_main = GgmKey.from_bytes(body[:nf])
-        pe_dk = _expect_kind(circuit_from_bytes(body[nf : nf + nd]), DecryptionCircuit, "marked circuit")
+        f_main = GgmKey.from_bytes(f)
+        pe_dk = circuit_from_bytes(d, DecryptionCircuit, "marked circuit")
         _check_widths(params, "marked circuit", pe_dk, f_main)
         return cls(params, f_main, pe_dk, message)
-
-
-register_circuit_kind(MarkedEvalCircuit.KIND_TAG, MarkedEvalCircuit)
 
 
 def mark(prfk: PrfKeyIo, message: str) -> ObfuscatedCircuit:
@@ -279,9 +240,7 @@ def marked_circuit_to_bytes(circuit: ObfuscatedCircuit) -> bytes:
 def marked_circuit_from_bytes(data: bytes) -> ObfuscatedCircuit:
     if data[:5] != CIRCUIT_MAGIC:
         raise FormatError("bad marked circuit magic")
-    circuit = ObfuscatedCircuit.from_bytes(data[5:])
-    _expect_kind(circuit.circuit, MarkedEvalCircuit, "marked circuit file")
-    return circuit
+    return ObfuscatedCircuit.from_bytes(data[5:], MarkedEvalCircuit, "marked circuit file")
 
 
 # ---------------------------------------------------------------------------

@@ -14,25 +14,25 @@ uniform strings decrypt with probability ~2^(-6*ell): the scheme is sparse.
 Puncturing at a ciphertext c* wraps the decryption circuit with an equality
 gate that returns bottom on c* and is unchanged elsewhere.
 
-Encryption/decryption programs are *circuit records*: plain data (keys plus a
-kind tag) evaluated by a fixed interpreter, so they can be serialized.  The
-published handle of a circuit is an `ObfuscatedCircuit` under the "identity"
-scheme: it wraps the record unchanged, preserves functionality and hides
-nothing.  Every security claim downstream of obfuscation is therefore vacuous
-in this build; the package verifies functional and measurement-theoretic
-behavior only.
+Encryption/decryption programs are *circuit records*: plain data (keys)
+evaluated by a fixed interpreter.  A circuit serializes as its one-byte
+KIND_TAG followed by its widths and keys in one ``crypto.write_record``
+record.  A reader names the class it expects, and a circuit of any other kind
+is malformed.  The published handle of a circuit is an `ObfuscatedCircuit`
+under the "identity" scheme: it wraps the record unchanged, preserves
+functionality and hides nothing.  Every security claim downstream of
+obfuscation is therefore vacuous in this build; the package verifies
+functional and measurement-theoretic behavior only.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import ClassVar
 
 from .crypto import (
     GgmKey,
     InjectivePprfKey,
-    bits_to_bytes,
     bytes_to_bits,
     check_bits,
     ggm_eval,
@@ -40,7 +40,9 @@ from .crypto import (
     injective_pprf_eval,
     injective_pprf_gen,
     prg,
-    read_header,
+    read_record,
+    read_whole_record,
+    write_record,
     xor_bits,
 )
 from .errors import FormatError, LengthError
@@ -49,27 +51,15 @@ from .errors import FormatError, LengthError
 # circuit records and their published handle
 # ---------------------------------------------------------------------------
 
-_CIRCUIT_REGISTRY: dict[int, type] = {}
-
-
-def register_circuit_kind(tag: int, cls: type) -> type:
-    if tag in _CIRCUIT_REGISTRY and _CIRCUIT_REGISTRY[tag] is not cls:
-        raise FormatError(f"circuit kind tag {tag} already registered")
-    _CIRCUIT_REGISTRY[tag] = cls
-    return cls
-
 
 def circuit_to_bytes(circuit) -> bytes:
-    return struct.pack(">B", circuit.KIND_TAG) + circuit.payload_bytes()
+    return bytes([circuit.KIND_TAG]) + circuit.payload_bytes()
 
 
-def circuit_from_bytes(data: bytes):
-    if not data:
-        raise FormatError("empty circuit record")
-    tag = data[0]
-    cls = _CIRCUIT_REGISTRY.get(tag)
-    if cls is None:
-        raise FormatError(f"unknown circuit kind tag {tag}")
+def circuit_from_bytes(data: bytes, cls: type, what: str):
+    """Decode a circuit record that must be of the kind `cls`."""
+    if data[:1] != bytes([cls.KIND_TAG]):
+        raise FormatError(f"{what} holds circuit kind {data[:1].hex() or 'none'}, expected a {cls.__name__}")
     return cls.from_payload(data[1:])
 
 
@@ -79,7 +69,8 @@ class ObfuscatedCircuit:
 
     The identity scheme keeps the record accessible as `.circuit`; an actual
     hiding transformation would not.  It is the only scheme, and a record
-    naming any other is malformed.
+    naming any other is malformed.  Serialized as a record with the blob
+    scheme, followed by the circuit record.
     """
 
     scheme: ClassVar[str] = "identity"
@@ -90,26 +81,20 @@ class ObfuscatedCircuit:
         return self.circuit.run(*args)
 
     def to_bytes(self) -> bytes:
-        scheme = self.scheme.encode()
-        return struct.pack(">H", len(scheme)) + scheme + circuit_to_bytes(self.circuit)
+        return write_record((), (self.scheme.encode(),)) + circuit_to_bytes(self.circuit)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ObfuscatedCircuit":
-        (n,), rest = read_header(">H", data, "obfuscated circuit")
-        if rest[:n] != cls.scheme.encode():
-            raise FormatError(f"obfuscation scheme {rest[:n]!r} is not {cls.scheme!r}")
-        return cls(circuit_from_bytes(rest[n:]))
+    def from_bytes(cls, data: bytes, kind: type, what: str) -> "ObfuscatedCircuit":
+        """Decode a handle whose circuit must be of the kind `kind`."""
+        _, (scheme,), rest = read_record(data, 0, 1, what)
+        if scheme != cls.scheme.encode():
+            raise FormatError(f"obfuscation scheme {scheme!r} is not {cls.scheme!r}")
+        return cls(circuit_from_bytes(rest, kind, what))
 
 
 # ---------------------------------------------------------------------------
 # the encryption / decryption circuits
 # ---------------------------------------------------------------------------
-
-
-def _write_keys(circuit) -> bytes:
-    f = circuit.f_key.to_bytes()
-    g = circuit.g_key.to_bytes()
-    return struct.pack(">HHH", circuit.ell, len(f), len(g)) + f + g
 
 
 def _check_key_widths(f_key: InjectivePprfKey, g_key: GgmKey, ell: int, what: str) -> None:
@@ -122,28 +107,33 @@ def _check_key_widths(f_key: InjectivePprfKey, g_key: GgmKey, ell: int, what: st
         )
 
 
-def _read_keys(data: bytes, what: str) -> tuple[InjectivePprfKey, GgmKey, int]:
-    """(f_key, g_key, ell) from the payload shared by both plain circuits."""
-    (ell, nf, ng), body = read_header(">HHH", data, what)
-    if len(body) != nf + ng:
-        raise FormatError(f"{what} payload length mismatch")
-    f_key, g_key = InjectivePprfKey.from_bytes(body[:nf]), GgmKey.from_bytes(body[nf:])
-    _check_key_widths(f_key, g_key, ell, what)
-    return f_key, g_key, ell
-
-
 def _split_ct(c: str, ell: int) -> tuple[str, str, str]:
     check_bits(c, 12 * ell, what="ciphertext")
     return c[: 2 * ell], c[2 * ell : 11 * ell], c[11 * ell :]
 
 
 @dataclass(frozen=True)
-class EncryptionCircuit:
-    KIND_TAG: ClassVar[int] = 1
+class _KeyedCircuit:
+    """Keys of a plain PE circuit; its record has the field ell and the blobs f_key, g_key."""
 
     f_key: InjectivePprfKey
     g_key: GgmKey
     ell: int
+
+    def payload_bytes(self) -> bytes:
+        return write_record((self.ell,), (self.f_key.to_bytes(), self.g_key.to_bytes()))
+
+    @classmethod
+    def from_payload(cls, data: bytes):
+        (ell,), (f, g) = read_whole_record(data, 1, 2, cls.__name__)
+        f_key, g_key = InjectivePprfKey.from_bytes(f), GgmKey.from_bytes(g)
+        _check_key_widths(f_key, g_key, ell, cls.__name__)
+        return cls(f_key, g_key, ell)
+
+
+@dataclass(frozen=True)
+class EncryptionCircuit(_KeyedCircuit):
+    KIND_TAG: ClassVar[int] = 1
 
     def run(self, m: str, s: str) -> str:
         check_bits(m, self.ell, what="plaintext")
@@ -153,21 +143,10 @@ class EncryptionCircuit:
         gamma = xor_bits(ggm_eval(self.g_key, beta), m)
         return alpha + beta + gamma
 
-    def payload_bytes(self) -> bytes:
-        return _write_keys(self)
-
-    @classmethod
-    def from_payload(cls, data: bytes) -> "EncryptionCircuit":
-        return cls(*_read_keys(data, "encryption circuit"))
-
 
 @dataclass(frozen=True)
-class DecryptionCircuit:
+class DecryptionCircuit(_KeyedCircuit):
     KIND_TAG: ClassVar[int] = 2
-
-    f_key: InjectivePprfKey
-    g_key: GgmKey
-    ell: int
 
     def run(self, c: str) -> str | None:
         alpha, beta, gamma = _split_ct(c, self.ell)
@@ -176,19 +155,10 @@ class DecryptionCircuit:
             return None
         return m
 
-    def payload_bytes(self) -> bytes:
-        return _write_keys(self)
-
-    @classmethod
-    def from_payload(cls, data: bytes) -> "DecryptionCircuit":
-        return cls(*_read_keys(data, "decryption circuit"))
-
 
 @dataclass(frozen=True)
 class PuncturedDecryptionCircuit:
     """Decryption with an equality gate: bottom on the punctured ciphertext."""
-
-    KIND_TAG: ClassVar[int] = 3
 
     f_key: InjectivePprfKey
     g_key: GgmKey
@@ -200,26 +170,6 @@ class PuncturedDecryptionCircuit:
         if c == self.c_star:
             return None
         return DecryptionCircuit(self.f_key, self.g_key, self.ell).run(c)
-
-    def payload_bytes(self) -> bytes:
-        f = self.f_key.to_bytes()
-        g = self.g_key.to_bytes()
-        cb = bits_to_bytes(self.c_star)
-        return struct.pack(">HHHH", self.ell, len(f), len(g), len(cb)) + f + g + cb
-
-    @classmethod
-    def from_payload(cls, data: bytes) -> "PuncturedDecryptionCircuit":
-        (ell, nf, ng, nc), body = read_header(">HHHH", data, "punctured decryption circuit")
-        if len(body) != nf + ng + nc or nc != (12 * ell + 7) // 8:
-            raise FormatError("punctured decryption circuit payload length mismatch")
-        f_key, g_key = InjectivePprfKey.from_bytes(body[:nf]), GgmKey.from_bytes(body[nf : nf + ng])
-        _check_key_widths(f_key, g_key, ell, "punctured decryption circuit")
-        return cls(f_key, g_key, ell, bytes_to_bits(body[nf + ng :], 12 * ell))
-
-
-register_circuit_kind(EncryptionCircuit.KIND_TAG, EncryptionCircuit)
-register_circuit_kind(DecryptionCircuit.KIND_TAG, DecryptionCircuit)
-register_circuit_kind(PuncturedDecryptionCircuit.KIND_TAG, PuncturedDecryptionCircuit)
 
 
 # ---------------------------------------------------------------------------
@@ -271,5 +221,4 @@ __all__ = [
     "pe_puncture",
     "circuit_to_bytes",
     "circuit_from_bytes",
-    "register_circuit_kind",
 ]

@@ -419,6 +419,47 @@ def test_experiment_checks_the_whole_config_before_any_output(tmp_path, capsys, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_experiment_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "run"
+    assert run_cli("experiment", "--config", experiment_config(tmp_path), "--out", out, "--jobs", jobs) == cli.EXIT_LENGTH
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, started",
+    [(100_000, 8, [4]), (100_000, 3, [3]), (2, 8, [2]), (100_000, None, []), (1, 8, [])],
+    ids=["tasks", "cpus", "jobs", "unknown-cpus", "one-job"],
+)
+def test_experiment_starts_at_most_one_worker_per_task_and_cpu(tmp_path, capsys, monkeypatch, jobs, cpus, started):
+    workers = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    config = experiment_config(tmp_path, trials=2, s=4)  # 2 pirates x 2 trials = 4 tasks
+    assert run_cli("experiment", "--config", config, "--out", tmp_path / "serial") == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert run_cli("experiment", "--config", config, "--out", tmp_path / "pooled", "--jobs", jobs) == 0
+    capsys.readouterr()
+    assert workers == started
+    assert (tmp_path / "pooled" / "rows.csv").read_bytes() == (tmp_path / "serial" / "rows.csv").read_bytes()
+
+
 def test_extract_maps_flush_limit_to_numeric_exit(tmp_path, keys, capsys, monkeypatch):
     circ_path = tmp_path / "marked.circ"
     assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
@@ -499,7 +540,11 @@ def test_verify_rejects_undecodable_and_malformed_files(tmp_path, capsys):
     bad_batch = tmp_path / "bad_batch.csv"
     header, first = rows.read_text().splitlines()[:2]
     bad_batch.write_text(f"{header}\nx{first[1:]}\n")
+    short_row, long_row = tmp_path / "short_row.csv", tmp_path / "long_row.csv"
+    short_row.write_text(f"{header}\n0,honest,0\n")
+    long_row.write_text(f"{header}\n{first},extra\n")
     pairs = [(binary, summary), (rows, binary), (rows, not_json), (rows, rows), (foreign, summary), (bad_batch, summary)]
+    pairs += [(short_row, summary), (long_row, summary)]
     for r, s in pairs:
         assert run_cli("verify", "--rows", r, "--summary", s) == cli.EXIT_FORMAT
         assert "Traceback" not in capsys.readouterr().err
@@ -608,6 +653,50 @@ def test_fuzz_experiment_numeric_inputs(values):
         path.write_text(json.dumps(config))  # NaN and Infinity go in as JSON extensions
         if exits_cleanly("experiment", "--config", path, "--out", Path(tmp) / "run") != 0:
             assert not (Path(tmp) / "run").exists()
+
+
+# ---------------------------------------------------------------------------
+# every input file in every file slot
+# ---------------------------------------------------------------------------
+
+
+def test_input_files_of_every_kind_in_every_file_slot(tmp_path, keys):
+    config = experiment_config(tmp_path, trials=1, s=4, pirates=[{"kind": "honest"}])
+    run, circ = tmp_path / "run", tmp_path / "demo.circ"
+    assert exits_cleanly("mark", "--key", keys["prfk"], "--message", "101", "--out", circ) == 0
+    assert exits_cleanly("experiment", "--config", config, "--out", run) == 0
+    empty, binary = tmp_path / "empty", tmp_path / "binary"
+    empty.write_bytes(b"")
+    binary.write_bytes(b"\xff\xfe\x00batch\x80")
+    files = {
+        "empty": empty,
+        "directory": keys["prfk"].parent,
+        "binary": binary,
+        "prfk": keys["prfk"],
+        "tag": keys["tag"],
+        "xk": keys["xk"],
+        "circ": circ,
+        "rows": run / "rows.csv",
+        "summary": run / "summary.json",
+        "config": config,
+    }
+    x = "0" * elwm.PrfKeyIo.from_bytes(keys["prfk"].read_bytes()).params.domain_bits
+    # (command, its file slots and the kind each takes, the other arguments)
+    commands = [
+        ("mark", {"--key": "prfk"}, ["--message", "101", "--out", tmp_path / "marked.circ"]),
+        ("eval", {"--key": "prfk"}, ["--input", x]),
+        ("eval", {"--circuit": "circ"}, ["--input", x]),
+        ("sim", {"--tag": "tag", "--xk": "xk"}, ["--index", 1, "--seed", 1]),
+        ("extract", {"--tag": "tag", "--xk": "xk", "--circuit": "circ"}, ["--eps", 0.25, "--s", 4, "--seed", 1]),
+        ("experiment", {"--config": "config"}, ["--out", tmp_path / "out"]),
+        ("verify", {"--rows": "rows", "--summary": "summary"}, []),
+    ]
+    for command, slots, rest in commands:
+        for slot in slots:
+            for name, path in files.items():
+                paths = {flag: files[kind] for flag, kind in slots.items()} | {slot: path}
+                code = exits_cleanly(command, *(arg for pair in paths.items() for arg in pair), *rest)
+                assert (code == 0) == (name == slots[slot]), (command, slot, name, code)
 
 
 def test_wilson_interval_properties():

@@ -118,6 +118,33 @@ def test_int_parsable_non_bit_strings_are_rejected(bits):
 
 
 # ---------------------------------------------------------------------------
+# the record layout shared by every key, tag and circuit
+# ---------------------------------------------------------------------------
+
+
+def test_record_layout():
+    assert crypto.write_record((1, 0xFFFF), (b"ab", b"")) == b"\x00\x01\xff\xff\x00\x02\x00\x00ab"
+    assert crypto.write_record((), ()) == b""
+
+
+@given(
+    st.lists(st.integers(0, 0xFFFF), max_size=4),
+    st.lists(st.binary(max_size=24), max_size=4),
+    st.binary(min_size=1, max_size=8),
+)
+def test_record_round_trip_prefixes_and_trailing_bytes(fields, blobs, tail):
+    data = crypto.write_record(fields, blobs)
+    n_fields, n_blobs = len(fields), len(blobs)
+    assert crypto.read_record(data + tail, n_fields, n_blobs, "test") == (tuple(fields), blobs, tail)
+    assert crypto.read_whole_record(data, n_fields, n_blobs, "test") == (tuple(fields), blobs)
+    for cut in range(len(data)):
+        with pytest.raises(FormatError):
+            crypto.read_record(data[:cut], n_fields, n_blobs, "test")
+    with pytest.raises(FormatError):
+        crypto.read_whole_record(data + tail, n_fields, n_blobs, "test")
+
+
+# ---------------------------------------------------------------------------
 # PRG: determinism, golden vectors, crude balance
 # ---------------------------------------------------------------------------
 

@@ -4,13 +4,14 @@ coin-indexed query distributions."""
 from __future__ import annotations
 
 import functools
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qwmark import elwm
-from qwmark.crypto import int_to_bits, prg
+from qwmark.crypto import int_to_bits, prg, read_record, read_whole_record, write_record
 from qwmark.errors import FormatError, IndexRangeError, LengthError
 from qwmark.pe import ObfuscatedCircuit
 
@@ -39,8 +40,8 @@ def test_param_arithmetic():
 
 def test_param_serialization():
     p = small_params()
-    restored, rest = elwm.ElwmParams.read_from(p.to_bytes() + b"tail")
-    assert restored == p and rest == b"tail"
+    fields, blobs, rest = read_record(write_record(astuple(p), ()) + b"tail", 3, 0, "params")
+    assert elwm.ElwmParams(*fields) == p and blobs == [] and rest == b"tail"
 
 
 def test_param_validation():
@@ -53,7 +54,7 @@ def test_params_reject_widths_beyond_their_u16_fields():
     # and domain_bits = 65 532, the widest domain that fits
     widest = elwm.ElwmParams(4, seed_bits=5458, range_bits=0xFFFF)
     assert widest.domain_bits == 65532
-    assert elwm.ElwmParams.read_from(widest.to_bytes())[0] == widest
+    assert elwm.ElwmParams(*read_whole_record(write_record(astuple(widest), ()), 3, 0, "params")[0]) == widest
     for msg_bits, seed_bits, range_bits in ((0x10000, 6, 12), (4, 5459, 12), (4, 6, 0x10000), (70001, 6, 12)):
         with pytest.raises(LengthError):
             elwm.ElwmParams(msg_bits, seed_bits=seed_bits, range_bits=range_bits)

@@ -3,12 +3,10 @@ sparseness, and circuit serialization."""
 
 from __future__ import annotations
 
-import struct
-
 import pytest
 
-from qwmark import pe
-from qwmark.crypto import bytes_to_bits, int_to_bits
+from qwmark import elwm, pe
+from qwmark.crypto import bytes_to_bits, int_to_bits, write_record
 from qwmark.errors import FormatError, LengthError
 
 from conftest import rng_for
@@ -110,56 +108,52 @@ def test_identity_obfuscator_preserves_behavior():
 def test_obfuscated_circuit_serialization():
     keys = pe.pe_gen(4, rng_for("pe-obf-ser"))
     blob = keys.ek.to_bytes()
-    restored = pe.ObfuscatedCircuit.from_bytes(blob)
+    restored = pe.ObfuscatedCircuit.from_bytes(blob, pe.EncryptionCircuit, "tag")
     assert restored == keys.ek
     assert restored.run("1010", "0101") == keys.ek.run("1010", "0101")
 
 
 # ---------------------------------------------------------------------------
-# circuit registry and serialization
+# circuit serialization
 # ---------------------------------------------------------------------------
 
 
 def test_circuit_round_trips():
     keys = pe.pe_gen(5, rng_for("pe-ser"))
-    enc = keys.ek.circuit
-    dec = keys.dk
-    pdk = pe.pe_puncture(dec, pe.pe_enc(keys.ek, "11011", rng_for("pe-ser-enc"))).circuit
-    for circ in (enc, dec, pdk):
+    for circ in (keys.ek.circuit, keys.dk):
         blob = pe.circuit_to_bytes(circ)
-        assert pe.circuit_from_bytes(blob) == circ
+        assert pe.circuit_from_bytes(blob, type(circ), "circuit") == circ
 
 
 def test_truncated_circuits_raise_format_error():
     keys = pe.pe_gen(5, rng_for("pe-trunc"))
-    pdk = pe.pe_puncture(keys.dk, pe.pe_enc(keys.ek, "10011", rng_for("pe-trunc-enc"))).circuit
     for blob, load in (
-        (keys.ek.to_bytes(), pe.ObfuscatedCircuit.from_bytes),
-        (pe.circuit_to_bytes(keys.dk), pe.circuit_from_bytes),
-        (pe.circuit_to_bytes(pdk), pe.circuit_from_bytes),
+        (keys.ek.to_bytes(), lambda b: pe.ObfuscatedCircuit.from_bytes(b, pe.EncryptionCircuit, "tag")),
+        (pe.circuit_to_bytes(keys.dk), lambda b: pe.circuit_from_bytes(b, pe.DecryptionCircuit, "circuit")),
     ):
         load(blob)
         for cut in range(len(blob)):
             with pytest.raises(FormatError):
                 load(blob[:cut])
-    # a punctured ciphertext field shorter than 12*ell bits
-    blob = pe.circuit_to_bytes(pdk)
-    ell, nf, ng, nc = struct.unpack(">HHHH", blob[1:9])
-    short = blob[:1] + struct.pack(">HHHH", ell, nf, ng, nc - 1) + blob[9:-1]
-    with pytest.raises(FormatError):
-        pe.circuit_from_bytes(short)
 
 
-def test_circuit_from_bytes_rejects_unknown_tag():
-    with pytest.raises(FormatError):
-        pe.circuit_from_bytes(b"\xff" + b"payload")
-
-
-def test_register_circuit_kind_conflicts():
-    # same class twice is fine (module reloads); a different class is not
-    pe.register_circuit_kind(pe.EncryptionCircuit.KIND_TAG, pe.EncryptionCircuit)
-    with pytest.raises(FormatError):
-        pe.register_circuit_kind(pe.EncryptionCircuit.KIND_TAG, pe.DecryptionCircuit)
+def test_circuit_records_refuse_other_kinds():
+    keys = pe.pe_gen(9, rng_for("pe-kinds"))
+    prfk, _ = elwm.gen(elwm.ElwmParams(4, seed_bits=6, range_bits=12), rng_for("pe-kinds-elwm"))
+    records = (keys.ek.circuit, keys.dk, elwm.mark(prfk, "0110").circuit)
+    kinds = [type(circ) for circ in records]
+    blobs = [pe.circuit_to_bytes(circ) for circ in records] + [b"", b"\xff" + b"payload"]
+    scheme = write_record((), (pe.ObfuscatedCircuit.scheme.encode(),))  # the handle's prefix
+    for cls in kinds:
+        for blob in blobs:
+            if blob[:1] == bytes([cls.KIND_TAG]):
+                assert type(pe.circuit_from_bytes(blob, cls, "circuit")) is cls
+                assert type(pe.ObfuscatedCircuit.from_bytes(scheme + blob, cls, "handle").circuit) is cls
+                continue
+            with pytest.raises(FormatError):
+                pe.circuit_from_bytes(blob, cls, "circuit")
+            with pytest.raises(FormatError):
+                pe.ObfuscatedCircuit.from_bytes(scheme + blob, cls, "handle")
 
 
 def test_pe_gen_validates_length():
