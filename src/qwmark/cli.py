@@ -367,7 +367,7 @@ def cmd_experiment(args) -> int:
     with (outdir / "timings.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["total_wall_seconds", "trials", "jobs"])
-        writer.writerow([f"{elapsed:.3f}", len(tasks), args.jobs])
+        writer.writerow([f"{elapsed:.3f}", len(tasks), workers])
     print(rows_path)
     print(outdir / "summary.json")
     return 0

@@ -5,18 +5,24 @@ Conventions
 -----------
 * Bit strings are Python ``str`` of ``'0'``/``'1'``, big-endian: the leftmost
   character is bit index 0.  Helpers convert to/from bytes and ints.
-* Bit strings are validated where they enter a primitive
-  (``ggm_eval``, ``prg``, the PE circuits, the CLI and record loaders).
+* Bit strings are checked once, where they enter the package: the public
+  entry points (``ggm_eval``, ``injective_pprf_eval``, ``prg``,
+  ``bits_to_bytes``, the PE and marked circuits' ``run``, ``elwm.sim``,
+  ``elwm.eval_prf``, the CLI and the record loaders) check them and then call
+  private forms that do not check again.  Key widths are checked when a key or
+  circuit is constructed.
 * The bit helpers run at C level on whole strings and ints.  ``xor_bits``
   assumes validated input and checks only that the lengths agree.
 * All key material is derived from fixed-size byte seeds (SEED_BYTES).
 * The stream primitive is SHA-256 in counter mode with domain-separation
   prefixes.  Every derivation is a pure function of its inputs, so repeated
   calls are referentially transparent.
-* GGM node derivation goes through ``_walk``, which memoizes whole root-to-node
-  paths in a fixed-size LRU (``_WALK_MEMO_SIZE`` entries).  A trial walks the
-  same paths more than once: Sim encrypts, the marked circuit decrypts the same
-  ciphertexts, and the live probe's PRF value is recomputed by the circuit.
+* A GGM evaluation goes through ``_ggm_leaf``, which memoizes the leaf output
+  keyed by (root seed, path, output width) in a fixed-size LRU
+  (``_WALK_MEMO_SIZE`` entries).  A trial evaluates the same leaves more than
+  once: Sim encrypts, the marked circuit decrypts the same ciphertexts, and
+  the live probe's PRF value is recomputed by the circuit.  A hit skips both
+  the walk and the leaf PRG.
 * Every serialized key, tag and circuit is built from one record layout,
   written by ``write_record`` and read by ``read_record``: u16 fields, then
   the u16 length of each blob, then the blobs, all big-endian.  A truncated,
@@ -55,17 +61,23 @@ def int_to_bits(value: int, length: int) -> str:
 
 def bits_to_bytes(bits: str) -> bytes:
     """Pack to bytes, left-aligned, zero-padded to a byte boundary."""
-    check_bits(bits)
+    return _pack_bits(check_bits(bits))
+
+
+def _pack_bits(bits: str) -> bytes:
+    """``bits_to_bytes`` of a checked bit string."""
     if not bits:
         return b""
-    padded = bits + "0" * (-len(bits) % 8)
-    return int(padded, 2).to_bytes(len(padded) // 8, "big")
+    pad = -len(bits) % 8
+    return (int(bits, 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
 
 
 def bytes_to_bits(data: bytes, length: int) -> str:
-    if len(data) * 8 < length:
+    """The first `length` bits of `data`."""
+    spare = len(data) * 8 - length
+    if spare < 0:
         raise LengthError(f"need {length} bits, got {len(data)} bytes")
-    return format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")[:length]
+    return format(int.from_bytes(data, "big") >> spare, f"0{length}b") if length else ""
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -113,7 +125,7 @@ def read_whole_record(data: bytes, n_fields: int, n_blobs: int, what: str) -> tu
 
 
 def load_field(make, *args, what: str):
-    """Build a field read from a record; a width its constructor rejects is a format fault."""
+    """Build a value read from a record; a width its constructor rejects is a format fault."""
     try:
         return make(*args)
     except LengthError as exc:
@@ -140,6 +152,8 @@ def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
     if out_bits < 0:
         raise LengthError("out_bits must be nonnegative")
     prefix = domain + b"|" + seed
+    if out_bits <= 256:  # one block, counter 0
+        return bytes_to_bits(hashlib.sha256(prefix + b"\0\0\0\0").digest(), out_bits)
     n_blocks = -(-out_bits // 256)
     stream = b"".join(hashlib.sha256(prefix + struct.pack(">I", ctr)).digest() for ctr in range(n_blocks))
     return bytes_to_bits(stream, out_bits)
@@ -147,8 +161,12 @@ def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
 
 def prg(seed_bits: str, out_bits: int) -> str:
     """Bit-level PRG used by the encryption layers (e.g. length doubling)."""
-    check_bits(seed_bits)
-    return prg_expand(b"bits|" + bits_to_bytes(seed_bits) + struct.pack(">I", len(seed_bits)), out_bits)
+    return _prg(check_bits(seed_bits), out_bits)
+
+
+def _prg(seed_bits: str, out_bits: int) -> str:
+    """``prg`` of a checked seed."""
+    return prg_expand(b"bits|" + _pack_bits(seed_bits) + struct.pack(">I", len(seed_bits)), out_bits)
 
 
 def keyed_rand(key: bytes, label: bytes, out_bits: int) -> str:
@@ -171,7 +189,6 @@ _NODE_HASH = {"0": hashlib.sha256(b"node0"), "1": hashlib.sha256(b"node1")}
 _WALK_MEMO_SIZE = 1024
 
 
-@lru_cache(maxsize=_WALK_MEMO_SIZE)
 def _walk(seed: bytes, path: str) -> bytes:
     """Seed of the node reached from `seed` along the validated bit path."""
     for bit in path:
@@ -181,8 +198,10 @@ def _walk(seed: bytes, path: str) -> bytes:
     return seed
 
 
-def _leaf_output(seed: bytes, out_bits: int) -> str:
-    return prg_expand(seed, out_bits, domain=b"leaf")
+@lru_cache(maxsize=_WALK_MEMO_SIZE)
+def _ggm_leaf(seed: bytes, path: str, out_bits: int) -> str:
+    """Output of the leaf reached from `seed` along the validated bit path."""
+    return prg_expand(_walk(seed, path), out_bits, domain=b"leaf")
 
 
 @dataclass(frozen=True)
@@ -215,7 +234,12 @@ def ggm_gen(domain_bits: int, out_bits: int, rng) -> GgmKey:
 
 def ggm_eval(key: GgmKey, x: str) -> str:
     check_bits(x, key.domain_bits, what="PPRF input")
-    return _leaf_output(_walk(key.seed, x), key.out_bits)
+    return _ggm_eval(key, x)
+
+
+def _ggm_eval(key: GgmKey, x: str) -> str:
+    """``ggm_eval`` of a checked input."""
+    return _ggm_leaf(key.seed, x, key.out_bits)
 
 
 @dataclass(frozen=True)
@@ -260,7 +284,7 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
     check_bits(x, pkey.domain_bits, what="PPRF input")
     for depth, prefix, seed in pkey.nodes:
         if x.startswith(prefix):
-            return _leaf_output(_walk(seed, x[depth:]), pkey.out_bits)
+            return _ggm_leaf(seed, x[depth:], pkey.out_bits)
     return None
 
 
@@ -272,25 +296,34 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
 # masked function injective except with probability 2^-(e+1) over the key.
 
 
-def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[int, ...], int]:
-    """Column words and offset of the affine map.
+def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """XOR tables of the affine map's columns, 8 input bits to a table, and its offset.
 
     The stream holds the out_bits x in_bits matrix row by row, then the
     offset.  Column j (input bit j, leftmost first) is read as an out_bits-wide
-    word whose leftmost bit is row 0.
+    word whose leftmost bit is row 0.  Table t serves the t-th byte of
+    int(x, 2) from the right (the last one may be short): its entry v is the
+    XOR of the columns of the bits set in v.
     """
     stream = prg_expand(seed, out_bits * in_bits + out_bits, domain=b"aff")
     matrix = stream[: out_bits * in_bits]
-    columns = tuple(int(matrix[j::in_bits], 2) for j in range(in_bits))
-    return columns, int(stream[out_bits * in_bits :], 2)
+    from_right = [int(matrix[j::in_bits], 2) for j in reversed(range(in_bits))]
+    tables = []
+    for start in range(0, in_bits, 8):
+        table = [0]
+        for column in from_right[start : start + 8]:
+            table += [entry ^ column for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables), int(stream[out_bits * in_bits :], 2)
 
 
-def _affine_mask(base: str, affine: tuple[tuple[int, ...], int], x: str) -> str:
-    """base xor (A x + b): XOR in the column of every set bit of x."""
-    columns, acc = affine
-    for column, bit in zip(columns, x):
-        if bit == "1":
-            acc ^= column
+def _affine_mask(base: str, affine: tuple[tuple[tuple[int, ...], ...], int], x: str) -> str:
+    """base xor (A x + b): one table lookup per byte of x."""
+    tables, acc = affine
+    value = int(x, 2)
+    for table in tables:
+        acc ^= table[value & 0xFF]
+        value >>= 8
     return format(int(base, 2) ^ acc, f"0{len(base)}b")
 
 
@@ -339,7 +372,13 @@ def injective_pprf_gen(in_bits: int, out_bits: int, rng) -> InjectivePprfKey:
 
 
 def injective_pprf_eval(key: InjectivePprfKey, x: str) -> str:
-    return _affine_mask(ggm_eval(key.ggm, x), key._affine, x)
+    check_bits(x, key.ggm.domain_bits, what="PPRF input")
+    return _injective_eval(key, x)
+
+
+def _injective_eval(key: InjectivePprfKey, x: str) -> str:
+    """``injective_pprf_eval`` of a checked input."""
+    return _affine_mask(_ggm_eval(key.ggm, x), key._affine, x)
 
 
 @dataclass(frozen=True)

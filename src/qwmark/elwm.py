@@ -31,19 +31,20 @@ makes the simulation public.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import ClassVar
 
 from .crypto import (
     SEED_BYTES,
     GgmKey,
+    _ggm_eval,
+    _prg,
     check_bits,
     decode_text,
-    ggm_eval,
     ggm_gen,
     int_to_bits,
     keyed_rand,
     load_field,
-    prg,
     read_whole_record,
     write_record,
 )
@@ -53,6 +54,7 @@ from .pe import (
     EncryptionCircuit,
     ObfuscatedCircuit,
     PeKeys,
+    _decrypt,
     circuit_from_bytes,
     circuit_to_bytes,
     pe_gen,
@@ -70,8 +72,9 @@ class ElwmParams:
     msg_bits: embedded message length (the index space of Sim).
     seed_bits: PRG seed length carried inside plaintexts.
     range_bits: PRF output length.
-    Derived: idx_bits = bits to address a message position, pt_bits the
-    plaintext width, domain_bits = 12 * pt_bits the PRF domain width.
+    Derived, once per instance: idx_bits = bits to address a message
+    position, pt_bits the plaintext width, domain_bits = 12 * pt_bits the PRF
+    domain width.
     The fields, in this order, are the fields of the PRF key, tag and marked
     circuit records.
     """
@@ -90,25 +93,25 @@ class ElwmParams:
             if getattr(self, name) > 0xFFFF:
                 raise LengthError(f"{name} = {getattr(self, name)} does not fit a 16-bit field")
 
-    @property
+    @cached_property
     def idx_bits(self) -> int:
         return max(1, (self.msg_bits - 1).bit_length())
 
-    @property
+    @cached_property
     def pt_bits(self) -> int:
         return self.seed_bits + self.idx_bits + 1
 
-    @property
+    @cached_property
     def domain_bits(self) -> int:
         return 12 * self.pt_bits
 
 
 def _check_widths(params: ElwmParams, role: str, pe_circuit, f_main: GgmKey | None = None) -> None:
-    """A loaded record's keys must have the widths its params declare."""
+    """A record's keys must have the widths its params declare."""
     if pe_circuit.ell != params.pt_bits:
-        raise FormatError(f"{role} PE plaintext width {pe_circuit.ell} != pt_bits {params.pt_bits}")
+        raise LengthError(f"{role} PE plaintext width {pe_circuit.ell} != pt_bits {params.pt_bits}")
     if f_main is not None and (f_main.domain_bits, f_main.out_bits) != (params.domain_bits, params.range_bits):
-        raise FormatError(
+        raise LengthError(
             f"{role} PRF key maps {f_main.domain_bits} -> {f_main.out_bits} bits, "
             f"params need {params.domain_bits} -> {params.range_bits}"
         )
@@ -123,6 +126,9 @@ class PrfKeyIo:
     pe_dk: DecryptionCircuit
     gen_id: bytes  # shared with the tag produced by the same gen() call
 
+    def __post_init__(self):
+        _check_widths(self.params, "PRF key", self.pe_dk, self.f_main)
+
     def to_bytes(self) -> bytes:
         blobs = (self.f_main.to_bytes(), circuit_to_bytes(self.pe_dk), self.gen_id)
         return PRFK_MAGIC + write_record(astuple(self.params), blobs)
@@ -135,8 +141,7 @@ class PrfKeyIo:
         params = load_field(ElwmParams, *fields, what="PRF key params")
         f_main = GgmKey.from_bytes(f)
         pe_dk = circuit_from_bytes(d, DecryptionCircuit, "PRF key")
-        _check_widths(params, "PRF key", pe_dk, f_main)
-        return cls(params, f_main, pe_dk, gen_id)
+        return load_field(cls, params, f_main, pe_dk, gen_id, what="PRF key")
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,9 @@ class TagIo:
     params: ElwmParams
     pe_ek: ObfuscatedCircuit
     gen_id: bytes
+
+    def __post_init__(self):
+        _check_widths(self.params, "tag", self.pe_ek.circuit)
 
     def to_bytes(self) -> bytes:
         return TAG_MAGIC + write_record(astuple(self.params), (self.pe_ek.to_bytes(), self.gen_id))
@@ -157,8 +165,7 @@ class TagIo:
         fields, (e, gen_id) = read_whole_record(data[5:], 3, 2, "tag")
         params = load_field(ElwmParams, *fields, what="tag params")
         pe_ek = ObfuscatedCircuit.from_bytes(e, EncryptionCircuit, "tag")
-        _check_widths(params, "tag", pe_ek.circuit)
-        return cls(params, pe_ek, gen_id)
+        return load_field(cls, params, pe_ek, gen_id, what="tag")
 
 
 def gen(params: ElwmParams, rng) -> tuple[PrfKeyIo, TagIo]:
@@ -175,7 +182,7 @@ def gen(params: ElwmParams, rng) -> tuple[PrfKeyIo, TagIo]:
 def eval_prf(prfk: PrfKeyIo, x: str) -> str:
     """Unmarked evaluation: the raw GGM PRF."""
     check_bits(x, prfk.params.domain_bits, what="PRF input")
-    return ggm_eval(prfk.f_main, x)
+    return _ggm_eval(prfk.f_main, x)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +205,21 @@ class MarkedEvalCircuit:
     pe_dk: DecryptionCircuit
     message: str
 
+    def __post_init__(self):
+        _check_widths(self.params, "marked circuit", self.pe_dk, self.f_main)
+        check_bits(self.message, self.params.msg_bits, what="marked circuit message")
+
     def run(self, x: str) -> str:
         p = self.params
         check_bits(x, p.domain_bits, what="PRF input")
-        d = self.pe_dk.run(x)
+        d = _decrypt(self.pe_dk, x)
         if d is not None:
             s = d[: p.seed_bits]
             idx = int(d[p.seed_bits : p.seed_bits + p.idx_bits], 2) + 1
             gamma = d[-1]
             if idx <= p.msg_bits and self.message[idx - 1] != gamma:
-                return prg(s, p.range_bits)
-        return ggm_eval(self.f_main, x)
+                return _prg(s, p.range_bits)
+        return _ggm_eval(self.f_main, x)
 
     def payload_bytes(self) -> bytes:
         blobs = (self.f_main.to_bytes(), circuit_to_bytes(self.pe_dk), self.message.encode())
@@ -219,17 +230,13 @@ class MarkedEvalCircuit:
         fields, (f, d, msg) = read_whole_record(data, 3, 3, "marked circuit")
         params = load_field(ElwmParams, *fields, what="marked circuit params")
         message = decode_text(msg, "marked circuit message")
-        if len(message) != params.msg_bits or message.strip("01"):
-            raise FormatError(f"marked circuit message must be {params.msg_bits} bits, got {message!r}")
         f_main = GgmKey.from_bytes(f)
         pe_dk = circuit_from_bytes(d, DecryptionCircuit, "marked circuit")
-        _check_widths(params, "marked circuit", pe_dk, f_main)
-        return cls(params, f_main, pe_dk, message)
+        return load_field(cls, params, f_main, pe_dk, message, what="marked circuit")
 
 
 def mark(prfk: PrfKeyIo, message: str) -> ObfuscatedCircuit:
     """Embed a message: returns the obfuscated marked evaluator."""
-    check_bits(message, prfk.params.msg_bits, what="message")
     return ObfuscatedCircuit(MarkedEvalCircuit(prfk.params, prfk.f_main, prfk.pe_dk, message))
 
 
@@ -266,7 +273,7 @@ def sim(params: ElwmParams, tag: TagIo, i: int, coins: str) -> tuple[int, str, s
     enc_seed = coins[1 + params.seed_bits :]
     plaintext = s + int_to_bits(i - 1, params.idx_bits) + gamma
     x = tag.pe_ek.run(plaintext, enc_seed)
-    y = prg(s, params.range_bits)
+    y = _prg(s, params.range_bits)
     return int(gamma), x, y
 
 
@@ -330,7 +337,7 @@ def build_distribution(
         for r in range(s):
             bits = keyed_rand(coin_key, master_seed + b"R" + r.to_bytes(4, "big"), 1 + n + params.range_bits)
             x = bits[1 : 1 + n]
-            y = eval_prf(prfk, x) if bits[0] == "1" else bits[1 + n :]
+            y = _ggm_eval(prfk.f_main, x) if bits[0] == "1" else bits[1 + n :]
             triples.append((int(bits[0]), x, y))
     else:
         if tag is None:

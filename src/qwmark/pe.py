@@ -17,8 +17,9 @@ gate that returns bottom on c* and is unchanged elsewhere.
 Encryption/decryption programs are *circuit records*: plain data (keys)
 evaluated by a fixed interpreter.  A circuit serializes as its one-byte
 KIND_TAG followed by its widths and keys in one ``crypto.write_record``
-record.  A reader names the class it expects, and a circuit of any other kind
-is malformed.  The published handle of a circuit is an `ObfuscatedCircuit`
+record.  A circuit checks its key widths when it is constructed, and a
+record whose widths do not fit is malformed.  A reader names the class it
+expects, and a circuit of any other kind is malformed.  The published handle of a circuit is an `ObfuscatedCircuit`
 under the "identity" scheme: it wraps the record unchanged, preserves
 functionality and hides nothing.  Every security claim downstream of
 obfuscation is therefore vacuous in this build; the package verifies
@@ -33,13 +34,14 @@ from typing import ClassVar
 from .crypto import (
     GgmKey,
     InjectivePprfKey,
+    _ggm_eval,
+    _injective_eval,
+    _prg,
     bytes_to_bits,
     check_bits,
-    ggm_eval,
     ggm_gen,
-    injective_pprf_eval,
     injective_pprf_gen,
-    prg,
+    load_field,
     read_record,
     read_whole_record,
     write_record,
@@ -97,19 +99,25 @@ class ObfuscatedCircuit:
 # ---------------------------------------------------------------------------
 
 
-def _check_key_widths(f_key: InjectivePprfKey, g_key: GgmKey, ell: int, what: str) -> None:
-    """A loaded circuit's keys must map 3ell -> 9ell and 9ell -> ell bits."""
-    widths = (f_key.in_bits, f_key.out_bits, g_key.domain_bits, g_key.out_bits)
+def _check_key_widths(circuit) -> None:
+    """A circuit's keys must map 3ell -> 9ell and 9ell -> ell bits."""
+    ell = circuit.ell
+    widths = (circuit.f_key.in_bits, circuit.f_key.out_bits, circuit.g_key.domain_bits, circuit.g_key.out_bits)
     if widths != (3 * ell, 9 * ell, 9 * ell, ell):
-        raise FormatError(
-            f"{what} keys map {widths[0]} -> {widths[1]} and {widths[2]} -> {widths[3]} bits, "
+        raise LengthError(
+            f"{type(circuit).__name__} keys map {widths[0]} -> {widths[1]} and {widths[2]} -> {widths[3]} bits, "
             f"ell={ell} needs {3 * ell} -> {9 * ell} and {9 * ell} -> {ell}"
         )
 
 
-def _split_ct(c: str, ell: int) -> tuple[str, str, str]:
-    check_bits(c, 12 * ell, what="ciphertext")
-    return c[: 2 * ell], c[2 * ell : 11 * ell], c[11 * ell :]
+def _decrypt(dk, c: str) -> str | None:
+    """Decrypt a checked ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m)."""
+    ell = dk.ell
+    alpha, beta, gamma = c[: 2 * ell], c[2 * ell : 11 * ell], c[11 * ell :]
+    m = xor_bits(_ggm_eval(dk.g_key, beta), gamma)
+    if _injective_eval(dk.f_key, alpha + m) != beta:
+        return None
+    return m
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,9 @@ class _KeyedCircuit:
     g_key: GgmKey
     ell: int
 
+    def __post_init__(self):
+        _check_key_widths(self)
+
     def payload_bytes(self) -> bytes:
         return write_record((self.ell,), (self.f_key.to_bytes(), self.g_key.to_bytes()))
 
@@ -127,8 +138,7 @@ class _KeyedCircuit:
     def from_payload(cls, data: bytes):
         (ell,), (f, g) = read_whole_record(data, 1, 2, cls.__name__)
         f_key, g_key = InjectivePprfKey.from_bytes(f), GgmKey.from_bytes(g)
-        _check_key_widths(f_key, g_key, ell, cls.__name__)
-        return cls(f_key, g_key, ell)
+        return load_field(cls, f_key, g_key, ell, what=cls.__name__)
 
 
 @dataclass(frozen=True)
@@ -138,9 +148,9 @@ class EncryptionCircuit(_KeyedCircuit):
     def run(self, m: str, s: str) -> str:
         check_bits(m, self.ell, what="plaintext")
         check_bits(s, self.ell, what="encryption seed")
-        alpha = prg(s, 2 * self.ell)
-        beta = injective_pprf_eval(self.f_key, alpha + m)
-        gamma = xor_bits(ggm_eval(self.g_key, beta), m)
+        alpha = _prg(s, 2 * self.ell)
+        beta = _injective_eval(self.f_key, alpha + m)
+        gamma = xor_bits(_ggm_eval(self.g_key, beta), m)
         return alpha + beta + gamma
 
 
@@ -149,11 +159,8 @@ class DecryptionCircuit(_KeyedCircuit):
     KIND_TAG: ClassVar[int] = 2
 
     def run(self, c: str) -> str | None:
-        alpha, beta, gamma = _split_ct(c, self.ell)
-        m = xor_bits(ggm_eval(self.g_key, beta), gamma)
-        if injective_pprf_eval(self.f_key, alpha + m) != beta:
-            return None
-        return m
+        check_bits(c, 12 * self.ell, what="ciphertext")
+        return _decrypt(self, c)
 
 
 @dataclass(frozen=True)
@@ -165,11 +172,15 @@ class PuncturedDecryptionCircuit:
     ell: int
     c_star: str
 
+    def __post_init__(self):
+        _check_key_widths(self)
+        check_bits(self.c_star, 12 * self.ell, what="punctured ciphertext")
+
     def run(self, c: str) -> str | None:
         check_bits(c, 12 * self.ell, what="ciphertext")
         if c == self.c_star:
             return None
-        return DecryptionCircuit(self.f_key, self.g_key, self.ell).run(c)
+        return _decrypt(self, c)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +216,6 @@ def pe_dec(dk, c: str) -> str | None:
 
 
 def pe_puncture(dk: DecryptionCircuit, c_star: str) -> ObfuscatedCircuit:
-    check_bits(c_star, 12 * dk.ell, what="punctured ciphertext")
     return ObfuscatedCircuit(PuncturedDecryptionCircuit(dk.f_key, dk.g_key, dk.ell, c_star))
 
 

@@ -458,6 +458,11 @@ def test_experiment_starts_at_most_one_worker_per_task_and_cpu(tmp_path, capsys,
     capsys.readouterr()
     assert workers == started
     assert (tmp_path / "pooled" / "rows.csv").read_bytes() == (tmp_path / "serial" / "rows.csv").read_bytes()
+    # timings.csv records the workers that ran the trials, not the --jobs asked for
+    with (tmp_path / "pooled" / "timings.csv").open(newline="") as fh:
+        (timing,) = csv.DictReader(fh)
+    assert int(timing["jobs"]) == (started[0] if started else 1)
+    assert int(timing["trials"]) == 4
 
 
 def test_extract_maps_flush_limit_to_numeric_exit(tmp_path, keys, capsys, monkeypatch):

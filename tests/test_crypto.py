@@ -183,6 +183,30 @@ def test_prg_bit_interface_length_aware():
     assert crypto.prg("101", 32) != crypto.prg("1010", 32)[:32]
 
 
+def oracle_prg_expand(seed: bytes, out_bits: int, domain: bytes) -> str:
+    """SHA-256 in counter mode, every block through the general path."""
+    prefix = domain + b"|" + seed
+    blocks = b"".join(hashlib.sha256(prefix + ctr.to_bytes(4, "big")).digest() for ctr in range(out_bits // 256 + 1))
+    return "".join(f"{byte:08b}" for byte in blocks)[:out_bits]
+
+
+@given(
+    st.binary(max_size=24),
+    st.integers(min_value=0, max_value=600),
+    st.sampled_from([b"prg", b"leaf", b"aff", b"coin"]) | st.binary(max_size=8),
+)
+def test_prg_expand_matches_counter_mode(seed, out_bits, domain):
+    # out_bits <= 256 takes the one-block path
+    assert crypto.prg_expand(seed, out_bits, domain=domain) == oracle_prg_expand(seed, out_bits, domain)
+
+
+def test_prg_expand_one_block_edges():
+    for out_bits in (0, 1, 7, 8, 255, 256, 257):
+        assert crypto.prg_expand(b"edge", out_bits) == oracle_prg_expand(b"edge", out_bits, b"prg")
+    with pytest.raises(LengthError):
+        crypto.prg_expand(b"edge", -1)
+
+
 def test_keyed_rand_separates_keys_and_labels():
     assert crypto.keyed_rand(b"k1", b"x", 64) != crypto.keyed_rand(b"k2", b"x", 64)
     assert crypto.keyed_rand(b"k1", b"x", 64) != crypto.keyed_rand(b"k1", b"y", 64)
@@ -216,11 +240,24 @@ def test_ggm_eval_matches_straight_line_walk(seed, x):
     assert crypto.ggm_eval(key, x) == straight_line_ggm(seed, x, 16)
 
 
+def test_memoized_ggm_eval_matches_straight_line_walk():
+    seed = b"memo-seed-000001"
+    xs = [crypto.int_to_bits(v, 10) for v in range(0, 1024, 37)]
+    crypto._ggm_leaf.cache_clear()
+    for out_bits in (16, 300):  # the output width is part of the memo key
+        key = crypto.GgmKey(seed, 10, out_bits)
+        expected = [straight_line_ggm(seed, x, out_bits) for x in xs]
+        assert [crypto.ggm_eval(key, x) for x in xs] == expected  # misses
+        assert [crypto.ggm_eval(key, x) for x in xs] == expected  # hits
+    info = crypto._ggm_leaf.cache_info()
+    assert info.misses == 2 * len(xs) and info.hits == 2 * len(xs)
+
+
 def test_walk_memo_hits_in_s64_extraction():
-    # Sim's encryption and the marked circuit's decryption walk the same
-    # paths, so an extraction must hit the memo; the memo never outgrows its bound
+    # Sim's encryption and the marked circuit's decryption evaluate the same
+    # leaves, so an extraction must hit the memo; the memo never outgrows its bound
     params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=64, engine="fast")
-    crypto._walk.cache_clear()
+    crypto._ggm_leaf.cache_clear()
     result = wmprf.run_event_trial(
         params,
         honest_pirate,
@@ -229,7 +266,7 @@ def test_walk_memo_hits_in_s64_extraction():
         elwm_params=elwm.ElwmParams(3, seed_bits=6, range_bits=12),
     )
     assert result.report.decoded == "10"
-    info = crypto._walk.cache_info()
+    info = crypto._ggm_leaf.cache_info()
     assert info.maxsize == 1024
     assert info.hits > 0
     assert 0 < info.currsize <= info.maxsize
@@ -339,6 +376,36 @@ def test_injective_pprf_puncture_agrees_off_set():
     for v in [0, 1, 77, 128, 199, 201, 255]:
         x = crypto.int_to_bits(v, 8)
         assert crypto.injective_pprf_eval_punctured(punctured, x) == crypto.injective_pprf_eval(key, x)
+
+
+def oracle_affine_mask(base: str, seed: bytes, x: str) -> str:
+    """base xor (A x + b), XORing in the column of every set bit of x."""
+    in_bits, out_bits = len(x), len(base)
+    stream = crypto.prg_expand(seed, out_bits * in_bits + out_bits, domain=b"aff")
+    columns = [int(stream[j : out_bits * in_bits : in_bits], 2) for j in range(in_bits)]
+    acc = int(stream[out_bits * in_bits :], 2)
+    for column, bit in zip(columns, x):
+        if bit == "1":
+            acc ^= column
+    return format(int(base, 2) ^ acc, f"0{out_bits}b")
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=90), st.data())
+def test_table_affine_mask_matches_column_xor(in_bits, out_bits, data):
+    seed = data.draw(st.binary(min_size=16, max_size=16))
+    affine = crypto._derive_affine(seed, in_bits, out_bits)
+    assert len(affine[0]) == -(-in_bits // 8)  # one table per byte of x
+    for _ in range(4):
+        x = data.draw(st.text(alphabet="01", min_size=in_bits, max_size=in_bits))
+        base = data.draw(st.text(alphabet="01", min_size=out_bits, max_size=out_bits))
+        assert crypto._affine_mask(base, affine, x) == oracle_affine_mask(base, seed, x)
+
+
+def test_injective_pprf_eval_checks_its_input():
+    key = crypto.injective_pprf_gen(6, 18, rng_for("inj-check"))
+    for bad in ("10101", "1010101", "10101a"):
+        with pytest.raises(LengthError):
+            crypto.injective_pprf_eval(key, bad)
 
 
 def test_injective_pprf_serialization_round_trip():

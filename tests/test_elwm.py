@@ -145,6 +145,28 @@ def test_mark_validates_message_length():
         elwm.mark(prfk, "10")
 
 
+def test_records_check_key_widths_when_built():
+    prfk, tag = elwm.gen(small_params(), rng_for("elwm-widths"))
+    wide = elwm.ElwmParams(4, seed_bits=7, range_bits=12)
+    other, other_tag = elwm.gen(wide, rng_for("elwm-widths-wide"))
+    # the PRF key, the PE decryption circuit or the params of another width
+    mismatched = (
+        (prfk.params, other.f_main, prfk.pe_dk),
+        (prfk.params, prfk.f_main, other.pe_dk),
+        (wide, prfk.f_main, prfk.pe_dk),
+    )
+    for params, f_main, pe_dk in mismatched:
+        with pytest.raises(LengthError):
+            elwm.MarkedEvalCircuit(params, f_main, pe_dk, "0110")
+        with pytest.raises(LengthError):
+            elwm.PrfKeyIo(params, f_main, pe_dk, prfk.gen_id)
+    with pytest.raises(LengthError):
+        elwm.TagIo(prfk.params, other_tag.pe_ek, tag.gen_id)
+    for message in ("011", "01100", "01a0"):
+        with pytest.raises(LengthError):
+            elwm.MarkedEvalCircuit(prfk.params, prfk.f_main, prfk.pe_dk, message)
+
+
 def test_marked_circuit_serialization():
     prfk, _ = elwm.gen(small_params(), rng_for("elwm-circ-ser"))
     circuit = elwm.mark(prfk, "0110")

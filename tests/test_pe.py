@@ -156,6 +156,21 @@ def test_circuit_records_refuse_other_kinds():
                 pe.ObfuscatedCircuit.from_bytes(scheme + blob, cls, "handle")
 
 
+def test_circuits_check_key_widths_when_built():
+    # keys of ell = 4 and ell = 5: any mix, or either pair under the other ell, is malformed
+    small, big = pe.pe_gen(4, rng_for("pe-widths-4")).dk, pe.pe_gen(5, rng_for("pe-widths-5")).dk
+    c_star = "0" * 48
+    for f_key, g_key in ((small.f_key, big.g_key), (big.f_key, small.g_key), (big.f_key, big.g_key)):
+        for cls in (pe.EncryptionCircuit, pe.DecryptionCircuit):
+            with pytest.raises(LengthError):
+                cls(f_key, g_key, 4)
+        with pytest.raises(LengthError):
+            pe.PuncturedDecryptionCircuit(f_key, g_key, 4, c_star)
+    with pytest.raises(LengthError):
+        pe.PuncturedDecryptionCircuit(small.f_key, small.g_key, 4, c_star[1:])
+    assert pe.PuncturedDecryptionCircuit(small.f_key, small.g_key, 4, c_star).run(c_star) is None
+
+
 def test_pe_gen_validates_length():
     with pytest.raises(LengthError):
         pe.pe_gen(0, rng_for("pe-bad"))
