@@ -22,7 +22,9 @@ Conventions
   (``_WALK_MEMO_SIZE`` entries).  A trial evaluates the same leaves more than
   once: Sim encrypts, the marked circuit decrypts the same ciphertexts, and
   the live probe's PRF value is recomputed by the circuit.  A hit skips both
-  the walk and the leaf PRG.
+  the walk and the leaf PRG.  ``forget_leaves`` empties the memo: a game
+  calls it before it generates fresh keys, since no leaf of an earlier game's
+  keys is evaluated again.
 * Every serialized key, tag and circuit is built from one record layout,
   written by ``write_record`` and read by ``read_record``: u16 fields, then
   the u16 length of each blob, then the blobs, all big-endian.  A truncated,
@@ -204,6 +206,11 @@ def _ggm_leaf(seed: bytes, path: str, out_bits: int) -> str:
     return prg_expand(_walk(seed, path), out_bits, domain=b"leaf")
 
 
+def forget_leaves() -> None:
+    """Empty the leaf memo, so that the next evaluations start cold."""
+    _ggm_leaf.cache_clear()
+
+
 @dataclass(frozen=True)
 class GgmKey:
     """Root of a GGM tree mapping {0,1}^domain_bits -> {0,1}^out_bits.
@@ -296,34 +303,42 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
 # masked function injective except with probability 2^-(e+1) over the key.
 
 
+_MASK_CHUNK = 4  # input bits per XOR table: 16 entries hold about 4x the columns
+
+
 def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """XOR tables of the affine map's columns, 8 input bits to a table, and its offset.
+    """XOR tables of the affine map's columns, _MASK_CHUNK input bits to a table, and its offset.
 
     The stream holds the out_bits x in_bits matrix row by row, then the
     offset.  Column j (input bit j, leftmost first) is read as an out_bits-wide
-    word whose leftmost bit is row 0.  Table t serves the t-th byte of
+    word whose leftmost bit is row 0.  Table t serves the t-th chunk of
     int(x, 2) from the right (the last one may be short): its entry v is the
-    XOR of the columns of the bits set in v.
+    XOR of the columns of the bits set in v.  The stream, one char per matrix
+    bit (8 times the size of the columns), is dropped before the tables are
+    built.
     """
-    stream = prg_expand(seed, out_bits * in_bits + out_bits, domain=b"aff")
-    matrix = stream[: out_bits * in_bits]
-    from_right = [int(matrix[j::in_bits], 2) for j in reversed(range(in_bits))]
+    size = out_bits * in_bits
+    stream = prg_expand(seed, size + out_bits, domain=b"aff")
+    offset = int(stream[size:], 2)
+    from_right = [int(stream[j:size:in_bits], 2) for j in reversed(range(in_bits))]
+    del stream
     tables = []
-    for start in range(0, in_bits, 8):
+    for start in range(0, in_bits, _MASK_CHUNK):
         table = [0]
-        for column in from_right[start : start + 8]:
+        for column in from_right[start : start + _MASK_CHUNK]:
             table += [entry ^ column for entry in table]
         tables.append(tuple(table))
-    return tuple(tables), int(stream[out_bits * in_bits :], 2)
+    return tuple(tables), offset
 
 
 def _affine_mask(base: str, affine: tuple[tuple[tuple[int, ...], ...], int], x: str) -> str:
-    """base xor (A x + b): one table lookup per byte of x."""
+    """base xor (A x + b): one table lookup per chunk of x."""
     tables, acc = affine
     value = int(x, 2)
+    mask = (1 << _MASK_CHUNK) - 1
     for table in tables:
-        acc ^= table[value & 0xFF]
-        value >>= 8
+        acc ^= table[value & mask]
+        value >>= _MASK_CHUNK
     return format(int(base, 2) ^ acc, f"0{len(base)}b")
 
 

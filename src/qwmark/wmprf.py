@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from . import elwm
+from . import crypto, elwm
 from .api import MAX_EXACT_ROUNDS, ApiParams, distribution_povm, run_api
 from .elwm import ElwmParams, ObfuscatedCircuit, PrfKeyIo, TagIo, build_distribution
 from .errors import IndexRangeError, InvariantError, LengthError, RoundLimitError
@@ -277,6 +277,7 @@ def run_event_trial(
     Live and extraction act on separate copies of the pirate (program objects
     are immutable; each probe threads its own post states).
     """
+    crypto.forget_leaves()  # no leaf of an earlier game's keys is evaluated again
     prfk, tag = wm_gen(params, elwm_params, rng)
     coin_key = elwm.new_coin_key(rng)
     circuit = wm_mark(prfk, message)

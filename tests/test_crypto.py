@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwmark import crypto, elwm, wmprf
@@ -195,16 +195,16 @@ def oracle_prg_expand(seed: bytes, out_bits: int, domain: bytes) -> str:
     st.integers(min_value=0, max_value=600),
     st.sampled_from([b"prg", b"leaf", b"aff", b"coin"]) | st.binary(max_size=8),
 )
+@example(b"edge", 7, b"prg")
+@example(b"edge", 8, b"prg")
+@example(b"edge", 255, b"prg")
+@example(b"edge", 256, b"prg")
+@example(b"edge", 257, b"prg")
 def test_prg_expand_matches_counter_mode(seed, out_bits, domain):
     # out_bits <= 256 takes the one-block path
     assert crypto.prg_expand(seed, out_bits, domain=domain) == oracle_prg_expand(seed, out_bits, domain)
-
-
-def test_prg_expand_one_block_edges():
-    for out_bits in (0, 1, 7, 8, 255, 256, 257):
-        assert crypto.prg_expand(b"edge", out_bits) == oracle_prg_expand(b"edge", out_bits, b"prg")
     with pytest.raises(LengthError):
-        crypto.prg_expand(b"edge", -1)
+        crypto.prg_expand(seed, -1, domain=domain)
 
 
 def test_keyed_rand_separates_keys_and_labels():
@@ -270,6 +270,21 @@ def test_walk_memo_hits_in_s64_extraction():
     assert info.maxsize == 1024
     assert info.hits > 0
     assert 0 < info.currsize <= info.maxsize
+
+
+def test_each_game_starts_with_an_empty_leaf_memo():
+    # a game's keys are fresh, so a second run of the same game may not hit
+    # leaves the first one left behind
+    params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=8, engine="fast")
+    stats = []
+    for _ in range(2):
+        wmprf.run_event_trial(
+            params, honest_pirate, "10", rng_for("memo-per-game"), elwm_params=elwm.ElwmParams(3, 6, 12)
+        )
+        info = crypto._ggm_leaf.cache_info()
+        stats.append((info.hits, info.misses))
+    assert stats[0] == stats[1]
+    assert stats[0][1] > 0
 
 
 def test_ggm_exhaustive_distinctness_small_domain():
@@ -394,7 +409,7 @@ def oracle_affine_mask(base: str, seed: bytes, x: str) -> str:
 def test_table_affine_mask_matches_column_xor(in_bits, out_bits, data):
     seed = data.draw(st.binary(min_size=16, max_size=16))
     affine = crypto._derive_affine(seed, in_bits, out_bits)
-    assert len(affine[0]) == -(-in_bits // 8)  # one table per byte of x
+    assert len(affine[0]) == -(-in_bits // crypto._MASK_CHUNK)  # one table per chunk of x
     for _ in range(4):
         x = data.draw(st.text(alphabet="01", min_size=in_bits, max_size=in_bits))
         base = data.draw(st.text(alphabet="01", min_size=out_bits, max_size=out_bits))
