@@ -28,12 +28,14 @@ There are two engines.  Both take a distribution's projectors as one checked
   previous outcome with probability p_j (1 - p_j reversed), so d block
   weights carry the state.  It makes the literal walk's draws, one uniform
   per measurement in the order CProj, IsU, ... of the main loop and then of
-  the flush; the literal walk on H_R (x) H is its oracle in the tests.  When
-  one block holds all the weight (classical and honest pirates), each
-  main-loop step is a fixed map of the previous bit and the bits follow from
-  a prefix scan over the uniforms.  A uniform within SCAN_MARGIN of q or
-  1 - q, or a step that would vanish, sends the run back to the per-step
-  block walk on the same draws, so both give the same bytes.
+  the flush; the literal walk on H_R (x) H is its oracle in the tests.  The
+  transcript holds the outcomes as bytes, one 0 or 1 per byte.  When one
+  block holds all the weight (classical and honest pirates), each main-loop
+  step is a fixed map of the previous bit and the bits come from a carry
+  chain: the carries of one integer addition over the packed comparisons of
+  the uniforms.  A uniform within SCAN_MARGIN of q or 1 - q, or a step
+  that would vanish, sends the run back to the per-step block walk on the
+  same draws, so both give the same bytes.
 * api_fast uses the two-projector structure: range(IsU) compresses CProj to the
   accept operator P_D on H, so sampling an eigenvalue cluster p_j of P_D with
   the Born weights and drawing t ~ Binomial(2T, p_j) (or 1-p_j reversed)
@@ -58,12 +60,12 @@ from .errors import (
     RoundLimitError,
 )
 from .qcore import DIMENSION_CAP, QuantumProgram, StateVector, program_projectors
-from .spectral import MixedBinaryPOVM, accept_eigenbasis, projimp_cluster
+from .spectral import MixedBinaryPOVM, accept_eigenbasis, eigen_coefficients, projimp_cluster
 
 FLUSH_ROUNDS_PER_T = 64
 MAX_EXACT_ROUNDS = 1 << 20  # largest T api_exact runs; T grows as 1/eps^2
 MAX_ROUNDS = (2**63 - 1) // 2  # largest T whose 2T fits the int64 of api_fast's binomial draw
-DRAW_CHUNK = 4096  # main-loop uniforms per rng.random call
+DRAW_CHUNK = 4096  # main-loop uniforms the block walk converts to Python floats at a time
 RESCALE_BELOW = 1e-150  # block weights are rescaled once their sum falls below this
 VANISHED_BELOW = 1e-24  # a drawn outcome keeping less of the weight than this raises
 SCAN_MARGIN = 1e-9  # a uniform this close to q or 1 - q sends a one-block walk to the block walk
@@ -103,13 +105,15 @@ class ApiParams:
 class ApiTranscript:
     """Outcome record of one exact API run.
 
-    bits: the 2T main-loop outcomes (CProj, IsU alternating).
-    flush_bits: outcomes of the re-anchoring pairs, empty if b_2T = 1.
+    bits: the 2T main-loop outcomes (CProj, IsU alternating), one 0 or 1
+        per byte.
+    flush_bits: outcomes of the re-anchoring pairs, bytes the same way;
+        empty if b_2T = 1.
     t: agreement count in (1, b_1, ..., b_2T); estimate = t / 2T.
     """
 
-    bits: tuple[int, ...]
-    flush_bits: tuple[int, ...]
+    bits: bytes
+    flush_bits: bytes
     t: int
     estimate: float
 
@@ -124,14 +128,28 @@ class ApiTranscript:
         return len(self.flush_bits) // 2
 
 
+def _packed(flags: np.ndarray) -> int:
+    """A bool or 0/1 array as an int whose bit i is flags[i]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _led(bits) -> int:
+    """(1, b_1, ..., b_m) packed: the leading 1 in bit 0, b_i in bit i."""
+    return _packed(np.frombuffer(b"\x01" + bytes(bits), dtype=np.uint8))
+
+
+def _agreements(led: int, m: int) -> int:
+    """Adjacent agreements among the first m + 1 entries of a packed (1, b_1, ...)."""
+    return m - ((led ^ (led >> 1)) & ((1 << m) - 1)).bit_count()
+
+
 def agreement_count(bits: Sequence[int]) -> int:
     """Number of adjacent agreements in (1, b_1, ..., b_2T).
 
     The leading 1 reflects the initial state lying in range(IsU), i.e. the
     run starts as if the previous uniformity test had accepted.
     """
-    padded = np.frombuffer(b"\x01" + bytes(bits), dtype=np.uint8)
-    return int(np.count_nonzero(padded[1:] == padded[:-1]))
+    return _agreements(_led(bits), len(bits))
 
 
 def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
@@ -197,33 +215,45 @@ def _one_block_walk(main: np.ndarray, agree: float, flip: float, rng, params: Ap
 
     After a 1 the bit is u < q, after a 0 it is u < 1 - q (q = agree), so
     each main-loop step is a fixed map of the previous bit: constant 0,
-    constant 1, the identity or a negation.  A bit is then the value of the
-    last constant step up to it (the leading 1 counts as one), flipped by the
-    parity of the negations since.  The block walk compares u with
-    fl(fl(w q) / w), which can sit an ulp from q, so a uniform within
-    SCAN_MARGIN of q or 1 - q is left to it; so is a step whose factor would
-    let it raise DegenerateStateError.  With one block the weight ratio the
-    block walk returns is exactly 1.
+    constant 1, the identity or a negation.  XOR-ing each bit with the
+    parity of the negations up to it turns every negation into an identity;
+    the bits so changed are then the carries of an addition in which the
+    constant-1 steps generate, the constant-0 steps kill, the other steps
+    propagate and the leading 1 is the carry in.  The comparisons are packed
+    into Python ints and the addition is one int sum.  The block walk
+    compares u with fl(fl(w q) / w), which can sit an ulp from q, so a
+    uniform within SCAN_MARGIN of q or 1 - q is left to it; so is a step
+    whose factor would let it raise DegenerateStateError.  With one block
+    the weight ratio the block walk returns is exactly 1.
     """
 
     def near(u):
-        return (np.abs(u - agree) < SCAN_MARGIN) | (np.abs(u - (1.0 - agree)) < SCAN_MARGIN)
+        return ((agree - SCAN_MARGIN < u) & (u < agree + SCAN_MARGIN)) | (
+            (1.0 - agree - SCAN_MARGIN < u) & (u < 1.0 - agree + SCAN_MARGIN)
+        )
 
-    if np.any(near(main)):
+    if near(main).any():
         return None
-    after_one = np.empty(len(main) + 1, dtype=bool)
-    after_zero = np.empty(len(main) + 1, dtype=bool)
-    after_one[0] = after_zero[0] = True
-    np.less(main, agree, out=after_one[1:])
-    np.less(main, 1.0 - agree, out=after_zero[1:])
-    steps = np.arange(len(after_one), dtype=np.int32)  # 2T + 1 <= 2**21 + 1
-    last_constant = np.maximum.accumulate(np.where(after_one == after_zero, steps, 0))
-    odd = np.logical_xor.accumulate(after_zero & ~after_one)  # parity of the negations so far
-    scan = after_one[last_constant] ^ odd ^ odd[last_constant]
-    repeats = scan[1:] == scan[:-1]
-    if (agree <= VANISHED_BELOW and repeats.any()) or (flip <= VANISHED_BELOW and not repeats.all()):
+    n = len(main)
+    full = (1 << n) - 1
+    after_one = _packed(main < agree)  # bit i: the outcome of step i + 1 after a 1
+    after_zero = _packed(main < 1.0 - agree)  # ... and after a 0
+    odd = after_zero & ~after_one  # the negations, then their prefix parity
+    shift = 1
+    while shift < n:
+        odd ^= odd << shift
+        shift <<= 1
+    odd &= full
+    moves = after_one ^ after_zero  # identity and negation steps: both propagate
+    generate = ~moves & (after_one ^ odd) & full  # constant steps whose changed bit is 1
+    either = moves | generate
+    carries = ((either + generate + 1) ^ either ^ generate) >> 1
+    scan = (carries ^ odd) & full
+    agreements = _agreements(scan << 1 | 1, n)
+    if (agree <= VANISHED_BELOW and agreements) or (flip <= VANISHED_BELOW and agreements < n):
         return None
-    bits = bytearray(scan[1:].view(np.uint8))
+    packed = np.frombuffer(scan.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    bits = bytearray(np.unpackbits(packed, count=n, bitorder="little"))
     for u in _flush_uniforms(rng, params, bits):
         drawn.append(u)
         prev = bits[-1]
@@ -253,21 +283,16 @@ def api_exact(
     """
     if params.T > MAX_EXACT_ROUNDS:
         raise RoundLimitError(f"exact engine needs T = {params.T} rounds, cap is {MAX_EXACT_ROUNDS}")
-    povm = distribution_povm(prog, dist)
-    if povm.s * povm.dim > DIMENSION_CAP:
-        raise DimensionCapError(f"composite dimension {povm.s * povm.dim} exceeds cap {DIMENSION_CAP}")
-    p, eigvecs = accept_eigenbasis(povm.average())
-    coef = eigvecs.conj().T @ prog.state.amplitudes
-    born = np.abs(coef) ** 2
-    if abs(born.sum() - 1.0) > 1e-8:
-        raise InvariantError(f"eigen-coefficients of the state sum to {born.sum()!r}, not 1")
+    composite = len(dist.triples) * prog.dim
+    if composite > DIMENSION_CAP:
+        raise DimensionCapError(f"composite dimension {composite} exceeds cap {DIMENSION_CAP}")
+    p, eigvecs = accept_eigenbasis(distribution_povm(prog, dist).average())
+    coef, born = eigen_coefficients(eigvecs, prog.state)
     held = born > 0  # a block without weight adds exact zeros to every sum
     p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]
     agree, flip = ((1.0 - p).tolist(), p.tolist()) if reverse else (p.tolist(), (1.0 - p).tolist())
     n = 2 * params.T
-    draws = np.empty(n)
-    for start in range(0, n, DRAW_CHUNK):
-        rng.random(out=draws[start : start + DRAW_CHUNK])
+    draws = rng.random(n)
     drawn: list[float] = []
     bits = _one_block_walk(draws, agree[0], flip[0], rng, params, drawn) if len(agree) == 1 else None
     if bits is None:
@@ -276,11 +301,11 @@ def api_exact(
         ratio = _block_walk(born, agree, flip, uniforms, bits)
     else:
         ratio = np.ones(1)  # the one block keeps all the weight
-    zeros = np.frombuffer(bits, dtype=np.uint8) == 0
-    n00 = int(np.count_nonzero(zeros[1:] & zeros[:-1]))
+    led = _led(bits)
+    t = _agreements(led, n)
+    n00 = (~(led | led >> 1) & ((1 << len(bits)) - 1)).bit_count()  # 0 -> 0 steps
     amps = eigvecs @ (coef / np.abs(coef) * np.sqrt(ratio))
-    t = agreement_count(bits[:n])
-    transcript = ApiTranscript(tuple(bits[:n]), tuple(bits[n:]), t, t / n)
+    transcript = ApiTranscript(bytes(bits[:n]), bytes(bits[n:]), t, t / n)
     return transcript.estimate, StateVector.from_unnormalized(-amps if n00 % 2 else amps), transcript
 
 

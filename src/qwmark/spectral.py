@@ -122,19 +122,35 @@ def spectral_measurement(accept: np.ndarray) -> SpectralMeasurement:
     return SpectralMeasurement(tuple(eigenvalues), tuple(projectors))
 
 
+def eigen_coefficients(eigvecs: np.ndarray, state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients <phi_j|psi> of a state in an orthonormal eigenbasis, and
+    their Born weights; weights that sum further than 1e-8 from 1 raise
+    InvariantError."""
+    coef = eigvecs.conj().T @ state.amplitudes
+    born = np.abs(coef) ** 2
+    total = born.sum()
+    if abs(total - 1.0) > 1e-8:
+        raise InvariantError(f"Born weights of the state sum to {total!r}, not 1")
+    return coef, born
+
+
 def projimp_cluster(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[int, float, StateVector]:
     """Born draw of an eigencluster of P_D: (cluster index, eigenvalue, post state).
 
-    Makes exactly one `rng.choice` draw; the post state is the normalized
-    projection onto the drawn cluster.
+    A cluster's weight is the sum of its Born weights |<phi_j|psi>|^2, and
+    its post state is sum_j <phi_j|psi> phi_j over the cluster, normalized.
+    Makes exactly one `rng.choice` draw.
     """
     if povm.dim != state.dim:
         raise DimensionError(f"POVM dim {povm.dim} vs state dim {state.dim}")
-    spec = spectral_measurement(povm.average())
-    probs = spec.probabilities(state)
-    idx = int(rng.choice(len(probs), p=probs))
-    post = StateVector.from_unnormalized(spec.eigenprojectors[idx] @ state.amplitudes)
-    return idx, spec.eigenvalues[idx], post
+    vals, vecs = accept_eigenbasis(povm.average())
+    coef, born = eigen_coefficients(vecs, state)
+    groups = _cluster(vals, CLUSTER_TOL)
+    probs = np.array([born[group].sum() for group in groups])
+    idx = int(rng.choice(len(probs), p=probs / probs.sum()))
+    group = groups[idx]
+    post = StateVector.from_unnormalized(vecs[:, group] @ coef[group])
+    return idx, float(np.mean(vals[group])), post
 
 
 def projimp(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[float, StateVector]:

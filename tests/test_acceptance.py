@@ -10,7 +10,11 @@ by the superposed-pirate frequency sweep.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -286,24 +290,42 @@ def test_a06_honest_pirate_extraction_recovers_messages():
     print(f"PASS honest extraction: {exact}/50 exact, 0 wrong marks, {elapsed:.1f}s < 600s")
 
 
+# slowest first: the gate stops more of the trials as theta grows
+SUPERPOSED_ANGLES = (("0", 0.0), ("pi/6", np.pi / 6), ("pi/4", np.pi / 4), ("pi/3", np.pi / 3), ("pi/2", np.pi / 2))
+
+
+def superposed_honest_coin(circuit, theta: float):
+    return pirates.superposed_pirate(theta, pirates.honest_pirate(circuit), pirates.coin_pirate())
+
+
+def superposed_tally(label: str, theta: float, trials: int):
+    """Tally of `trials` games at s = 64 against the honest/coin superposition
+    at one angle, drawn from that angle's own stream."""
+    params = ExtractParams(k=4, eps=0.25, delta_prime=0.01, s=64, engine="fast")
+    ep = ElwmParams(5, seed_bits=6, range_bits=12)
+    builder = partial(superposed_honest_coin, theta=theta)
+    local = rng_for(f"accept-superposed-{label}")
+    results = [run_event_trial(params, builder, random_message(4, local), local, elwm_params=ep) for _ in range(trials)]
+    return classify_events(results)
+
+
+def pooled_superposed_tallies(trials: int):
+    """`superposed_tally` at every angle, in order, the angles spread over
+    min(5, cpu count) processes.  Workers are spawned, not forked, since the
+    BLAS may hold threads in this process."""
+    workers = min(len(SUPERPOSED_ANGLES), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(superposed_tally, label, theta, trials) for label, theta in SUPERPOSED_ANGLES]
+        return [future.result() for future in futures]
+
+
 def test_a07_superposed_pirates_live_and_extract_at_branch_weights():
     """Sweeping the honest/coin superposition angle, over 200 fresh trials per
     angle at s = 64: liveness frequency tracks cos^2(theta) within 0.10, good
     extractions track liveness within 0.10, and wrong marks stay under 0.02."""
-    params = ExtractParams(k=4, eps=0.25, delta_prime=0.01, s=64, engine="fast")
-    ep = ElwmParams(5, seed_bits=6, range_bits=12)
     trials = 200
     lines = []
-    for label, theta in (("0", 0.0), ("pi/6", np.pi / 6), ("pi/4", np.pi / 4), ("pi/3", np.pi / 3), ("pi/2", np.pi / 2)):
-        def builder(circuit, _theta=theta):
-            return pirates.superposed_pirate(_theta, pirates.honest_pirate(circuit), pirates.coin_pirate())
-
-        local = rng_for(f"accept-superposed-{label}")
-        results = [
-            run_event_trial(params, builder, random_message(4, local), local, elwm_params=ep)
-            for _ in range(trials)
-        ]
-        tally = classify_events(results)
+    for (label, theta), tally in zip(SUPERPOSED_ANGLES, pooled_superposed_tallies(trials)):
         live = tally.live / trials
         good = tally.good_ext / trials
         bad = tally.bad_ext / trials
@@ -313,6 +335,12 @@ def test_a07_superposed_pirates_live_and_extract_at_branch_weights():
         assert bad <= 0.02, f"theta={label}: bad {bad}"
         lines.append(f"theta={label}: live {live:.3f} (target {target:.3f}), good {good:.3f}, bad {bad:.3f}")
     print("PASS superposed sweep: " + "; ".join(lines))
+
+
+def test_superposed_sweep_pool_gives_the_serial_tallies():
+    # a07's pool at 3 trials per angle against one process walking the same streams
+    serial = [superposed_tally(label, theta, 3) for label, theta in SUPERPOSED_ANGLES]
+    assert pooled_superposed_tallies(3) == serial
 
 
 def test_a08_crypto_layer_batch():

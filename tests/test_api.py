@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qwmark import api, elwm
-from qwmark.errors import DegenerateStateError, FlushLimitError, InvariantError, RoundLimitError
+from qwmark.errors import (
+    DegenerateStateError,
+    DimensionCapError,
+    FlushLimitError,
+    InvariantError,
+    RoundLimitError,
+)
+from qwmark.qcore import QuantumProgram, UnitaryOracle
 from qwmark.spectral import spectral_measurement
 
 from conftest import (
@@ -22,6 +29,7 @@ from conftest import (
     dense_cproj,
     dense_isu,
     random_program,
+    random_state,
     random_triples,
     rng_for,
 )
@@ -122,6 +130,23 @@ def test_round_cap_is_checked_before_any_draw():
     assert local.random() == rng_for("api-round-cap-run").random()
 
 
+class OracleCalled(Exception):
+    pass
+
+
+def test_dimension_cap_is_checked_before_any_circuit_runs():
+    # s * d = 65 * 4 exceeds the cap of 256: the refusal must come before the
+    # projector stack, so the oracle is never called; at s * d = 256 it is
+    def refuse(x, y):
+        raise OracleCalled(x, y)
+
+    prog = QuantumProgram(random_state(4, rng_for("api-dimension-cap")), UnitaryOracle(4, refuse))
+    params = api.ApiParams(0.5, 0.5)
+    for s, error in ((65, DimensionCapError), (64, OracleCalled)):
+        with pytest.raises(error):
+            api.api_exact(FakeDistribution(random_triples(s, "api-dimension-cap")), prog, params, rng_for("api-cap"))
+
+
 def test_agreement_count_examples():
     # leading 1 is implicit: (1, 1,1,1,1) has 4 agreements
     assert api.agreement_count((1, 1, 1, 1)) == 4
@@ -211,7 +236,7 @@ def test_exact_on_exact_eigenstate_gives_all_ones():
     assert est == 1.0
     assert tr.t == 2 * params.T
     assert all(b == 1 for b in tr.bits)
-    assert tr.flush_bits == ()
+    assert tr.flush_bits == b""
     assert np.allclose(post.amplitudes, prog.state.amplitudes)
 
 
@@ -304,7 +329,7 @@ def reference_exact(dist, prog, params, rng, reverse=False):
     while (flush[-1] if flush else bits[-1]) != 1:
         vec = measure_round(vec, flush)
     phi = vec.reshape(s, d).sum(axis=0)
-    return tuple(bits), tuple(flush), phi / np.linalg.norm(phi)
+    return bytes(bits), bytes(flush), phi / np.linalg.norm(phi)
 
 
 def assert_matches_oracle(dist, prog, params, label, reverse) -> int:
@@ -436,6 +461,78 @@ def test_one_block_scan_matches_oracle_past_the_rescale(walks):
     for reverse in (False, True):
         assert_matches_oracle(dist, prog, params, f"api-one-block-rescale-{int(reverse)}", reverse)
     assert walks == ["scan"] * 2
+
+
+def forward_fill_walk(main, agree, flip, rng, params, drawn):
+    """`api._one_block_walk` as a forward fill and a parity scan over bool
+    arrays: a bit is the value of the last constant step up to it (the
+    leading 1 counts as one), flipped by the parity of the negations since.
+    The oracle of the carry chain."""
+
+    def near(u):
+        return (np.abs(u - agree) < api.SCAN_MARGIN) | (np.abs(u - (1.0 - agree)) < api.SCAN_MARGIN)
+
+    if np.any(near(main)):
+        return None
+    after_one = np.empty(len(main) + 1, dtype=bool)
+    after_zero = np.empty(len(main) + 1, dtype=bool)
+    after_one[0] = after_zero[0] = True
+    np.less(main, agree, out=after_one[1:])
+    np.less(main, 1.0 - agree, out=after_zero[1:])
+    steps = np.arange(len(after_one), dtype=np.int32)
+    last_constant = np.maximum.accumulate(np.where(after_one == after_zero, steps, 0))
+    odd = np.logical_xor.accumulate(after_zero & ~after_one)  # parity of the negations so far
+    scan = after_one[last_constant] ^ odd ^ odd[last_constant]
+    repeats = scan[1:] == scan[:-1]
+    if (agree <= api.VANISHED_BELOW and repeats.any()) or (flip <= api.VANISHED_BELOW and not repeats.all()):
+        return None
+    bits = bytearray(scan[1:].view(np.uint8))
+    for u in api._flush_uniforms(rng, params, bits):
+        drawn.append(u)
+        prev = bits[-1]
+        bit = int(u < (agree if prev else 1.0 - agree))
+        if near(u) or (agree if bit == prev else flip) <= api.VANISHED_BELOW:
+            return None
+        bits.append(bit)
+    return bits
+
+
+@given(
+    q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n=st.one_of(st.sampled_from([1, 2, 7, 8, 9, 63, 64, 65]), st.integers(1, 5000)),
+    vanish=st.sampled_from([api.VANISHED_BELOW, 0.25, 0.5, 0.75]),
+    margin=st.sampled_from([api.SCAN_MARGIN, 1e-4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(q=0.0, n=5000, vanish=api.VANISHED_BELOW, margin=api.SCAN_MARGIN, seed=1)
+@example(q=1.0, n=5000, vanish=api.VANISHED_BELOW, margin=api.SCAN_MARGIN, seed=2)
+@example(q=0.5, n=5000, vanish=api.VANISHED_BELOW, margin=api.SCAN_MARGIN, seed=3)
+@example(q=1e-300, n=9, vanish=api.VANISHED_BELOW, margin=api.SCAN_MARGIN, seed=4)
+@example(q=1.0 - 2.0**-53, n=64, vanish=api.VANISHED_BELOW, margin=api.SCAN_MARGIN, seed=5)
+@example(q=math.nextafter(0.5, 0.0), n=65, vanish=api.VANISHED_BELOW, margin=api.SCAN_MARGIN, seed=6)
+@example(q=math.nextafter(0.5, 1.0), n=8, vanish=api.VANISHED_BELOW, margin=api.SCAN_MARGIN, seed=7)
+@example(q=0.3, n=7, vanish=0.75, margin=api.SCAN_MARGIN, seed=8)
+@example(q=0.3, n=7, vanish=0.5, margin=api.SCAN_MARGIN, seed=17)  # one repeat
+@example(q=0.1, n=2, vanish=0.5, margin=api.SCAN_MARGIN, seed=9)
+@example(q=0.9, n=1, vanish=0.5, margin=api.SCAN_MARGIN, seed=10)
+def test_carry_chain_matches_forward_fill(q, n, vanish, margin, seed):
+    # Same bits or the same None, the same flush draws and the same stream
+    # position; raising the limit makes steps vanish, so the walks must also
+    # leave the same runs to the block walk.
+    main = np.random.default_rng(seed).random(n)
+    params = api.ApiParams(0.7, 0.9)  # T = 4: a flush may run into its cap
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(api, "VANISHED_BELOW", vanish)
+        patch.setattr(api, "SCAN_MARGIN", margin)
+        for walk in (forward_fill_walk, api._one_block_walk):
+            local, drawn = np.random.default_rng([seed, 1]), []
+            try:
+                bits = walk(main, q, 1.0 - q, local, params, drawn)
+            except FlushLimitError:
+                bits = "flush limit"
+            outcomes.append((bits, drawn, local.random()))
+    assert outcomes[0] == outcomes[1]
 
 
 def exact_outcome(dist, prog, params, label):

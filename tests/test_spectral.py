@@ -11,6 +11,7 @@ from qwmark.qcore import StateVector, check_projectors
 
 from conftest import (
     FakeDistribution,
+    haar_unitary,
     projimp_bernoulli_check,
     random_program,
     random_state,
@@ -150,6 +151,81 @@ def test_projimp_superposed_pirate_mixture_weights():
     assert set(weight) == {round(f1, 9), round(1 - f1, 9)}
     assert abs(weight[round(f1, 9)] - np.cos(theta) ** 2) < 1e-10
     assert abs(weight[round(1 - f1, 9)] - np.sin(theta) ** 2) < 1e-10
+
+
+def projector_cluster(povm: spectral.MixedBinaryPOVM, state: StateVector, rng):
+    """`projimp_cluster` through the eigenprojectors of `spectral_measurement`:
+    (cluster index, eigenvalue, post amplitudes, cluster probabilities)."""
+    spec = spectral.spectral_measurement(povm.average())
+    probs = spec.probabilities(state)
+    idx = int(rng.choice(len(probs), p=probs))
+    post = StateVector.from_unnormalized(spec.eigenprojectors[idx] @ state.amplitudes)
+    return idx, spec.eigenvalues[idx], post.amplitudes, probs
+
+
+class ChoiceRecorder:
+    """A generator whose `choice` keeps the probabilities it was given."""
+
+    def __init__(self, rng):
+        self.rng, self.p = rng, None
+
+    def choice(self, n, p):
+        self.p = p
+        return self.rng.choice(n, p=p)
+
+
+def shared_basis_povm(d: int, s: int, rng) -> spectral.MixedBinaryPOVM:
+    """s projectors diagonal in one Haar basis, with 0/1 diagonals whose first
+    two entries agree: P_D has eigenvalues k/s, at least one repeated, which
+    float error spreads by far less than CLUSTER_TOL."""
+    basis = haar_unitary(d, rng)
+    diagonals = rng.integers(0, 2, size=(s, d))
+    diagonals[:, 1] = diagonals[:, 0]
+    stack = np.array([(basis * row) @ basis.conj().T for row in diagonals])
+    return spectral.MixedBinaryPOVM(check_projectors(stack))
+
+
+def near_pair_povm(d: int, rng) -> spectral.MixedBinaryPOVM:
+    """Two members, each a sum of one line per 2x2 block of a Haar basis.
+    Lines at cosine c give P_D the eigenvalues (1 +- c) / 2; in the first
+    block c = 2e-11, so that pair is 2e-11 apart, one cluster whose mean is
+    neither of its eigenvalues."""
+    first, second = np.zeros((2, d, d))
+    for j, c in enumerate(np.append(2e-11, rng.uniform(0.1, 0.9, d // 2 - 1))):
+        first[2 * j, 2 * j] = 1.0
+        line = np.zeros(d)
+        line[2 * j : 2 * j + 2] = c, np.sqrt(1.0 - c * c)
+        second += np.outer(line, line)
+    basis = haar_unitary(d, rng)
+    return spectral.MixedBinaryPOVM(check_projectors(basis @ np.array([first, second]) @ basis.conj().T))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_projimp_cluster_matches_eigenprojector_oracle(d):
+    # Twin streams: the same cluster and eigenvalue, probabilities and post
+    # amplitudes within 1e-12, and the same next draw.  Two programs in three
+    # have a cluster of at least two eigenvalues.
+    merged = 0
+    for i in range(12):
+        label = f"proj-cluster-oracle-{d}-{i}"
+        local = rng_for(label)
+        if i % 3 == 1:
+            povm = shared_basis_povm(d, 3, local)
+        elif i % 3 == 2:
+            povm = near_pair_povm(d, local)
+        else:
+            prog = random_program(d, label)
+            povm = distribution_povm(prog, FakeDistribution(random_triples(3, label)))
+        state = random_state(d, local)
+        oracle_rng, recorder = rng_for(f"{label}-draw"), ChoiceRecorder(rng_for(f"{label}-draw"))
+        idx, value, post_amps, probs = projector_cluster(povm, state, oracle_rng)
+        got = spectral.projimp_cluster(povm, state, recorder)
+        assert got[:2] == (idx, value)
+        assert np.max(np.abs(recorder.p - probs)) < 1e-12
+        assert np.max(np.abs(got[2].amplitudes - post_amps)) < 1e-12
+        assert recorder.rng.random() == oracle_rng.random()
+        merged += len(probs) < d
+    assert merged >= 8
 
 
 # ---------------------------------------------------------------------------
