@@ -45,7 +45,6 @@ There are two engines.  Both take a distribution's projectors as one checked
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import mul
@@ -139,17 +138,12 @@ def _led(bits) -> int:
 
 
 def _agreements(led: int, m: int) -> int:
-    """Adjacent agreements among the first m + 1 entries of a packed (1, b_1, ...)."""
-    return m - ((led ^ (led >> 1)) & ((1 << m) - 1)).bit_count()
-
-
-def agreement_count(bits: Sequence[int]) -> int:
-    """Number of adjacent agreements in (1, b_1, ..., b_2T).
+    """Adjacent agreements among the first m + 1 entries of a packed (1, b_1, ...).
 
     The leading 1 reflects the initial state lying in range(IsU), i.e. the
     run starts as if the previous uniformity test had accepted.
     """
-    return _agreements(_led(bits), len(bits))
+    return m - ((led ^ (led >> 1)) & ((1 << m) - 1)).bit_count()
 
 
 def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
@@ -289,7 +283,8 @@ def api_exact(
     p, eigvecs = accept_eigenbasis(distribution_povm(prog, dist).average())
     coef, born = eigen_coefficients(eigvecs, prog.state)
     held = born > 0  # a block without weight adds exact zeros to every sum
-    p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]
+    if not held.all():
+        p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]
     agree, flip = ((1.0 - p).tolist(), p.tolist()) if reverse else (p.tolist(), (1.0 - p).tolist())
     n = 2 * params.T
     draws = rng.random(n)
@@ -299,12 +294,12 @@ def api_exact(
         bits = bytearray()
         uniforms = chain(_main_uniforms(draws), _flush_uniforms(rng, params, bits, drawn))
         ratio = _block_walk(born, agree, flip, uniforms, bits)
+        amps = eigvecs @ (coef / np.abs(coef) * np.sqrt(ratio))
     else:
-        ratio = np.ones(1)  # the one block keeps all the weight
+        amps = eigvecs @ (coef / np.abs(coef))  # the one block keeps all the weight
     led = _led(bits)
     t = _agreements(led, n)
     n00 = (~(led | led >> 1) & ((1 << len(bits)) - 1)).bit_count()  # 0 -> 0 steps
-    amps = eigvecs @ (coef / np.abs(coef) * np.sqrt(ratio))
     transcript = ApiTranscript(bytes(bits[:n]), bytes(bits[n:]), t, t / n)
     return transcript.estimate, StateVector.from_unnormalized(-amps if n00 % 2 else amps), transcript
 

@@ -19,6 +19,7 @@ DIMENSION_CAP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,6 +49,13 @@ def check_dimension(dim: int, *, require_power_of_two: bool = False, what: str =
     return dim
 
 
+def _norm(amps: np.ndarray) -> float:
+    """Euclidean norm of a complex vector by `np.linalg.norm`'s own formula,
+    without its argument dispatch."""
+    re, im = amps.real, amps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit vector of complex amplitudes.  Immutable: the array is locked."""
@@ -57,8 +65,8 @@ class StateVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         check_dimension(amps.size, what="state dimension")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = _norm(amps)
+        if not (abs(norm - 1.0) <= NORM_TOL):
             raise DegenerateStateError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -77,9 +85,9 @@ class StateVector:
     @classmethod
     def from_unnormalized(cls, amps: np.ndarray) -> "StateVector":
         amps = np.asarray(amps, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(amps)
-        if norm < 1e-12:
-            raise DegenerateStateError("cannot normalize a (numerically) zero vector")
+        norm = _norm(amps)
+        if not (norm >= 1e-12):
+            raise DegenerateStateError(f"cannot normalize a vector of norm {norm!r}")
         return cls(amps / norm)
 
 
@@ -111,10 +119,10 @@ class UnitaryOracle:
         fresh = [i for i, pair in enumerate(pairs) if pair not in self._checked]
         if fresh:
             u = mats[fresh]
-            dev = np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(self.dim)).max(axis=(1, 2))
-            bad = np.flatnonzero(dev > UNITARY_TOL)
-            if bad.size:
-                x, y = pairs[fresh[bad[0]]]
+            dev = np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(self.dim))
+            if not (dev.max() <= UNITARY_TOL):
+                bad = next(i for i, member in zip(fresh, dev) if not (member.max() <= UNITARY_TOL))
+                x, y = pairs[bad]
                 raise InvariantError(f"oracle matrix for ({x!r}, {y!r}) is not unitary")
             self._checked.update(pairs[i] for i in fresh)
         return mats
@@ -148,9 +156,9 @@ class QuantumProgram:
 def check_projectors(stack: np.ndarray) -> np.ndarray:
     """Lock an (s, d, d) stack after checking each member is a projector:
     Hermitian and idempotent within PROJECTOR_TOL."""
-    if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > PROJECTOR_TOL:
+    if not (np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= PROJECTOR_TOL):
         raise InvariantError("projector is not Hermitian within tolerance")
-    if np.max(np.abs(stack @ stack - stack)) > PROJECTOR_TOL:
+    if not (np.abs(stack @ stack - stack).max() <= PROJECTOR_TOL):
         raise InvariantError("projector is not idempotent within tolerance")
     stack.flags.writeable = False
     return stack

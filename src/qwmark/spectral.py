@@ -11,8 +11,10 @@ Bernoulli(p) draw, reproduces the original POVM's statistics exactly.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .qcore import StateVector
 
 EIGENVALUE_SLACK = 1e-9  # clamp eigenvalues this far outside [0, 1]; error beyond
 CLUSTER_TOL = 1e-9  # eigenvalues this close are one eigenvalue of P_D
+CHOICE_ATOL = math.sqrt(np.finfo(float).eps)  # how far from 1 `rng.choice` lets p sum
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class SpectralMeasurement:
         )
         probs = np.clip(probs, 0.0, None)
         total = probs.sum()
-        if abs(total - 1.0) > 1e-8:
+        if not (abs(total - 1.0) <= 1e-8):
             raise InvariantError(f"eigenspace probabilities sum to {total!r}, not 1")
         return probs / total
 
@@ -95,20 +98,22 @@ def accept_eigenbasis(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the ascending eigenvalues, clipped to [0, 1], and the orthonormal
     eigenvectors as columns.  Eigenvalues further than EIGENVALUE_SLACK
-    outside [0, 1] raise InvariantError.
+    outside [0, 1] raise InvariantError.  `eigh` returns them ascending, so
+    the two ends bound them, and the clip runs only when an end leaves [0, 1].
     """
     accept = np.asarray(accept, dtype=complex)
-    if np.max(np.abs(accept - accept.conj().T)) > 1e-8:
+    if not (np.abs(accept - accept.conj().T).max() <= 1e-8):
         raise InvariantError("accept operator is not Hermitian")
     try:
         vals, vecs = np.linalg.eigh(accept)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-    if vals.min() < -EIGENVALUE_SLACK or vals.max() > 1.0 + EIGENVALUE_SLACK:
-        raise InvariantError(
-            f"accept-operator eigenvalues [{vals.min()!r}, {vals.max()!r}] leave [0,1] beyond slack"
-        )
-    return np.clip(vals, 0.0, 1.0), vecs
+    low, high = float(vals[0]), float(vals[-1])
+    if not (0.0 <= low and high <= 1.0):
+        if not (-EIGENVALUE_SLACK <= low and high <= 1.0 + EIGENVALUE_SLACK):
+            raise InvariantError(f"accept-operator eigenvalues [{low!r}, {high!r}] leave [0,1] beyond slack")
+        vals = np.clip(vals, 0.0, 1.0)
+    return vals, vecs
 
 
 def spectral_measurement(accept: np.ndarray) -> SpectralMeasurement:
@@ -129,9 +134,27 @@ def eigen_coefficients(eigvecs: np.ndarray, state: StateVector) -> tuple[np.ndar
     coef = eigvecs.conj().T @ state.amplitudes
     born = np.abs(coef) ** 2
     total = born.sum()
-    if abs(total - 1.0) > 1e-8:
+    if not (abs(total - 1.0) <= 1e-8):
         raise InvariantError(f"Born weights of the state sum to {total!r}, not 1")
     return coef, born
+
+
+def born_draw(p: list[float], rng) -> int:
+    """The index `rng.choice(len(p), p=p)` draws, from the same single
+    `rng.random()` uniform: the first index whose running sum of p, divided
+    by the last running sum, exceeds the uniform.
+
+    Negative or NaN weights, or a sum further than CHOICE_ATOL from 1,
+    raise InvariantError where `choice` raises ValueError.
+    """
+    if not all(w >= 0.0 for w in p):
+        raise InvariantError(f"Born weights {p!r} are not all nonnegative")
+    total = math.fsum(p)
+    if not (abs(total - 1.0) <= CHOICE_ATOL):
+        raise InvariantError(f"Born weights sum to {total!r}, not 1")
+    cdf = list(accumulate(p))
+    last = cdf[-1]
+    return bisect_right([c / last for c in cdf], rng.random())
 
 
 def projimp_cluster(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[int, float, StateVector]:
@@ -139,15 +162,23 @@ def projimp_cluster(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[int
 
     A cluster's weight is the sum of its Born weights |<phi_j|psi>|^2, and
     its post state is sum_j <phi_j|psi> phi_j over the cluster, normalized.
-    Makes exactly one `rng.choice` draw.
+    Draws one `rng.random()` uniform, which gives the index `rng.choice`
+    would give (`born_draw`).  With distinct eigenvalues every cluster is
+    one eigenvector, taken by a slice.
     """
     if povm.dim != state.dim:
         raise DimensionError(f"POVM dim {povm.dim} vs state dim {state.dim}")
     vals, vecs = accept_eigenbasis(povm.average())
     coef, born = eigen_coefficients(vecs, state)
+    ascending = vals.tolist()
+    if all(b - a > CLUSTER_TOL for a, b in zip(ascending, ascending[1:])):
+        # every cluster is one eigenvector; the post state still goes through
+        # matmul, since vecs[:, j] * coef[j] rounds differently
+        j = born_draw((born / born.sum()).tolist(), rng)
+        return j, ascending[j], StateVector.from_unnormalized(vecs[:, j : j + 1] @ coef[j : j + 1])
     groups = _cluster(vals, CLUSTER_TOL)
     probs = np.array([born[group].sum() for group in groups])
-    idx = int(rng.choice(len(probs), p=probs / probs.sum()))
+    idx = born_draw((probs / probs.sum()).tolist(), rng)
     group = groups[idx]
     post = StateVector.from_unnormalized(vecs[:, group] @ coef[group])
     return idx, float(np.mean(vals[group])), post

@@ -39,8 +39,8 @@ from typing import Callable, Sequence
 from . import crypto, elwm
 from .api import MAX_EXACT_ROUNDS, ApiParams, distribution_povm, run_api
 from .elwm import ElwmParams, ObfuscatedCircuit, PrfKeyIo, TagIo, build_distribution
-from .errors import IndexRangeError, InvariantError, LengthError, RoundLimitError
-from .qcore import QuantumProgram
+from .errors import DimensionCapError, IndexRangeError, InvariantError, LengthError, RoundLimitError
+from .qcore import DIMENSION_CAP, QuantumProgram
 from .spectral import projimp
 
 LIVE_SLACK = 1e-12  # float dust only; thresholds are meant as exact comparisons
@@ -74,6 +74,10 @@ class ExtractParams:
             raise LengthError("coin-space size must be positive")
         if self.engine not in ("fast", "exact"):
             raise InvariantError(f"engine must be 'fast' or 'exact', got {self.engine!r}")
+        # every program has dimension >= 2, so s * d stays within the exact
+        # engine's cap only for s <= DIMENSION_CAP // 2; refuse before any Sim work
+        if self.engine == "exact" and self.s > DIMENSION_CAP // 2:
+            raise DimensionCapError(f"exact engine needs s * d <= {DIMENSION_CAP}; s = {self.s} exceeds it for any d >= 2")
         object.__setattr__(self, "eps_prime", self.eps / (4.0 * (self.k + 1)))
         rounds = self.api_params().T
         if self.engine == "exact" and rounds > MAX_EXACT_ROUNDS:

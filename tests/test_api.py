@@ -147,13 +147,18 @@ def test_dimension_cap_is_checked_before_any_circuit_runs():
             api.api_exact(FakeDistribution(random_triples(s, "api-dimension-cap")), prog, params, rng_for("api-cap"))
 
 
+def agreement_count(bits) -> int:
+    """The engine's packed agreement count of (1, b_1, ..., b_2T)."""
+    return api._agreements(api._led(bits), len(bits))
+
+
 def test_agreement_count_examples():
     # leading 1 is implicit: (1, 1,1,1,1) has 4 agreements
-    assert api.agreement_count((1, 1, 1, 1)) == 4
-    assert api.agreement_count((0, 0, 0, 0)) == 3
-    assert api.agreement_count((0, 1, 0, 1)) == 0
-    assert api.agreement_count((1, 0, 1, 0)) == 1
-    assert api.agreement_count(()) == 0
+    assert agreement_count((1, 1, 1, 1)) == 4
+    assert agreement_count((0, 0, 0, 0)) == 3
+    assert agreement_count((0, 1, 0, 1)) == 0
+    assert agreement_count((1, 0, 1, 0)) == 1
+    assert agreement_count(()) == 0
 
 
 def literal_agreement_count(bits) -> int:
@@ -171,7 +176,7 @@ def literal_agreement_count(bits) -> int:
 @example((0,))
 @example((1,))
 def test_agreement_count_matches_literal_loop(bits):
-    assert api.agreement_count(bits) == literal_agreement_count(bits)
+    assert agreement_count(bits) == literal_agreement_count(bits)
 
 
 def test_transcript_validation():

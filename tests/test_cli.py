@@ -521,6 +521,18 @@ def test_exact_extract_beyond_the_round_cap_exits_at_once(tmp_path, keys, capsys
     assert "rounds" in err and "Traceback" not in err
 
 
+def test_exact_extract_beyond_the_dimension_cap_exits_at_once(tmp_path, keys, capsys):
+    # s * d > DIMENSION_CAP for every program: refused before any Sim triple is built
+    circ_path = tmp_path / "marked.circ"
+    assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
+    argv = ["extract", "--tag", keys["tag"], "--xk", keys["xk"], "--circuit", circ_path, "--eps", 0.25]
+    start = time.monotonic()
+    assert run_cli(*argv, "--s", 1_000_000_000, "--engine", "exact", "--seed", 1) == cli.EXIT_DIMENSION
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert "exceeds" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("eps, delta_prime", [(1e-9, 0.01), (1e-200, 0.01), (0.25, 5e-324)])
 def test_round_counts_beyond_one_binomial_draw_exit_numeric(tmp_path, keys, capsys, eps, delta_prime):
     # 2T overflows int64, eps'^2 underflows to 0, or 4 / delta' overflows to inf

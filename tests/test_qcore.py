@@ -26,6 +26,13 @@ def test_state_vector_validation():
         psi.amplitudes[0] = 0.5
 
 
+def test_state_vector_rejects_nan():
+    with pytest.raises(DegenerateStateError):
+        qcore.StateVector(np.array([np.nan, 0j]))
+    with pytest.raises(DegenerateStateError):
+        qcore.StateVector.from_unnormalized(np.array([np.nan, 1.0]))
+
+
 def test_state_vector_helpers():
     psi = qcore.StateVector.basis(8, 3)
     assert np.array_equal(psi.amplitudes, np.eye(8)[3])
@@ -60,6 +67,12 @@ def test_check_projectors_rejects_non_projectors():
                 qcore.check_projectors(stack)
     stack = np.stack([np.diag([1.0, 0.0]), np.eye(2)]).astype(complex)
     assert qcore.check_projectors(stack) is stack and not stack.flags.writeable
+
+
+def test_check_projectors_rejects_nan():
+    stack = np.stack([np.diag([1.0, 0.0]), np.full((2, 2), np.nan)]).astype(complex)
+    with pytest.raises(InvariantError):
+        qcore.check_projectors(stack)
 
 
 def test_projector_expectation():
@@ -99,6 +112,16 @@ def test_oracle_batch_rejects_non_unitary_at_any_position(position):
     oracle = qcore.UnitaryOracle(2, build)
     with pytest.raises(InvariantError, match=repr(bad_y)):
         oracle.matrices(pairs)
+    assert oracle._checked == set()
+
+
+def test_oracle_batch_rejects_nan_matrices():
+    def build(x, y):
+        return np.full((2, 2), np.nan) if y == "1" else np.eye(2)
+
+    oracle = qcore.UnitaryOracle(2, build)
+    with pytest.raises(InvariantError, match=repr("1")):
+        oracle.matrices([("0", "0"), ("0", "1")])
     assert oracle._checked == set()
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwmark import spectral
 from qwmark.errors import DimensionError, InvariantError
@@ -72,6 +74,109 @@ def test_probabilities_born_rule():
     psi = StateVector(np.array([0.6, 0.8]))
     probs = spec.probabilities(psi)
     assert np.allclose(probs, [0.36, 0.64])
+
+
+def test_probabilities_reject_nan():
+    spec = spectral.SpectralMeasurement((0.0, 1.0), (np.diag([1.0, 0.0]), np.full((2, 2), np.nan)))
+    with pytest.raises(InvariantError, match="sum"):
+        spec.probabilities(StateVector(np.array([0.6, 0.8])))
+
+
+def test_accept_eigenbasis_rejects_nan():
+    with pytest.raises(InvariantError, match="Hermitian"):
+        spectral.accept_eigenbasis(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+
+def test_accept_eigenbasis_clips_only_beyond_the_unit_interval():
+    vals, _ = spectral.accept_eigenbasis(np.diag([-1e-12, 0.5, 1.0 + 1e-12]))
+    assert vals.tolist() == [0.0, 0.5, 1.0]
+    vals, _ = spectral.accept_eigenbasis(np.diag([0.0, 0.5, 1.0]))
+    assert vals.tolist() == [0.0, 0.5, 1.0]
+    for bad in (np.diag([-2e-9, 0.5]), np.diag([0.5, 1.0 + 2e-9])):
+        with pytest.raises(InvariantError, match="slack"):
+            spectral.accept_eigenbasis(bad)
+
+
+def test_eigen_coefficients_reject_nan():
+    with pytest.raises(InvariantError, match="sum"):
+        spectral.eigen_coefficients(np.full((2, 2), np.nan), StateVector.basis(2, 0))
+
+
+# ---------------------------------------------------------------------------
+# the Born draw
+# ---------------------------------------------------------------------------
+
+SUBNORMAL = st.floats(min_value=0.0, max_value=2.2e-308, exclude_min=True, allow_subnormal=True)
+WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]), SUBNORMAL, st.floats(1e-300, 1.0)),
+    min_size=1,
+    max_size=300,
+)
+
+
+@given(WEIGHTS, st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+def test_born_draw_is_rng_choice(raw, off, seed):
+    # Twin streams: the same index, or the same refusal, and the same next
+    # draw.  The sum of p is off from 1 by up to sqrt(eps), within float dust.
+    raw = np.array(raw)
+    if not raw.sum():
+        raw[0] = 1.0
+    p = raw / raw.sum() * (1.0 + off * (1.0 - 1e-6) * spectral.CHOICE_ATOL)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = int(theirs.choice(len(p), p=p))
+    except ValueError:
+        with pytest.raises(InvariantError):
+            spectral.born_draw(p.tolist(), ours)
+    else:
+        assert spectral.born_draw(p.tolist(), ours) == expected
+    assert ours.random() == theirs.random()
+
+
+class FixedUniforms:
+    """A generator whose `random()` returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_born_draw_never_lands_on_a_zero_weight():
+    # a uniform exactly on a step of the running sum goes past the zero
+    # weights there, as `searchsorted(side="right")` in `rng.choice` does
+    p = [0.0, 0.5, 0.0, 0.5]
+    assert [spectral.born_draw(p, FixedUniforms(u)) for u in (0.0, 0.25, 0.5, 0.75)] == [1, 1, 3, 3]
+
+
+def test_born_draw_scales_the_running_sum_to_one():
+    # p sums to 1 - 1e-8: the steps move up by the same factor, and the
+    # largest uniform below 1 still lands on the last index
+    p = [0.5, 0.5 - 1e-8]
+    assert spectral.born_draw(p, FixedUniforms(0.5 + 1e-9)) == 0
+    assert spectral.born_draw(p, FixedUniforms(1.0 - 2.0**-53)) == 1
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [-0.25, 1.25],
+        [-0.0 - 5e-324, 1.0],
+        [np.nan, 1.0],
+        [0.5, np.nan, 0.5],
+        [np.inf, 0.0],
+        [0.5, 0.5 + 2 * spectral.CHOICE_ATOL],
+        [0.5, 0.5 - 2 * spectral.CHOICE_ATOL],
+    ],
+)
+def test_born_draw_refuses_what_rng_choice_refuses(p):
+    ours, theirs = rng_for("born-draw-refusal"), rng_for("born-draw-refusal")
+    with pytest.raises(ValueError):
+        theirs.choice(len(p), p=p)
+    with pytest.raises(InvariantError):
+        spectral.born_draw(p, ours)
+    assert ours.random() == theirs.random()
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +268,15 @@ def projector_cluster(povm: spectral.MixedBinaryPOVM, state: StateVector, rng):
     return idx, spec.eigenvalues[idx], post.amplitudes, probs
 
 
-class ChoiceRecorder:
-    """A generator whose `choice` keeps the probabilities it was given."""
+class DrawRecorder:
+    """Stands in for `spectral.born_draw` and keeps the probabilities it was given."""
 
-    def __init__(self, rng):
-        self.rng, self.p = rng, None
+    def __init__(self, rng, draw):
+        self.rng, self.draw, self.p = rng, draw, None
 
-    def choice(self, n, p):
-        self.p = p
-        return self.rng.choice(n, p=p)
+    def __call__(self, p, rng):
+        self.p = np.array(p)
+        return self.draw(p, rng)
 
 
 def shared_basis_povm(d: int, s: int, rng) -> spectral.MixedBinaryPOVM:
@@ -201,7 +306,7 @@ def near_pair_povm(d: int, rng) -> spectral.MixedBinaryPOVM:
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
-def test_projimp_cluster_matches_eigenprojector_oracle(d):
+def test_projimp_cluster_matches_eigenprojector_oracle(d, monkeypatch):
     # Twin streams: the same cluster and eigenvalue, probabilities and post
     # amplitudes within 1e-12, and the same next draw.  Two programs in three
     # have a cluster of at least two eigenvalues.
@@ -217,9 +322,11 @@ def test_projimp_cluster_matches_eigenprojector_oracle(d):
             prog = random_program(d, label)
             povm = distribution_povm(prog, FakeDistribution(random_triples(3, label)))
         state = random_state(d, local)
-        oracle_rng, recorder = rng_for(f"{label}-draw"), ChoiceRecorder(rng_for(f"{label}-draw"))
+        oracle_rng, recorder = rng_for(f"{label}-draw"), DrawRecorder(rng_for(f"{label}-draw"), spectral.born_draw)
         idx, value, post_amps, probs = projector_cluster(povm, state, oracle_rng)
-        got = spectral.projimp_cluster(povm, state, recorder)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "born_draw", recorder)
+            got = spectral.projimp_cluster(povm, state, recorder.rng)
         assert got[:2] == (idx, value)
         assert np.max(np.abs(recorder.p - probs)) < 1e-12
         assert np.max(np.abs(got[2].amplitudes - post_amps)) < 1e-12

@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from qwmark import elwm, pirates, wmprf
-from qwmark.errors import IndexRangeError, InvariantError, LengthError
+from qwmark.errors import DimensionCapError, IndexRangeError, InvariantError, LengthError
+from qwmark.qcore import DIMENSION_CAP
 
 from conftest import rng_for
 
@@ -50,6 +51,15 @@ def test_extract_params_validation():
         wmprf.ExtractParams(k=0, eps=0.2)
     with pytest.raises(InvariantError):
         wmprf.ExtractParams(k=3, eps=0.2, engine="warp")
+
+
+def test_exact_extract_params_refuse_s_beyond_the_dimension_cap():
+    # every program has d >= 2, so s * d exceeds the cap for any s > DIMENSION_CAP // 2
+    s = DIMENSION_CAP // 2
+    assert wmprf.ExtractParams(k=3, eps=0.25, s=s, engine="exact").s == s
+    assert wmprf.ExtractParams(k=3, eps=0.25, s=s + 1).s == s + 1
+    with pytest.raises(DimensionCapError):
+        wmprf.ExtractParams(k=3, eps=0.25, s=s + 1, engine="exact")
 
 
 def test_wm_gen_checks_carrier_width():
