@@ -283,8 +283,7 @@ def api_exact(
     p, eigvecs = accept_eigenbasis(distribution_povm(prog, dist).average())
     coef, born = eigen_coefficients(eigvecs, prog.state)
     held = born > 0  # a block without weight adds exact zeros to every sum
-    if not held.all():
-        p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]
+    p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]
     agree, flip = ((1.0 - p).tolist(), p.tolist()) if reverse else (p.tolist(), (1.0 - p).tolist())
     n = 2 * params.T
     draws = rng.random(n)

@@ -81,16 +81,10 @@ class SpectralMeasurement:
         return probs / total
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group sorted indices whose consecutive eigenvalue gaps are <= tol."""
-    order = np.argsort(values)
-    groups: list[list[int]] = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
+def _runs(ascending: list[float], tol: float) -> list[tuple[int, int]]:
+    """Clusters of ascending values as [lo, hi) runs: a gap > tol starts a new run."""
+    edges = [0, *(j for j in range(1, len(ascending)) if ascending[j] - ascending[j - 1] > tol), len(ascending)]
+    return list(zip(edges, edges[1:]))
 
 
 def accept_eigenbasis(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,9 +114,9 @@ def spectral_measurement(accept: np.ndarray) -> SpectralMeasurement:
     vals, vecs = accept_eigenbasis(accept)
     eigenvalues = []
     projectors = []
-    for group in _cluster(vals, CLUSTER_TOL):
-        cols = vecs[:, group]
-        eigenvalues.append(float(np.mean(vals[group])))
+    for lo, hi in _runs(vals.tolist(), CLUSTER_TOL):
+        cols = vecs[:, lo:hi]
+        eigenvalues.append(float(vals[lo:hi].mean()))
         projectors.append(cols @ cols.conj().T)
     return SpectralMeasurement(tuple(eigenvalues), tuple(projectors))
 
@@ -163,25 +157,19 @@ def projimp_cluster(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[int
     A cluster's weight is the sum of its Born weights |<phi_j|psi>|^2, and
     its post state is sum_j <phi_j|psi> phi_j over the cluster, normalized.
     Draws one `rng.random()` uniform, which gives the index `rng.choice`
-    would give (`born_draw`).  With distinct eigenvalues every cluster is
-    one eigenvector, taken by a slice.
+    would give (`born_draw`).
     """
     if povm.dim != state.dim:
         raise DimensionError(f"POVM dim {povm.dim} vs state dim {state.dim}")
     vals, vecs = accept_eigenbasis(povm.average())
     coef, born = eigen_coefficients(vecs, state)
-    ascending = vals.tolist()
-    if all(b - a > CLUSTER_TOL for a, b in zip(ascending, ascending[1:])):
-        # every cluster is one eigenvector; the post state still goes through
-        # matmul, since vecs[:, j] * coef[j] rounds differently
-        j = born_draw((born / born.sum()).tolist(), rng)
-        return j, ascending[j], StateVector.from_unnormalized(vecs[:, j : j + 1] @ coef[j : j + 1])
-    groups = _cluster(vals, CLUSTER_TOL)
-    probs = np.array([born[group].sum() for group in groups])
+    runs = _runs(vals.tolist(), CLUSTER_TOL)  # `eigh` sorts, so each cluster is a run of columns
+    probs = np.array([born[lo:hi].sum() for lo, hi in runs])
     idx = born_draw((probs / probs.sum()).tolist(), rng)
-    group = groups[idx]
-    post = StateVector.from_unnormalized(vecs[:, group] @ coef[group])
-    return idx, float(np.mean(vals[group])), post
+    lo, hi = runs[idx]
+    cols = np.asfortranarray(vecs[:, lo:hi])  # matmul rounds by layout; pinned post states came from column-major
+    post = StateVector.from_unnormalized(cols @ coef[lo:hi])
+    return idx, float(vals[lo:hi].sum()) / (hi - lo), post  # np.mean's sum and division
 
 
 def projimp(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[float, StateVector]:

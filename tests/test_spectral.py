@@ -335,6 +335,28 @@ def test_projimp_cluster_matches_eigenprojector_oracle(d, monkeypatch):
     assert merged >= 8
 
 
+@pytest.mark.parametrize("d", [4, 8])
+def test_projimp_cluster_post_state_rounds_as_a_fancy_indexed_copy(d):
+    # The pinned runs built a cluster's post state from `vecs[:, group]`, a
+    # column-major copy; matmul on the row-major slice `vecs[:, lo:hi]` rounds
+    # differently, so the post amplitudes must match that copy bit for bit.
+    multi = 0
+    for i in range(16):
+        label = f"proj-cluster-layout-{d}-{i}"
+        local = rng_for(label)
+        povm = shared_basis_povm(d, 3, local) if i % 2 else near_pair_povm(d, local)
+        state = random_state(d, local)
+        vals, vecs = spectral.accept_eigenbasis(povm.average())
+        coef, _ = spectral.eigen_coefficients(vecs, state)
+        idx, _, post = spectral.projimp_cluster(povm, state, rng_for(f"{label}-draw"))
+        cuts = [0, *(np.flatnonzero(np.diff(vals) > spectral.CLUSTER_TOL) + 1).tolist(), d]
+        group = list(range(cuts[idx], cuts[idx + 1]))
+        expected = StateVector.from_unnormalized(vecs[:, group] @ coef[group])
+        assert post.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        multi += len(group) > 1
+    assert multi >= 4
+
+
 # ---------------------------------------------------------------------------
 # outcome distributions and shift distance
 # ---------------------------------------------------------------------------
