@@ -11,7 +11,8 @@ Subcommands:
 
 Determinism: every command takes --seed; identical seeds and inputs yield
 byte-identical outputs.  Wall-clock timings go to a separate timings file so
-the row data stays reproducible.
+the row data stays reproducible; it also names the GGM walk that ran
+("native" or "hashlib"), which sets the speed but not the bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elwm, wmprf
-from .crypto import check_bits, decode_text, keyed_rand
+from .crypto import check_bits, decode_text, ggm_walk_name, keyed_rand
 from .errors import (
     DegenerateStateError,
     DimensionCapError,
@@ -366,8 +367,8 @@ def cmd_experiment(args) -> int:
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     with (outdir / "timings.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["total_wall_seconds", "trials", "jobs"])
-        writer.writerow([f"{elapsed:.3f}", len(tasks), workers])
+        writer.writerow(["total_wall_seconds", "trials", "jobs", "ggm_walk"])
+        writer.writerow([f"{elapsed:.3f}", len(tasks), workers, ggm_walk_name()])
     print(rows_path)
     print(outdir / "summary.json")
     return 0

@@ -84,11 +84,22 @@ class StateVector:
 
     @classmethod
     def from_unnormalized(cls, amps: np.ndarray) -> "StateVector":
+        """The state amps / ||amps||, from one norm and one new array.
+
+        This is the unit-norm check: a finite norm of at least 1e-12 leaves
+        the quotient of unit norm to within d rounding errors, far inside
+        NORM_TOL, while a NaN, zero or overflowed norm is refused.
+        """
         amps = np.asarray(amps, dtype=complex).reshape(-1)
+        check_dimension(amps.size, what="state dimension")
         norm = _norm(amps)
-        if not (norm >= 1e-12):
+        if not (1e-12 <= norm < math.inf):
             raise DegenerateStateError(f"cannot normalize a vector of norm {norm!r}")
-        return cls(amps / norm)
+        amps = amps / norm
+        amps.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
 
 @dataclass(frozen=True)

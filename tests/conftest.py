@@ -4,6 +4,9 @@ operators of the API walk on H_R (x) H, and measurement oracles."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +20,20 @@ from qwmark.spectral import MixedBinaryPOVM, spectral_measurement
 
 settings.register_profile("repo", derandomize=True, max_examples=25)
 settings.load_profile("repo")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(cache: Path, path: Path | None = None) -> dict:
+    """Environment of a child Python that imports this checkout and caches the native walk under `cache`.
+
+    `path`, if given, replaces PATH, so that no compiler need be on it.
+    """
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if path is not None:
+        env["PATH"] = str(path)
+    return env
 
 
 @pytest.fixture

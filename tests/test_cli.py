@@ -7,6 +7,8 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -15,9 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwmark import api, cli, elwm, wmprf
+from qwmark import api, cli, crypto, elwm, wmprf
 from qwmark.crypto import keyed_rand
 from qwmark.pirates import honest_pirate
+
+from conftest import child_env
 
 
 def run_cli(*argv) -> int:
@@ -463,6 +467,33 @@ def test_experiment_starts_at_most_one_worker_per_task_and_cpu(tmp_path, capsys,
         (timing,) = csv.DictReader(fh)
     assert int(timing["jobs"]) == (started[0] if started else 1)
     assert int(timing["trials"]) == 4
+    assert timing["ggm_walk"] == crypto.ggm_walk_name() and timing["ggm_walk"] in ("native", "hashlib")
+
+
+def test_experiment_without_a_compiler_falls_back_to_the_same_bytes(tmp_path, capsys):
+    # an empty cache and a PATH with no compiler on it: the child cannot build
+    # the native walk, runs the hashlib walk, and writes the same artifacts
+    config = experiment_config(tmp_path, trials=2)
+    assert run_cli("experiment", "--config", config, "--out", tmp_path / "here") == 0
+    capsys.readouterr()
+    (tmp_path / "empty-bin").mkdir()
+    done = subprocess.run(
+        [sys.executable, "-m", "qwmark", "experiment", "--config", str(config), "--out", str(tmp_path / "child")],
+        env=child_env(tmp_path / "empty-cache", tmp_path / "empty-bin"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    for name in ("rows.csv", "summary.json"):
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    walks = []
+    for run in ("here", "child"):
+        with (tmp_path / run / "timings.csv").open(newline="") as fh:
+            (timing,) = csv.DictReader(fh)
+        walks.append(timing["ggm_walk"])
+    assert walks == [crypto.ggm_walk_name(), "hashlib"]
 
 
 def test_extract_maps_flush_limit_to_numeric_exit(tmp_path, keys, capsys, monkeypatch):

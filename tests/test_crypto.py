@@ -4,16 +4,19 @@ sparse SKE, and keyed coin derivation."""
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qwmark import crypto, elwm, wmprf
+from qwmark import crypto, elwm, native, wmprf
 from qwmark.errors import FormatError, LengthError
 from qwmark.pirates import honest_pirate
 
-from conftest import rng_for
+from conftest import child_env, rng_for
 
 # ---------------------------------------------------------------------------
 # bit helpers
@@ -228,16 +231,88 @@ def test_ggm_eval_deterministic_and_sized():
         crypto.ggm_eval(key, "101")
 
 
-def straight_line_ggm(seed: bytes, x: str, out_bits: int) -> str:
+def straight_line_walk(seed: bytes, x: str) -> bytes:
     for bit in x:
         seed = hashlib.sha256(b"node" + bit.encode() + seed).digest()[:16]
-    return crypto.prg_expand(seed, out_bits, domain=b"leaf")
+    return seed
 
 
-@given(st.binary(min_size=16, max_size=16), st.text(alphabet="01", min_size=1, max_size=130))
+def straight_line_ggm(seed: bytes, x: str, out_bits: int) -> str:
+    return crypto.prg_expand(straight_line_walk(seed, x), out_bits, domain=b"leaf")
+
+
+# The walks this host runs: the hashlib loop always, and the native kernel
+# where it builds, taken as built rather than after crypto's probe has vetted it.
+WALKS = {"hashlib": crypto._hashlib_walk}
+if (native_walk := native.load_walk()) is not None:
+    WALKS["native"] = native_walk
+
+
+def test_the_native_walk_runs_wherever_it_builds():
+    assert crypto.ggm_walk_name() == ("native" if "native" in WALKS else "hashlib")
+
+
+@contextmanager
+def walking_with(walk):
+    """Evaluate through `walk` from an empty leaf memo; restore the walk in use afterwards."""
+    saved = crypto._walk
+    crypto._walk = walk
+    crypto.forget_leaves()
+    try:
+        yield
+    finally:
+        crypto._walk = saved
+        crypto.forget_leaves()
+
+
+@given(st.binary(min_size=16, max_size=16), st.text(alphabet="01", max_size=130))
+@example(b"cover-node-seed!", "")  # a punctured cover node at full depth walks the empty path
+@example(b"\x00" * 16, ("1101" * 30)[:27])  # the widths the game walks
+@example(b"\x01" * 16, ("1101" * 30)[:30])
+@example(b"\x02" * 16, ("1101" * 30)[:81])
+@example(b"\x03" * 16, ("1101" * 30)[:90])
+@example(b"\x04" * 16, ("1101" * 30)[:108])
+@example(b"\xff" * 16, ("1101" * 30)[:120])
 def test_ggm_eval_matches_straight_line_walk(seed, x):
-    key = crypto.GgmKey(seed, len(x), 16)
-    assert crypto.ggm_eval(key, x) == straight_line_ggm(seed, x, 16)
+    expected = straight_line_walk(seed, x)
+    for walk in WALKS.values():
+        assert walk(seed, x) == expected
+        with walking_with(walk):
+            assert crypto._ggm_leaf(seed, x, 16) == straight_line_ggm(seed, x, 16)
+            if x:
+                assert crypto.ggm_eval(crypto.GgmKey(seed, len(x), 16), x) == straight_line_ggm(seed, x, 16)
+
+
+WALK_NAME = [sys.executable, "-c", "from qwmark import crypto; print(crypto.ggm_walk_name())"]
+
+
+@pytest.mark.skipif("native" not in WALKS, reason="the native walk does not build on this host")
+def test_processes_building_into_one_cache_at_once_each_load_the_kernel(tmp_path):
+    cache = tmp_path / "cache"
+    children = [
+        subprocess.Popen(WALK_NAME, env=child_env(cache), stdout=subprocess.PIPE, text=True) for _ in range(2)
+    ]
+    outputs = [child.communicate(timeout=120)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert outputs == ["native\n"] * 2
+    (built,) = (cache / "qwmark").iterdir()  # one published library, no temporary file left
+    assert built.suffix == ".so" and not built.name.startswith(".")
+    assert (cache / "qwmark").stat().st_mode & 0o777 == 0o700
+    # a cached load needs no compiler
+    (tmp_path / "empty-bin").mkdir()
+    done = subprocess.run(
+        WALK_NAME, env=child_env(cache, tmp_path / "empty-bin"), capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout == "native\n", done.stderr
+
+
+def test_a_short_or_long_ggm_seed_is_refused():
+    for seed in (b"", b"s" * 15, b"s" * 17, "s" * 16):
+        with pytest.raises(LengthError):
+            crypto.GgmKey(seed, 4, 8)
+    record = crypto.write_record((4, 8), (b"s" * 15,))
+    with pytest.raises(FormatError):
+        crypto.GgmKey.from_bytes(record)
 
 
 def test_memoized_ggm_eval_matches_straight_line_walk():
@@ -294,16 +369,22 @@ def test_ggm_exhaustive_distinctness_small_domain():
     assert len(outs) == 256
 
 
+# The punctured-key tests run under each walk and check against the straight-line walk.
+
+
 def test_ggm_puncture_exhaustive_tiny():
     key = crypto.ggm_gen(2, 8, rng_for("ggm-tiny"))
-    punctured = crypto.ggm_puncture(key, {"01"})
-    for v in range(4):
-        x = crypto.int_to_bits(v, 2)
-        got = crypto.ggm_eval_punctured(punctured, x)
-        if x == "01":
-            assert got is None
-        else:
-            assert got == crypto.ggm_eval(key, x)
+    for walk in WALKS.values():
+        with walking_with(walk):
+            punctured = crypto.ggm_puncture(key, {"01"})
+            assert (2, "00", straight_line_walk(key.seed, "00")) in punctured.nodes  # walks "" to its leaf
+            for v in range(4):
+                x = crypto.int_to_bits(v, 2)
+                got = crypto.ggm_eval_punctured(punctured, x)
+                if x == "01":
+                    assert got is None
+                else:
+                    assert got == straight_line_ggm(key.seed, x, 8)
 
 
 @pytest.mark.parametrize("n_points", [1, 2, 5])
@@ -311,35 +392,42 @@ def test_ggm_puncture_exhaustive_domain8(n_points):
     local = rng_for(f"ggm-punct-{n_points}")
     key = crypto.ggm_gen(8, 12, local)
     points = {crypto.int_to_bits(int(v), 8) for v in local.choice(256, size=n_points, replace=False)}
-    punctured = crypto.ggm_puncture(key, points)
-    for v in range(256):
-        x = crypto.int_to_bits(v, 8)
-        got = crypto.ggm_eval_punctured(punctured, x)
-        if x in points:
-            assert got is None
-        else:
-            assert got == crypto.ggm_eval(key, x)
+    for walk in WALKS.values():
+        with walking_with(walk):
+            punctured = crypto.ggm_puncture(key, points)
+            for v in range(256):
+                x = crypto.int_to_bits(v, 8)
+                got = crypto.ggm_eval_punctured(punctured, x)
+                if x in points:
+                    assert got is None
+                else:
+                    assert got == straight_line_ggm(key.seed, x, 12)
 
 
 def test_ggm_punctured_key_stores_no_path_seeds():
     key = crypto.ggm_gen(6, 8, rng_for("ggm-paths"))
     point = "101100"
-    punctured = crypto.ggm_puncture(key, {point})
-    # no stored node may be a prefix of the punctured point (that would let
-    # the holder evaluate at the point), and the point itself must be listed
-    assert point in punctured.points
-    for depth, prefix, _seed in punctured.nodes:
-        assert not point.startswith(prefix) or depth > len(point)
-    # cover size for one point is exactly the tree depth
-    assert len(punctured.nodes) == 6
+    for walk in WALKS.values():
+        with walking_with(walk):
+            punctured = crypto.ggm_puncture(key, {point})
+        # no stored node may be a prefix of the punctured point (that would let
+        # the holder evaluate at the point), and the point itself must be listed
+        assert point in punctured.points
+        for depth, prefix, seed in punctured.nodes:
+            assert not point.startswith(prefix) or depth > len(point)
+            assert seed == straight_line_walk(key.seed, prefix)
+        # cover size for one point is exactly the tree depth
+        assert len(punctured.nodes) == 6
 
 
 def test_ggm_empty_puncture_keeps_function():
     key = crypto.ggm_gen(4, 8, rng_for("ggm-empty"))
-    punctured = crypto.ggm_puncture(key, set())
-    for v in range(16):
-        x = crypto.int_to_bits(v, 4)
-        assert crypto.ggm_eval_punctured(punctured, x) == crypto.ggm_eval(key, x)
+    for walk in WALKS.values():
+        with walking_with(walk):
+            punctured = crypto.ggm_puncture(key, set())
+            for v in range(16):
+                x = crypto.int_to_bits(v, 4)
+                assert crypto.ggm_eval_punctured(punctured, x) == straight_line_ggm(key.seed, x, 8)
 
 
 def test_ggm_key_serialization_round_trip():
@@ -386,11 +474,16 @@ def test_injective_pprf_differs_from_plain_ggm():
 def test_injective_pprf_puncture_agrees_off_set():
     key = crypto.injective_pprf_gen(8, 24, rng_for("inj-punct"))
     point = crypto.int_to_bits(200, 8)
-    punctured = crypto.injective_pprf_puncture(key, {point})
-    assert crypto.injective_pprf_eval_punctured(punctured, point) is None
-    for v in [0, 1, 77, 128, 199, 201, 255]:
-        x = crypto.int_to_bits(v, 8)
-        assert crypto.injective_pprf_eval_punctured(punctured, x) == crypto.injective_pprf_eval(key, x)
+    outputs = []
+    for walk in WALKS.values():
+        with walking_with(walk):
+            punctured = crypto.injective_pprf_puncture(key, {point})
+            assert crypto.injective_pprf_eval_punctured(punctured, point) is None
+            for v in [0, 1, 77, 128, 199, 201, 255]:
+                x = crypto.int_to_bits(v, 8)
+                outputs.append(crypto.injective_pprf_eval_punctured(punctured, x))
+                assert outputs[-1] == crypto.injective_pprf_eval(key, x)
+    assert outputs == outputs[:7] * len(WALKS)
 
 
 def oracle_affine_mask(base: str, seed: bytes, x: str) -> str:
@@ -438,9 +531,11 @@ def test_ggm_puncture_pointwise(point_v, probe_v):
     key = crypto.GgmKey(b"fixed-seed-hypot", 10, 8)
     point = crypto.int_to_bits(point_v % 1024, 10)
     probe = crypto.int_to_bits(probe_v, 10)
-    punctured = crypto.ggm_puncture(key, {point})
-    got = crypto.ggm_eval_punctured(punctured, probe)
-    if probe == point:
-        assert got is None
-    else:
-        assert got == crypto.ggm_eval(key, probe)
+    for walk in WALKS.values():
+        with walking_with(walk):
+            punctured = crypto.ggm_puncture(key, {point})
+            got = crypto.ggm_eval_punctured(punctured, probe)
+            if probe == point:
+                assert got is None
+            else:
+                assert got == straight_line_ggm(key.seed, probe, 8)

@@ -44,6 +44,21 @@ def test_state_vector_helpers():
         qcore.StateVector.from_unnormalized(np.zeros(4))
 
 
+def test_from_unnormalized_owns_a_locked_unit_array_and_refuses_overflow():
+    raw = np.array([3.0 + 1j, 4.0, 0.0, -2j])
+    state = qcore.StateVector.from_unnormalized(raw)
+    assert state.amplitudes.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+    assert not np.shares_memory(state.amplitudes, raw)
+    assert not state.amplitudes.flags.writeable
+    qcore.StateVector(state.amplitudes)  # passes the constructor's own unit-norm check
+    # the squares overflow, so the norm is inf and the quotient would be zeros
+    for bad in (np.array([1e200, 1e200]), np.array([np.inf, 1.0])):
+        with np.errstate(over="ignore"), pytest.raises(DegenerateStateError):
+            qcore.StateVector.from_unnormalized(bad)
+    with pytest.raises(DimensionError):
+        qcore.StateVector.from_unnormalized(np.array([2.0]))
+
+
 def test_dimension_cap():
     assert qcore.check_dimension(qcore.DIMENSION_CAP) == qcore.DIMENSION_CAP
     with pytest.raises(DimensionCapError):
