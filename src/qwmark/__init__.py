@@ -27,7 +27,6 @@ from .pirates import (
 )
 from .qcore import QuantumProgram, StateVector, UnitaryOracle
 from .spectral import (
-    MixedBinaryPOVM,
     OutcomeDistribution,
     projimp,
     shift_distance,
@@ -51,7 +50,6 @@ __all__ = [
     "ElwmParams",
     "ExtractParams",
     "ExtractionReport",
-    "MixedBinaryPOVM",
     "OutcomeDistribution",
     "PirateSpec",
     "QuantumProgram",

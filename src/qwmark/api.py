@@ -19,8 +19,8 @@ probability <= delta (almost projectivity); reversing the projector roles
 on the second run gives estimates summing to ~1 (reverse almost
 projectivity).
 
-There are two engines.  Both take a distribution's projectors as one checked
-(s, d, d) stack from `distribution_povm`.
+There are two engines.  Both see a distribution only through its accept
+operator P_D, the (d, d) array `distribution_povm` builds.
 
 * api_exact runs the alternating measurements on the Jordan blocks of
   (CProj, IsU), one per eigenvector phi_j of P_D: in the block spanned by
@@ -59,7 +59,7 @@ from .errors import (
     RoundLimitError,
 )
 from .qcore import DIMENSION_CAP, QuantumProgram, StateVector, program_projectors
-from .spectral import MixedBinaryPOVM, accept_eigenbasis, eigen_coefficients, projimp_cluster
+from .spectral import accept_eigenbasis, eigen_coefficients, projimp_cluster
 
 FLUSH_ROUNDS_PER_T = 64
 MAX_EXACT_ROUNDS = 1 << 20  # largest T api_exact runs; T grows as 1/eps^2
@@ -146,13 +146,18 @@ def _agreements(led: int, m: int) -> int:
     return m - ((led ^ (led >> 1)) & ((1 << m) - 1)).bit_count()
 
 
-def distribution_povm(prog: QuantumProgram, dist) -> MixedBinaryPOVM:
-    """Binary POVM mixture induced by a program on a finite triple distribution.
+def distribution_povm(prog: QuantumProgram, dist) -> np.ndarray:
+    """Accept operator P_D of the binary POVM mixture a program induces on a
+    finite triple distribution.
 
     The r-th member accepts when the program answers the triple's first
-    component on query (x_r, y_r); the members form one checked stack.
+    component on query (x_r, y_r).  P_D is the checked member stack summed
+    over axis 0 and divided by s: the sum of a C-contiguous stack adds the
+    members in order, so this is the left-to-right running sum bit for bit,
+    and any other reduction changes the eigenbasis `eigh` returns.
     """
-    return MixedBinaryPOVM(program_projectors(prog, dist.triples))
+    stack = program_projectors(prog, dist.triples)
+    return stack.sum(0) / len(stack)
 
 
 def _main_uniforms(draws: np.ndarray):
@@ -280,7 +285,7 @@ def api_exact(
     composite = len(dist.triples) * prog.dim
     if composite > DIMENSION_CAP:
         raise DimensionCapError(f"composite dimension {composite} exceeds cap {DIMENSION_CAP}")
-    p, eigvecs = accept_eigenbasis(distribution_povm(prog, dist).average())
+    p, eigvecs = accept_eigenbasis(distribution_povm(prog, dist))
     coef, born = eigen_coefficients(eigvecs, prog.state)
     held = born > 0  # a block without weight adds exact zeros to every sum
     p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]

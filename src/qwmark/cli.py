@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -135,7 +136,7 @@ def cmd_sim(args) -> int:
         raise IndexRangeError(f"--count must be at least 1, got {args.count}")
     tag = elwm.TagIo.from_bytes(Path(args.tag).read_bytes())
     dist = elwm.build_distribution(
-        elwm.sim_tau(args.index),
+        args.index,
         params=tag.params,
         s=args.count,
         master_seed=_seed_bytes(args.seed),
@@ -252,10 +253,11 @@ def _trial_inputs(config: dict) -> tuple[list[PirateSpec], wmprf.ExtractParams, 
     return [PirateSpec.from_dict(raw) for raw in config["pirates"]], params, elwm_params, message
 
 
-def _run_trial(config: dict, batch: int, trial: int) -> dict:
-    specs, params, elwm_params, message = _trial_inputs(config)
+def _run_trial(inputs: tuple, seed: int, batch: int, trial: int) -> dict:
+    """One row of `rows.csv`: trial `trial` of batch `batch`, from the `_trial_inputs` of a config."""
+    specs, params, elwm_params, message = inputs
     spec = specs[batch]
-    rng = _trial_rng(config["seed"], batch, trial)
+    rng = _trial_rng(seed, batch, trial)
     if message == "random":
         message = "".join(str(b) for b in rng.integers(0, 2, size=params.k))
     result = wmprf.run_event_trial(
@@ -280,10 +282,6 @@ def _run_trial(config: dict, batch: int, trial: int) -> dict:
         "bad_ext": int(result.bad_ext),
         "bit_estimates": ";".join(repr(e) for e in report.bit_estimates),
     }
-
-
-def _trial_task(config_json: str, batch: int, trial: int) -> dict:
-    return _run_trial(json.loads(config_json), batch, trial)
 
 
 def wilson_interval(count: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -343,19 +341,19 @@ def cmd_experiment(args) -> int:
         raise IndexRangeError(f"config trials must be at least 1, got {config['trials']}")
     if not isinstance(config["pirates"], list) or not config["pirates"]:
         raise FormatError(f"config pirates must be a non-empty list, got {config['pirates']!r}")
-    _trial_inputs(config)  # a malformed config fails here, before any output or worker exists
+    inputs = _trial_inputs(config)  # a malformed config fails here, before any output or worker exists
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trials = int(config["trials"])
     tasks = [(b, t) for b in range(len(config["pirates"])) for t in range(trials)]
     started = time.monotonic()
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    run = functools.partial(_run_trial, inputs, config["seed"])
     if workers > 1:
-        config_json = json.dumps(config)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_trial_task, [config_json] * len(tasks), *zip(*tasks), chunksize=8))
+            rows = list(pool.map(run, *zip(*tasks), chunksize=8))
     else:
-        rows = [_run_trial(config, b, t) for b, t in tasks]
+        rows = [run(b, t) for b, t in tasks]
     rows.sort(key=lambda r: (r["batch"], r["trial"]))
     elapsed = time.monotonic() - started
     rows_path = outdir / "rows.csv"

@@ -281,11 +281,9 @@ def sim(params: ElwmParams, tag: TagIo, i: int, coins: str) -> tuple[int, str, s
 class TripleDistribution:
     """Finite coin-indexed stand-in for a query distribution.
 
-    kind is a readable label ("RealD" or "SimTau(3)");
     triples[r] = (gamma, x, y) for coin r.
     """
 
-    kind: str
     s: int
     triples: tuple[tuple[int, str, str], ...]
 
@@ -294,25 +292,8 @@ class TripleDistribution:
             raise LengthError(f"distribution needs s={self.s} triples, got {len(self.triples)}")
 
 
-REAL = "RealD"
-
-
-def sim_tau(i: int) -> str:
-    return f"SimTau({i})"
-
-
-def _parse_kind(kind: str) -> int | None:
-    """None for RealD, i for SimTau(i)."""
-    if kind == REAL:
-        return None
-    digits = kind[len("SimTau(") : -1]
-    if kind.startswith("SimTau(") and kind.endswith(")") and digits.isascii() and digits.isdigit():
-        return int(digits)
-    raise FormatError(f"unknown distribution kind {kind!r}")
-
-
 def build_distribution(
-    kind: str,
+    index: int | None,
     *,
     params: ElwmParams,
     s: int,
@@ -323,12 +304,12 @@ def build_distribution(
 ) -> TripleDistribution:
     """Instantiate a distribution as s pseudorandom triples.
 
-    RealD     : b <- coins, x <- coins, y = Eval(x) if b else fresh coins.
-    SimTau(i) : the Sim output on keyed coins.
+    index None is RealD: b <- coins, x <- coins, y = Eval(x) if b else fresh
+    coins.  A message position i in 1..msg_bits is Sim(tau, i): the Sim
+    output on keyed coins.
 
     The same (coin_key, master_seed) yields byte-identical triples.
     """
-    index = _parse_kind(kind)
     triples: list[tuple[int, str, str]] = []
     if index is None:
         if prfk is None:
@@ -341,7 +322,7 @@ def build_distribution(
             triples.append((int(bits[0]), x, y))
     else:
         if tag is None:
-            raise LengthError("SimTau distributions need the tag")
+            raise LengthError("Sim distributions need the tag")
         if not (1 <= index <= params.msg_bits):
             raise IndexRangeError(f"index {index} outside 1..{params.msg_bits}")
         for r in range(s):
@@ -351,7 +332,7 @@ def build_distribution(
                 sim_coin_bits(params),
             )
             triples.append(sim(params, tag, index, coins))
-    return TripleDistribution(kind, s, tuple(triples))
+    return TripleDistribution(s, tuple(triples))
 
 
 def new_coin_key(rng) -> bytes:

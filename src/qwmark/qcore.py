@@ -20,7 +20,7 @@ DIMENSION_CAP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -107,19 +107,16 @@ class UnitaryOracle:
     """Query-indexed unitary family U_{x,y}.
 
     `evaluate` must be referentially transparent: same (x, y), same matrix.
-    Unitarity is checked on first use of each query pair.
+    Unitarity is checked on every evaluation, so an oracle that breaks that
+    rule is caught on the first call that returns a non-unitary matrix.
     """
 
     dim: int
     evaluate: Callable[[str, str], np.ndarray]
-    _checked: set = field(default_factory=set, repr=False, compare=False)
 
     def matrices(self, pairs) -> np.ndarray:
-        """(n, d, d) stack of U_{x,y} over the query pairs, in order.
-
-        The pairs not checked before are checked for unitarity in one
-        batched product and then remembered.
-        """
+        """(n, d, d) stack of U_{x,y} over the query pairs, in order, each
+        checked for unitarity in one batched product."""
         pairs = list(pairs)
         try:
             mats = np.array([self.evaluate(x, y) for x, y in pairs], dtype=complex, ndmin=3)
@@ -127,15 +124,10 @@ class UnitaryOracle:
             raise DimensionError(f"oracle returned matrices of differing shapes: {exc}") from exc
         if mats.shape != (len(pairs), self.dim, self.dim):
             raise DimensionError(f"oracle returned shape {mats.shape[1:]}, expected {(self.dim, self.dim)}")
-        fresh = [i for i, pair in enumerate(pairs) if pair not in self._checked]
-        if fresh:
-            u = mats[fresh]
-            dev = np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(self.dim))
-            if not (dev.max() <= UNITARY_TOL):
-                bad = next(i for i, member in zip(fresh, dev) if not (member.max() <= UNITARY_TOL))
-                x, y = pairs[bad]
-                raise InvariantError(f"oracle matrix for ({x!r}, {y!r}) is not unitary")
-            self._checked.update(pairs[i] for i in fresh)
+        dev = np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(self.dim))
+        if not (dev.max() <= UNITARY_TOL):
+            x, y = next(pair for pair, member in zip(pairs, dev) if not (member.max() <= UNITARY_TOL))
+            raise InvariantError(f"oracle matrix for ({x!r}, {y!r}) is not unitary")
         return mats
 
 

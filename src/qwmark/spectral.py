@@ -2,9 +2,9 @@
 binary POVMs and the shift distance between outcome distributions.
 
 A mixture of binary projective measurements {(P_i, I-P_i)} with uniform weight
-has accept operator P_D = mean_i P_i.  The mixture holds its members as one
-checked (s, d, d) stack, as `qcore.program_projectors` builds it.  Its
-*projective implementation* measures the eigenbasis of P_D and reports the
+has accept operator P_D = mean_i P_i, and that (d, d) array is all a
+measurement here takes of the mixture (`api.distribution_povm` builds it).
+Its *projective implementation* measures the eigenbasis of P_D and reports the
 eigenvalue: a projective measurement whose outcome p, followed by a
 Bernoulli(p) draw, reproduces the original POVM's statistics exactly.
 """
@@ -24,39 +24,6 @@ from .qcore import StateVector
 EIGENVALUE_SLACK = 1e-9  # clamp eigenvalues this far outside [0, 1]; error beyond
 CLUSTER_TOL = 1e-9  # eigenvalues this close are one eigenvalue of P_D
 CHOICE_ATOL = math.sqrt(np.finfo(float).eps)  # how far from 1 `rng.choice` lets p sum
-
-
-@dataclass(frozen=True)
-class MixedBinaryPOVM:
-    """Uniform mixture of binary projective measurements.
-
-    stack[i] is the accept projector of member i; the stack is taken as
-    passed by `qcore.check_projectors`.
-    """
-
-    stack: np.ndarray  # (s, d, d)
-
-    def __post_init__(self):
-        if self.stack.ndim != 3 or self.stack.shape[1] != self.stack.shape[2]:
-            raise DimensionError(f"a POVM mixture needs an (s, d, d) stack, got shape {self.stack.shape}")
-        if not len(self.stack):
-            raise DimensionError("a POVM mixture needs at least one projector")
-
-    @property
-    def s(self) -> int:
-        return self.stack.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[1]
-
-    def average(self) -> np.ndarray:
-        """Accept operator P_D = mean of the member projectors.
-
-        The sum over axis 0 of a C-contiguous stack adds the members in
-        order, so this is the left-to-right running sum bit for bit.
-        """
-        return self.stack.sum(0) / self.s
 
 
 @dataclass(frozen=True)
@@ -151,17 +118,18 @@ def born_draw(p: list[float], rng) -> int:
     return bisect_right([c / last for c in cdf], rng.random())
 
 
-def projimp_cluster(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[int, float, StateVector]:
-    """Born draw of an eigencluster of P_D: (cluster index, eigenvalue, post state).
+def projimp_cluster(accept: np.ndarray, state: StateVector, rng) -> tuple[int, float, StateVector]:
+    """Born draw of an eigencluster of the accept operator P_D: (cluster
+    index, eigenvalue, post state).
 
     A cluster's weight is the sum of its Born weights |<phi_j|psi>|^2, and
     its post state is sum_j <phi_j|psi> phi_j over the cluster, normalized.
     Draws one `rng.random()` uniform, which gives the index `rng.choice`
     would give (`born_draw`).
     """
-    if povm.dim != state.dim:
-        raise DimensionError(f"POVM dim {povm.dim} vs state dim {state.dim}")
-    vals, vecs = accept_eigenbasis(povm.average())
+    if accept.shape != (state.dim, state.dim):
+        raise DimensionError(f"accept operator of shape {accept.shape} vs state dim {state.dim}")
+    vals, vecs = accept_eigenbasis(accept)
     coef, born = eigen_coefficients(vecs, state)
     runs = _runs(vals.tolist(), CLUSTER_TOL)  # `eigh` sorts, so each cluster is a run of columns
     probs = np.array([born[lo:hi].sum() for lo, hi in runs])
@@ -172,13 +140,14 @@ def projimp_cluster(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[int
     return idx, float(vals[lo:hi].sum()) / (hi - lo), post  # np.mean's sum and division
 
 
-def projimp(povm: MixedBinaryPOVM, state: StateVector, rng) -> tuple[float, StateVector]:
-    """Projective implementation: measure the eigenbasis of P_D, report the eigenvalue.
+def projimp(accept: np.ndarray, state: StateVector, rng) -> tuple[float, StateVector]:
+    """Projective implementation: measure the eigenbasis of the accept
+    operator P_D, report the eigenvalue.
 
     Returns (eigenvalue, post state).  Repeating on the post state returns the
     same eigenvalue with certainty (projectivity).
     """
-    _, value, post = projimp_cluster(povm, state, rng)
+    _, value, post = projimp_cluster(accept, state, rng)
     return value, post
 
 

@@ -172,7 +172,7 @@ def extract(
 
     def measure(i: int, program: QuantumProgram):
         dist = build_distribution(
-            elwm.sim_tau(i),
+            i,
             params=carrier,
             s=params.s,
             master_seed=master_seed,
@@ -256,15 +256,14 @@ class EventTally:
 def live_probe(prog: QuantumProgram, prfk: PrfKeyIo, params: ExtractParams, coin_key: bytes, master_seed: bytes, rng) -> tuple[bool, float]:
     """Projective implementation of the real query mixture on a fresh copy."""
     dist = build_distribution(
-        elwm.REAL,
+        None,
         params=prfk.params,
         s=params.s,
         master_seed=master_seed,
         coin_key=coin_key,
         prfk=prfk,
     )
-    povm = distribution_povm(prog, dist)
-    p, _ = projimp(povm, prog.state, rng)
+    p, _ = projimp(distribution_povm(prog, dist), prog.state, rng)
     return p >= 0.5 + params.eps - LIVE_SLACK, p
 
 

@@ -16,7 +16,7 @@ from qwmark import elwm, wmprf
 from qwmark.crypto import keyed_rand
 from qwmark.errors import InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
-from qwmark.spectral import MixedBinaryPOVM, spectral_measurement
+from qwmark.spectral import spectral_measurement
 
 settings.register_profile("repo", derandomize=True, max_examples=25)
 settings.load_profile("repo")
@@ -86,7 +86,6 @@ class FakeDistribution:
     def __init__(self, triples):
         self.triples = tuple(triples)
         self.s = len(self.triples)
-        self.kind = "fake"
 
 
 def dense_cproj(stack: np.ndarray) -> np.ndarray:
@@ -120,16 +119,16 @@ def accept_probability(prog: QuantumProgram, b: int, x: str, y: str) -> float:
     return expectation(program_projectors(prog, [(b, x, y)])[0], prog.state)
 
 
-def projimp_bernoulli_check(povm: MixedBinaryPOVM, state: StateVector) -> float:
+def projimp_bernoulli_check(accept: np.ndarray, state: StateVector) -> float:
     """Acceptance probability of projimp-then-Bernoulli(p); must equal <psi|P_D|psi>.
 
     Raises InvariantError if the spectral average and the quadratic form
     disagree beyond 1e-8; returns the common value.
     """
-    spec = spectral_measurement(povm.average())
+    spec = spectral_measurement(accept)
     probs = spec.probabilities(state)
     via_spectrum = float(np.dot(probs, spec.eigenvalues))
-    direct = float(np.real(np.vdot(state.amplitudes, povm.average() @ state.amplitudes)))
+    direct = float(np.real(np.vdot(state.amplitudes, accept @ state.amplitudes)))
     if abs(via_spectrum - direct) > 1e-8:
         raise InvariantError(
             f"Bernoulli-equivalence probe failed: spectrum gives {via_spectrum!r}, "

@@ -93,8 +93,8 @@ def test_a01_projective_implementation_validity():
         dim = int(local.choice([2, 4, 8, 16]))
         s = int(local.integers(1, 17))
         prog = random_program(dim, f"a01-{n}")
-        povm = distribution_povm(prog, FakeDistribution(random_triples(s, f"a01-{n}")))
-        spec = spectral_measurement(povm.average())
+        accept = distribution_povm(prog, FakeDistribution(random_triples(s, f"a01-{n}")))
+        spec = spectral_measurement(accept)
 
         resolution = np.sum(spec.eigenprojectors, axis=0)
         worst = max(worst, float(np.max(np.abs(resolution - np.eye(dim)))))
@@ -105,16 +105,16 @@ def test_a01_projective_implementation_validity():
         assert np.all(np.diff(eigs) > 0)
         assert np.all(eigs >= -ATOL) and np.all(eigs <= 1 + ATOL)
 
-        p1, post1 = projimp(povm, prog.state, local)
+        p1, post1 = projimp(accept, prog.state, local)
         j = int(np.argmin(np.abs(eigs - p1)))
         assert abs(eigs[j] - p1) < 1e-12
         residual = spec.eigenprojectors[j] @ post1.amplitudes - post1.amplitudes
         worst = max(worst, float(np.linalg.norm(residual)))
-        p2, _ = projimp(povm, post1, local)
+        p2, _ = projimp(accept, post1, local)
         worst = max(worst, abs(p2 - p1))
 
         # raises if outcome-weighted eigenvalues drift from <psi|P_D|psi>
-        projimp_bernoulli_check(povm, prog.state)
+        projimp_bernoulli_check(accept, prog.state)
     assert worst <= ATOL
     print(f"PASS projective implementation: worst deviation {worst:.2e} <= {ATOL}")
 
@@ -174,7 +174,7 @@ def test_a04_exact_and_compressed_engines_share_one_law():
     prfk, tag = elwm.gen(ep, rng_for("accept-engines-gen"))
     memo = MemoCircuit(elwm.mark(prfk, "1010"))
     dist = build_distribution(
-        "SimTau(2)",
+        2,
         params=ep,
         s=6,
         master_seed=b"accept-engines-0",
@@ -188,7 +188,7 @@ def test_a04_exact_and_compressed_engines_share_one_law():
     ]
     n = 2000
     for name, prog in zoo:
-        spec = spectral_measurement(distribution_povm(prog, dist).average())
+        spec = spectral_measurement(distribution_povm(prog, dist))
         weights = np.clip(spec.probabilities(prog.state), 0.0, None)
         law = np.zeros(rounds + 1)
         for w, p in zip(weights, spec.eigenvalues):
@@ -228,7 +228,7 @@ def test_a05_estimates_track_projective_outcomes_in_shift_distance():
     prfk, tag = elwm.gen(ep, rng_for("accept-shift-gen"))
     memo = MemoCircuit(elwm.mark(prfk, "0110"))
     dist = build_distribution(
-        "SimTau(1)",
+        1,
         params=ep,
         s=8,
         master_seed=b"accept-shift-ms0",
@@ -249,7 +249,7 @@ def test_a05_estimates_track_projective_outcomes_in_shift_distance():
     n = 2000
     worst = 0.0
     for name, prog in zoo:
-        spec = spectral_measurement(distribution_povm(prog, dist).average())
+        spec = spectral_measurement(distribution_povm(prog, dist))
         weights = np.clip(spec.probabilities(prog.state), 0.0, None)
         weights /= weights.sum()
         ideal = OutcomeDistribution(tuple(spec.eigenvalues), tuple(weights))
@@ -404,7 +404,7 @@ def test_a09_marked_circuit_disagrees_exactly_on_planted_queries():
         master = local.bytes(16)
         for i in range(1, 5):
             dist = build_distribution(
-                f"SimTau({i})",
+                i,
                 params=ep,
                 s=32,
                 master_seed=master,

@@ -20,7 +20,7 @@ from qwmark.errors import (
     InvariantError,
     RoundLimitError,
 )
-from qwmark.qcore import QuantumProgram, UnitaryOracle
+from qwmark.qcore import QuantumProgram, UnitaryOracle, program_projectors
 from qwmark.spectral import spectral_measurement
 
 from conftest import (
@@ -195,7 +195,7 @@ def test_transcript_validation():
 
 def test_dense_operators_are_projectors():
     prog = random_program(4, "api-dense")
-    stack = distribution_povm(prog, FakeDistribution(random_triples(3, "api-dense"))).stack
+    stack = program_projectors(prog, random_triples(3, "api-dense"))
     assert stack.shape == (3, 4, 4)
     for m in (dense_cproj(stack), dense_isu(3, 4)):
         assert np.allclose(m @ m, m, atol=1e-10)
@@ -203,7 +203,7 @@ def test_dense_operators_are_projectors():
 
 def test_apply_accept_matches_dense():
     prog = random_program(4, "api-accept")
-    stack = distribution_povm(prog, FakeDistribution(random_triples(3, "api-accept"))).stack
+    stack = program_projectors(prog, random_triples(3, "api-accept"))
     local = rng_for("api-accept-vec")
     vec = local.normal(size=12) + 1j * local.normal(size=12)
     dense = dense_cproj(stack)
@@ -216,14 +216,14 @@ def test_compression_identity():
     # projecting CProj^1 into range(IsU) reproduces P_D on the small space
     prog = random_program(4, "api-compress")
     dist = FakeDistribution(random_triples(5, "api-compress"))
-    stack = distribution_povm(prog, dist).stack
+    stack = program_projectors(prog, dist.triples)
     s, d = stack.shape[:2]
     cproj = dense_cproj(stack)
     # embed: |1_R> (x) e_i for the standard basis of H
     embed = np.kron(np.full((s, 1), 1.0 / np.sqrt(s)), np.eye(d))
     assert np.allclose(embed @ embed.conj().T, dense_isu(s, d), atol=1e-12)
     compressed = embed.conj().T @ cproj @ embed
-    assert np.allclose(compressed, distribution_povm(prog, dist).average(), atol=1e-12)
+    assert np.allclose(compressed, distribution_povm(prog, dist), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def test_exact_collapses_on_binary_spectrum():
     triples = tuple((1, x, y) for _, x, y in random_triples(4, "api-collapse"))
     dist = FakeDistribution(triples)
     params = api.ApiParams(0.5, 0.5)
-    spec = spectral_measurement(distribution_povm(prog, dist).average())
+    spec = spectral_measurement(distribution_povm(prog, dist))
     assert [round(v, 12) for v in spec.eigenvalues] == [0.0, 1.0]
     local = rng_for("api-collapse-run")
     seen = set()
@@ -303,7 +303,7 @@ def test_exact_collapses_on_binary_spectrum():
 
 def reference_exact(dist, prog, params, rng, reverse=False):
     """The literal walk on H_R (x) H, one coin block at a time: (bits, flush bits, post state)."""
-    blocks = distribution_povm(prog, dist).stack
+    blocks = program_projectors(prog, dist.triples)
     s, d = len(blocks), prog.dim
     vec = (np.full(s, 1.0 / np.sqrt(s), dtype=complex)[:, None] * prog.state.amplitudes[None, :]).reshape(-1)
 
@@ -387,7 +387,7 @@ def test_exact_matches_per_block_oracle_on_more_programs(small_stack, case, reve
         theta = 0.0 if case == "superposed-0" else np.pi / 4
         prog = superposed_pirate(theta, honest_pirate(small_stack["circuit"]), coin_pirate())
         dist = elwm.build_distribution(
-            elwm.sim_tau(1),
+            1,
             params=small_stack["elwm_params"],
             s=64,
             master_seed=b"api-oracle-sim-1",
@@ -395,7 +395,7 @@ def test_exact_matches_per_block_oracle_on_more_programs(small_stack, case, reve
             tag=small_stack["tag"],
         )
     assert prog.dim == 4
-    spec = spectral_measurement(distribution_povm(prog, dist).average())
+    spec = spectral_measurement(distribution_povm(prog, dist))
     binary = all(min(v, 1.0 - v) < 1e-12 for v in spec.eigenvalues)
     assert binary == (case == "binary-spectrum")
     for run in range(2 if case == "long-walk" else 6):
@@ -588,7 +588,7 @@ def test_release_gate_programs_take_the_one_block_scan(small_stack, walks):
     # the exact benchmark runs, are eigenvectors of P_D with exact zeros
     # elsewhere, so the scan must decide their walks.
     dist = elwm.build_distribution(
-        elwm.sim_tau(1),
+        1,
         params=small_stack["elwm_params"],
         s=8,
         master_seed=b"api-one-block-sim-1",
@@ -614,7 +614,7 @@ def test_exact_post_state_lies_in_one_eigencluster():
         for i in range(6):
             prog = random_program(d, f"api-post-{d}-{i}")
             dist = FakeDistribution(random_triples(s, f"api-post-{d}-{s}-{i}"))
-            spec = spectral_measurement(distribution_povm(prog, dist).average())
+            spec = spectral_measurement(distribution_povm(prog, dist))
             assert min(np.diff(spec.eigenvalues)) >= 0.06
             for reverse in (False, True):
                 label = f"api-post-run-{d}-{s}-{i}-{int(reverse)}"

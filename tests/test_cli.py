@@ -120,7 +120,7 @@ def test_sim_rejects_bad_index(keys, capsys):
 
 @pytest.mark.parametrize(
     "index, count, code",
-    [(1, 0, cli.EXIT_LENGTH), (1, -2, cli.EXIT_LENGTH), (70000, 1, cli.EXIT_LENGTH), (-1, 1, cli.EXIT_FORMAT)],
+    [(1, 0, cli.EXIT_LENGTH), (1, -2, cli.EXIT_LENGTH), (70000, 1, cli.EXIT_LENGTH), (-1, 1, cli.EXIT_LENGTH)],
 )
 def test_sim_rejects_empty_counts_and_out_of_range_indices(tmp_path, keys, capsys, index, count, code):
     out = tmp_path / "triples.json"

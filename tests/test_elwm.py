@@ -333,22 +333,6 @@ def test_sim_marked_circuit_answers_complement_on_disagreement():
 # ---------------------------------------------------------------------------
 
 
-def test_kind_labels_parse():
-    assert elwm.sim_tau(3) == "SimTau(3)"
-    with pytest.raises(FormatError):
-        elwm.build_distribution(
-            "Nonsense", params=small_params(), s=2, master_seed=b"m" * 16, coin_key=b"k" * 16
-        )
-
-
-@pytest.mark.parametrize(
-    "kind", ["SimTau(x)", "SimTau()", "SimTau(-1)", "SimTau( 1)", "SimTau(1_0)", "SimTau(+1)", "SimTau(\u0661)"]
-)
-def test_kind_labels_with_non_digit_indices_are_rejected(kind):
-    with pytest.raises(FormatError):
-        elwm.build_distribution(kind, params=small_params(), s=2, master_seed=b"m" * 16, coin_key=b"k" * 16)
-
-
 def stack():
     params = small_params()
     gen_rng = rng_for("elwm-dist-stack")
@@ -361,9 +345,9 @@ def stack():
 def test_real_distribution_structure():
     params, prfk, tag, coin_key, master_seed = stack()
     d = elwm.build_distribution(
-        elwm.REAL, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
+        None, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
     )
-    assert d.kind == elwm.REAL and d.s == 8 and len(d.triples) == 8
+    assert d.s == 8 and len(d.triples) == 8
     for b, x, y in d.triples:
         assert b in (0, 1)
         if b == 1:
@@ -372,7 +356,7 @@ def test_real_distribution_structure():
             assert y != elwm.eval_prf(prfk, x)  # fresh coins at range_bits=12
     # deterministic reconstruction
     d2 = elwm.build_distribution(
-        elwm.REAL, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
+        None, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
     )
     assert d2.triples == d.triples
 
@@ -380,13 +364,13 @@ def test_real_distribution_structure():
 def test_sim_tau_distribution_reproducible_and_indexed():
     params, prfk, tag, coin_key, master_seed = stack()
     d1 = elwm.build_distribution(
-        elwm.sim_tau(1), params=params, s=6, master_seed=master_seed, coin_key=coin_key, tag=tag
+        1, params=params, s=6, master_seed=master_seed, coin_key=coin_key, tag=tag
     )
     d1_again = elwm.build_distribution(
-        elwm.sim_tau(1), params=params, s=6, master_seed=master_seed, coin_key=coin_key, tag=tag
+        1, params=params, s=6, master_seed=master_seed, coin_key=coin_key, tag=tag
     )
     d2 = elwm.build_distribution(
-        elwm.sim_tau(2), params=params, s=6, master_seed=master_seed, coin_key=coin_key, tag=tag
+        2, params=params, s=6, master_seed=master_seed, coin_key=coin_key, tag=tag
     )
     assert d1.triples == d1_again.triples
     assert d1.triples != d2.triples
@@ -402,13 +386,14 @@ def test_distribution_missing_inputs():
     params, prfk, tag, coin_key, master_seed = stack()
     with pytest.raises(LengthError):
         elwm.build_distribution(
-            elwm.REAL, params=params, s=4, master_seed=master_seed, coin_key=coin_key
+            None, params=params, s=4, master_seed=master_seed, coin_key=coin_key
         )
     with pytest.raises(LengthError):
         elwm.build_distribution(
-            elwm.sim_tau(1), params=params, s=4, master_seed=master_seed, coin_key=coin_key
+            1, params=params, s=4, master_seed=master_seed, coin_key=coin_key
         )
-    with pytest.raises(IndexRangeError):
-        elwm.build_distribution(
-            elwm.sim_tau(9), params=params, s=4, master_seed=master_seed, coin_key=coin_key, tag=tag
-        )
+    for index in (-1, 0, 9):
+        with pytest.raises(IndexRangeError):
+            elwm.build_distribution(
+                index, params=params, s=4, master_seed=master_seed, coin_key=coin_key, tag=tag
+            )

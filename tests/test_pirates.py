@@ -71,8 +71,8 @@ def test_anti_pirate_is_the_complement():
 def test_honest_pirate_projimp_gives_eigenvalue_one():
     triples = toy_triples(6, "honest")
     prog = pirates.honest_pirate(ToyCircuit())
-    povm = distribution_povm(prog, FakeDistribution(triples))
-    val, post = projimp(povm, prog.state, rng_for("honest-run"))
+    accept = distribution_povm(prog, FakeDistribution(triples))
+    val, post = projimp(accept, prog.state, rng_for("honest-run"))
     assert val == 1.0
 
 
@@ -80,8 +80,8 @@ def test_classical_measurement_does_not_disturb():
     # classical pirates commute with every projector: post state = pre state
     triples = toy_triples(5, "commute")
     prog = pirates.honest_pirate(ToyCircuit())
-    povm = distribution_povm(prog, FakeDistribution(triples))
-    _, post = projimp(povm, prog.state, rng_for("commute-run"))
+    accept = distribution_povm(prog, FakeDistribution(triples))
+    _, post = projimp(accept, prog.state, rng_for("commute-run"))
     assert abs(abs(np.vdot(post.amplitudes, prog.state.amplitudes)) - 1.0) < 1e-12
 
 
@@ -115,8 +115,8 @@ def test_noisy_pirate_eigenvalue_counts_flips():
         agrees = answered_one == 1.0
         if agrees != honest:
             flipped += 1
-    povm = distribution_povm(prog, FakeDistribution(triples))
-    val, _ = projimp(povm, prog.state, rng_for("noise-mid-run"))
+    accept = distribution_povm(prog, FakeDistribution(triples))
+    val, _ = projimp(accept, prog.state, rng_for("noise-mid-run"))
     assert abs(val - (1.0 - flipped / 10)) < 1e-12
     assert 0 < flipped < 10  # the seed gives a genuinely partial corruption
 
@@ -151,8 +151,8 @@ def test_coin_pirate_eigenvalues_reflect_gamma_balance():
         (1, "111", "0"),
     )
     prog = pirates.coin_pirate()
-    povm = distribution_povm(prog, FakeDistribution(triples))
-    spec = spectral_measurement(povm.average())
+    accept = distribution_povm(prog, FakeDistribution(triples))
+    spec = spectral_measurement(accept)
     assert sorted(round(v, 9) for v in spec.eigenvalues) == [0.25, 0.75]
     probs = spec.probabilities(prog.state)
     assert np.allclose(probs, [0.5, 0.5])
@@ -173,7 +173,7 @@ def test_superposed_pirate_limits():
     val, _ = projimp(distribution_povm(at_zero, dist), at_zero.state, rng_for("sp-0"))
     assert val == 1.0
     at_right_angle = pirates.superposed_pirate(np.pi / 2, honest, coin)
-    spec = spectral_measurement(distribution_povm(at_right_angle, dist).average())
+    spec = spectral_measurement(distribution_povm(at_right_angle, dist))
     probs = spec.probabilities(at_right_angle.state)
     # pure coin branch: all weight on its diagonal eigenvalues
     mass = {round(v, 9): p for v, p in zip(spec.eigenvalues, probs) if p > 1e-12}
@@ -186,7 +186,7 @@ def test_superposed_pirate_spectrum_is_branch_mixture():
     triples = toy_triples(6, "sp-mix")
     dist = FakeDistribution(triples)
     prog = pirates.superposed_pirate(theta, pirates.honest_pirate(circ), pirates.anti_pirate(circ))
-    spec = spectral_measurement(distribution_povm(prog, dist).average())
+    spec = spectral_measurement(distribution_povm(prog, dist))
     probs = spec.probabilities(prog.state)
     mass = {round(v, 9): p for v, p in zip(spec.eigenvalues, probs) if p > 1e-12}
     assert abs(mass[1.0] - np.cos(theta) ** 2) < 1e-10

@@ -102,20 +102,6 @@ def test_unitary_oracle_rejects_non_unitary():
         bad.matrices([("0", "0")])
 
 
-def test_unitary_oracle_rechecks_only_new_points():
-    calls = []
-
-    def build(x, y):
-        calls.append((x, y))
-        return np.eye(2, dtype=complex)
-
-    oracle = qcore.UnitaryOracle(2, build)
-    oracle.matrices([("0", "1")])
-    oracle.matrices([("0", "1")])
-    # evaluate runs every call (no matrix cache) but both calls succeed
-    assert calls == [("0", "1"), ("0", "1")]
-
-
 @pytest.mark.parametrize("position", range(4))
 def test_oracle_batch_rejects_non_unitary_at_any_position(position):
     pairs = [("0", format(i, "02b")) for i in range(4)]
@@ -127,7 +113,6 @@ def test_oracle_batch_rejects_non_unitary_at_any_position(position):
     oracle = qcore.UnitaryOracle(2, build)
     with pytest.raises(InvariantError, match=repr(bad_y)):
         oracle.matrices(pairs)
-    assert oracle._checked == set()
 
 
 def test_oracle_batch_rejects_nan_matrices():
@@ -137,25 +122,23 @@ def test_oracle_batch_rejects_nan_matrices():
     oracle = qcore.UnitaryOracle(2, build)
     with pytest.raises(InvariantError, match=repr("1")):
         oracle.matrices([("0", "0"), ("0", "1")])
-    assert oracle._checked == set()
 
 
-def test_oracle_batch_checks_each_pair_once():
-    # an oracle that turns non-unitary after its first evaluation goes unseen
-    # on a pair already checked, and is caught on a pair seen for the first time
-    seen = set()
+def test_oracle_batch_checks_every_pair_on_every_call():
+    # evaluate runs on every call (there is no cache), and an oracle that turns
+    # non-unitary on its second evaluation of a pair is caught on that call
+    calls = []
 
     def build(x, y):
-        scale = 2.0 if (x, y) in seen else 1.0
-        seen.add((x, y))
+        scale = 2.0 if (x, y) in calls else 1.0
+        calls.append((x, y))
         return scale * np.eye(2)
 
     oracle = qcore.UnitaryOracle(2, build)
-    oracle.matrices([("0", "0"), ("0", "1")])
-    assert oracle._checked == {("0", "0"), ("0", "1")}
-    assert np.array_equal(oracle.matrices([("0", "0"), ("0", "1")]), 2.0 * np.stack([np.eye(2)] * 2))
-    with pytest.raises(InvariantError):
-        oracle.matrices([("0", "0"), ("1", "1"), ("1", "1")])
+    assert np.array_equal(oracle.matrices([("0", "0"), ("0", "1")]), np.stack([np.eye(2)] * 2))
+    with pytest.raises(InvariantError, match=r"\('0', '1'\)"):
+        oracle.matrices([("1", "1"), ("0", "1")])
+    assert calls == [("0", "0"), ("0", "1"), ("1", "1"), ("0", "1")]
 
 
 def test_oracle_batch_rejects_wrong_shapes():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qwmark import spectral
 from qwmark.errors import DimensionError, InvariantError
-from qwmark.qcore import StateVector, check_projectors
+from qwmark.qcore import StateVector, check_projectors, program_projectors
 
 from conftest import (
     FakeDistribution,
@@ -24,10 +24,14 @@ from qwmark.api import distribution_povm
 from qwmark.pirates import classical_pirate, superposed_pirate
 
 
-def diag_povm(*diagonals) -> spectral.MixedBinaryPOVM:
-    """Mixture of the diagonal projectors with the given 0/1 diagonals."""
-    stack = np.array([np.diag(np.array(d, dtype=complex)) for d in diagonals])
-    return spectral.MixedBinaryPOVM(check_projectors(stack))
+def mixture(stack: np.ndarray) -> np.ndarray:
+    """Accept operator of the uniform mixture of a checked projector stack."""
+    return check_projectors(stack).sum(0) / len(stack)
+
+
+def diag_mixture(*diagonals) -> np.ndarray:
+    """Accept operator of the mixture of the diagonal projectors with the given 0/1 diagonals."""
+    return mixture(np.array([np.diag(np.array(d, dtype=complex)) for d in diagonals]))
 
 
 # ---------------------------------------------------------------------------
@@ -36,22 +40,20 @@ def diag_povm(*diagonals) -> spectral.MixedBinaryPOVM:
 
 
 def test_mixture_average():
-    povm = diag_povm((1, 0), (1, 1))
-    assert np.allclose(povm.average(), np.diag([1.0, 0.5]))
-    for bad in (np.zeros((0, 2, 2)), np.eye(2), np.zeros((3, 2, 4))):
-        with pytest.raises(DimensionError):
-            spectral.MixedBinaryPOVM(bad)
+    assert np.allclose(diag_mixture((1, 0), (1, 1)), np.diag([1.0, 0.5]))
 
 
 def test_mixture_average_equals_running_sum():
-    # the per-member loop that preceded the batched sum, kept as the oracle
+    # the per-member loop that preceded the batched sum, kept as the oracle:
+    # P_D must equal it bit for bit, or `eigh` and the pinned post states change
     prog = random_program(8, "mix-running-sum")
-    povm = distribution_povm(prog, FakeDistribution(random_triples(16, "mix-running-sum")))
-    assert povm.stack.shape == (16, 8, 8)
+    triples = random_triples(16, "mix-running-sum")
+    accept = distribution_povm(prog, FakeDistribution(triples))
+    assert accept.shape == (8, 8)
     acc = np.zeros((8, 8), dtype=complex)
-    for member in povm.stack:
+    for member in program_projectors(prog, triples):
         acc += member
-    assert np.array_equal(povm.average(), acc / 16)
+    assert accept.tobytes() == (acc / 16).tobytes()
 
 
 def test_spectral_measurement_clusters_close_eigenvalues():
@@ -185,16 +187,16 @@ def test_born_draw_refuses_what_rng_choice_refuses(p):
 
 
 def test_projimp_on_eigenvector_is_deterministic():
-    povm = diag_povm((1, 0), (1, 1))
-    val, post = spectral.projimp(povm, StateVector.basis(2, 1), rng_for("proj-eig"))
+    accept = diag_mixture((1, 0), (1, 1))
+    val, post = spectral.projimp(accept, StateVector.basis(2, 1), rng_for("proj-eig"))
     assert val == 0.5
     assert abs(abs(post.amplitudes[1]) - 1.0) < 1e-12
 
 
 def test_projimp_identity_mixture():
     # every member accepts everything: the only eigenvalue is 1
-    povm = diag_povm((1, 1, 1, 1))
-    val, post = spectral.projimp(povm, random_state(4, rng_for("proj-id")), rng_for("proj-id2"))
+    accept = diag_mixture((1, 1, 1, 1))
+    val, post = spectral.projimp(accept, random_state(4, rng_for("proj-id")), rng_for("proj-id2"))
     assert val == 1.0
 
 
@@ -202,22 +204,22 @@ def test_projimp_is_projective():
     local = rng_for("proj-repeat")
     triples = random_triples(6, "proj-repeat-triples")
     prog = random_program(8, "proj-repeat-prog")
-    povm = distribution_povm(prog, FakeDistribution(triples))
-    val1, post1 = spectral.projimp(povm, prog.state, local)
-    val2, post2 = spectral.projimp(povm, post1, local)
+    accept = distribution_povm(prog, FakeDistribution(triples))
+    val1, post1 = spectral.projimp(accept, prog.state, local)
+    val2, post2 = spectral.projimp(accept, post1, local)
     assert abs(val1 - val2) < 1e-9
     assert abs(abs(np.vdot(post1.amplitudes, post2.amplitudes)) - 1.0) < 1e-9
 
 
 def test_projimp_outcome_statistics_two_point():
     # P_D = diag(0.25, 0.75); |psi> = (|0>+|1>)/sqrt(2) lands on each with 1/2
-    povm = diag_povm((0, 1), (0, 1), (1, 1), (0, 0))
-    assert np.allclose(povm.average(), np.diag([0.25, 0.75]))
+    accept = diag_mixture((0, 1), (0, 1), (1, 1), (0, 0))
+    assert np.allclose(accept, np.diag([0.25, 0.75]))
     local = rng_for("proj-stats")
     psi = StateVector(np.full(2, 1 / np.sqrt(2)))
     hits = {0.25: 0, 0.75: 0}
     for _ in range(4000):
-        val, _ = spectral.projimp(povm, psi, local)
+        val, _ = spectral.projimp(accept, psi, local)
         hits[round(val, 9)] += 1
     assert abs(hits[0.25] / 4000 - 0.5) < 0.04
 
@@ -225,16 +227,16 @@ def test_projimp_outcome_statistics_two_point():
 def test_projimp_bernoulli_check_matches_quadratic_form():
     triples = random_triples(8, "proj-bern")
     prog = random_program(8, "proj-bern-prog")
-    povm = distribution_povm(prog, FakeDistribution(triples))
-    value = projimp_bernoulli_check(povm, prog.state)
-    direct = float(np.real(np.vdot(prog.state.amplitudes, povm.average() @ prog.state.amplitudes)))
+    accept = distribution_povm(prog, FakeDistribution(triples))
+    value = projimp_bernoulli_check(accept, prog.state)
+    direct = float(np.real(np.vdot(prog.state.amplitudes, accept @ prog.state.amplitudes)))
     assert abs(value - direct) < 1e-10
 
 
 def test_projimp_member_order_irrelevant():
     a, b, c = (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 0)
-    p1 = diag_povm(a, b, c).average()
-    p2 = diag_povm(c, a, b).average()
+    p1 = diag_mixture(a, b, c)
+    p2 = diag_mixture(c, a, b)
     assert np.allclose(p1, p2)
 
 
@@ -249,8 +251,8 @@ def test_projimp_superposed_pirate_mixture_weights():
     triples = random_triples(4, "proj-sp")
     f1 = sum(g for g, _, _ in triples) / len(triples)
     assert f1 != 0.5  # seed chosen so the branch eigenvalues stay distinct
-    povm = distribution_povm(prog, FakeDistribution(triples))
-    spec = spectral.spectral_measurement(povm.average())
+    accept = distribution_povm(prog, FakeDistribution(triples))
+    spec = spectral.spectral_measurement(accept)
     probs = spec.probabilities(prog.state)
     weight = {round(val, 9): p for val, p in zip(spec.eigenvalues, probs) if p > 1e-12}
     assert set(weight) == {round(f1, 9), round(1 - f1, 9)}
@@ -258,10 +260,10 @@ def test_projimp_superposed_pirate_mixture_weights():
     assert abs(weight[round(1 - f1, 9)] - np.sin(theta) ** 2) < 1e-10
 
 
-def projector_cluster(povm: spectral.MixedBinaryPOVM, state: StateVector, rng):
+def projector_cluster(accept: np.ndarray, state: StateVector, rng):
     """`projimp_cluster` through the eigenprojectors of `spectral_measurement`:
     (cluster index, eigenvalue, post amplitudes, cluster probabilities)."""
-    spec = spectral.spectral_measurement(povm.average())
+    spec = spectral.spectral_measurement(accept)
     probs = spec.probabilities(state)
     idx = int(rng.choice(len(probs), p=probs))
     post = StateVector.from_unnormalized(spec.eigenprojectors[idx] @ state.amplitudes)
@@ -279,19 +281,18 @@ class DrawRecorder:
         return self.draw(p, rng)
 
 
-def shared_basis_povm(d: int, s: int, rng) -> spectral.MixedBinaryPOVM:
-    """s projectors diagonal in one Haar basis, with 0/1 diagonals whose first
-    two entries agree: P_D has eigenvalues k/s, at least one repeated, which
+def shared_basis_mixture(d: int, s: int, rng) -> np.ndarray:
+    """Mixture of s projectors diagonal in one Haar basis, with 0/1 diagonals
+    whose first two entries agree: P_D has eigenvalues k/s, at least one repeated, which
     float error spreads by far less than CLUSTER_TOL."""
     basis = haar_unitary(d, rng)
     diagonals = rng.integers(0, 2, size=(s, d))
     diagonals[:, 1] = diagonals[:, 0]
-    stack = np.array([(basis * row) @ basis.conj().T for row in diagonals])
-    return spectral.MixedBinaryPOVM(check_projectors(stack))
+    return mixture(np.array([(basis * row) @ basis.conj().T for row in diagonals]))
 
 
-def near_pair_povm(d: int, rng) -> spectral.MixedBinaryPOVM:
-    """Two members, each a sum of one line per 2x2 block of a Haar basis.
+def near_pair_mixture(d: int, rng) -> np.ndarray:
+    """Mixture of two members, each a sum of one line per 2x2 block of a Haar basis.
     Lines at cosine c give P_D the eigenvalues (1 +- c) / 2; in the first
     block c = 2e-11, so that pair is 2e-11 apart, one cluster whose mean is
     neither of its eigenvalues."""
@@ -302,7 +303,7 @@ def near_pair_povm(d: int, rng) -> spectral.MixedBinaryPOVM:
         line[2 * j : 2 * j + 2] = c, np.sqrt(1.0 - c * c)
         second += np.outer(line, line)
     basis = haar_unitary(d, rng)
-    return spectral.MixedBinaryPOVM(check_projectors(basis @ np.array([first, second]) @ basis.conj().T))
+    return mixture(basis @ np.array([first, second]) @ basis.conj().T)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -315,18 +316,18 @@ def test_projimp_cluster_matches_eigenprojector_oracle(d, monkeypatch):
         label = f"proj-cluster-oracle-{d}-{i}"
         local = rng_for(label)
         if i % 3 == 1:
-            povm = shared_basis_povm(d, 3, local)
+            accept = shared_basis_mixture(d, 3, local)
         elif i % 3 == 2:
-            povm = near_pair_povm(d, local)
+            accept = near_pair_mixture(d, local)
         else:
             prog = random_program(d, label)
-            povm = distribution_povm(prog, FakeDistribution(random_triples(3, label)))
+            accept = distribution_povm(prog, FakeDistribution(random_triples(3, label)))
         state = random_state(d, local)
         oracle_rng, recorder = rng_for(f"{label}-draw"), DrawRecorder(rng_for(f"{label}-draw"), spectral.born_draw)
-        idx, value, post_amps, probs = projector_cluster(povm, state, oracle_rng)
+        idx, value, post_amps, probs = projector_cluster(accept, state, oracle_rng)
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "born_draw", recorder)
-            got = spectral.projimp_cluster(povm, state, recorder.rng)
+            got = spectral.projimp_cluster(accept, state, recorder.rng)
         assert got[:2] == (idx, value)
         assert np.max(np.abs(recorder.p - probs)) < 1e-12
         assert np.max(np.abs(got[2].amplitudes - post_amps)) < 1e-12
@@ -344,17 +345,24 @@ def test_projimp_cluster_post_state_rounds_as_a_fancy_indexed_copy(d):
     for i in range(16):
         label = f"proj-cluster-layout-{d}-{i}"
         local = rng_for(label)
-        povm = shared_basis_povm(d, 3, local) if i % 2 else near_pair_povm(d, local)
+        accept = shared_basis_mixture(d, 3, local) if i % 2 else near_pair_mixture(d, local)
         state = random_state(d, local)
-        vals, vecs = spectral.accept_eigenbasis(povm.average())
+        vals, vecs = spectral.accept_eigenbasis(accept)
         coef, _ = spectral.eigen_coefficients(vecs, state)
-        idx, _, post = spectral.projimp_cluster(povm, state, rng_for(f"{label}-draw"))
+        idx, _, post = spectral.projimp_cluster(accept, state, rng_for(f"{label}-draw"))
         cuts = [0, *(np.flatnonzero(np.diff(vals) > spectral.CLUSTER_TOL) + 1).tolist(), d]
         group = list(range(cuts[idx], cuts[idx + 1]))
         expected = StateVector.from_unnormalized(vecs[:, group] @ coef[group])
         assert post.amplitudes.tobytes() == expected.amplitudes.tobytes()
         multi += len(group) > 1
     assert multi >= 4
+
+
+def test_projimp_cluster_refuses_an_operator_of_the_wrong_shape():
+    state = random_state(4, rng_for("proj-cluster-shape"))
+    for accept in (diag_mixture((1, 0)), diag_mixture((1, 0, 0, 1, 1, 0, 1, 0)), np.ones((4, 2)), np.eye(4)[None]):
+        with pytest.raises(DimensionError):
+            spectral.projimp_cluster(accept, state, rng_for("proj-cluster-shape-draw"))
 
 
 # ---------------------------------------------------------------------------
