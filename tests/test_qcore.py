@@ -102,6 +102,20 @@ def test_unitary_oracle_rejects_non_unitary():
         bad.matrices([("0", "0")])
 
 
+def test_unitary_oracle_rechecks_only_new_points():
+    calls = []
+
+    def build(x, y):
+        calls.append((x, y))
+        return np.eye(2, dtype=complex)
+
+    oracle = qcore.UnitaryOracle(2, build)
+    oracle.matrices([("0", "1")])
+    oracle.matrices([("0", "1")])
+    # evaluate runs every call (no matrix cache) but both calls succeed
+    assert calls == [("0", "1"), ("0", "1")]
+
+
 @pytest.mark.parametrize("position", range(4))
 def test_oracle_batch_rejects_non_unitary_at_any_position(position):
     pairs = [("0", format(i, "02b")) for i in range(4)]
@@ -139,6 +153,21 @@ def test_oracle_batch_checks_every_pair_on_every_call():
     with pytest.raises(InvariantError, match=r"\('0', '1'\)"):
         oracle.matrices([("1", "1"), ("0", "1")])
     assert calls == [("0", "0"), ("0", "1"), ("1", "1"), ("0", "1")]
+
+
+def test_oracle_batch_checks_each_pair_once():
+    # one call evaluates each listed pair once, in order, repeats included, and
+    # returns the matrices it checked rather than evaluating them again
+    calls = []
+
+    def build(x, y):
+        calls.append((x, y))
+        return (-1.0) ** len(calls) * np.eye(2)
+
+    pairs = [("0", "0"), ("0", "1"), ("0", "0")]
+    mats = qcore.UnitaryOracle(2, build).matrices(pairs)
+    assert calls == pairs
+    assert np.array_equal(mats, np.stack([-np.eye(2), np.eye(2), -np.eye(2)]))
 
 
 def test_oracle_batch_rejects_wrong_shapes():
