@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -148,15 +149,15 @@ def _agreements(led: int, m: int) -> int:
 
 def distribution_povm(prog: QuantumProgram, dist) -> np.ndarray:
     """Accept operator P_D of the binary POVM mixture a program induces on a
-    finite triple distribution.
+    finite distribution, the tuple of its s triples (b, x, y).
 
-    The r-th member accepts when the program answers the triple's first
-    component on query (x_r, y_r).  P_D is the checked member stack summed
-    over axis 0 and divided by s: the sum of a C-contiguous stack adds the
-    members in order, so this is the left-to-right running sum bit for bit,
-    and any other reduction changes the eigenbasis `eigh` returns.
+    The r-th member accepts when the program answers b_r on query (x_r, y_r).
+    P_D is the checked member stack summed over axis 0 and divided by s: the
+    sum of a C-contiguous stack adds the members in order, so this is the
+    left-to-right running sum bit for bit, and any other reduction changes the
+    eigenbasis `eigh` returns.
     """
-    stack = program_projectors(prog, dist.triples)
+    stack = program_projectors(prog, dist)
     return stack.sum(0) / len(stack)
 
 
@@ -184,24 +185,25 @@ def _flush_uniforms(rng, params: ApiParams, bits: bytearray, drawn=()):
 def _block_walk(born: np.ndarray, agree: list, flip: list, uniforms, bits: bytearray) -> np.ndarray:
     """Append one outcome per uniform to `bits`; return the final block weights over their sum."""
     # The weights stay unnormalized, with sum `total`, and are rescaled only
-    # before they could underflow; this saves a pass over them per step.
+    # before they could underflow; this saves a pass over them per step.  The
+    # sums fold left to right: the builtin sum compensates from Python 3.12 on.
     weights, total = born.tolist(), float(born.sum())
     prev = 1
     for u in uniforms:
-        num = sum(map(mul, weights, agree))
+        num = reduce(add, map(mul, weights, agree), 0.0)
         g = num / total
         bit = int(u < (g if prev else 1.0 - g))
         if bit == prev:
             weights, kept = list(map(mul, weights, agree)), num
         else:
             weights = list(map(mul, weights, flip))
-            kept = sum(weights)
+            kept = reduce(add, weights, 0.0)
         if kept < VANISHED_BELOW * total:
             raise DegenerateStateError("measurement branch vanished during API run")
         total = kept
         if total < RESCALE_BELOW:
             weights = [w / total for w in weights]
-            total = sum(weights)
+            total = reduce(add, weights, 0.0)
         bits.append(bit)
         prev = bit
     return np.array(weights) / total
@@ -282,7 +284,7 @@ def api_exact(
     """
     if params.T > MAX_EXACT_ROUNDS:
         raise RoundLimitError(f"exact engine needs T = {params.T} rounds, cap is {MAX_EXACT_ROUNDS}")
-    composite = len(dist.triples) * prog.dim
+    composite = len(dist) * prog.dim
     if composite > DIMENSION_CAP:
         raise DimensionCapError(f"composite dimension {composite} exceeds cap {DIMENSION_CAP}")
     p, eigvecs = accept_eigenbasis(distribution_povm(prog, dist))

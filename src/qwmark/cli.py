@@ -143,26 +143,19 @@ def cmd_sim(args) -> int:
         coin_key=elwm.coin_key_from_bytes(Path(args.xk).read_bytes()),
         tag=tag,
     )
-    triples = [{"gamma": gamma, "x": x, "y": y} for gamma, x, y in dist.triples]
+    triples = [{"gamma": gamma, "x": x, "y": y} for gamma, x, y in dist]
     _dump_json({"index": args.index, "count": args.count, "triples": triples}, args.out)
     return 0
-
-
-def _pirate_spec_from_args(args) -> PirateSpec:
-    return PirateSpec(
-        kind=args.pirate,
-        eta=args.eta,
-        theta=args.theta,
-        branch_a=args.branch_a,
-        branch_b=args.branch_b,
-    )
 
 
 def cmd_extract(args) -> int:
     tag = elwm.TagIo.from_bytes(Path(args.tag).read_bytes())
     coin_key = elwm.coin_key_from_bytes(Path(args.xk).read_bytes())
     circuit = elwm.marked_circuit_from_bytes(Path(args.circuit).read_bytes())
-    prog = build_pirate(_pirate_spec_from_args(args), circuit)
+    spec = PirateSpec(
+        kind=args.pirate, eta=args.eta, theta=args.theta, branch_a=args.branch_a, branch_b=args.branch_b
+    )
+    prog = build_pirate(spec, circuit)
     params = wmprf.ExtractParams(
         k=tag.params.msg_bits - 1,
         eps=args.eps,
@@ -230,6 +223,9 @@ def _experiment_config(path: str) -> dict:
     missing = required - set(raw)
     if missing:
         raise FormatError(f"config missing fields: {sorted(missing)}")
+    extra = set(raw) - required - set(DEFAULTS) - {"message"}
+    if extra:
+        raise FormatError(f"unknown config fields: {sorted(extra)}")
     return {**DEFAULTS, "message": "random", **raw}
 
 

@@ -6,11 +6,10 @@ Conventions
 * Bit strings are Python ``str`` of ``'0'``/``'1'``, big-endian: the leftmost
   character is bit index 0.  Helpers convert to/from bytes and ints.
 * Bit strings are checked once, where they enter the package: the public
-  entry points (``ggm_eval``, ``injective_pprf_eval``, ``prg``,
-  ``bits_to_bytes``, the PE and marked circuits' ``run``, ``elwm.sim``,
-  ``elwm.eval_prf``, the CLI and the record loaders) check them and then call
-  private forms that do not check again.  Key widths are checked when a key or
-  circuit is constructed.
+  entry points (``ggm_eval``, ``injective_pprf_eval``, ``bits_to_bytes``, the
+  PE and marked circuits' ``run``, ``elwm.sim``, ``elwm.eval_prf``, the CLI
+  and the record loaders) check them and then call private forms that do not
+  check again.  Key widths are checked when a key or circuit is constructed.
 * The bit helpers run at C level on whole strings and ints.  ``xor_bits``
   assumes validated input and checks only that the lengths agree.
 * All key material is derived from fixed-size byte seeds (SEED_BYTES).
@@ -171,13 +170,8 @@ def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
     return bytes_to_bits(stream, out_bits)
 
 
-def prg(seed_bits: str, out_bits: int) -> str:
-    """Bit-level PRG used by the encryption layers (e.g. length doubling)."""
-    return _prg(check_bits(seed_bits), out_bits)
-
-
 def _prg(seed_bits: str, out_bits: int) -> str:
-    """``prg`` of a checked seed."""
+    """Bit-level PRG of a checked seed, used by the encryption layers (e.g. length doubling)."""
     return prg_expand(b"bits|" + _pack_bits(seed_bits) + struct.pack(">I", len(seed_bits)), out_bits)
 
 
@@ -430,18 +424,14 @@ def _injective_eval(key: InjectivePprfKey, x: str) -> str:
 
 @dataclass(frozen=True)
 class PuncturedInjectivePprfKey:
-    ggm: PuncturedGgmKey
-    mask_seed: bytes
-    _affine: tuple = field(init=False, repr=False, compare=False)
+    """Punctured GGM key plus the full key's affine tables."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_affine", _derive_affine(self.mask_seed, self.ggm.domain_bits, self.ggm.out_bits)
-        )
+    ggm: PuncturedGgmKey
+    _affine: tuple = field(repr=False, compare=False)
 
 
 def injective_pprf_puncture(key: InjectivePprfKey, points) -> PuncturedInjectivePprfKey:
-    return PuncturedInjectivePprfKey(ggm_puncture(key.ggm, points), key.mask_seed)
+    return PuncturedInjectivePprfKey(ggm_puncture(key.ggm, points), key._affine)
 
 
 def injective_pprf_eval_punctured(pkey: PuncturedInjectivePprfKey, x: str) -> str | None:

@@ -277,21 +277,6 @@ def sim(params: ElwmParams, tag: TagIo, i: int, coins: str) -> tuple[int, str, s
     return int(gamma), x, y
 
 
-@dataclass(frozen=True)
-class TripleDistribution:
-    """Finite coin-indexed stand-in for a query distribution.
-
-    triples[r] = (gamma, x, y) for coin r.
-    """
-
-    s: int
-    triples: tuple[tuple[int, str, str], ...]
-
-    def __post_init__(self):
-        if self.s < 1 or len(self.triples) != self.s:
-            raise LengthError(f"distribution needs s={self.s} triples, got {len(self.triples)}")
-
-
 def build_distribution(
     index: int | None,
     *,
@@ -301,8 +286,8 @@ def build_distribution(
     coin_key: bytes,
     prfk: PrfKeyIo | None = None,
     tag: TagIo | None = None,
-) -> TripleDistribution:
-    """Instantiate a distribution as s pseudorandom triples.
+) -> tuple[tuple[int, str, str], ...]:
+    """Instantiate a distribution as its s pseudorandom triples (b, x, y), one per coin.
 
     index None is RealD: b <- coins, x <- coins, y = Eval(x) if b else fresh
     coins.  A message position i in 1..msg_bits is Sim(tau, i): the Sim
@@ -310,6 +295,8 @@ def build_distribution(
 
     The same (coin_key, master_seed) yields byte-identical triples.
     """
+    if s < 1:
+        raise LengthError(f"a distribution needs at least one triple, got s={s}")
     triples: list[tuple[int, str, str]] = []
     if index is None:
         if prfk is None:
@@ -332,7 +319,7 @@ def build_distribution(
                 sim_coin_bits(params),
             )
             triples.append(sim(params, tag, index, coins))
-    return TripleDistribution(s, tuple(triples))
+    return tuple(triples)
 
 
 def new_coin_key(rng) -> bytes:

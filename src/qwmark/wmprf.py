@@ -33,7 +33,7 @@ not commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from . import crypto, elwm
@@ -124,18 +124,8 @@ class ExtractionReport:
         return self.decoded == UNMARKED
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "eps": self.eps,
-            "eps_prime": self.eps_prime,
-            "delta_prime": self.delta_prime,
-            "engine": self.engine,
-            "gate_estimate": self.gate_estimate,
-            "bit_estimates": list(self.bit_estimates),
-            "decoded": self.decoded,
-            "fallback": self.fallback,
-            "calls": list(self.calls),
-        }
+        """The fields by name, with the tuples as lists."""
+        return {**asdict(self), "bit_estimates": list(self.bit_estimates), "calls": list(self.calls)}
 
 
 def wm_gen(params: ExtractParams, elwm_params: ElwmParams, rng):

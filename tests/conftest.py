@@ -80,12 +80,10 @@ def random_triples(s: int, seed: str, x_bits: int = 6, y_bits: int = 4):
     return tuple(triples)
 
 
-class FakeDistribution:
-    """Duck-typed stand-in for TripleDistribution in measurement-only tests."""
-
-    def __init__(self, triples):
-        self.triples = tuple(triples)
-        self.s = len(self.triples)
+def FakeDistribution(triples) -> tuple:
+    """A distribution for measurement-only tests: the tuple of its (b, x, y)
+    triples, the same value `elwm.build_distribution` returns."""
+    return tuple(triples)
 
 
 def dense_cproj(stack: np.ndarray) -> np.ndarray:

@@ -411,7 +411,7 @@ def test_a09_marked_circuit_disagrees_exactly_on_planted_queries():
                 coin_key=coin_key,
                 tag=tag,
             )
-            for gamma, x, y in dist.triples:
+            for gamma, x, y in dist:
                 agrees = circuit.run(x) == y
                 planted_differs = gamma != int(message[i - 1])
                 exceptions += agrees != planted_differs

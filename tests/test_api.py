@@ -216,7 +216,7 @@ def test_compression_identity():
     # projecting CProj^1 into range(IsU) reproduces P_D on the small space
     prog = random_program(4, "api-compress")
     dist = FakeDistribution(random_triples(5, "api-compress"))
-    stack = program_projectors(prog, dist.triples)
+    stack = program_projectors(prog, dist)
     s, d = stack.shape[:2]
     cproj = dense_cproj(stack)
     # embed: |1_R> (x) e_i for the standard basis of H
@@ -303,7 +303,7 @@ def test_exact_collapses_on_binary_spectrum():
 
 def reference_exact(dist, prog, params, rng, reverse=False):
     """The literal walk on H_R (x) H, one coin block at a time: (bits, flush bits, post state)."""
-    blocks = program_projectors(prog, dist.triples)
+    blocks = program_projectors(prog, dist)
     s, d = len(blocks), prog.dim
     vec = (np.full(s, 1.0 / np.sqrt(s), dtype=complex)[:, None] * prog.state.amplitudes[None, :]).reshape(-1)
 
@@ -466,6 +466,56 @@ def test_one_block_scan_matches_oracle_past_the_rescale(walks):
     for reverse in (False, True):
         assert_matches_oracle(dist, prog, params, f"api-one-block-rescale-{int(reverse)}", reverse)
     assert walks == ["scan"] * 2
+
+
+def left_fold(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def left_fold_block_walk(born, agree, flip, uniforms):
+    """`api._block_walk` with each weight sum an explicit left-to-right loop: (bits, final weights)."""
+    weights, total, prev, bits = list(born), float(born.sum()), 1, []
+    for u in uniforms:
+        num = left_fold(w * a for w, a in zip(weights, agree))
+        bit = int(u < (num / total if prev else 1.0 - num / total))
+        if bit == prev:
+            weights, kept = [w * a for w, a in zip(weights, agree)], num
+        else:
+            weights = [w * f for w, f in zip(weights, flip)]
+            kept = left_fold(weights)
+        total = kept
+        if total < api.RESCALE_BELOW:
+            weights = [w / total for w in weights]
+            total = left_fold(weights)
+        bits.append(bit)
+        prev = bit
+    return bits, np.array(weights) / total
+
+
+@pytest.mark.parametrize(
+    "agree, uniforms",
+    [
+        ([1.0, 1.0, 1.0], [0.5] * 4),  # every step repeats: the agree sum
+        ([0.25, 0.5, 0.5], [0.9]),  # a flip: the sum of the flipped weights
+        ([1e-20, 1e-20, 1e-20], [0.0] * 9),  # the weights fall below RESCALE_BELOW
+    ],
+    ids=["repeats", "flip", "rescale"],
+)
+def test_block_walk_sums_left_to_right(agree, uniforms):
+    # From Python 3.12 on the builtin sum compensates: sum([1.0, 1e-16, 1e-16])
+    # is 1.0000000000000002 there and 1.0 before.  The walk's weights must
+    # come out as the left fold makes them on every version.
+    assert left_fold([1.0, 1e-16, 1e-16]) == 1.0
+    born = np.array([1.0, 1e-16, 1e-16])
+    flip = [1.0 - a for a in agree]
+    bits = bytearray()
+    ratio = api._block_walk(born, agree, flip, iter(uniforms), bits)
+    expected_bits, expected = left_fold_block_walk(born, agree, flip, uniforms)
+    assert list(bits) == expected_bits
+    assert ratio.tobytes() == expected.tobytes()
 
 
 def forward_fill_walk(main, agree, flip, rng, params, drawn):

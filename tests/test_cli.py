@@ -413,6 +413,7 @@ def test_experiment_rejects_runs_without_trials(tmp_path, capsys, overrides, arg
         ({"eps": 1e-9}, cli.EXIT_NUMERIC),
         ({"eps": 1e-200}, cli.EXIT_NUMERIC),
         ({"delta_prime": 5e-324}, cli.EXIT_NUMERIC),
+        ({"delta_prim": 0.05}, cli.EXIT_FORMAT),
     ],
 )
 def test_experiment_checks_the_whole_config_before_any_output(tmp_path, capsys, overrides, code):

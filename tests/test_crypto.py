@@ -162,7 +162,7 @@ def test_prg_golden_vectors():
     # frozen from the reference primitive; a change here breaks every key format
     assert crypto.prg_expand(b"\x00" * 16, 64) == GOLDEN_ZERO16_64
     assert crypto.prg_expand(b"golden-seed-0001", 128) == GOLDEN_SEED_128
-    assert crypto.prg("10110010", 16) == "0011110101010111"
+    assert crypto._prg("10110010", 16) == "0011110101010111"
     assert crypto.keyed_rand(b"key-material-000", b"label", 32) == "10110000010010000101010110101110"
 
 
@@ -183,7 +183,7 @@ def test_prg_distinct_seeds_disagree():
 
 def test_prg_bit_interface_length_aware():
     # same prefix bits, different declared length: independent streams
-    assert crypto.prg("101", 32) != crypto.prg("1010", 32)[:32]
+    assert crypto._prg("101", 32) != crypto._prg("1010", 32)[:32]
 
 
 def oracle_prg_expand(seed: bytes, out_bits: int, domain: bytes) -> str:

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qwmark import elwm
-from qwmark.crypto import int_to_bits, prg, read_record, read_whole_record, write_record
+from qwmark.crypto import _prg, int_to_bits, read_record, read_whole_record, write_record
 from qwmark.errors import FormatError, IndexRangeError, LengthError
 from qwmark.pe import ObfuscatedCircuit
 
@@ -123,7 +123,7 @@ def test_marked_circuit_reroutes_disagreeing_positions():
             x = tag.pe_ek.run(plaintext, enc_seed)
             if message[i - 1] != gamma_bit:
                 # planted disagreement: the circuit answers with the PRG value
-                assert circuit.run(x) == prg(s, params.range_bits)
+                assert circuit.run(x) == _prg(s, params.range_bits)
             else:
                 assert circuit.run(x) == elwm.eval_prf(prfk, x)
 
@@ -291,7 +291,7 @@ def test_sim_triple_structure():
     gamma, x, y = elwm.sim(params, tag, 2, coins)
     assert gamma == 1
     assert len(x) == params.domain_bits
-    assert y == prg("010101", params.range_bits)
+    assert y == _prg("010101", params.range_bits)
     # the challenge point decrypts to s || i-1 || gamma under the secret key
     d = prfk.pe_dk.run(x)
     assert d == "010101" + int_to_bits(1, params.idx_bits) + "1"
@@ -347,8 +347,8 @@ def test_real_distribution_structure():
     d = elwm.build_distribution(
         None, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
     )
-    assert d.s == 8 and len(d.triples) == 8
-    for b, x, y in d.triples:
+    assert len(d) == 8
+    for b, x, y in d:
         assert b in (0, 1)
         if b == 1:
             assert y == elwm.eval_prf(prfk, x)
@@ -358,7 +358,7 @@ def test_real_distribution_structure():
     d2 = elwm.build_distribution(
         None, params=params, s=8, master_seed=master_seed, coin_key=coin_key, prfk=prfk
     )
-    assert d2.triples == d.triples
+    assert d2 == d
 
 
 def test_sim_tau_distribution_reproducible_and_indexed():
@@ -372,10 +372,10 @@ def test_sim_tau_distribution_reproducible_and_indexed():
     d2 = elwm.build_distribution(
         2, params=params, s=6, master_seed=master_seed, coin_key=coin_key, tag=tag
     )
-    assert d1.triples == d1_again.triples
-    assert d1.triples != d2.triples
+    assert d1 == d1_again
+    assert d1 != d2
     # every triple decrypts to the right index
-    for gamma, x, y in d2.triples:
+    for gamma, x, y in d2:
         d = prfk.pe_dk.run(x)
         assert d is not None
         idx = int(d[params.seed_bits : params.seed_bits + params.idx_bits], 2) + 1
@@ -397,3 +397,5 @@ def test_distribution_missing_inputs():
             elwm.build_distribution(
                 index, params=params, s=4, master_seed=master_seed, coin_key=coin_key, tag=tag
             )
+    with pytest.raises(LengthError):
+        elwm.build_distribution(1, params=params, s=0, master_seed=master_seed, coin_key=coin_key, tag=tag)

@@ -3,6 +3,8 @@ tallies."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from qwmark import elwm, pirates, wmprf
@@ -174,6 +176,16 @@ def test_extraction_report_json_round_trip(small_stack):
     assert parsed["k"] == report.k
     assert len(parsed["calls"]) == len(report.calls)
     assert all("index" in c and "engine" in c for c in parsed["calls"])
+
+
+def test_extraction_report_json_holds_exactly_its_fields():
+    call = {"engine": "fast", "estimate": 0.875, "subspace": 1, "index": 3}
+    report = wmprf.ExtractionReport(2, 0.25, 0.02, 0.05, "fast", 0.875, (0.125, 0.75), "10", False, (call,))
+    expected = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    expected.update(bit_estimates=[0.125, 0.75], calls=[call])  # the tuples as lists
+    json_dict = report.to_json_dict()
+    assert list(json_dict) == list(expected)
+    assert json_dict == expected
 
 
 def test_extract_rejects_mismatched_tag(small_stack):
