@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elwm, wmprf
-from .crypto import check_bits, decode_text, ggm_walk_name, keyed_rand
+from .crypto import _keyed_coins, check_bits, decode_text, ggm_walk_name
 from .errors import (
     DegenerateStateError,
     DimensionCapError,
@@ -72,8 +72,7 @@ def _seed_bytes(seed: int) -> bytes:
 
 
 def _rng_from_seed(seed: int, label: bytes = b"") -> np.random.Generator:
-    stream = keyed_rand(_seed_bytes(seed), b"rng" + label, 64)
-    return np.random.default_rng(int(stream, 2))
+    return np.random.default_rng(_keyed_coins(_seed_bytes(seed), b"rng" + label, 64))
 
 
 def _trial_rng(seed: int, batch: int, trial: int) -> np.random.Generator:

@@ -3,36 +3,31 @@ PPRF, and keyed coin derivation.
 
 Conventions
 -----------
-* Bit strings are Python ``str`` of ``'0'``/``'1'``, big-endian: the leftmost
-  character is bit index 0.  Helpers convert to/from bytes and ints.
-* Bit strings are checked once, where they enter the package: the public
-  entry points (``ggm_eval``, ``injective_pprf_eval``, ``bits_to_bytes``, the
-  PE and marked circuits' ``run``, ``elwm.sim``, ``elwm.eval_prf``, the CLI
-  and the record loaders) check them and then call private forms that do not
-  check again.  Key widths are checked when a key or circuit is constructed.
-* The bit helpers run at C level on whole strings and ints.  ``xor_bits``
-  assumes validated input and checks only that the lengths agree.
-* All key material is derived from fixed-size byte seeds (SEED_BYTES).
-* The stream primitive is SHA-256 in counter mode with domain-separation
-  prefixes.  Every derivation is a pure function of its inputs, so repeated
-  calls are referentially transparent.
+* Ints inside, strings at the edges.  Inside ``crypto``, ``pe`` and ``elwm``
+  bits are ints of a known width: a w-bit string s is ``int(s, 2)``, so bit
+  index 0 is the most significant bit.  The width comes from a key or the
+  params, never from the int: "0101" and "101" are different values.
+* Where bits enter or leave, they are ``str`` of ``'0'``/``'1'``, leftmost
+  first.  Public entry points, the CLI and the record loaders check a string
+  once and call the private int forms, which do not check again.  Key widths
+  are checked when a key or circuit is constructed.
+* All key material is derived from fixed-size byte seeds (SEED_BYTES).  The
+  stream primitive is SHA-256 in counter mode behind domain-separation
+  prefixes, so every derivation is a pure function of its inputs.
 * A GGM node's child is SHA256("node" || bit || seed)[:SEED_BYTES], with bit
-  the character '0' or '1'; every GGM seed is SEED_BYTES long, which
-  ``GgmKey`` checks.  ``_walk`` takes a whole validated path in one call.  On
-  first use it picks the native kernel of ``native.py`` (C over libcrypto's
-  SHA-256, built once into a user cache) if the kernel builds, loads, and
-  agrees with the hashlib loop ``_hashlib_walk`` on a 120-bit probe path;
-  otherwise it keeps the hashlib loop.  No option chooses between them: both
-  give the same bytes, the native one several times faster, and
-  ``ggm_walk_name()`` says which one runs.
-* A GGM evaluation goes through ``_ggm_leaf``, which memoizes the leaf output
-  keyed by (root seed, path, output width) in a fixed-size LRU
-  (``_WALK_MEMO_SIZE`` entries).  A trial evaluates the same leaves more than
-  once: Sim encrypts, the marked circuit decrypts the same ciphertexts, and
-  the live probe's PRF value is recomputed by the circuit.  A hit skips both
-  the walk and the leaf PRG.  ``forget_leaves`` empties the memo: a game
-  calls it before it generates fresh keys, since no leaf of an earlier game's
-  keys is evaluated again.
+  the character '0' or '1', and a leaf's output is ``prg_expand(node,
+  out_bits, domain=b"leaf")``.  The leaf in use walks a whole path and hashes
+  the leaf blocks in one call, or returns the node seed when asked for no
+  blocks.  ``_leaf_in_use`` picks it on first use: the native kernel of
+  ``native.py`` if it builds, loads, and agrees with the hashlib leaf
+  ``_hashlib_leaf`` on probes that include a 120-bit path and a multi-block
+  output; otherwise the hashlib leaf.  No option chooses: both give the same
+  bytes, and ``ggm_walk_name()`` says which one runs.
+* ``_ggm_leaf`` memoizes leaf outputs by (root seed, path, path width, output
+  width) in an LRU of ``_LEAF_MEMO_SIZE`` entries.  Sim encrypts, the marked
+  circuit decrypts the same ciphertexts, and the live probe's PRF value is
+  recomputed by the circuit, so a trial hits it.  ``forget_leaves`` empties
+  it: a game calls it before it generates fresh keys.
 * Every serialized key, tag and circuit is built from one record layout,
   written by ``write_record`` and read by ``read_record``: u16 fields, then
   the u16 length of each blob, then the blobs, all big-endian.  A truncated,
@@ -72,30 +67,13 @@ def int_to_bits(value: int, length: int) -> str:
 
 def bits_to_bytes(bits: str) -> bytes:
     """Pack to bytes, left-aligned, zero-padded to a byte boundary."""
-    return _pack_bits(check_bits(bits))
+    return _pack(int(check_bits(bits) or "0", 2), len(bits))
 
 
-def _pack_bits(bits: str) -> bytes:
-    """``bits_to_bytes`` of a checked bit string."""
-    if not bits:
-        return b""
-    pad = -len(bits) % 8
-    return (int(bits, 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
-
-
-def bytes_to_bits(data: bytes, length: int) -> str:
-    """The first `length` bits of `data`."""
-    spare = len(data) * 8 - length
-    if spare < 0:
-        raise LengthError(f"need {length} bits, got {len(data)} bytes")
-    return format(int.from_bytes(data, "big") >> spare, f"0{length}b") if length else ""
-
-
-def xor_bits(a: str, b: str) -> str:
-    """XOR of two validated bit strings of equal length."""
-    if len(a) != len(b):
-        raise LengthError(f"xor of unequal lengths {len(a)} and {len(b)}")
-    return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b") if a else ""
+def _pack(value: int, width: int) -> bytes:
+    """A `width`-bit int as bytes, left-aligned, zero-padded to a byte boundary."""
+    pad = -width % 8
+    return (value << pad).to_bytes((width + pad) // 8, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +133,30 @@ def decode_text(raw: bytes, what: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
-    """Expand a byte seed to `out_bits` pseudorandom bits.
+def _blocks(prefix: bytes, n_blocks: int) -> bytes:
+    """SHA256(prefix || ctr) for ctr = 0 .. n_blocks - 1, each ctr a big-endian u32."""
+    return b"".join(hashlib.sha256(prefix + struct.pack(">I", ctr)).digest() for ctr in range(n_blocks))
 
-    Deterministic: out = SHA256(domain || seed || ctr) blocks, truncated.
-    """
-    if out_bits < 0:
-        raise LengthError("out_bits must be nonnegative")
+
+def _stream(seed: bytes, out_bits: int, domain: bytes) -> int:
+    """The first `out_bits` bits of the blocks SHA256(domain || "|" || seed || ctr), as an int."""
     prefix = domain + b"|" + seed
     if out_bits <= 256:  # one block, counter 0
-        return bytes_to_bits(hashlib.sha256(prefix + b"\0\0\0\0").digest(), out_bits)
+        return int.from_bytes(hashlib.sha256(prefix + b"\0\0\0\0").digest(), "big") >> (256 - out_bits)
     n_blocks = -(-out_bits // 256)
-    stream = b"".join(hashlib.sha256(prefix + struct.pack(">I", ctr)).digest() for ctr in range(n_blocks))
-    return bytes_to_bits(stream, out_bits)
+    return int.from_bytes(_blocks(prefix, n_blocks), "big") >> (256 * n_blocks - out_bits)
 
 
-def _prg(seed_bits: str, out_bits: int) -> str:
-    """Bit-level PRG of a checked seed, used by the encryption layers (e.g. length doubling)."""
-    return prg_expand(b"bits|" + _pack_bits(seed_bits) + struct.pack(">I", len(seed_bits)), out_bits)
+def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
+    """Expand a byte seed to `out_bits` pseudorandom bits: SHA256(domain || seed || ctr) blocks, truncated."""
+    if out_bits < 0:
+        raise LengthError("out_bits must be nonnegative")
+    return int_to_bits(_stream(seed, out_bits, domain), out_bits)
+
+
+def _prg(seed: int, width: int, out_bits: int) -> int:
+    """Bit-level PRG of a `width`-bit seed, used by the encryption layers (e.g. length doubling)."""
+    return _stream(b"bits|" + _pack(seed, width) + struct.pack(">I", width), out_bits, b"prg")
 
 
 def keyed_rand(key: bytes, label: bytes, out_bits: int) -> str:
@@ -180,9 +164,9 @@ def keyed_rand(key: bytes, label: bytes, out_bits: int) -> str:
     return prg_expand(key + b"#" + label, out_bits, domain=b"coin")
 
 
-def random_seed(rng) -> bytes:
-    """Draw a fresh SEED_BYTES seed from a numpy Generator."""
-    return rng.bytes(SEED_BYTES)
+def _keyed_coins(key: bytes, label: bytes, out_bits: int) -> int:
+    """``keyed_rand`` as an int, for a nonnegative `out_bits`."""
+    return _stream(key + b"#" + label, out_bits, b"coin")
 
 
 # ---------------------------------------------------------------------------
@@ -192,42 +176,39 @@ def random_seed(rng) -> bytes:
 
 # node child = SHA256("node" || bit || seed)[:SEED_BYTES], from pre-keyed states
 _NODE_HASH = {"0": hashlib.sha256(b"node0"), "1": hashlib.sha256(b"node1")}
-_WALK_MEMO_SIZE = 1024
-_WALK_PROBE = (b"ggm-walk-probe-0", "0110" * 30)  # 120 bits, the widest path a game walks
+_LEAF_MEMO_SIZE = 1024
+# a 120-bit path (the widest a game walks) to 3 blocks, and a 1-bit path to its node seed
+_LEAF_PROBES = ((b"ggm-walk-probe-0", int("0110" * 30, 2), 120, 3), (b"ggm-walk-probe-1", 1, 1, 0))
 
 
-def _hashlib_walk(seed: bytes, path: str) -> bytes:
-    """Seed of the node reached from `seed` along the validated bit path, one hashlib call per node."""
-    for bit in path:
+def _hashlib_leaf(seed: bytes, path: int, width: int, n_blocks: int) -> bytes:
+    """Walk the `width`-bit path from `seed`; return the node seed if n_blocks is 0, else its leaf blocks."""
+    for bit in int_to_bits(path, width):
         node = _NODE_HASH[bit].copy()
         node.update(seed)
         seed = node.digest()[:SEED_BYTES]
-    return seed
+    return _blocks(b"leaf|" + seed, n_blocks) if n_blocks else seed
 
 
 @lru_cache(maxsize=None)
-def _walk_in_use():
-    """(walk, name): the native kernel if it loads and agrees with the hashlib walk on a probe, else the hashlib walk."""
-    walk = native.load_walk()
-    if walk is not None and walk(*_WALK_PROBE) == _hashlib_walk(*_WALK_PROBE):
-        return walk, "native"
-    return _hashlib_walk, "hashlib"
+def _leaf_in_use():
+    """The native kernel if it loads and agrees with the hashlib leaf on the probes, else the hashlib leaf."""
+    leaf = native.load_leaf()
+    if leaf is not None and all(leaf(*probe) == _hashlib_leaf(*probe) for probe in _LEAF_PROBES):
+        return leaf
+    return _hashlib_leaf
 
 
 def ggm_walk_name() -> str:
-    """Which walk this process runs, "native" or "hashlib"; both give the same bytes."""
-    return _walk_in_use()[1]
+    """Which leaf this process runs, "native" or "hashlib"; both give the same bytes."""
+    return "hashlib" if _leaf_in_use() is _hashlib_leaf else "native"
 
 
-def _walk(seed: bytes, path: str) -> bytes:
-    """Seed of the node reached from the SEED_BYTES-byte `seed` along the validated bit path."""
-    return _walk_in_use()[0](seed, path)
-
-
-@lru_cache(maxsize=_WALK_MEMO_SIZE)
-def _ggm_leaf(seed: bytes, path: str, out_bits: int) -> str:
-    """Output of the leaf reached from `seed` along the validated bit path."""
-    return prg_expand(_walk(seed, path), out_bits, domain=b"leaf")
+@lru_cache(maxsize=_LEAF_MEMO_SIZE)
+def _ggm_leaf(seed: bytes, path: int, width: int, out_bits: int) -> int:
+    """Output of the leaf reached from `seed` along the `width`-bit path, for a positive `out_bits`."""
+    n_blocks = -(-out_bits // 256)
+    return int.from_bytes(_leaf_in_use()(seed, path, width, n_blocks), "big") >> (256 * n_blocks - out_bits)
 
 
 def forget_leaves() -> None:
@@ -262,17 +243,17 @@ class GgmKey:
 
 
 def ggm_gen(domain_bits: int, out_bits: int, rng) -> GgmKey:
-    return GgmKey(random_seed(rng), domain_bits, out_bits)
+    return GgmKey(rng.bytes(SEED_BYTES), domain_bits, out_bits)
 
 
 def ggm_eval(key: GgmKey, x: str) -> str:
     check_bits(x, key.domain_bits, what="PPRF input")
-    return _ggm_eval(key, x)
+    return int_to_bits(_ggm_eval(key, int(x, 2)), key.out_bits)
 
 
-def _ggm_eval(key: GgmKey, x: str) -> str:
-    """``ggm_eval`` of a checked input."""
-    return _ggm_leaf(key.seed, x, key.out_bits)
+def _ggm_eval(key: GgmKey, x: int) -> int:
+    """``ggm_eval`` of a `domain_bits`-bit int."""
+    return _ggm_leaf(key.seed, x, key.domain_bits, key.out_bits)
 
 
 @dataclass(frozen=True)
@@ -304,8 +285,8 @@ def ggm_puncture(key: GgmKey, points: set[str] | frozenset[str] | tuple[str, ...
             return  # punctured leaf: drop
         left = [p for p in under if p[len(prefix)] == "0"]
         right = [p for p in under if p[len(prefix)] == "1"]
-        descend(prefix + "0", _walk(seed, "0"), left)
-        descend(prefix + "1", _walk(seed, "1"), right)
+        descend(prefix + "0", _leaf_in_use()(seed, 0, 1, 0), left)
+        descend(prefix + "1", _leaf_in_use()(seed, 1, 1, 0), right)
 
     descend("", key.seed, pts)
     nodes.sort()
@@ -317,7 +298,8 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
     check_bits(x, pkey.domain_bits, what="PPRF input")
     for depth, prefix, seed in pkey.nodes:
         if x.startswith(prefix):
-            return _ggm_leaf(seed, x[depth:], pkey.out_bits)
+            width = pkey.domain_bits - depth  # 0 at a cover node of full depth
+            return int_to_bits(_ggm_leaf(seed, int(x, 2) & ((1 << width) - 1), width, pkey.out_bits), pkey.out_bits)
     return None
 
 
@@ -357,15 +339,14 @@ def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tupl
     return tuple(tables), offset
 
 
-def _affine_mask(base: str, affine: tuple[tuple[tuple[int, ...], ...], int], x: str) -> str:
+def _affine_mask(base: int, affine: tuple[tuple[tuple[int, ...], ...], int], x: int) -> int:
     """base xor (A x + b): one table lookup per chunk of x."""
     tables, acc = affine
-    value = int(x, 2)
     mask = (1 << _MASK_CHUNK) - 1
     for table in tables:
-        acc ^= table[value & mask]
-        value >>= _MASK_CHUNK
-    return format(int(base, 2) ^ acc, f"0{len(base)}b")
+        acc ^= table[x & mask]
+        x >>= _MASK_CHUNK
+    return base ^ acc
 
 
 @dataclass(frozen=True)
@@ -409,16 +390,16 @@ class InjectivePprfKey:
 
 
 def injective_pprf_gen(in_bits: int, out_bits: int, rng) -> InjectivePprfKey:
-    return InjectivePprfKey(ggm_gen(in_bits, out_bits, rng), random_seed(rng))
+    return InjectivePprfKey(ggm_gen(in_bits, out_bits, rng), rng.bytes(SEED_BYTES))
 
 
 def injective_pprf_eval(key: InjectivePprfKey, x: str) -> str:
     check_bits(x, key.ggm.domain_bits, what="PPRF input")
-    return _injective_eval(key, x)
+    return int_to_bits(_injective_eval(key, int(x, 2)), key.ggm.out_bits)
 
 
-def _injective_eval(key: InjectivePprfKey, x: str) -> str:
-    """``injective_pprf_eval`` of a checked input."""
+def _injective_eval(key: InjectivePprfKey, x: int) -> int:
+    """``injective_pprf_eval`` of an `in_bits`-bit int."""
     return _affine_mask(_ggm_eval(key.ggm, x), key._affine, x)
 
 
@@ -438,4 +419,4 @@ def injective_pprf_eval_punctured(pkey: PuncturedInjectivePprfKey, x: str) -> st
     base = ggm_eval_punctured(pkey.ggm, x)
     if base is None:
         return None
-    return _affine_mask(base, pkey._affine, x)
+    return int_to_bits(_affine_mask(int(base, 2), pkey._affine, int(x, 2)), pkey.ggm.out_bits)

@@ -23,7 +23,7 @@ On such a triple the marked circuit agrees with y exactly when m[i] != gamma,
 so the answer behavior of any decoder built from the marked circuit carries
 the bit m[i].
 
-All randomness for distribution building is derived through keyed_rand, so
+All randomness for distribution building is derived through keyed coins, so
 private- and public-coin modes share one code path: publishing the coin key
 makes the simulation public.
 """
@@ -38,12 +38,12 @@ from .crypto import (
     SEED_BYTES,
     GgmKey,
     _ggm_eval,
+    _keyed_coins,
     _prg,
     check_bits,
     decode_text,
     ggm_gen,
     int_to_bits,
-    keyed_rand,
     load_field,
     read_whole_record,
     write_record,
@@ -55,6 +55,7 @@ from .pe import (
     ObfuscatedCircuit,
     PeKeys,
     _decrypt,
+    _encrypt,
     circuit_from_bytes,
     circuit_to_bytes,
     pe_gen,
@@ -182,7 +183,7 @@ def gen(params: ElwmParams, rng) -> tuple[PrfKeyIo, TagIo]:
 def eval_prf(prfk: PrfKeyIo, x: str) -> str:
     """Unmarked evaluation: the raw GGM PRF."""
     check_bits(x, prfk.params.domain_bits, what="PRF input")
-    return _ggm_eval(prfk.f_main, x)
+    return int_to_bits(_ggm_eval(prfk.f_main, int(x, 2)), prfk.params.range_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +212,13 @@ class MarkedEvalCircuit:
 
     def run(self, x: str) -> str:
         p = self.params
-        check_bits(x, p.domain_bits, what="PRF input")
-        d = _decrypt(self.pe_dk, x)
-        if d is not None:
-            s = d[: p.seed_bits]
-            idx = int(d[p.seed_bits : p.seed_bits + p.idx_bits], 2) + 1
-            gamma = d[-1]
-            if idx <= p.msg_bits and self.message[idx - 1] != gamma:
-                return _prg(s, p.range_bits)
-        return _ggm_eval(self.f_main, x)
+        value = int(check_bits(x, p.domain_bits, what="PRF input"), 2)
+        d = _decrypt(self.pe_dk, value)
+        if d is not None:  # d = s || idx || gamma
+            idx = ((d >> 1) & ((1 << p.idx_bits) - 1)) + 1
+            if idx <= p.msg_bits and self.message[idx - 1] != "01"[d & 1]:
+                return int_to_bits(_prg(d >> (p.idx_bits + 1), p.seed_bits, p.range_bits), p.range_bits)
+        return int_to_bits(_ggm_eval(self.f_main, value), p.range_bits)
 
     def payload_bytes(self) -> bytes:
         blobs = (self.f_main.to_bytes(), circuit_to_bytes(self.pe_dk), self.message.encode())
@@ -268,13 +267,18 @@ def sim(params: ElwmParams, tag: TagIo, i: int, coins: str) -> tuple[int, str, s
     if not (1 <= i <= params.msg_bits):
         raise IndexRangeError(f"index {i} outside 1..{params.msg_bits}")
     check_bits(coins, sim_coin_bits(params), what="sim coins")
-    gamma = coins[0]
-    s = coins[1 : 1 + params.seed_bits]
-    enc_seed = coins[1 + params.seed_bits :]
-    plaintext = s + int_to_bits(i - 1, params.idx_bits) + gamma
-    x = tag.pe_ek.run(plaintext, enc_seed)
-    y = _prg(s, params.range_bits)
-    return int(gamma), x, y
+    return _sim(params, tag, i, int(coins, 2))
+
+
+def _sim(params: ElwmParams, tag: TagIo, i: int, coins: int) -> tuple[int, str, str]:
+    """``sim`` on the coins gamma || s || enc_seed as an int, for a checked i."""
+    pt_bits, seed_bits = params.pt_bits, params.seed_bits
+    gamma = coins >> (seed_bits + pt_bits)
+    s = (coins >> pt_bits) & ((1 << seed_bits) - 1)
+    plaintext = (((s << params.idx_bits) | (i - 1)) << 1) | gamma
+    x = _encrypt(tag.pe_ek.circuit, plaintext, coins & ((1 << pt_bits) - 1))
+    y = _prg(s, seed_bits, params.range_bits)
+    return gamma, int_to_bits(x, params.domain_bits), int_to_bits(y, params.range_bits)
 
 
 def build_distribution(
@@ -301,24 +305,20 @@ def build_distribution(
     if index is None:
         if prfk is None:
             raise LengthError("RealD distributions need the PRF key")
-        n = params.domain_bits
+        n, m = params.domain_bits, params.range_bits
         for r in range(s):
-            bits = keyed_rand(coin_key, master_seed + b"R" + r.to_bytes(4, "big"), 1 + n + params.range_bits)
-            x = bits[1 : 1 + n]
-            y = _ggm_eval(prfk.f_main, x) if bits[0] == "1" else bits[1 + n :]
-            triples.append((int(bits[0]), x, y))
+            coins = _keyed_coins(coin_key, master_seed + b"R" + r.to_bytes(4, "big"), 1 + n + m)
+            b, x = coins >> (n + m), (coins >> m) & ((1 << n) - 1)
+            y = _ggm_eval(prfk.f_main, x) if b else coins & ((1 << m) - 1)
+            triples.append((b, int_to_bits(x, n), int_to_bits(y, m)))
     else:
         if tag is None:
             raise LengthError("Sim distributions need the tag")
         if not (1 <= index <= params.msg_bits):
             raise IndexRangeError(f"index {index} outside 1..{params.msg_bits}")
         for r in range(s):
-            coins = keyed_rand(
-                coin_key,
-                master_seed + b"S" + index.to_bytes(2, "big") + r.to_bytes(4, "big"),
-                sim_coin_bits(params),
-            )
-            triples.append(sim(params, tag, index, coins))
+            label = master_seed + b"S" + index.to_bytes(2, "big") + r.to_bytes(4, "big")
+            triples.append(_sim(params, tag, index, _keyed_coins(coin_key, label, sim_coin_bits(params))))
     return tuple(triples)
 
 

@@ -37,15 +37,14 @@ from .crypto import (
     _ggm_eval,
     _injective_eval,
     _prg,
-    bytes_to_bits,
     check_bits,
     ggm_gen,
     injective_pprf_gen,
+    int_to_bits,
     load_field,
     read_record,
     read_whole_record,
     write_record,
-    xor_bits,
 )
 from .errors import FormatError, LengthError
 
@@ -110,14 +109,29 @@ def _check_key_widths(circuit) -> None:
         )
 
 
-def _decrypt(dk, c: str) -> str | None:
-    """Decrypt a checked ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m)."""
+def _encrypt(ek, m: int, s: int) -> int:
+    """Encrypt the ell-bit m under the ell-bit seed s with the keys of `ek`: alpha || beta || gamma."""
+    ell = ek.ell
+    alpha = _prg(s, ell, 2 * ell)
+    beta = _injective_eval(ek.f_key, (alpha << ell) | m)
+    gamma = _ggm_eval(ek.g_key, beta) ^ m
+    return (((alpha << 9 * ell) | beta) << ell) | gamma
+
+
+def _decrypt(dk, c: int) -> int | None:
+    """Decrypt a 12ell-bit ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m)."""
     ell = dk.ell
-    alpha, beta, gamma = c[: 2 * ell], c[2 * ell : 11 * ell], c[11 * ell :]
-    m = xor_bits(_ggm_eval(dk.g_key, beta), gamma)
-    if _injective_eval(dk.f_key, alpha + m) != beta:
+    beta = (c >> ell) & ((1 << 9 * ell) - 1)
+    m = _ggm_eval(dk.g_key, beta) ^ (c & ((1 << ell) - 1))
+    if _injective_eval(dk.f_key, ((c >> 10 * ell) << ell) | m) != beta:
         return None
     return m
+
+
+def _decrypt_bits(dk, c: str) -> str | None:
+    """``_decrypt`` of a checked ciphertext string, formatted."""
+    m = _decrypt(dk, int(c, 2))
+    return None if m is None else int_to_bits(m, dk.ell)
 
 
 @dataclass(frozen=True)
@@ -148,10 +162,7 @@ class EncryptionCircuit(_KeyedCircuit):
     def run(self, m: str, s: str) -> str:
         check_bits(m, self.ell, what="plaintext")
         check_bits(s, self.ell, what="encryption seed")
-        alpha = _prg(s, 2 * self.ell)
-        beta = _injective_eval(self.f_key, alpha + m)
-        gamma = xor_bits(_ggm_eval(self.g_key, beta), m)
-        return alpha + beta + gamma
+        return int_to_bits(_encrypt(self, int(m, 2), int(s, 2)), 12 * self.ell)
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,7 @@ class DecryptionCircuit(_KeyedCircuit):
 
     def run(self, c: str) -> str | None:
         check_bits(c, 12 * self.ell, what="ciphertext")
-        return _decrypt(self, c)
+        return _decrypt_bits(self, c)
 
 
 @dataclass(frozen=True)
@@ -178,9 +189,7 @@ class PuncturedDecryptionCircuit:
 
     def run(self, c: str) -> str | None:
         check_bits(c, 12 * self.ell, what="ciphertext")
-        if c == self.c_star:
-            return None
-        return _decrypt(self, c)
+        return None if c == self.c_star else _decrypt_bits(self, c)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +215,9 @@ def pe_gen(ell: int, rng) -> PeKeys:
 
 
 def pe_enc(ek: ObfuscatedCircuit, m: str, rng) -> str:
-    """Encrypt under a fresh uniform seed of |m| bits."""
-    seed = bytes_to_bits(rng.bytes((len(m) + 7) // 8), len(m))
-    return ek.run(m, seed)
+    """Encrypt under a fresh uniform seed of |m| bits: the first |m| bits of ceil(|m| / 8) fresh bytes."""
+    seed = int.from_bytes(rng.bytes((len(m) + 7) // 8), "big") >> (-len(m) % 8)
+    return ek.run(m, int_to_bits(seed, len(m)))
 
 
 def pe_dec(dk, c: str) -> str | None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crypto import bits_to_bytes, keyed_rand
+from .crypto import _keyed_coins, bits_to_bytes
 from .errors import DimensionError, FormatError
 from .qcore import QuantumProgram, StateVector, UnitaryOracle
 
@@ -56,8 +56,7 @@ def noisy_pirate(circuit, eta: float) -> QuantumProgram:
         raise FormatError(f"noise rate must lie in [0,1], got {eta}")
 
     def flipped(x: str, y: str) -> bool:
-        digest = keyed_rand(b"noisy-pirate", bits_to_bytes(x) + b"/" + bits_to_bytes(y), 53)
-        return int(digest, 2) / (1 << 53) < eta
+        return _keyed_coins(b"noisy-pirate", bits_to_bytes(x) + b"/" + bits_to_bytes(y), 53) / (1 << 53) < eta
 
     def answer(x: str, y: str) -> int:
         honest = circuit.run(x) == y

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -170,8 +172,9 @@ class OutcomeDistribution:
             raise InvariantError("support must be strictly ascending")
         if any(m < 0 for m in self.masses):
             raise InvariantError("masses must be nonnegative")
-        if abs(sum(self.masses) - 1.0) > 1e-9:
-            raise InvariantError(f"masses sum to {sum(self.masses)!r}, not 1")
+        total = reduce(add, self.masses, 0.0)  # left to right: the builtin sum compensates from 3.12 on
+        if abs(total - 1.0) > 1e-9:
+            raise InvariantError(f"masses sum to {total!r}, not 1")
 
     @classmethod
     def from_samples(cls, values, bin_resolution: float | None = None) -> "OutcomeDistribution":
@@ -184,11 +187,11 @@ class OutcomeDistribution:
 
     def cdf(self, x: float) -> float:
         """Pr[X <= x], with a hair of slack so grid points compare as intended."""
-        return float(sum(self.masses[: bisect_right(self.support, x + 1e-12)]))
+        return float(reduce(add, self.masses[: bisect_right(self.support, x + 1e-12)], 0.0))
 
     def sf(self, x: float) -> float:
         """Pr[X >= x]."""
-        return float(sum(self.masses[bisect_left(self.support, x - 1e-12) :]))
+        return float(reduce(add, self.masses[bisect_left(self.support, x - 1e-12) :], 0.0))
 
 
 def shift_distance(d0: OutcomeDistribution, d1: OutcomeDistribution, eps: float) -> float:

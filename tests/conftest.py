@@ -13,7 +13,7 @@ from hypothesis import settings
 from scipy.linalg import block_diag
 
 from qwmark import elwm, wmprf
-from qwmark.crypto import keyed_rand
+from qwmark.crypto import _keyed_coins, _prg, int_to_bits
 from qwmark.errors import InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
 from qwmark.spectral import spectral_measurement
@@ -42,7 +42,18 @@ def rng():
 
 
 def rng_for(label: str) -> np.random.Generator:
-    return np.random.default_rng(int(keyed_rand(b"test-streams", label.encode(), 64), 2))
+    return np.random.default_rng(_keyed_coins(b"test-streams", label.encode(), 64))
+
+
+def bytes_to_bits(data: bytes, length: int) -> str:
+    """The first `length` bits of `data`, as a bit string."""
+    assert len(data) * 8 >= length
+    return int_to_bits(int.from_bytes(data, "big") >> (len(data) * 8 - length), length)
+
+
+def prg_bits(seed: str, out_bits: int) -> str:
+    """The bit-level PRG of `crypto._prg` on a bit string, as a bit string."""
+    return int_to_bits(_prg(int(seed or "0", 2), len(seed), out_bits), out_bits)
 
 
 def random_state(dim: int, rng) -> StateVector:

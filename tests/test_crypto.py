@@ -16,7 +16,7 @@ from qwmark import crypto, elwm, native, wmprf
 from qwmark.errors import FormatError, LengthError
 from qwmark.pirates import honest_pirate
 
-from conftest import child_env, rng_for
+from conftest import bytes_to_bits, child_env, prg_bits, rng_for
 
 # ---------------------------------------------------------------------------
 # bit helpers
@@ -26,10 +26,12 @@ from conftest import child_env, rng_for
 def test_bit_round_trips():
     assert crypto.int_to_bits(11, 4) == "1011"
     assert crypto.bits_to_bytes("10110010") == b"\xb2"
-    assert crypto.bytes_to_bits(b"\xb2", 8) == "10110010"
+    assert bytes_to_bits(b"\xb2", 8) == "10110010"
     # big-endian: leftmost bit is index 0 and carries the highest weight
     assert crypto.int_to_bits(4, 3) == "100"
-    assert crypto.bytes_to_bits(b"\x80", 3) == "100"
+    assert crypto.bits_to_bytes("100") == b"\x80"
+    # the int form: a w-bit string s is int(s, 2), and the width is not in the int
+    assert crypto._pack(0b101, 3) == b"\xa0" and crypto._pack(0b101, 4) == b"\x50"
 
 
 @given(st.integers(min_value=0, max_value=2**24 - 1))
@@ -39,13 +41,7 @@ def test_int_bits_inverse(v):
 
 @given(st.text(alphabet="01", min_size=1, max_size=64))
 def test_bytes_round_trip(bits):
-    assert crypto.bytes_to_bits(crypto.bits_to_bytes(bits), len(bits)) == bits
-
-
-def test_xor_bits():
-    assert crypto.xor_bits("1100", "1010") == "0110"
-    with pytest.raises(LengthError):
-        crypto.xor_bits("111", "1")
+    assert bytes_to_bits(crypto.bits_to_bytes(bits), len(bits)) == bits
 
 
 def test_bits_validation():
@@ -66,16 +62,9 @@ def oracle_check_bits(bits, length=None):
     return bits
 
 
-def oracle_bytes_to_bits(data: bytes, length: int) -> str:
-    if len(data) * 8 < length:
-        raise LengthError("too few bytes")
-    return "".join(format(byte, "08b") for byte in data)[:length]
-
-
-def oracle_xor_bits(a: str, b: str) -> str:
-    if len(a) != len(b):
-        raise LengthError("unequal lengths")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+def oracle_bits_to_bytes(bits) -> bytes:
+    oracle_check_bits(bits)
+    return bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
 
 
 def _outcome(fn, *args):
@@ -90,27 +79,18 @@ def test_check_bits_matches_oracle(bits, length):
     assert _outcome(crypto.check_bits, bits, length) == _outcome(oracle_check_bits, bits, length)
 
 
-@given(st.binary(max_size=40), st.integers(min_value=0, max_value=330))
-def test_bytes_to_bits_matches_oracle(data, length):
-    assert _outcome(crypto.bytes_to_bits, data, length) == _outcome(oracle_bytes_to_bits, data, length)
-
-
-@given(st.text(alphabet="01", max_size=300), st.data())
-def test_xor_bits_matches_oracle(a, data):
-    b = data.draw(st.text(alphabet="01", min_size=len(a), max_size=len(a)))
-    assert crypto.xor_bits(a, b) == oracle_xor_bits(a, b)
-    with pytest.raises(LengthError):
-        crypto.xor_bits(a, b + "1")
+@given(st.text(alphabet="01", max_size=330) | st.text(alphabet="01a ", max_size=12))
+def test_bits_to_bytes_matches_oracle(bits):
+    assert _outcome(crypto.bits_to_bytes, bits) == _outcome(oracle_bits_to_bytes, bits)
 
 
 def test_bit_helpers_on_empty_strings():
     assert crypto.check_bits("") == ""
     assert crypto.check_bits("", 0) == ""
-    assert crypto.bytes_to_bits(b"", 0) == ""
-    assert crypto.bytes_to_bits(b"\xff", 0) == ""
-    assert crypto.xor_bits("", "") == ""
-    with pytest.raises(LengthError):
-        crypto.bytes_to_bits(b"", 1)
+    assert crypto.int_to_bits(0, 0) == ""
+    assert crypto.bits_to_bytes("") == b""
+    assert crypto._pack(0, 0) == b""
+    assert crypto.prg_expand(b"\xff", 0) == ""
 
 
 @pytest.mark.parametrize("bits", ["0_1", " 01", "01 ", "0b1", "+1", "-1", "１", "0１", "01\n", None, b"01"])
@@ -162,7 +142,8 @@ def test_prg_golden_vectors():
     # frozen from the reference primitive; a change here breaks every key format
     assert crypto.prg_expand(b"\x00" * 16, 64) == GOLDEN_ZERO16_64
     assert crypto.prg_expand(b"golden-seed-0001", 128) == GOLDEN_SEED_128
-    assert crypto._prg("10110010", 16) == "0011110101010111"
+    assert prg_bits("10110010", 16) == "0011110101010111"
+    assert crypto._prg(0b10110010, 8, 16) == 0b0011110101010111
     assert crypto.keyed_rand(b"key-material-000", b"label", 32) == "10110000010010000101010110101110"
 
 
@@ -182,8 +163,9 @@ def test_prg_distinct_seeds_disagree():
 
 
 def test_prg_bit_interface_length_aware():
-    # same prefix bits, different declared length: independent streams
-    assert crypto._prg("101", 32) != crypto._prg("1010", 32)[:32]
+    # same prefix bits, or the same int, under a different declared width: independent streams
+    assert prg_bits("101", 32) != prg_bits("1010", 32)
+    assert crypto._prg(0b101, 3, 32) != crypto._prg(0b101, 4, 32)
 
 
 def oracle_prg_expand(seed: bytes, out_bits: int, domain: bytes) -> str:
@@ -214,6 +196,8 @@ def test_keyed_rand_separates_keys_and_labels():
     assert crypto.keyed_rand(b"k1", b"x", 64) != crypto.keyed_rand(b"k2", b"x", 64)
     assert crypto.keyed_rand(b"k1", b"x", 64) != crypto.keyed_rand(b"k1", b"y", 64)
     assert len(crypto.keyed_rand(b"k1", b"z", 13)) == 13
+    for out_bits in (1, 53, 64, 300):  # the int coins are the same bits
+        assert crypto._keyed_coins(b"k1", b"x", out_bits) == int(crypto.keyed_rand(b"k1", b"x", out_bits), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -238,31 +222,42 @@ def straight_line_walk(seed: bytes, x: str) -> bytes:
 
 
 def straight_line_ggm(seed: bytes, x: str, out_bits: int) -> str:
-    return crypto.prg_expand(straight_line_walk(seed, x), out_bits, domain=b"leaf")
+    return oracle_prg_expand(straight_line_walk(seed, x), out_bits, b"leaf")
 
 
-# The walks this host runs: the hashlib loop always, and the native kernel
+# The leaves this host runs: the hashlib loop always, and the native kernel
 # where it builds, taken as built rather than after crypto's probe has vetted it.
-WALKS = {"hashlib": crypto._hashlib_walk}
-if (native_walk := native.load_walk()) is not None:
-    WALKS["native"] = native_walk
+LEAVES = {"hashlib": crypto._hashlib_leaf}
+if (native_leaf := native.load_leaf()) is not None:
+    LEAVES["native"] = native_leaf
 
 
 def test_the_native_walk_runs_wherever_it_builds():
-    assert crypto.ggm_walk_name() == ("native" if "native" in WALKS else "hashlib")
+    assert crypto.ggm_walk_name() == ("native" if "native" in LEAVES else "hashlib")
 
 
 @contextmanager
-def walking_with(walk):
-    """Evaluate through `walk` from an empty leaf memo; restore the walk in use afterwards."""
-    saved = crypto._walk
-    crypto._walk = walk
+def walking_with(leaf):
+    """Evaluate through `leaf` from an empty leaf memo; restore the leaf in use afterwards.
+
+    The block must reach the leaf at least once, so that a test cannot pass
+    while it runs another one.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return leaf(*args)
+
+    saved = crypto._leaf_in_use
+    crypto._leaf_in_use = lambda: counted
     crypto.forget_leaves()
     try:
         yield
     finally:
-        crypto._walk = saved
+        crypto._leaf_in_use = saved
         crypto.forget_leaves()
+    assert calls, "the block never reached the leaf under test"
 
 
 @given(st.binary(min_size=16, max_size=16), st.text(alphabet="01", max_size=130))
@@ -275,18 +270,50 @@ def walking_with(walk):
 @example(b"\xff" * 16, ("1101" * 30)[:120])
 def test_ggm_eval_matches_straight_line_walk(seed, x):
     expected = straight_line_walk(seed, x)
-    for walk in WALKS.values():
-        assert walk(seed, x) == expected
-        with walking_with(walk):
-            assert crypto._ggm_leaf(seed, x, 16) == straight_line_ggm(seed, x, 16)
+    path = int(x or "0", 2)
+    for leaf in LEAVES.values():
+        assert leaf(seed, path, len(x), 0) == expected
+        with walking_with(leaf):
+            assert crypto._ggm_leaf(seed, path, len(x), 16) == int(straight_line_ggm(seed, x, 16), 2)
             if x:
+                crypto.forget_leaves()
                 assert crypto.ggm_eval(crypto.GgmKey(seed, len(x), 16), x) == straight_line_ggm(seed, x, 16)
+
+
+LEAF_OUT_BITS = [0, 1, 12, 16, 90, 255, 256, 257, 600]  # 0 asks the leaf for the node seed
+
+
+@given(
+    st.binary(min_size=16, max_size=16),
+    st.text(alphabet="01", max_size=130),
+    st.sampled_from(LEAF_OUT_BITS),
+)
+@example(b"\x00" * 16, "", 600)
+@example(b"\x05" * 16, ("0110" * 30)[:27], 257)
+@example(b"\x06" * 16, ("0110" * 30)[:30], 90)
+@example(b"\x07" * 16, ("0110" * 30)[:81], 0)
+@example(b"\x08" * 16, ("0110" * 30)[:90], 12)
+@example(b"\x09" * 16, ("0110" * 30)[:108], 256)
+@example(b"\x0a" * 16, ("0110" * 30)[:120], 600)
+@example(b"\x0b" * 16, ("0110" * 30)[:120], 0)
+def test_every_leaf_matches_the_straight_line_oracle(seed, x, out_bits):
+    # the native and hashlib leaves against a per-character walk and a
+    # per-block leaf PRG, at every output width the kernel handles
+    path, width = int(x or "0", 2), len(x)
+    node = straight_line_walk(seed, x)
+    n_blocks = -(-out_bits // 256)
+    blocks = b"".join(hashlib.sha256(b"leaf|" + node + ctr.to_bytes(4, "big")).digest() for ctr in range(n_blocks))
+    for leaf in LEAVES.values():
+        assert leaf(seed, path, width, n_blocks) == (blocks if n_blocks else node)
+        if out_bits:
+            with walking_with(leaf):
+                assert crypto._ggm_leaf(seed, path, width, out_bits) == int(straight_line_ggm(seed, x, out_bits), 2)
 
 
 WALK_NAME = [sys.executable, "-c", "from qwmark import crypto; print(crypto.ggm_walk_name())"]
 
 
-@pytest.mark.skipif("native" not in WALKS, reason="the native walk does not build on this host")
+@pytest.mark.skipif("native" not in LEAVES, reason="the native leaf does not build on this host")
 def test_processes_building_into_one_cache_at_once_each_load_the_kernel(tmp_path):
     cache = tmp_path / "cache"
     children = [
@@ -326,6 +353,51 @@ def test_memoized_ggm_eval_matches_straight_line_walk():
         assert [crypto.ggm_eval(key, x) for x in xs] == expected  # hits
     info = crypto._ggm_leaf.cache_info()
     assert info.misses == 2 * len(xs) and info.hits == 2 * len(xs)
+
+
+def test_leaf_memo_keys_on_the_path_width():
+    # "0101" and "101" are the same int but different leaves
+    seed = b"memo-seed-000002"
+    crypto.forget_leaves()
+    assert crypto._ggm_leaf(seed, 0b101, 4, 16) == int(straight_line_ggm(seed, "0101", 16), 2)
+    assert crypto._ggm_leaf(seed, 0b101, 3, 16) == int(straight_line_ggm(seed, "101", 16), 2)
+    assert crypto._ggm_leaf.cache_info().misses == 2
+
+
+# Multi-block leaves, computed by the string-level code that preceded the int
+# forms and the fused native leaf: a 120-bit input to 257 and 600 output bits,
+# and a 90 -> 270 injective PPRF, the widths of the F key of a 30-bit plaintext.
+WIDE_INPUT_120 = "011011001010000100100010111010010011000110101101110011011000111011000001011110010011000000101111110010110110010000011101"
+GGM_EVAL_257 = (
+    "0011011000001000111011110100101010101111110111101110001001010011111101111001100100101011010100110010000100100101"
+    "0100001000101011100010010101100110110011110110110111011110110010000010110101010110100100001110010000000110010101"
+    "110100101111000000101111001010100"
+)
+GGM_EVAL_600 = (
+    "0011011000001000111011110100101010101111110111101110001001010011111101111001100100101011010100110010000100100101"
+    "0100001000101011100010010101100110110011110110110111011110110010000010110101010110100100001110010000000110010101"
+    "1101001011110000001011110010101000111100110111011100010110001111101011001111010111010110111110111111101110100100"
+    "1000101100101110011111000000010000001000001100110001101000000010111000001011100010100111011000010101011110110000"
+    "0101101101100011001111101111101100010100001101001100011001100000111010100011110110100000111001011000101001011110"
+    "0000101010111010001010101011011001101100"
+)
+INJECTIVE_EVAL_270 = (
+    "0111101011110010011100100101111100000000000110101100111000110100000100010000100111010001010001000110001001001001"
+    "0111011100000001011111011010110010000000001000011011100111010001111011000110001110001000110011011100110011111011"
+    "0110011111101010010101111101100100100110001101"
+)
+
+
+def test_multi_block_leaf_vectors():
+    root, mask = b"kat-ggm-root-000", b"kat-affine-mask0"
+    assert WIDE_INPUT_120 == crypto.keyed_rand(b"kat-inputs", b"ggm-wide", 120)
+    for leaf in LEAVES.values():
+        with walking_with(leaf):
+            assert crypto.ggm_eval(crypto.GgmKey(root, 120, 257), WIDE_INPUT_120) == GGM_EVAL_257
+            assert crypto.ggm_eval(crypto.GgmKey(root, 120, 600), WIDE_INPUT_120) == GGM_EVAL_600
+            key = crypto.InjectivePprfKey(crypto.GgmKey(root, 90, 270), mask)
+            x = crypto.keyed_rand(b"kat-inputs", b"inj-wide", 90)
+            assert crypto.injective_pprf_eval(key, x) == INJECTIVE_EVAL_270
 
 
 def test_walk_memo_hits_in_s64_extraction():
@@ -369,13 +441,13 @@ def test_ggm_exhaustive_distinctness_small_domain():
     assert len(outs) == 256
 
 
-# The punctured-key tests run under each walk and check against the straight-line walk.
+# The punctured-key tests run under each leaf and check against the straight-line walk.
 
 
 def test_ggm_puncture_exhaustive_tiny():
     key = crypto.ggm_gen(2, 8, rng_for("ggm-tiny"))
-    for walk in WALKS.values():
-        with walking_with(walk):
+    for leaf in LEAVES.values():
+        with walking_with(leaf):
             punctured = crypto.ggm_puncture(key, {"01"})
             assert (2, "00", straight_line_walk(key.seed, "00")) in punctured.nodes  # walks "" to its leaf
             for v in range(4):
@@ -392,8 +464,8 @@ def test_ggm_puncture_exhaustive_domain8(n_points):
     local = rng_for(f"ggm-punct-{n_points}")
     key = crypto.ggm_gen(8, 12, local)
     points = {crypto.int_to_bits(int(v), 8) for v in local.choice(256, size=n_points, replace=False)}
-    for walk in WALKS.values():
-        with walking_with(walk):
+    for leaf in LEAVES.values():
+        with walking_with(leaf):
             punctured = crypto.ggm_puncture(key, points)
             for v in range(256):
                 x = crypto.int_to_bits(v, 8)
@@ -407,8 +479,8 @@ def test_ggm_puncture_exhaustive_domain8(n_points):
 def test_ggm_punctured_key_stores_no_path_seeds():
     key = crypto.ggm_gen(6, 8, rng_for("ggm-paths"))
     point = "101100"
-    for walk in WALKS.values():
-        with walking_with(walk):
+    for leaf in LEAVES.values():
+        with walking_with(leaf):
             punctured = crypto.ggm_puncture(key, {point})
         # no stored node may be a prefix of the punctured point (that would let
         # the holder evaluate at the point), and the point itself must be listed
@@ -422,8 +494,8 @@ def test_ggm_punctured_key_stores_no_path_seeds():
 
 def test_ggm_empty_puncture_keeps_function():
     key = crypto.ggm_gen(4, 8, rng_for("ggm-empty"))
-    for walk in WALKS.values():
-        with walking_with(walk):
+    for leaf in LEAVES.values():
+        with walking_with(leaf):
             punctured = crypto.ggm_puncture(key, set())
             for v in range(16):
                 x = crypto.int_to_bits(v, 4)
@@ -475,15 +547,15 @@ def test_injective_pprf_puncture_agrees_off_set():
     key = crypto.injective_pprf_gen(8, 24, rng_for("inj-punct"))
     point = crypto.int_to_bits(200, 8)
     outputs = []
-    for walk in WALKS.values():
-        with walking_with(walk):
+    for leaf in LEAVES.values():
+        with walking_with(leaf):
             punctured = crypto.injective_pprf_puncture(key, {point})
             assert crypto.injective_pprf_eval_punctured(punctured, point) is None
             for v in [0, 1, 77, 128, 199, 201, 255]:
                 x = crypto.int_to_bits(v, 8)
                 outputs.append(crypto.injective_pprf_eval_punctured(punctured, x))
                 assert outputs[-1] == crypto.injective_pprf_eval(key, x)
-    assert outputs == outputs[:7] * len(WALKS)
+    assert outputs == outputs[:7] * len(LEAVES)
 
 
 def oracle_affine_mask(base: str, seed: bytes, x: str) -> str:
@@ -506,7 +578,8 @@ def test_table_affine_mask_matches_column_xor(in_bits, out_bits, data):
     for _ in range(4):
         x = data.draw(st.text(alphabet="01", min_size=in_bits, max_size=in_bits))
         base = data.draw(st.text(alphabet="01", min_size=out_bits, max_size=out_bits))
-        assert crypto._affine_mask(base, affine, x) == oracle_affine_mask(base, seed, x)
+        masked = crypto._affine_mask(int(base, 2), affine, int(x, 2))
+        assert crypto.int_to_bits(masked, out_bits) == oracle_affine_mask(base, seed, x)
 
 
 def test_injective_pprf_eval_checks_its_input():
@@ -531,8 +604,8 @@ def test_ggm_puncture_pointwise(point_v, probe_v):
     key = crypto.GgmKey(b"fixed-seed-hypot", 10, 8)
     point = crypto.int_to_bits(point_v % 1024, 10)
     probe = crypto.int_to_bits(probe_v, 10)
-    for walk in WALKS.values():
-        with walking_with(walk):
+    for leaf in LEAVES.values():
+        with walking_with(leaf):
             punctured = crypto.ggm_puncture(key, {point})
             got = crypto.ggm_eval_punctured(punctured, probe)
             if probe == point:

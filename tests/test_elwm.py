@@ -11,11 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qwmark import elwm
-from qwmark.crypto import _prg, int_to_bits, read_record, read_whole_record, write_record
+from qwmark.crypto import int_to_bits, read_record, read_whole_record, write_record
 from qwmark.errors import FormatError, IndexRangeError, LengthError
 from qwmark.pe import ObfuscatedCircuit
 
-from conftest import rng_for
+from conftest import prg_bits, rng_for
 
 
 def small_params():
@@ -123,7 +123,7 @@ def test_marked_circuit_reroutes_disagreeing_positions():
             x = tag.pe_ek.run(plaintext, enc_seed)
             if message[i - 1] != gamma_bit:
                 # planted disagreement: the circuit answers with the PRG value
-                assert circuit.run(x) == _prg(s, params.range_bits)
+                assert circuit.run(x) == prg_bits(s, params.range_bits)
             else:
                 assert circuit.run(x) == elwm.eval_prf(prfk, x)
 
@@ -291,7 +291,7 @@ def test_sim_triple_structure():
     gamma, x, y = elwm.sim(params, tag, 2, coins)
     assert gamma == 1
     assert len(x) == params.domain_bits
-    assert y == _prg("010101", params.range_bits)
+    assert y == prg_bits("010101", params.range_bits)
     # the challenge point decrypts to s || i-1 || gamma under the secret key
     d = prfk.pe_dk.run(x)
     assert d == "010101" + int_to_bits(1, params.idx_bits) + "1"

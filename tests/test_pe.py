@@ -6,10 +6,10 @@ from __future__ import annotations
 import pytest
 
 from qwmark import elwm, pe
-from qwmark.crypto import bytes_to_bits, int_to_bits, write_record
+from qwmark.crypto import int_to_bits, write_record
 from qwmark.errors import FormatError, LengthError
 
-from conftest import rng_for
+from conftest import bytes_to_bits, rng_for
 
 
 def test_ciphertext_layout():

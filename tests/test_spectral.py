@@ -392,6 +392,25 @@ def test_cdf_sf_grid_slack():
     assert d.sf(0.76) == 0.0
 
 
+def left_to_right(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.parametrize("masses", [(0.1,) * 10, (0.7, 0.1, 0.1, 0.1), (1e-17, 0.3, 0.7 - 1e-17)])
+def test_cdf_and_sf_sum_left_to_right(masses):
+    # the builtin sum compensates from Python 3.12 on; a left fold gives one value on every version
+    support = tuple(0.1 * i for i in range(len(masses)))
+    d = spectral.OutcomeDistribution(support, masses)
+    for i, x in enumerate(support):
+        assert d.cdf(x) == left_to_right(masses[: i + 1])
+        assert d.sf(x) == left_to_right(masses[i:])
+    if masses == (0.1,) * 10:
+        assert d.cdf(support[-1]) == 0.9999999999999999  # sum() gives 1.0 on 3.12 and later
+
+
 def test_shift_distance_identical_is_zero():
     d = spectral.OutcomeDistribution((0.2, 0.8), (0.3, 0.7))
     assert spectral.shift_distance(d, d, 0.0) == 0.0
