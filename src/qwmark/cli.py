@@ -131,8 +131,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    if args.count < 1:
-        raise IndexRangeError(f"--count must be at least 1, got {args.count}")
+    if not 1 <= args.count <= elwm.MAX_TRIPLES:
+        raise IndexRangeError(f"--count must lie in 1..{elwm.MAX_TRIPLES}, got {args.count}")
     tag = elwm.TagIo.from_bytes(Path(args.tag).read_bytes())
     dist = elwm.build_distribution(
         args.index,

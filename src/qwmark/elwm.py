@@ -25,18 +25,24 @@ the bit m[i].
 
 All randomness for distribution building is derived through keyed coins, so
 private- and public-coin modes share one code path: publishing the coin key
-makes the simulation public.
+makes the simulation public.  A Sim distribution is built in one call of the
+native kernel of ``native.py`` where it loads and agrees with the Python
+builder on probes (``_sim_in_use``); both give the same bytes, and both record
+each ciphertext's plaintext in the memo that the marked circuit's decryption
+reads first.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
+from . import native
 from .crypto import (
     SEED_BYTES,
     GgmKey,
+    InjectivePprfKey,
     _ggm_eval,
     _keyed_coins,
     _prg,
@@ -56,6 +62,8 @@ from .pe import (
     PeKeys,
     _decrypt,
     _encrypt,
+    _keys,
+    _remember,
     circuit_from_bytes,
     circuit_to_bytes,
     pe_gen,
@@ -64,6 +72,7 @@ from .pe import (
 PRFK_MAGIC = b"QWPK1"
 TAG_MAGIC = b"QWTG1"
 CIRCUIT_MAGIC = b"QWMC1"
+MAX_TRIPLES = 4096  # the work budget of a distribution: the largest s of an extraction and of sim --count
 
 
 @dataclass(frozen=True)
@@ -267,18 +276,74 @@ def sim(params: ElwmParams, tag: TagIo, i: int, coins: str) -> tuple[int, str, s
     if not (1 <= i <= params.msg_bits):
         raise IndexRangeError(f"index {i} outside 1..{params.msg_bits}")
     check_bits(coins, sim_coin_bits(params), what="sim coins")
-    return _sim(params, tag, i, int(coins, 2))
+    return _sim(params, tag.pe_ek.circuit, i, int(coins, 2))
 
 
-def _sim(params: ElwmParams, tag: TagIo, i: int, coins: int) -> tuple[int, str, str]:
-    """``sim`` on the coins gamma || s || enc_seed as an int, for a checked i."""
+def _sim(params: ElwmParams, ek: EncryptionCircuit, i: int, coins: int) -> tuple[int, str, str]:
+    """``sim`` under the encryption circuit `ek`, on the coins gamma || s || enc_seed as an int, for a checked i."""
     pt_bits, seed_bits = params.pt_bits, params.seed_bits
     gamma = coins >> (seed_bits + pt_bits)
     s = (coins >> pt_bits) & ((1 << seed_bits) - 1)
     plaintext = (((s << params.idx_bits) | (i - 1)) << 1) | gamma
-    x = _encrypt(tag.pe_ek.circuit, plaintext, coins & ((1 << pt_bits) - 1))
+    x = _encrypt(ek, plaintext, coins & ((1 << pt_bits) - 1))
     y = _prg(s, seed_bits, params.range_bits)
     return gamma, int_to_bits(x, params.domain_bits), int_to_bits(y, params.range_bits)
+
+
+def _sim_label(master_seed: bytes, index: int) -> bytes:
+    """The keyed-coin label of Sim(tau, index) up to the record number, a big-endian u32."""
+    return master_seed + b"S" + index.to_bytes(2, "big")
+
+
+def _python_sim(
+    params: ElwmParams, ek: EncryptionCircuit, index: int, s: int, master_seed: bytes, coin_key: bytes
+) -> tuple[tuple[int, str, str], ...]:
+    """The s triples of Sim(tau, index), one ``_sim`` on the keyed coins of each record."""
+    label, bits = _sim_label(master_seed, index), sim_coin_bits(params)
+    return tuple(_sim(params, ek, index, _keyed_coins(coin_key, label + r.to_bytes(4, "big"), bits)) for r in range(s))
+
+
+def _native_sim(kernel):
+    """``_python_sim`` in one call of the native Sim `kernel`, which also fills the plaintext memo."""
+
+    def build(params, ek, index, s, master_seed, coin_key) -> tuple[tuple[int, str, str], ...]:
+        head = b"coin|" + coin_key + b"#" + _sim_label(master_seed, index)  # _keyed_coins's hash prefix
+        key_material = (ek.f_key.ggm.seed, ek.f_key._affine[2], ek.g_key.seed)
+        records = kernel(head, s, params.seed_bits, params.idx_bits, index - 1, params.range_bits, *key_material)
+        _remember(_keys(ek), [(x, m) for m, x, _ in records])
+        x_format, y_format = f"0{params.domain_bits}b", f"0{params.range_bits}b"
+        return tuple((m & 1, format(x, x_format), format(y, y_format)) for m, x, y in records)
+
+    return build
+
+
+def _sim_probe(params: ElwmParams) -> tuple:
+    """Arguments of a 3-triple Sim distribution at the last index, under fixed keys of the widths of `params`."""
+    ell = params.pt_bits
+    f_key = InjectivePprfKey(GgmKey(b"sim-probe-f-root", 3 * ell, 9 * ell), b"sim-probe-f-mask")
+    ek = EncryptionCircuit(f_key, GgmKey(b"sim-probe-g-root", 9 * ell, ell), ell)
+    return params, ek, params.msg_bits, 3, b"sim-probe-master", b"sim-probe-coin-k"
+
+
+# a game's widths, and a 9-bit index with F's output (324 bits) and y (300 bits) each wider than one hash block
+_SIM_PROBES = (ElwmParams(5, 6, 12), ElwmParams(300, 26, 300))
+
+
+@lru_cache(maxsize=None)
+def _sim_in_use():
+    """The native Sim if it loads and agrees with ``_python_sim`` on the probes, else ``_python_sim``."""
+    kernel = native.load_sim()
+    if kernel is not None:
+        native_sim = _native_sim(kernel)
+        probes = [_sim_probe(params) for params in _SIM_PROBES]
+        if all(native_sim(*probe) == _python_sim(*probe) for probe in probes):
+            return native_sim
+    return _python_sim
+
+
+def sim_kernel_name() -> str:
+    """Which Sim builder this process runs, "native" or "python"; both give the same bytes."""
+    return "python" if _sim_in_use() is _python_sim else "native"
 
 
 def build_distribution(
@@ -295,31 +360,29 @@ def build_distribution(
 
     index None is RealD: b <- coins, x <- coins, y = Eval(x) if b else fresh
     coins.  A message position i in 1..msg_bits is Sim(tau, i): the Sim
-    output on keyed coins.
+    output on keyed coins, built by ``_sim_in_use()``.  s runs from 1 to
+    MAX_TRIPLES.
 
     The same (coin_key, master_seed) yields byte-identical triples.
     """
-    if s < 1:
-        raise LengthError(f"a distribution needs at least one triple, got s={s}")
-    triples: list[tuple[int, str, str]] = []
+    if not 1 <= s <= MAX_TRIPLES:
+        raise LengthError(f"a distribution holds 1 to {MAX_TRIPLES} triples, got s={s}")
     if index is None:
         if prfk is None:
             raise LengthError("RealD distributions need the PRF key")
         n, m = params.domain_bits, params.range_bits
+        triples: list[tuple[int, str, str]] = []
         for r in range(s):
             coins = _keyed_coins(coin_key, master_seed + b"R" + r.to_bytes(4, "big"), 1 + n + m)
             b, x = coins >> (n + m), (coins >> m) & ((1 << n) - 1)
             y = _ggm_eval(prfk.f_main, x) if b else coins & ((1 << m) - 1)
             triples.append((b, int_to_bits(x, n), int_to_bits(y, m)))
-    else:
-        if tag is None:
-            raise LengthError("Sim distributions need the tag")
-        if not (1 <= index <= params.msg_bits):
-            raise IndexRangeError(f"index {index} outside 1..{params.msg_bits}")
-        for r in range(s):
-            label = master_seed + b"S" + index.to_bytes(2, "big") + r.to_bytes(4, "big")
-            triples.append(_sim(params, tag, index, _keyed_coins(coin_key, label, sim_coin_bits(params))))
-    return tuple(triples)
+        return tuple(triples)
+    if tag is None:
+        raise LengthError("Sim distributions need the tag")
+    if not (1 <= index <= params.msg_bits):
+        raise IndexRangeError(f"index {index} outside 1..{params.msg_bits}")
+    return _sim_in_use()(params, tag.pe_ek.circuit, index, s, master_seed, coin_key)
 
 
 def new_coin_key(rng) -> bytes:

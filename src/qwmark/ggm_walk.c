@@ -1,15 +1,13 @@
-/* A GGM leaf of crypto._ggm_leaf in one call: the tree walk and the leaf PRG.
+/* The native kernels of qwmark/native.py: a GGM leaf of crypto._ggm_leaf and
+ * a whole Sim distribution of elwm.build_distribution, each in one call.
+ *
+ * Bits are held big-endian: bit i of a buffer is bit 7 - i % 8 of byte i / 8,
+ * so the first bit is the most significant bit of the first byte.  A w-bit
+ * value is held left-aligned in (w + 7) / 8 bytes, as crypto._pack writes it.
  *
  * A child seed is SHA-256("node" || bit || seed)[:16], where bit is the
- * character '0' or '1'.  The walk starts at `seed` (16 bytes) and takes one
- * child per bit of the first `nbits` bits of `path`, packed big-endian: bit i
- * of the path is bit 7 - i % 8 of byte i / 8, so the first bit is the most
- * significant bit of the first byte.  Zero bits walk nothing.
- *
- * With nblocks = 0 it writes the seed of the node it reaches to `out`
- * (16 bytes), which is what puncturing needs.  Otherwise it writes that
- * node's leaf output, nblocks blocks of SHA-256("leaf|" || node || ctr) with
- * ctr a big-endian u32 from 0, to `out` (32 * nblocks bytes): the blocks of
+ * character '0' or '1', and a leaf's output is the blocks
+ * SHA-256("leaf|" || node || ctr), ctr a big-endian u32 from 0: the blocks of
  * crypto.prg_expand(node, ., domain=b"leaf") before truncation.
  *
  * It hashes through libcrypto's low-level SHA256_Init/Update/Final, which
@@ -17,10 +15,44 @@
  * times the hash on a 21-byte message.  Built by qwmark/native.py.
  */
 #define OPENSSL_SUPPRESS_DEPRECATED
+#include <stdlib.h>
 #include <string.h>
 #include <openssl/sha.h>
 
 #define SEED_BYTES 16
+#define BLOCK_BITS (8 * SHA256_DIGEST_LENGTH)
+
+static size_t bytes_of(size_t bits) { return (bits + 7) / 8; }
+
+static size_t blocks_of(size_t bits) { return (bits + BLOCK_BITS - 1) / BLOCK_BITS; }
+
+static unsigned bit_at(const unsigned char *buf, size_t i) { return buf[i / 8] >> (7 - i % 8) & 1; }
+
+/* Copy n bits of src from bit `from` to dst at bit `at`, up to a byte at a time; the other bits of dst keep their
+ * values.  It reads only bytes of src that hold bits it copies. */
+static void put_bits(unsigned char *dst, size_t at, const unsigned char *src, size_t from, size_t n)
+{
+    while (n > 0) {
+        unsigned shift = from % 8, room = 8 - at % 8, take = n < room ? (unsigned)n : room;
+        unsigned bits = src[from / 8] << shift & 0xff; /* the next bits of src, left-aligned in a byte */
+        unsigned char mask = (unsigned char)(0xff << (8 - take)) >> at % 8;
+
+        if (shift + take > 8)
+            bits |= src[from / 8 + 1] >> (8 - shift);
+        dst[at / 8] = (unsigned char)((dst[at / 8] & ~mask) | (bits >> at % 8 & mask));
+        at += take;
+        from += take;
+        n -= take;
+    }
+}
+
+static void put_u32(unsigned char *dst, unsigned long value)
+{
+    dst[0] = (unsigned char)(value >> 24);
+    dst[1] = (unsigned char)(value >> 16);
+    dst[2] = (unsigned char)(value >> 8);
+    dst[3] = (unsigned char)value;
+}
 
 static void sha256(const unsigned char *msg, size_t len, unsigned char *digest)
 {
@@ -31,30 +63,161 @@ static void sha256(const unsigned char *msg, size_t len, unsigned char *digest)
     SHA256_Final(digest, &ctx);
 }
 
+/* SHA-256(msg || ctr) for ctr = 0 .. nblocks - 1 into out; msg has room for the 4 counter bytes at msg + len. */
+static void counter_blocks(unsigned char *msg, size_t len, size_t nblocks, unsigned char *out)
+{
+    size_t ctr;
+
+    for (ctr = 0; ctr < nblocks; ctr++) {
+        put_u32(msg + len, ctr);
+        sha256(msg, len + 4, out + SHA256_DIGEST_LENGTH * ctr);
+    }
+}
+
+/* Walk nbits of path from seed and write the seed of the node reached to node (16 bytes). */
+static void walk(const unsigned char *seed, const unsigned char *path, size_t nbits, unsigned char *node)
+{
+    unsigned char msg[5 + SEED_BYTES] = {'n', 'o', 'd', 'e'};
+    unsigned char digest[SHA256_DIGEST_LENGTH];
+    size_t i;
+
+    memcpy(msg + 5, seed, SEED_BYTES);
+    for (i = 0; i < nbits; i++) {
+        msg[4] = '0' + bit_at(path, i);
+        sha256(msg, sizeof msg, digest);
+        memcpy(msg + 5, digest, SEED_BYTES);
+    }
+    memcpy(node, msg + 5, SEED_BYTES);
+}
+
+/* The first nblocks blocks of the leaf output of node. */
+static void leaf_blocks(const unsigned char *node, size_t nblocks, unsigned char *out)
+{
+    unsigned char msg[5 + SEED_BYTES + 4] = {'l', 'e', 'a', 'f', '|'};
+
+    memcpy(msg + 5, node, SEED_BYTES);
+    counter_blocks(msg, 5 + SEED_BYTES, nblocks, out);
+}
+
+/* Walk the first nbits bits of `path` from `seed`.  With nblocks = 0 write the
+ * seed of the node reached to `out` (16 bytes), which is what puncturing
+ * needs; otherwise write that node's first nblocks leaf blocks (32 * nblocks
+ * bytes).  Zero bits walk nothing. */
 void qwmark_ggm_leaf(const unsigned char *seed, const unsigned char *path, unsigned nbits, unsigned nblocks,
                      unsigned char *out)
 {
-    unsigned char node[5 + SEED_BYTES] = {'n', 'o', 'd', 'e'};
-    unsigned char leaf[5 + SEED_BYTES + 4] = {'l', 'e', 'a', 'f', '|'};
-    unsigned char digest[SHA256_DIGEST_LENGTH];
-    unsigned i;
+    unsigned char node[SEED_BYTES];
 
-    memcpy(node + 5, seed, SEED_BYTES);
-    for (i = 0; i < nbits; i++) {
-        node[4] = '0' + (path[i / 8] >> (7 - i % 8) & 1);
-        sha256(node, sizeof node, digest);
-        memcpy(node + 5, digest, SEED_BYTES);
+    walk(seed, path, nbits, node);
+    if (nblocks == 0)
+        memcpy(out, node, SEED_BYTES);
+    else
+        leaf_blocks(node, nblocks, out);
+}
+
+/* crypto._prg of the width-bit value at bit `from` of src: the first nblocks
+ * blocks of SHA-256("prg|bits|" || value || u32 width || ctr).  msg has room
+ * for 9 + (width + 7) / 8 + 8 bytes. */
+static void prg(const unsigned char *src, size_t from, size_t width, size_t nblocks, unsigned char *msg,
+                unsigned char *out)
+{
+    size_t packed = bytes_of(width);
+
+    memcpy(msg, "prg|bits|", 9);
+    memset(msg + 9, 0, packed);
+    put_bits(msg + 9, 0, src, from, width);
+    put_u32(msg + 9 + packed, width);
+    counter_blocks(msg, 9 + packed + 4, nblocks, out);
+}
+
+/* Write the n bits of src to an n-bit field of `bytes` bytes at dst, right-aligned (the big-endian int). */
+static void put_int(unsigned char *dst, size_t bytes, const unsigned char *src, size_t n)
+{
+    memset(dst, 0, bytes);
+    put_bits(dst, 8 * bytes - n, src, 0, n);
+}
+
+/* The `count` records of elwm.build_distribution(index, ...) for a Sim index.
+ *
+ * head is the coin label up to the record number: "coin|" || coin_key || "#"
+ * || master_seed || "S" || u16 index, so record r's coins are the first
+ * 1 + seed_bits + ell bits of SHA-256(head || u32 r || u32 ctr), ell =
+ * seed_bits + idx_bits + 1.  They are gamma, the PRG seed s, and the
+ * encryption seed.  The plaintext m is s || index0 (idx_bits) || gamma, and
+ * the record holds, as right-aligned big-endian ints of whole bytes:
+ *   m                     (ell bits)
+ *   x = alpha || beta || G(beta) xor m   (12 ell bits), where
+ *       alpha = PRG(encryption seed)     (2 ell bits)
+ *       beta  = F(alpha || m)            (9 ell bits)
+ *   y = PRG(s)            (range_bits bits)
+ * F is the injective PPRF: the leaf of alpha || m under f_seed (a 3 ell-bit
+ * walk) xor the affine map, whose 3 ell columns and offset are each
+ * (9 ell + 7) / 8 bytes of `affine`; G is the leaf of beta under g_seed.
+ * Returns 0, or -1 if its scratch memory cannot be had. */
+int qwmark_sim(const unsigned char *head, unsigned head_len, unsigned count, unsigned seed_bits, unsigned idx_bits,
+               unsigned index0, unsigned range_bits, const unsigned char *f_seed, const unsigned char *affine,
+               const unsigned char *g_seed, unsigned char *out)
+{
+    size_t ell = (size_t)seed_bits + idx_bits + 1, coin_bits = 1 + seed_bits + ell, prg_in = ell;
+    size_t beta_bytes = bytes_of(9 * ell), record = bytes_of(ell) + bytes_of(12 * ell) + bytes_of(range_bits);
+    size_t coin_len = 32 * blocks_of(coin_bits), alpha_len = 32 * blocks_of(2 * ell);
+    size_t beta_len = 32 * blocks_of(9 * ell), g_len = 32 * blocks_of(ell), y_len = 32 * blocks_of(range_bits);
+    size_t r, i, j;
+    unsigned char *scratch, *coin_msg, *prg_msg, *coins, *m, *alpha, *f_in, *beta, *g_out, *x, *y;
+    unsigned char node[SEED_BYTES], index_bits[2];
+
+    if (seed_bits > prg_in)
+        prg_in = seed_bits;
+    scratch = malloc(head_len + 8 + 9 + bytes_of(prg_in) + 8 + coin_len + bytes_of(ell) + alpha_len +
+                     bytes_of(3 * ell) + beta_len + g_len + bytes_of(12 * ell) + y_len);
+    if (scratch == NULL)
+        return -1;
+    coin_msg = scratch;
+    prg_msg = coin_msg + head_len + 8;
+    coins = prg_msg + 9 + bytes_of(prg_in) + 8;
+    m = coins + coin_len;
+    alpha = m + bytes_of(ell);
+    f_in = alpha + alpha_len;
+    beta = f_in + bytes_of(3 * ell);
+    g_out = beta + beta_len;
+    x = g_out + g_len;
+    y = x + bytes_of(12 * ell);
+
+    memcpy(coin_msg, head, head_len);
+    index_bits[0] = (unsigned char)(index0 << (16 - idx_bits) >> 8);
+    index_bits[1] = (unsigned char)(index0 << (16 - idx_bits));
+    for (r = 0; r < count; r++, out += record) {
+        put_u32(coin_msg + head_len, r);
+        counter_blocks(coin_msg, head_len + 4, blocks_of(coin_bits), coins);
+        /* m = s || index0 || gamma */
+        put_bits(m, 0, coins, 1, seed_bits);
+        put_bits(m, seed_bits, index_bits, 0, idx_bits);
+        put_bits(m, ell - 1, coins, 0, 1);
+        prg(coins, 1 + seed_bits, ell, blocks_of(2 * ell), prg_msg, alpha);
+        /* beta = F(alpha || m) */
+        put_bits(f_in, 0, alpha, 0, 2 * ell);
+        put_bits(f_in, 2 * ell, m, 0, ell);
+        walk(f_seed, f_in, 3 * ell, node);
+        leaf_blocks(node, blocks_of(9 * ell), beta);
+        for (i = 0; i < beta_bytes; i++)
+            beta[i] ^= affine[3 * ell * beta_bytes + i];
+        for (j = 0; j < 3 * ell; j++)
+            if (bit_at(f_in, j))
+                for (i = 0; i < beta_bytes; i++)
+                    beta[i] ^= affine[j * beta_bytes + i];
+        /* G(beta) xor m */
+        walk(g_seed, beta, 9 * ell, node);
+        leaf_blocks(node, blocks_of(ell), g_out);
+        for (i = 0; i < bytes_of(ell); i++)
+            g_out[i] ^= m[i];
+        put_bits(x, 0, alpha, 0, 2 * ell);
+        put_bits(x, 2 * ell, beta, 0, 9 * ell);
+        put_bits(x, 11 * ell, g_out, 0, ell);
+        prg(coins, 1, seed_bits, blocks_of(range_bits), prg_msg, y);
+        put_int(out, bytes_of(ell), m, ell);
+        put_int(out + bytes_of(ell), bytes_of(12 * ell), x, 12 * ell);
+        put_int(out + bytes_of(ell) + bytes_of(12 * ell), bytes_of(range_bits), y, range_bits);
     }
-    if (nblocks == 0) {
-        memcpy(out, node + 5, SEED_BYTES);
-        return;
-    }
-    memcpy(leaf + 5, node + 5, SEED_BYTES);
-    for (i = 0; i < nblocks; i++) {
-        leaf[21] = (unsigned char)(i >> 24);
-        leaf[22] = (unsigned char)(i >> 16);
-        leaf[23] = (unsigned char)(i >> 8);
-        leaf[24] = (unsigned char)i;
-        sha256(leaf, sizeof leaf, out + SHA256_DIGEST_LENGTH * i);
-    }
+    free(scratch);
+    return 0;
 }

@@ -1,10 +1,11 @@
-"""The native GGM leaf: ``ggm_walk.c`` built once against libcrypto and loaded with ctypes.
+"""The native kernels: ``ggm_walk.c`` built once against libcrypto and loaded with ctypes.
 
 ``load_leaf()`` returns a function with the contract of ``crypto._hashlib_leaf``,
-or None where the kernel cannot be had: no ``cc`` on ``PATH``, no OpenSSL headers
-or libcrypto to link, no cache directory that only this user can write, or a
-library that does not load.  The caller then keeps the hashlib leaf, which
-gives the same bytes.
+and ``load_sim()`` one that builds the records of a whole Sim distribution;
+each returns None where the kernel cannot be had: no ``cc`` on ``PATH``, no
+OpenSSL headers or libcrypto to link, no cache directory that only this user
+can write, or a library that does not load.  The caller then keeps its Python
+path, which gives the same bytes.
 
 The library is cached in ``$XDG_CACHE_HOME/qwmark`` (``~/.cache/qwmark`` when
 that is unset), under a name that is a digest of the source and the compile
@@ -13,11 +14,11 @@ runs no compiler.  A build writes to a temporary file in that directory and
 publishes it with an atomic rename, so processes that build at once each load
 a whole library.
 
-One call walks a packed path and hashes the leaf blocks into a buffer kept
-per block count, since a fresh one costs more than the call.  ``PyDLL`` keeps
-the GIL through a call, and no ``argtypes`` are declared for the one caller,
-which cut the call overhead from 0.9 to 0.3 us.  The shared buffers make the
-leaf one thread's at a time, as qwmark calls it.
+One leaf call walks a packed path and hashes the leaf blocks into a buffer
+kept per block count, since a fresh one costs more than the call.  ``PyDLL``
+keeps the GIL through a call, and no ``argtypes`` are declared for the one
+caller, which cut the call overhead from 0.9 to 0.3 us.  The shared buffers
+make the leaf one thread's at a time, as qwmark calls it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import ctypes
 import hashlib
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("ggm_walk.c")
@@ -68,8 +70,9 @@ def _build(target: Path) -> bool:
             os.unlink(tmp)
 
 
-def load_leaf():
-    """The native leaf(seed, path, width, n_blocks) -> bytes, built or loaded from the cache; None if it cannot be had."""
+@lru_cache(maxsize=None)
+def _library():
+    """The kernel library, built or loaded from the cache; None if it cannot be had."""
     try:
         source = SOURCE.read_bytes()
         machine = os.uname()
@@ -79,10 +82,24 @@ def load_leaf():
             return None
         if not target.exists() and not _build(target):
             return None
-        kernel = ctypes.PyDLL(str(target)).qwmark_ggm_leaf
-    except (OSError, AttributeError):  # no compiler, no cache directory, or a library that does not load
+        return ctypes.PyDLL(str(target))
+    except OSError:  # no compiler, no cache directory, or a library that does not load
         return None
-    kernel.restype = None
+
+
+def _kernel(name: str, restype):
+    """The library's function `name`, returning `restype`; None if there is no library or no such function."""
+    kernel = getattr(_library(), name, None)
+    if kernel is not None:
+        kernel.restype = restype
+    return kernel
+
+
+def load_leaf():
+    """The native leaf(seed, path, width, n_blocks) -> bytes; None if it cannot be had."""
+    kernel = _kernel("qwmark_ggm_leaf", None)
+    if kernel is None:
+        return None
     buffers = {}
 
     def leaf(seed: bytes, path: int, width: int, n_blocks: int) -> bytes:
@@ -92,3 +109,41 @@ def load_leaf():
         return out.raw
 
     return leaf
+
+
+def load_sim():
+    """The native sim(head, count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed) -> records.
+
+    None if it cannot be had.  It returns the `count` records (m, x, y) of a
+    Sim distribution as ints; ``qwmark_sim`` in ``ggm_walk.c`` states what they
+    are and what the arguments mean.
+    """
+    kernel = _kernel("qwmark_sim", ctypes.c_int)
+    if kernel is None:
+        return None
+    kernel.argtypes = (ctypes.c_char_p, *[ctypes.c_uint] * 6, *[ctypes.c_char_p] * 4)
+
+    def sim(head, count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed) -> list[tuple[int, int, int]]:
+        ell = seed_bits + idx_bits + 1
+        m_end = -(-ell // 8)
+        x_end = m_end + -(-12 * ell // 8)
+        size = x_end + -(-range_bits // 8)
+        # the kernel reads and writes as far as these say, so they must hold before it runs
+        if not (
+            0 <= count <= 0xFFFF_FFFF
+            and 0 <= index0 < 1 << idx_bits <= 1 << 16
+            and 1 <= range_bits <= 0xFFFF_FFFF
+            and len(f_seed) == len(g_seed) == 16
+            and len(affine) == (3 * ell + 1) * -(-9 * ell // 8)
+        ):
+            raise ValueError("the Sim kernel's arguments do not match its widths")
+        out = ctypes.create_string_buffer(count * size)
+        if kernel(head, len(head), count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed, out):
+            raise MemoryError("the native Sim kernel could not allocate its scratch memory")
+        raw, value, records = out.raw, int.from_bytes, []
+        for at in range(0, len(raw), size):
+            m, x, y = raw[at : at + m_end], raw[at + m_end : at + x_end], raw[at + x_end : at + size]
+            records.append((value(m, "big"), value(x, "big"), value(y, "big")))
+        return records
+
+    return sim

@@ -32,10 +32,12 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .crypto import (
+    _PLAINTEXT_MEMO_SIZE,
     GgmKey,
     InjectivePprfKey,
     _ggm_eval,
     _injective_eval,
+    _plaintexts,
     _prg,
     check_bits,
     ggm_gen,
@@ -109,17 +111,43 @@ def _check_key_widths(circuit) -> None:
         )
 
 
+def _keys(circuit) -> tuple[bytes, bytes, bytes, int]:
+    """What a circuit's plaintexts and ciphertexts are a function of: the seeds of F, F's mask and G, and ell."""
+    return circuit.f_key.ggm.seed, circuit.f_key.mask_seed, circuit.g_key.seed, circuit.ell
+
+
+def _remember(keys: tuple, pairs) -> None:
+    """Record in ``crypto._plaintexts`` that each c of the (c, m) `pairs` decrypts to m under `keys`.
+
+    A memo without room for all of them, at most _PLAINTEXT_MEMO_SIZE, is
+    emptied first.
+    """
+    if len(_plaintexts) + len(pairs) > _PLAINTEXT_MEMO_SIZE:
+        _plaintexts.clear()
+    _plaintexts.update(((keys, c), m) for c, m in pairs)
+
+
 def _encrypt(ek, m: int, s: int) -> int:
     """Encrypt the ell-bit m under the ell-bit seed s with the keys of `ek`: alpha || beta || gamma."""
     ell = ek.ell
     alpha = _prg(s, ell, 2 * ell)
     beta = _injective_eval(ek.f_key, (alpha << ell) | m)
     gamma = _ggm_eval(ek.g_key, beta) ^ m
-    return (((alpha << 9 * ell) | beta) << ell) | gamma
+    c = (((alpha << 9 * ell) | beta) << ell) | gamma
+    _remember(_keys(ek), ((c, m),))
+    return c
 
 
 def _decrypt(dk, c: int) -> int | None:
-    """Decrypt a 12ell-bit ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m)."""
+    """Decrypt a 12ell-bit ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m).
+
+    A ciphertext encrypted under the same keys since the memo was last
+    emptied is answered from it: by correctness its plaintext is the one it
+    was made from.
+    """
+    m = _plaintexts.get((_keys(dk), c))
+    if m is not None:
+        return m
     ell = dk.ell
     beta = (c >> ell) & ((1 << 9 * ell) - 1)
     m = _ggm_eval(dk.g_key, beta) ^ (c & ((1 << ell) - 1))

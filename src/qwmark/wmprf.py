@@ -53,7 +53,8 @@ class ExtractParams:
     k is the user message length; eps the unremovability margin; delta_prime
     the per-call API confidence (the reference asymptotic choice is
     negligible, here a knob); s the coin-space size of each instantiated
-    distribution; engine selects the API implementation.
+    distribution, from 1 to ``elwm.MAX_TRIPLES``; engine selects the API
+    implementation.
     """
 
     k: int
@@ -78,6 +79,8 @@ class ExtractParams:
         # engine's cap only for s <= DIMENSION_CAP // 2; refuse before any Sim work
         if self.engine == "exact" and self.s > DIMENSION_CAP // 2:
             raise DimensionCapError(f"exact engine needs s * d <= {DIMENSION_CAP}; s = {self.s} exceeds it for any d >= 2")
+        if self.s > elwm.MAX_TRIPLES:
+            raise LengthError(f"coin-space size {self.s} exceeds the budget of {elwm.MAX_TRIPLES} triples")
         object.__setattr__(self, "eps_prime", self.eps / (4.0 * (self.k + 1)))
         rounds = self.api_params().T
         if self.engine == "exact" and rounds > MAX_EXACT_ROUNDS:

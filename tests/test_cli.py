@@ -120,7 +120,13 @@ def test_sim_rejects_bad_index(keys, capsys):
 
 @pytest.mark.parametrize(
     "index, count, code",
-    [(1, 0, cli.EXIT_LENGTH), (1, -2, cli.EXIT_LENGTH), (70000, 1, cli.EXIT_LENGTH), (-1, 1, cli.EXIT_LENGTH)],
+    [
+        (1, 0, cli.EXIT_LENGTH),
+        (1, -2, cli.EXIT_LENGTH),
+        (70000, 1, cli.EXIT_LENGTH),
+        (-1, 1, cli.EXIT_LENGTH),
+        (1, elwm.MAX_TRIPLES + 1, cli.EXIT_LENGTH),
+    ],
 )
 def test_sim_rejects_empty_counts_and_out_of_range_indices(tmp_path, keys, capsys, index, count, code):
     out = tmp_path / "triples.json"
@@ -645,6 +651,8 @@ FUZZED = {
 INT_FLAGS = {
     "seed": odd_or(st.integers(0, 2**64 - 1), ODD_INTS),
     "index": odd_or(st.integers(1, 4), ODD_INTS),
+    # a work size: how many triples a distribution holds
+    "size": odd_or(st.integers(1, 64), (0, -1, 2**16, 2**32, 2**64)),
 }
 
 
@@ -687,6 +695,20 @@ def test_fuzz_extract_numeric_inputs(fuzz_files, values, seed):
 def test_fuzz_sim_numeric_inputs(fuzz_files, index, seed):
     files = [f"--tag={fuzz_files['tag']}", f"--xk={fuzz_files['xk']}"]
     exits_cleanly("sim", *files, f"--index={index!r}", f"--seed={seed!r}")
+
+
+@settings(deadline=None, max_examples=40)
+@given(count=INT_FLAGS["size"], s=INT_FLAGS["size"])
+@example(count=elwm.MAX_TRIPLES, s=elwm.MAX_TRIPLES)  # the largest work either accepts
+@example(count=elwm.MAX_TRIPLES + 1, s=elwm.MAX_TRIPLES + 1)
+def test_fuzz_work_sizes(fuzz_files, count, s):
+    # sim --count and extract --s are refused outside 1..MAX_TRIPLES before any triple is built
+    tag, xk = f"--tag={fuzz_files['tag']}", f"--xk={fuzz_files['xk']}"
+    expected = 0 if 1 <= count <= elwm.MAX_TRIPLES else cli.EXIT_LENGTH
+    assert exits_cleanly("sim", tag, xk, "--index=2", "--seed=5", f"--count={count!r}") == expected
+    expected = 0 if 1 <= s <= elwm.MAX_TRIPLES else cli.EXIT_LENGTH
+    circuit = f"--circuit={fuzz_files['circuit']}"
+    assert exits_cleanly("extract", tag, xk, circuit, "--eps=0.25", "--seed=5", f"--s={s!r}") == expected
 
 
 @settings(deadline=None, max_examples=50)

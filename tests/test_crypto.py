@@ -401,8 +401,9 @@ def test_multi_block_leaf_vectors():
 
 
 def test_walk_memo_hits_in_s64_extraction():
-    # Sim's encryption and the marked circuit's decryption evaluate the same
-    # leaves, so an extraction must hit the memo; the memo never outgrows its bound
+    # the marked circuit recomputes the PRF value y = F(x) of each real query
+    # the live probe drew with b = 1, so a game must hit the leaf memo; Sim's
+    # ciphertexts hit the plaintext memo instead.  The memo never outgrows its bound
     params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=64, engine="fast")
     crypto._ggm_leaf.cache_clear()
     result = wmprf.run_event_trial(
@@ -423,6 +424,7 @@ def test_each_game_starts_with_an_empty_leaf_memo():
     # a game's keys are fresh, so a second run of the same game may not hit
     # leaves the first one left behind
     params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=8, engine="fast")
+    elwm.sim_kernel_name()  # pick the Sim builder first: its probe on first use walks leaves of its own keys
     stats = []
     for _ in range(2):
         wmprf.run_event_trial(

@@ -7,10 +7,10 @@ import functools
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qwmark import elwm
+from qwmark import crypto, elwm, native, pe
 from qwmark.crypto import int_to_bits, read_record, read_whole_record, write_record
 from qwmark.errors import FormatError, IndexRangeError, LengthError
 from qwmark.pe import ObfuscatedCircuit
@@ -397,5 +397,82 @@ def test_distribution_missing_inputs():
             elwm.build_distribution(
                 index, params=params, s=4, master_seed=master_seed, coin_key=coin_key, tag=tag
             )
-    with pytest.raises(LengthError):
-        elwm.build_distribution(1, params=params, s=0, master_seed=master_seed, coin_key=coin_key, tag=tag)
+    for s in (0, elwm.MAX_TRIPLES + 1):  # the budget is checked before any triple is built
+        with pytest.raises(LengthError):
+            elwm.build_distribution(1, params=params, s=s, master_seed=master_seed, coin_key=coin_key, tag=tag)
+
+
+# ---------------------------------------------------------------------------
+# the Sim builders and the plaintext memo
+# ---------------------------------------------------------------------------
+
+# The Sim builders this host runs: the Python loop always, and the native
+# kernel where it builds, taken as built rather than after elwm's probe has vetted it.
+SIMS = {"python": elwm._python_sim}
+if (sim_kernel := native.load_sim()) is not None:
+    SIMS["native"] = elwm._native_sim(sim_kernel)
+
+
+def test_the_native_sim_runs_wherever_it_builds():
+    assert elwm.sim_kernel_name() == ("native" if "native" in SIMS else "python")
+
+
+@pytest.mark.skipif("native" not in SIMS, reason="the native Sim kernel does not build on this host")
+@given(
+    msg_bits=st.integers(1, 40) | st.integers(1, 0xFFFF),
+    seed_bits=st.integers(1, 140),
+    range_bits=st.integers(1, 600),
+    data=st.data(),
+)
+@example(msg_bits=5, seed_bits=6, range_bits=12, data=None)  # the widths of a game
+@example(msg_bits=3, seed_bits=26, range_bits=300, data=None)  # F's output and y wider than one block
+@example(msg_bits=2, seed_bits=130, range_bits=257, data=None)  # coins of 263 bits: 9 ell = 1188
+@example(msg_bits=1, seed_bits=1, range_bits=1, data=None)  # the narrowest
+@example(msg_bits=40, seed_bits=1, range_bits=256, data=None)  # six index bits, y of exactly one block
+@example(msg_bits=300, seed_bits=5, range_bits=9, data=None)  # an index of two bytes
+@example(msg_bits=0xFFFF, seed_bits=2, range_bits=40, data=None)  # the widest index, 16 bits
+def test_native_and_python_sim_build_the_same_triples(msg_bits, seed_bits, range_bits, data):
+    params = elwm.ElwmParams(msg_bits, seed_bits, range_bits)
+    _, tag = elwm.gen(params, rng_for(f"sim-twin-{msg_bits}-{seed_bits}-{range_bits}"))
+    index = data.draw(st.integers(1, msg_bits)) if data is not None else msg_bits
+    args = (params, tag.pe_ek.circuit, index, 3, b"twin-master-seed", b"twin-coin-key-16")
+    triples = SIMS["python"](*args)
+    assert SIMS["native"](*args) == triples
+    assert triples == elwm.build_distribution(
+        index, params=params, s=3, master_seed=args[4], coin_key=args[5], tag=tag
+    )
+
+
+def sim_stack():
+    params = small_params()
+    prfk, tag = elwm.gen(params, rng_for("elwm-sim-memo"))
+    return params, prfk, tag, b"memo-coin-key-16", b"memo-master-seed"
+
+
+@pytest.mark.parametrize("name", sorted(SIMS))
+def test_sim_ciphertexts_decrypt_alike_with_the_memo_emptied(name):
+    params, prfk, tag, coin_key, master_seed = sim_stack()
+    crypto.forget_leaves()
+    triples = SIMS[name](params, tag.pe_ek.circuit, 3, 16, master_seed, coin_key)
+    keys = pe._keys(prfk.pe_dk)
+    memoized = [crypto._plaintexts[keys, int(x, 2)] for _, x, _ in triples]  # every ciphertext is in the memo
+    crypto.forget_leaves()
+    assert not crypto._plaintexts
+    walked = [pe._decrypt(prfk.pe_dk, int(x, 2)) for _, x, _ in triples]
+    assert walked == memoized
+    for (gamma, _, _), m in zip(triples, walked):
+        assert m & 1 == gamma and (m >> 1) & ((1 << params.idx_bits) - 1) == 2
+
+
+@pytest.mark.parametrize("name", sorted(SIMS))
+def test_the_plaintext_memo_never_outgrows_its_bound(name):
+    params, _, tag, coin_key, master_seed = sim_stack()
+    crypto.forget_leaves()
+    assert crypto._PLAINTEXT_MEMO_SIZE == elwm.MAX_TRIPLES  # one whole distribution fits
+    for index in (1, 2):  # two full distributions do not
+        triples = SIMS[name](params, tag.pe_ek.circuit, index, elwm.MAX_TRIPLES, master_seed, coin_key)
+        assert 0 < len(crypto._plaintexts) <= crypto._PLAINTEXT_MEMO_SIZE
+    # it was emptied during or before the second one, whose ciphertexts it still holds
+    assert {c for _, c in crypto._plaintexts} <= {int(x, 2) for _, x, _ in triples}
+    assert {keys for keys, _ in crypto._plaintexts} == {pe._keys(tag.pe_ek.circuit)}
+    crypto.forget_leaves()

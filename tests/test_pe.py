@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from qwmark import elwm, pe
+from qwmark import crypto, elwm, pe
 from qwmark.crypto import int_to_bits, write_record
 from qwmark.errors import FormatError, LengthError
 
@@ -73,6 +73,26 @@ def test_puncture_blocks_exactly_one_point():
             if c == c_star:
                 continue
             assert pdk.run(c) == m
+
+
+def test_a_punctured_circuit_refuses_a_memoized_c_star():
+    # the equality gate comes before the plaintext memo, so a ciphertext the
+    # memo would answer is still bottom where the key is punctured
+    keys = pe.pe_gen(6, rng_for("pe-punct-memo"))
+    crypto.forget_leaves()
+    c_star = keys.ek.run("011010", "110001")
+    assert crypto._plaintexts[pe._keys(keys.dk), int(c_star, 2)] == 0b011010
+    assert keys.dk.run(c_star) == "011010"
+    assert pe.pe_puncture(keys.dk, c_star).run(c_star) is None
+
+
+def test_a_ciphertext_under_other_keys_misses_the_memo():
+    ours, theirs = pe.pe_gen(6, rng_for("pe-memo-ours")), pe.pe_gen(6, rng_for("pe-memo-theirs"))
+    crypto.forget_leaves()
+    c = ours.ek.run("100111", "000111")
+    assert crypto._plaintexts == {(pe._keys(ours.ek.circuit), int(c, 2)): 0b100111}
+    assert theirs.dk.run(c) is None  # a memo keyed by the ciphertext alone would answer 100111
+    assert ours.dk.run(c) == "100111"
 
 
 def test_punctured_circuit_validates_length():

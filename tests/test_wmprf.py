@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from qwmark import elwm, pirates, wmprf
+from qwmark import crypto, elwm, pirates, wmprf
 from qwmark.errors import DimensionCapError, IndexRangeError, InvariantError, LengthError
 from qwmark.qcore import DIMENSION_CAP
 
@@ -62,6 +62,14 @@ def test_exact_extract_params_refuse_s_beyond_the_dimension_cap():
     assert wmprf.ExtractParams(k=3, eps=0.25, s=s + 1).s == s + 1
     with pytest.raises(DimensionCapError):
         wmprf.ExtractParams(k=3, eps=0.25, s=s + 1, engine="exact")
+
+
+def test_extract_params_refuse_s_beyond_the_triple_budget():
+    # the budget is checked before any key, distribution or projector exists
+    assert wmprf.ExtractParams(k=3, eps=0.25, s=elwm.MAX_TRIPLES).s == elwm.MAX_TRIPLES
+    for s in (elwm.MAX_TRIPLES + 1, 2**32, 2**64):
+        with pytest.raises(LengthError):
+            wmprf.ExtractParams(k=3, eps=0.25, s=s)
 
 
 def test_wm_gen_checks_carrier_width():
@@ -248,6 +256,28 @@ def test_run_event_trial_and_classify():
     assert results[0].report.decoded == "101"
     assert results[1].report.decoded == "101"
     assert results[2].report.unmarked
+
+
+def test_each_game_starts_with_an_empty_plaintext_memo(monkeypatch):
+    # a game's keys are fresh, so no ciphertext of an earlier game is answered from the memo
+    params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=8)
+    at_keygen = []
+    wm_gen = wmprf.wm_gen
+
+    def counting_gen(*args):
+        at_keygen.append(len(crypto._plaintexts))
+        return wm_gen(*args)
+
+    monkeypatch.setattr(wmprf, "wm_gen", counting_gen)
+    elwm.sim_kernel_name()  # pick the Sim builder first: its probe on first use encrypts under its own keys
+    after = []
+    for _ in range(2):
+        wmprf.run_event_trial(
+            params, pirates.honest_pirate, "10", rng_for("plaintext-memo-per-game"), elwm_params=elwm.ElwmParams(3, 6, 12)
+        )
+        after.append(len(crypto._plaintexts))
+    assert at_keygen == [0, 0]
+    assert after[0] == after[1] == 3 * 8  # the k + 1 Sim distributions of 8 distinct ciphertexts
 
 
 def test_event_tally_validation():
