@@ -11,8 +11,9 @@ Subcommands:
 
 Determinism: every command takes --seed; identical seeds and inputs yield
 byte-identical outputs.  Wall-clock timings go to a separate timings file so
-the row data stays reproducible; it also names the GGM walk that ran
-("native" or "hashlib"), which sets the speed but not the bytes.
+the row data stays reproducible; it also names the GGM walk ("native" or
+"hashlib") and the Sim builder ("native" or "python") that ran, which set the
+speed but not the bytes.
 """
 
 from __future__ import annotations
@@ -77,6 +78,14 @@ def _rng_from_seed(seed: int, label: bytes = b"") -> np.random.Generator:
 
 def _trial_rng(seed: int, batch: int, trial: int) -> np.random.Generator:
     return _rng_from_seed(seed, b"T" + batch.to_bytes(2, "big") + trial.to_bytes(4, "big"))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the host's count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _dump_json(obj, out: str | None):
@@ -342,7 +351,7 @@ def cmd_experiment(args) -> int:
     trials = int(config["trials"])
     tasks = [(b, t) for b in range(len(config["pirates"])) for t in range(trials)]
     started = time.monotonic()
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(tasks), _usable_cpus())
     run = functools.partial(_run_trial, inputs, config["seed"])
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -360,8 +369,8 @@ def cmd_experiment(args) -> int:
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     with (outdir / "timings.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["total_wall_seconds", "trials", "jobs", "ggm_walk"])
-        writer.writerow([f"{elapsed:.3f}", len(tasks), workers, ggm_walk_name()])
+        writer.writerow(["total_wall_seconds", "trials", "jobs", "ggm_walk", "sim_kernel"])
+        writer.writerow([f"{elapsed:.3f}", len(tasks), workers, ggm_walk_name(), elwm.sim_kernel_name()])
     print(rows_path)
     print(outdir / "summary.json")
     return 0

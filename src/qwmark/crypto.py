@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import native
 from .errors import FormatError, IndexRangeError, LengthError
@@ -56,7 +56,7 @@ SEED_BYTES = 16
 
 
 def check_bits(bits: str, length: int | None = None, *, what: str = "bit string") -> str:
-    if not isinstance(bits, str) or bits.strip("01"):
+    if not isinstance(bits, str) or bits.count("0") + bits.count("1") != len(bits):
         raise LengthError(f"{what} must be a str of '0'/'1', got {bits!r}")
     if length is not None and len(bits) != length:
         raise LengthError(f"{what} must have {length} bits, got {len(bits)}")
@@ -442,7 +442,6 @@ class InjectivePprfKey:
 
     ggm: GgmKey
     mask_seed: bytes
-    _affine: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ggm.out_bits < 2 * self.ggm.domain_bits:
@@ -450,9 +449,12 @@ class InjectivePprfKey:
                 "statistical injectivity needs out_bits >= 2*in_bits "
                 f"(got {self.ggm.out_bits} < 2*{self.ggm.domain_bits})"
             )
-        object.__setattr__(
-            self, "_affine", _derive_affine(self.mask_seed, self.ggm.domain_bits, self.ggm.out_bits)
-        )
+
+    @cached_property
+    def _affine(self) -> tuple:
+        """The affine map's tables, derived on first use, so that a key whose
+        record is refused for its widths never costs their square."""
+        return _derive_affine(self.mask_seed, self.ggm.domain_bits, self.ggm.out_bits)
 
     @property
     def in_bits(self) -> int:

@@ -44,6 +44,7 @@ from .crypto import (
     GgmKey,
     InjectivePprfKey,
     _ggm_eval,
+    _ggm_leaf,
     _keyed_coins,
     _prg,
     check_bits,
@@ -86,8 +87,14 @@ class ElwmParams:
     position, pt_bits the plaintext width, domain_bits = 12 * pt_bits the PRF
     domain width.
     The fields, in this order, are the fields of the PRF key, tag and marked
-    circuit records.
+    circuit records.  pt_bits is at most MAX_PT_BITS, so params are refused
+    before any key of their widths exists.
     """
+
+    # The width budget.  The injective PPRF's affine map takes 3 * pt_bits to
+    # 9 * pt_bits bits, a 27 * pt_bits**2-bit matrix: at 1024, key generation
+    # plus a first Sim took 0.4-0.7 s and 64 MB peak RSS on a 2-vCPU x86-64 host.
+    MAX_PT_BITS: ClassVar[int] = 1024
 
     msg_bits: int
     seed_bits: int = 8
@@ -98,10 +105,15 @@ class ElwmParams:
             raise LengthError("msg_bits must be positive")
         if self.seed_bits < 1 or self.range_bits < 1:
             raise LengthError("seed_bits and range_bits must be positive")
-        # every width is written to a u16 field; domain_bits = 12 * pt_bits is the widest
-        for name in ("msg_bits", "seed_bits", "range_bits", "domain_bits"):
+        # both are written to u16 fields; the budget keeps seed_bits and domain_bits below 2^16
+        for name in ("msg_bits", "range_bits"):
             if getattr(self, name) > 0xFFFF:
                 raise LengthError(f"{name} = {getattr(self, name)} does not fit a 16-bit field")
+        if self.pt_bits > self.MAX_PT_BITS:
+            raise LengthError(
+                f"seed_bits = {self.seed_bits} gives pt_bits = {self.pt_bits}, "
+                f"beyond the width budget of {self.MAX_PT_BITS}"
+            )
 
     @cached_property
     def idx_bits(self) -> int:
@@ -219,15 +231,28 @@ class MarkedEvalCircuit:
         _check_widths(self.params, "marked circuit", self.pe_dk, self.f_main)
         check_bits(self.message, self.params.msg_bits, what="marked circuit message")
 
-    def run(self, x: str) -> str:
+    @cached_property
+    def _constants(self) -> tuple:
+        """What ``run`` reads of this circuit, derived once: the input width, the
+        plaintext-memo key of `pe_dk`, the width and mask of a plaintext's
+        tail idx || gamma, the tails on which the mark bites, the seed and
+        output widths, the PRF's root seed, and the output format."""
         p = self.params
-        value = int(check_bits(x, p.domain_bits, what="PRF input"), 2)
-        d = _decrypt(self.pe_dk, value)
-        if d is not None:  # d = s || idx || gamma
-            idx = ((d >> 1) & ((1 << p.idx_bits) - 1)) + 1
-            if idx <= p.msg_bits and self.message[idx - 1] != "01"[d & 1]:
-                return int_to_bits(_prg(d >> (p.idx_bits + 1), p.seed_bits, p.range_bits), p.range_bits)
-        return int_to_bits(_ggm_eval(self.f_main, value), p.range_bits)
+        tail = p.idx_bits + 1
+        # the tail of position i (1-based) is (i - 1) || gamma, and the mark bites where gamma != m[i]
+        bites = frozenset((i << 1) | (1 - int(bit)) for i, bit in enumerate(self.message))
+        return (
+            p.domain_bits, _keys(self.pe_dk), tail, (1 << tail) - 1, bites,
+            p.seed_bits, p.range_bits, self.f_main.seed, f"0{p.range_bits}b",
+        )
+
+    def run(self, x: str) -> str:
+        n, keys, tail, tail_mask, bites, seed_bits, range_bits, root, out = self._constants
+        value = int(check_bits(x, n, what="PRF input"), 2)
+        d = _decrypt(self.pe_dk, value, keys)  # d = s || idx || gamma
+        if d is not None and d & tail_mask in bites:
+            return format(_prg(d >> tail, seed_bits, range_bits), out)
+        return format(_ggm_leaf(root, value, n, range_bits), out)
 
     def payload_bytes(self) -> bytes:
         blobs = (self.f_main.to_bytes(), circuit_to_bytes(self.pe_dk), self.message.encode())

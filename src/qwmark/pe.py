@@ -138,14 +138,15 @@ def _encrypt(ek, m: int, s: int) -> int:
     return c
 
 
-def _decrypt(dk, c: int) -> int | None:
+def _decrypt(dk, c: int, keys: tuple) -> int | None:
     """Decrypt a 12ell-bit ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m).
 
-    A ciphertext encrypted under the same keys since the memo was last
-    emptied is answered from it: by correctness its plaintext is the one it
-    was made from.
+    `keys` is ``_keys(dk)``, which a caller that decrypts many ciphertexts
+    under one circuit builds once.  A ciphertext encrypted under the same
+    keys since the memo was last emptied is answered from it: by correctness
+    its plaintext is the one it was made from.
     """
-    m = _plaintexts.get((_keys(dk), c))
+    m = _plaintexts.get((keys, c))
     if m is not None:
         return m
     ell = dk.ell
@@ -158,7 +159,7 @@ def _decrypt(dk, c: int) -> int | None:
 
 def _decrypt_bits(dk, c: str) -> str | None:
     """``_decrypt`` of a checked ciphertext string, formatted."""
-    m = _decrypt(dk, int(c, 2))
+    m = _decrypt(dk, int(c, 2), _keys(dk))
     return None if m is None else int_to_bits(m, dk.ell)
 
 

@@ -5,9 +5,15 @@ they occupy a single qubit in the basis state |0> with U_{x,y} = X^{a(x,y)},
 so their states are exact eigenvectors of every query projector and they
 commute with the projective implementation.
 
+A pirate's oracle answers a whole batch of query pairs in one call: a
+classical pirate takes its answer bits for the batch and indexes the constant
+stack [I, X] with them, and the coin pirate returns the identity broadcast
+over the batch.  A circuit is asked one `run(x)` per query, in batch order.
+
 The superposed pirate runs two branch programs coherently, controlled on an
 extra branch qubit appended after the branch programs' own registers; its
-measured spectrum is the cos^2/sin^2 mixture of the branches.
+measured spectrum is the cos^2/sin^2 mixture of the branches.  Its stack is
+filled from the two branches' stacks, one branch after the other.
 """
 
 from __future__ import annotations
@@ -21,27 +27,31 @@ from .crypto import _keyed_coins, bits_to_bytes
 from .errors import DimensionError, FormatError
 from .qcore import QuantumProgram, StateVector, UnitaryOracle
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
+# U = X^a indexed by the answer bit a: [I, X]
+_IX = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+_IX.flags.writeable = False
 
 
 def classical_pirate(answer) -> QuantumProgram:
     """Single-qubit program answering by the deterministic rule answer(x, y)."""
 
-    def evaluate(x: str, y: str) -> np.ndarray:
-        return _X if answer(x, y) else _I2
+    def stack(pairs) -> np.ndarray:
+        bits = np.array([answer(x, y) for x, y in pairs], dtype=bool)
+        return _IX[bits.astype(np.intp)]
 
-    return QuantumProgram(StateVector.basis(2, 0), UnitaryOracle(2, evaluate))
+    return QuantumProgram(StateVector.basis(2, 0), UnitaryOracle(2, stack))
 
 
 def honest_pirate(circuit) -> QuantumProgram:
     """Answers 1 exactly when the circuit agrees with the offered value."""
-    return classical_pirate(lambda x, y: circuit.run(x) == y)
+    run = circuit.run
+    return classical_pirate(lambda x, y: run(x) == y)
 
 
 def anti_pirate(circuit) -> QuantumProgram:
     """Always answers the complement of the honest answer."""
-    return classical_pirate(lambda x, y: circuit.run(x) != y)
+    run = circuit.run
+    return classical_pirate(lambda x, y: run(x) != y)
 
 
 def noisy_pirate(circuit, eta: float) -> QuantumProgram:
@@ -54,21 +64,18 @@ def noisy_pirate(circuit, eta: float) -> QuantumProgram:
     """
     if not (0.0 <= eta <= 1.0):
         raise FormatError(f"noise rate must lie in [0,1], got {eta}")
+    run = circuit.run
 
     def flipped(x: str, y: str) -> bool:
         return _keyed_coins(b"noisy-pirate", bits_to_bytes(x) + b"/" + bits_to_bytes(y), 53) / (1 << 53) < eta
 
-    def answer(x: str, y: str) -> int:
-        honest = circuit.run(x) == y
-        return int(honest != flipped(x, y))
-
-    return classical_pirate(answer)
+    return classical_pirate(lambda x, y: (run(x) == y) != flipped(x, y))
 
 
 def coin_pirate() -> QuantumProgram:
     """Ignores the query and answers a fair coin: state |+>, identity unitaries."""
     plus = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
-    return QuantumProgram(plus, UnitaryOracle(2, lambda x, y: _I2))
+    return QuantumProgram(plus, UnitaryOracle(2, lambda pairs: np.broadcast_to(_IX[0], (len(pairs), 2, 2))))
 
 
 def superposed_pirate(theta: float, prog_a: QuantumProgram, prog_b: QuantumProgram) -> QuantumProgram:
@@ -87,16 +94,16 @@ def superposed_pirate(theta: float, prog_a: QuantumProgram, prog_b: QuantumProgr
     amps[1::2] = math.sin(theta) * prog_b.state.amplitudes
     state = StateVector.from_unnormalized(amps)  # unit norm up to float dust
 
-    # The branch matrices go in unchecked: for an interleaved block-diagonal
+    # The branch stacks go in unchecked: for an interleaved block-diagonal
     # U the largest entry of U U^dag - I is the larger of the two branches'
     # largest entries, so the oracle's own unitarity check covers both.
-    def evaluate(x: str, y: str) -> np.ndarray:
-        u = np.zeros((2 * d, 2 * d), dtype=complex)
-        u[0::2, 0::2] = prog_a.unitaries.evaluate(x, y)
-        u[1::2, 1::2] = prog_b.unitaries.evaluate(x, y)
+    def stack(pairs) -> np.ndarray:
+        u = np.zeros((len(pairs), 2 * d, 2 * d), dtype=complex)
+        u[:, 0::2, 0::2] = prog_a.unitaries.stack(pairs)
+        u[:, 1::2, 1::2] = prog_b.unitaries.stack(pairs)
         return u
 
-    return QuantumProgram(state, UnitaryOracle(2 * d, evaluate))
+    return QuantumProgram(state, UnitaryOracle(2 * d, stack))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ U_{x,y} and reading its first qubit, so the projector onto answer b is
     P_{b,x,y} = U_{x,y}^dag (|b><b| (x) I) U_{x,y}.
 
 A distribution's projectors live in one (s, d, d) stack built by
-`program_projectors`: the oracle matrices of all s queries are evaluated and
-checked for unitarity in one batched product, and `check_projectors` checks
-the stack for Hermiticity and idempotence as a whole.
+`program_projectors`: the oracle returns the matrices of all s queries in one
+call, they are checked for unitarity in one batched product, and
+`check_projectors` checks the stack for Hermiticity and idempotence as a
+whole.
 
 Everything is dense complex numpy; dimensions are desk-scale and capped at
 DIMENSION_CAP.
@@ -104,28 +105,28 @@ class StateVector:
 
 @dataclass(frozen=True)
 class UnitaryOracle:
-    """Query-indexed unitary family U_{x,y}.
+    """Query-indexed unitary family U_{x,y}, evaluated a batch at a time.
 
-    `evaluate` must be referentially transparent: same (x, y), same matrix.
-    Unitarity is checked on every evaluation, so an oracle that breaks that
-    rule is caught on the first call that returns a non-unitary matrix.
+    `stack(pairs)` returns the (len(pairs), d, d) array of U_{x,y} over a list
+    of query pairs, in order.  It must be referentially transparent: the same
+    pair gives the same matrix wherever it stands in a batch.  Unitarity is
+    checked on every call, so an oracle that breaks that rule is caught on the
+    first call that returns a non-unitary matrix.
     """
 
     dim: int
-    evaluate: Callable[[str, str], np.ndarray]
+    stack: Callable[[list[tuple[str, str]]], np.ndarray]
 
     def matrices(self, pairs) -> np.ndarray:
-        """(n, d, d) stack of U_{x,y} over the query pairs, in order, each
-        checked for unitarity in one batched product."""
+        """(n, d, d) stack of U_{x,y} over the query pairs, in order, from one
+        call of `stack`, each member checked for unitarity in one batched
+        product."""
         pairs = list(pairs)
-        try:
-            mats = np.array([self.evaluate(x, y) for x, y in pairs], dtype=complex, ndmin=3)
-        except ValueError as exc:
-            raise DimensionError(f"oracle returned matrices of differing shapes: {exc}") from exc
+        mats = np.asarray(self.stack(pairs), dtype=complex)
         if mats.shape != (len(pairs), self.dim, self.dim):
-            raise DimensionError(f"oracle returned shape {mats.shape[1:]}, expected {(self.dim, self.dim)}")
+            raise DimensionError(f"oracle returned shape {mats.shape}, expected {(len(pairs), self.dim, self.dim)}")
         dev = np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(self.dim))
-        if not (dev.max() <= UNITARY_TOL):
+        if not (dev.max(initial=0.0) <= UNITARY_TOL):
             x, y = next(pair for pair, member in zip(pairs, dev) if not (member.max() <= UNITARY_TOL))
             raise InvariantError(f"oracle matrix for ({x!r}, {y!r}) is not unitary")
         return mats

@@ -67,6 +67,11 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def per_pair(evaluate):
+    """An oracle `stack` built one pair at a time from the rule evaluate(x, y)."""
+    return lambda pairs: np.array([evaluate(x, y) for x, y in pairs], dtype=complex)
+
+
 def random_program(dim: int, seed: str) -> QuantumProgram:
     """Program with Haar-ish unitaries, deterministic per (x, y) query."""
     base = rng_for(f"prog-state-{seed}")
@@ -76,7 +81,12 @@ def random_program(dim: int, seed: str) -> QuantumProgram:
         local = rng_for(f"prog-u-{seed}-{x}-{y}")
         return haar_unitary(dim, local)
 
-    return QuantumProgram(state, UnitaryOracle(dim, evaluate))
+    return QuantumProgram(state, UnitaryOracle(dim, per_pair(evaluate)))
+
+
+def malformed_bits(n: int) -> tuple[str, ...]:
+    """Inputs that are not n bits of '0'/'1', though int(x, 2) takes the first three."""
+    return ("1_" + "0" * (n - 2), " " + "0" * (n - 1), "+" + "0" * (n - 1), "2" + "0" * (n - 1))
 
 
 def random_triples(s: int, seed: str, x_bits: int = 6, y_bits: int = 4):

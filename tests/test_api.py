@@ -28,6 +28,7 @@ from conftest import (
     apply_accept,
     dense_cproj,
     dense_isu,
+    per_pair,
     random_program,
     random_state,
     random_triples,
@@ -140,7 +141,7 @@ def test_dimension_cap_is_checked_before_any_circuit_runs():
     def refuse(x, y):
         raise OracleCalled(x, y)
 
-    prog = QuantumProgram(random_state(4, rng_for("api-dimension-cap")), UnitaryOracle(4, refuse))
+    prog = QuantumProgram(random_state(4, rng_for("api-dimension-cap")), UnitaryOracle(4, per_pair(refuse)))
     params = api.ApiParams(0.5, 0.5)
     for s, error in ((65, DimensionCapError), (64, OracleCalled)):
         with pytest.raises(error):

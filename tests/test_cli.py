@@ -21,7 +21,7 @@ from qwmark import api, cli, crypto, elwm, wmprf
 from qwmark.crypto import keyed_rand
 from qwmark.pirates import honest_pirate
 
-from conftest import child_env
+from conftest import child_env, malformed_bits
 
 
 def run_cli(*argv) -> int:
@@ -81,6 +81,17 @@ def test_mark_and_eval_match_library(tmp_path, keys, capsys):
     assert run_cli("eval", "--circuit", circ_path, "--input", x) == 0
     out_circ = capsys.readouterr().out.strip()
     assert out_circ == circuit.run(x)
+
+
+def test_eval_circuit_refuses_malformed_inputs(tmp_path, keys, capsys):
+    circ_path = tmp_path / "marked.circ"
+    assert run_cli("mark", "--key", keys["prfk"], "--message", "101", "--out", circ_path) == 0
+    n = elwm.PrfKeyIo.from_bytes(keys["prfk"].read_bytes()).params.domain_bits
+    capsys.readouterr()
+    for x in malformed_bits(n):
+        assert run_cli("eval", "--circuit", circ_path, "--input", x) == cli.EXIT_LENGTH
+        err = capsys.readouterr().err
+        assert "input" in err and "Traceback" not in err
 
 
 def test_eval_requires_exactly_one_source(keys, capsys):
@@ -439,11 +450,27 @@ def test_experiment_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize(
-    "jobs, cpus, started",
-    [(100_000, 8, [4]), (100_000, 3, [3]), (2, 8, [2]), (100_000, None, []), (1, 8, [])],
-    ids=["tasks", "cpus", "jobs", "unknown-cpus", "one-job"],
+    "jobs, mask, host, started",
+    [
+        (100_000, 8, 64, [4]),
+        (100_000, 3, 64, [3]),
+        (2, 8, 64, [2]),
+        (100_000, None, None, []),
+        (1, 8, 64, []),
+        (100_000, None, 3, [3]),
+    ],
+    ids=["tasks", "cpus", "jobs", "unknown-cpus", "one-job", "no-affinity"],
 )
-def test_experiment_starts_at_most_one_worker_per_task_and_cpu(tmp_path, capsys, monkeypatch, jobs, cpus, started):
+def test_experiment_starts_at_most_one_worker_per_task_and_cpu(
+    tmp_path, capsys, monkeypatch, jobs, mask, host, started
+):
+    # mask is the size of the affinity mask, None where the platform has no
+    # affinity call; host is the host's CPU count, None where it is unknown
+    if mask is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(mask)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: host)
     workers = []
 
     class InProcessPool:
@@ -464,7 +491,6 @@ def test_experiment_starts_at_most_one_worker_per_task_and_cpu(tmp_path, capsys,
     config = experiment_config(tmp_path, trials=2, s=4)  # 2 pirates x 2 trials = 4 tasks
     assert run_cli("experiment", "--config", config, "--out", tmp_path / "serial") == 0
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert run_cli("experiment", "--config", config, "--out", tmp_path / "pooled", "--jobs", jobs) == 0
     capsys.readouterr()
     assert workers == started
@@ -475,6 +501,7 @@ def test_experiment_starts_at_most_one_worker_per_task_and_cpu(tmp_path, capsys,
     assert int(timing["jobs"]) == (started[0] if started else 1)
     assert int(timing["trials"]) == 4
     assert timing["ggm_walk"] == crypto.ggm_walk_name() and timing["ggm_walk"] in ("native", "hashlib")
+    assert timing["sim_kernel"] == elwm.sim_kernel_name() and timing["sim_kernel"] in ("native", "python")
 
 
 def test_experiment_without_a_compiler_falls_back_to_the_same_bytes(tmp_path, capsys):
@@ -495,12 +522,12 @@ def test_experiment_without_a_compiler_falls_back_to_the_same_bytes(tmp_path, ca
     assert "Traceback" not in done.stdout + done.stderr
     for name in ("rows.csv", "summary.json"):
         assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
-    walks = []
+    kernels = []
     for run in ("here", "child"):
         with (tmp_path / run / "timings.csv").open(newline="") as fh:
             (timing,) = csv.DictReader(fh)
-        walks.append(timing["ggm_walk"])
-    assert walks == [crypto.ggm_walk_name(), "hashlib"]
+        kernels.append((timing["ggm_walk"], timing["sim_kernel"]))
+    assert kernels == [(crypto.ggm_walk_name(), elwm.sim_kernel_name()), ("hashlib", "python")]
 
 
 def test_extract_maps_flush_limit_to_numeric_exit(tmp_path, keys, capsys, monkeypatch):
@@ -653,6 +680,8 @@ INT_FLAGS = {
     "index": odd_or(st.integers(1, 4), ODD_INTS),
     # a work size: how many triples a distribution holds
     "size": odd_or(st.integers(1, 64), (0, -1, 2**16, 2**32, 2**64)),
+    # a width in bits: --seed-bits and --range-bits
+    "width": odd_or(st.integers(1, 64) | st.integers(1, 600), (0, -1, 2**16, 2**32)),
 }
 
 
@@ -709,6 +738,29 @@ def test_fuzz_work_sizes(fuzz_files, count, s):
     expected = 0 if 1 <= s <= elwm.MAX_TRIPLES else cli.EXIT_LENGTH
     circuit = f"--circuit={fuzz_files['circuit']}"
     assert exits_cleanly("extract", tag, xk, circuit, "--eps=0.25", "--seed=5", f"--s={s!r}") == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed_bits=INT_FLAGS["width"], range_bits=INT_FLAGS["width"])
+@example(seed_bits=elwm.ElwmParams.MAX_PT_BITS - 3, range_bits=0xFFFF)  # k = 3: the widest keys accepted
+@example(seed_bits=elwm.ElwmParams.MAX_PT_BITS - 2, range_bits=12)  # one plaintext bit beyond the budget
+def test_fuzz_widths(seed_bits, range_bits):
+    # keygen refuses widths beyond the budget or a u16 field before any key
+    # exists; on keys it accepts, sim and a marked eval end in time too
+    budget_ok = 1 <= seed_bits and seed_bits + 3 <= elwm.ElwmParams.MAX_PT_BITS and 1 <= range_bits <= 0xFFFF
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "keys" / "demo"
+        argv = ["--k=3", f"--seed-bits={seed_bits!r}", f"--range-bits={range_bits!r}", "--seed=7", f"--out={out}"]
+        assert exits_cleanly("keygen", *argv) == (0 if budget_ok else cli.EXIT_LENGTH)
+        if not budget_ok:
+            assert not out.parent.exists()
+            return
+        files = [f"--tag={out.with_suffix('.tag')}", f"--xk={out.with_suffix('.xk')}", "--index=1", "--seed=5"]
+        assert exits_cleanly("sim", *files, "--count=2", f"--out={Path(tmp) / 'sim.json'}") == 0
+        circ = out.with_suffix(".circ")
+        assert exits_cleanly("mark", f"--key={out.with_suffix('.prfk')}", "--message=101", f"--out={circ}") == 0
+        x = "0" * (12 * (seed_bits + 3))
+        assert exits_cleanly("eval", f"--circuit={circ}", f"--input={x}") == 0
 
 
 @settings(deadline=None, max_examples=50)

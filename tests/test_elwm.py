@@ -15,7 +15,7 @@ from qwmark.crypto import int_to_bits, read_record, read_whole_record, write_rec
 from qwmark.errors import FormatError, IndexRangeError, LengthError
 from qwmark.pe import ObfuscatedCircuit
 
-from conftest import prg_bits, rng_for
+from conftest import malformed_bits, prg_bits, rng_for
 
 
 def small_params():
@@ -50,14 +50,55 @@ def test_param_validation():
 
 
 def test_params_reject_widths_beyond_their_u16_fields():
-    # msg_bits = 4 has idx_bits = 2, so seed_bits = 5458 gives pt_bits = 5461
-    # and domain_bits = 65 532, the widest domain that fits
-    widest = elwm.ElwmParams(4, seed_bits=5458, range_bits=0xFFFF)
-    assert widest.domain_bits == 65532
+    # msg_bits = 4 has idx_bits = 2, so seed_bits = MAX_PT_BITS - 3 gives the
+    # widest plaintext the width budget accepts; one bit more is refused, and so
+    # is a message or range wider than its u16 field
+    budget = elwm.ElwmParams.MAX_PT_BITS
+    widest = elwm.ElwmParams(4, seed_bits=budget - 3, range_bits=0xFFFF)
+    assert widest.pt_bits == budget and widest.domain_bits == 12 * budget
     assert elwm.ElwmParams(*read_whole_record(write_record(astuple(widest), ()), 3, 0, "params")[0]) == widest
-    for msg_bits, seed_bits, range_bits in ((0x10000, 6, 12), (4, 5459, 12), (4, 6, 0x10000), (70001, 6, 12)):
+    bad = ((0x10000, 6, 12), (4, budget - 2, 12), (4, 5459, 12), (4, 6, 0x10000), (70001, 6, 12))
+    for msg_bits, seed_bits, range_bits in bad:
         with pytest.raises(LengthError):
             elwm.ElwmParams(msg_bits, seed_bits=seed_bits, range_bits=range_bits)
+
+
+def test_records_beyond_the_width_budget_are_refused_before_any_affine_map_is_derived(monkeypatch):
+    # a record's params are read first and checked against the budget; a record
+    # whose params fit but whose PE circuit is wider is refused for the
+    # mismatch, and the injective PPRF derives its affine map on first use only
+    prfk, tag = elwm.gen(small_params(), rng_for("elwm-width-budget"))
+    derived = []
+    monkeypatch.setattr(crypto, "_derive_affine", lambda *args: derived.append(args))
+    ell = 2000  # a 6 000 -> 18 000-bit affine map: 108 M bits
+    f_key = crypto.InjectivePprfKey(crypto.GgmKey(b"w" * 16, 3 * ell, 9 * ell), b"m" * 16)
+    g_key = crypto.GgmKey(b"g" * 16, 9 * ell, ell)
+    wide_dk, wide_ek = pe.DecryptionCircuit(f_key, g_key, ell), pe.EncryptionCircuit(f_key, g_key, ell)
+    over = (4, 5000, 12)
+
+    def prfk_record(fields, dk):
+        return elwm.PRFK_MAGIC + write_record(fields, (prfk.f_main.to_bytes(), pe.circuit_to_bytes(dk), prfk.gen_id))
+
+    def tag_record(fields, ek):
+        return elwm.TAG_MAGIC + write_record(fields, (ObfuscatedCircuit(ek).to_bytes(), tag.gen_id))
+
+    def circuit_record(fields, dk):
+        payload = write_record(fields, (prfk.f_main.to_bytes(), pe.circuit_to_bytes(dk), b"0110"))
+        marked = bytes([elwm.MarkedEvalCircuit.KIND_TAG]) + payload
+        return elwm.CIRCUIT_MAGIC + write_record((), (ObfuscatedCircuit.scheme.encode(),)) + marked
+
+    fits = astuple(prfk.params)
+    loads = [
+        (elwm.PrfKeyIo.from_bytes, prfk_record, prfk.pe_dk, wide_dk),
+        (elwm.TagIo.from_bytes, tag_record, tag.pe_ek.circuit, wide_ek),
+        (elwm.marked_circuit_from_bytes, circuit_record, prfk.pe_dk, wide_dk),
+    ]
+    for load, record, narrow, wide in loads:
+        load(record(fits, narrow))  # the record as written loads
+        for blob in (record(over, narrow), record(fits, wide)):
+            with pytest.raises(FormatError):
+                load(blob)
+    assert derived == []
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +178,16 @@ def test_marked_circuit_ignores_out_of_range_index():
     plaintext = s + int_to_bits(3, params.idx_bits) + "1"  # index 4 > msg_bits 3
     x = tag.pe_ek.run(plaintext, "0" * params.pt_bits)
     assert circuit.run(x) == elwm.eval_prf(prfk, x)
+
+
+def test_marked_circuit_refuses_malformed_inputs():
+    prfk, _ = elwm.gen(small_params(), rng_for("elwm-malformed"))
+    circuit = elwm.mark(prfk, "0110")
+    n = prfk.params.domain_bits
+    for x in (*malformed_bits(n), "0" * (n - 1), b"0" * n, 0):
+        with pytest.raises(LengthError, match="PRF input"):
+            circuit.run(x)
+    assert circuit.run("0" * n) == elwm.eval_prf(prfk, "0" * n)
 
 
 def test_mark_validates_message_length():
@@ -458,7 +509,7 @@ def test_sim_ciphertexts_decrypt_alike_with_the_memo_emptied(name):
     memoized = [crypto._plaintexts[keys, int(x, 2)] for _, x, _ in triples]  # every ciphertext is in the memo
     crypto.forget_leaves()
     assert not crypto._plaintexts
-    walked = [pe._decrypt(prfk.pe_dk, int(x, 2)) for _, x, _ in triples]
+    walked = [pe._decrypt(prfk.pe_dk, int(x, 2), keys) for _, x, _ in triples]
     assert walked == memoized
     for (gamma, _, _), m in zip(triples, walked):
         assert m & 1 == gamma and (m >> 1) & ((1 << params.idx_bits) - 1) == 2

@@ -3,16 +3,21 @@ coherent branch superpositions."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwmark import pirates
 from qwmark.api import distribution_povm
+from qwmark.crypto import _keyed_coins, bits_to_bytes
 from qwmark.errors import DimensionError, FormatError, InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, program_projectors
 from qwmark.spectral import projimp, spectral_measurement
 
-from conftest import FakeDistribution, accept_probability, rng_for
+from conftest import FakeDistribution, accept_probability, per_pair, rng_for
 
 
 class ToyCircuit:
@@ -210,7 +215,7 @@ def test_superposed_pirate_output_register_stays_first_qubit():
 
 def test_superposed_pirate_rejects_non_unitary_branch():
     circ = ToyCircuit()
-    leaky = QuantumProgram(StateVector.basis(2, 0), UnitaryOracle(2, lambda x, y: np.diag([1.0, 0.5])))
+    leaky = QuantumProgram(StateVector.basis(2, 0), UnitaryOracle(2, per_pair(lambda x, y: np.diag([1.0, 0.5]))))
     for branches in ((pirates.honest_pirate(circ), leaky), (leaky, pirates.coin_pirate())):
         prog = pirates.superposed_pirate(0.4, *branches)
         with pytest.raises(InvariantError):
@@ -223,6 +228,92 @@ def test_superposed_pirate_rejects_dim_mismatch():
     big = pirates.superposed_pirate(0.3, small, pirates.coin_pirate())
     with pytest.raises(DimensionError):
         pirates.superposed_pirate(0.5, small, big)
+
+
+# ---------------------------------------------------------------------------
+# batched stacks against a per-pair reference
+# ---------------------------------------------------------------------------
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_I = np.eye(2, dtype=complex)
+
+
+def reference_matrix(kind: str, circ, eta: float, x: str, y: str) -> np.ndarray:
+    """U_{x,y} of a pirate kind, built for one pair by the rule of its docstring."""
+    if kind.startswith("superposed"):
+        _, a, b = kind.split(":")
+        u = np.zeros((4, 4), dtype=complex)
+        u[0::2, 0::2] = reference_matrix(a, circ, eta, x, y)
+        u[1::2, 1::2] = reference_matrix(b, circ, eta, x, y)
+        return u
+    if kind == "coin":
+        return _I
+    honest = circ.run(x) == y
+    if kind == "noisy":
+        label = bits_to_bytes(x) + b"/" + bits_to_bytes(y)
+        return _X if honest != (_keyed_coins(b"noisy-pirate", label, 53) / (1 << 53) < eta) else _I
+    return _X if honest == (kind == "honest") else _I
+
+
+def build_kind(kind: str, circ, eta: float) -> QuantumProgram:
+    simple = {
+        "honest": lambda: pirates.honest_pirate(circ),
+        "anti": lambda: pirates.anti_pirate(circ),
+        "coin": pirates.coin_pirate,
+        "noisy": lambda: pirates.noisy_pirate(circ, eta),
+    }
+    if kind.startswith("superposed"):
+        _, a, b = kind.split(":")
+        return pirates.superposed_pirate(0.6, simple[a](), simple[b]())
+    return simple[kind]()
+
+
+KINDS = ["honest", "anti", "noisy", "coin"] + [
+    f"superposed:{a}:{b}" for a in pirates.SIMPLE_KINDS for b in pirates.SIMPLE_KINDS
+]
+# a query pair: a 6-bit x, and either the toy circuit's answer to it or a 4-bit y
+QUERIES = st.tuples(st.text("01", min_size=6, max_size=6), st.none() | st.text("01", min_size=4, max_size=4))
+
+
+class CountingCircuit(ToyCircuit):
+    """The toy circuit, recording every query it is asked."""
+
+    def __init__(self):
+        self.asked = []
+
+    def run(self, x: str) -> str:
+        self.asked.append(x)
+        return super().run(x)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(KINDS), queries=st.lists(QUERIES, min_size=1, max_size=12), eta=st.floats(0.0, 1.0))
+def test_batched_stack_matches_the_per_pair_reference(kind, queries, eta):
+    circ = ToyCircuit()
+    pairs = [(x, circ.run(x) if y is None else y) for x, y in queries]
+    expected = np.stack([reference_matrix(kind, circ, eta, x, y) for x, y in pairs])
+    counting = CountingCircuit()
+    prog = build_kind(kind, counting, eta)
+    assert np.array_equal(prog.unitaries.stack(pairs), expected)
+    # one run per query of each branch that reads the circuit, branch by branch, in batch order
+    readers = [part for part in kind.split(":") if part in ("honest", "anti", "noisy")]
+    assert counting.asked == [x for _ in readers for x, _ in pairs]
+    assert np.array_equal(prog.unitaries.matrices(pairs), expected)
+
+
+@settings(max_examples=30)
+@given(queries=st.lists(QUERIES, min_size=1, max_size=12), data=st.data())
+def test_the_first_non_unitary_member_of_a_stack_is_named(queries, data):
+    circ = ToyCircuit()
+    pairs = [(x, circ.run(x) if y is None else y) for x, y in queries]
+    bad = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+    leaky = QuantumProgram(
+        StateVector.basis(2, 0),
+        UnitaryOracle(2, per_pair(lambda x, y: np.diag([1.0, 0.5]) if (x, y) == bad else np.eye(2))),
+    )
+    for branches in ((pirates.honest_pirate(circ), leaky), (leaky, pirates.coin_pirate())):
+        with pytest.raises(InvariantError, match=re.escape(f"({bad[0]!r}, {bad[1]!r})")):
+            pirates.superposed_pirate(0.4, *branches).unitaries.matrices(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from qwmark.errors import (
     InvariantError,
 )
 
-from conftest import accept_probability, expectation, haar_unitary, random_program, rng_for
+from conftest import accept_probability, expectation, haar_unitary, per_pair, random_program, rng_for
 
 
 def test_state_vector_validation():
@@ -97,7 +97,7 @@ def test_projector_expectation():
 
 
 def test_unitary_oracle_rejects_non_unitary():
-    bad = qcore.UnitaryOracle(2, lambda x, y: np.array([[1.0, 0.0], [0.0, 2.0]]))
+    bad = qcore.UnitaryOracle(2, per_pair(lambda x, y: np.array([[1.0, 0.0], [0.0, 2.0]])))
     with pytest.raises(InvariantError):
         bad.matrices([("0", "0")])
 
@@ -105,15 +105,15 @@ def test_unitary_oracle_rejects_non_unitary():
 def test_unitary_oracle_rechecks_only_new_points():
     calls = []
 
-    def build(x, y):
-        calls.append((x, y))
-        return np.eye(2, dtype=complex)
+    def stack(pairs):
+        calls.append(pairs)
+        return np.eye(2, dtype=complex)[None].repeat(len(pairs), 0)
 
-    oracle = qcore.UnitaryOracle(2, build)
+    oracle = qcore.UnitaryOracle(2, stack)
     oracle.matrices([("0", "1")])
     oracle.matrices([("0", "1")])
-    # evaluate runs every call (no matrix cache) but both calls succeed
-    assert calls == [("0", "1"), ("0", "1")]
+    # the stack runs on every call (no matrix cache) but both calls succeed
+    assert calls == [[("0", "1")], [("0", "1")]]
 
 
 @pytest.mark.parametrize("position", range(4))
@@ -124,7 +124,7 @@ def test_oracle_batch_rejects_non_unitary_at_any_position(position):
     def build(x, y):
         return np.diag([1.0, 2.0]) if y == bad_y else np.eye(2)
 
-    oracle = qcore.UnitaryOracle(2, build)
+    oracle = qcore.UnitaryOracle(2, per_pair(build))
     with pytest.raises(InvariantError, match=repr(bad_y)):
         oracle.matrices(pairs)
 
@@ -133,13 +133,13 @@ def test_oracle_batch_rejects_nan_matrices():
     def build(x, y):
         return np.full((2, 2), np.nan) if y == "1" else np.eye(2)
 
-    oracle = qcore.UnitaryOracle(2, build)
+    oracle = qcore.UnitaryOracle(2, per_pair(build))
     with pytest.raises(InvariantError, match=repr("1")):
         oracle.matrices([("0", "0"), ("0", "1")])
 
 
 def test_oracle_batch_checks_every_pair_on_every_call():
-    # evaluate runs on every call (there is no cache), and an oracle that turns
+    # the stack runs on every call (there is no cache), and an oracle that turns
     # non-unitary on its second evaluation of a pair is caught on that call
     calls = []
 
@@ -148,7 +148,7 @@ def test_oracle_batch_checks_every_pair_on_every_call():
         calls.append((x, y))
         return scale * np.eye(2)
 
-    oracle = qcore.UnitaryOracle(2, build)
+    oracle = qcore.UnitaryOracle(2, per_pair(build))
     assert np.array_equal(oracle.matrices([("0", "0"), ("0", "1")]), np.stack([np.eye(2)] * 2))
     with pytest.raises(InvariantError, match=r"\('0', '1'\)"):
         oracle.matrices([("1", "1"), ("0", "1")])
@@ -156,26 +156,29 @@ def test_oracle_batch_checks_every_pair_on_every_call():
 
 
 def test_oracle_batch_checks_each_pair_once():
-    # one call evaluates each listed pair once, in order, repeats included, and
-    # returns the matrices it checked rather than evaluating them again
+    # one call hands the stack every listed pair once, in order, repeats
+    # included, and returns the matrices it checked rather than asking again
     calls = []
 
-    def build(x, y):
-        calls.append((x, y))
-        return (-1.0) ** len(calls) * np.eye(2)
+    def stack(pairs):
+        calls.append(pairs)
+        return np.stack([(-1.0) ** (r + len(calls)) * np.eye(2) for r in range(len(pairs))])
 
     pairs = [("0", "0"), ("0", "1"), ("0", "0")]
-    mats = qcore.UnitaryOracle(2, build).matrices(pairs)
-    assert calls == pairs
+    mats = qcore.UnitaryOracle(2, stack).matrices(pairs)
+    assert calls == [pairs]
     assert np.array_equal(mats, np.stack([-np.eye(2), np.eye(2), -np.eye(2)]))
 
 
 def test_oracle_batch_rejects_wrong_shapes():
-    oracle = qcore.UnitaryOracle(2, lambda x, y: np.eye(2 if x == "0" else 4))
-    with pytest.raises(DimensionError):
-        oracle.matrices([("0", "0"), ("1", "0")])
-    with pytest.raises(DimensionError):
-        oracle.matrices([("1", "0")])
+    stacks = (
+        lambda pairs: np.eye(4)[None].repeat(len(pairs), 0),  # members of the wrong dimension
+        lambda pairs: np.eye(2)[None].repeat(len(pairs) + 1, 0),  # one member too many
+        lambda pairs: np.eye(2),  # no batch axis
+    )
+    for stack in stacks:
+        with pytest.raises(DimensionError):
+            qcore.UnitaryOracle(2, stack).matrices([("0", "0"), ("1", "0")])
 
 
 def test_program_projector_is_a_slice_of_the_stack():
@@ -186,7 +189,7 @@ def test_program_projector_is_a_slice_of_the_stack():
     for r, (b, x, y) in enumerate(triples):
         assert np.array_equal(qcore.program_projectors(prog, [(b, x, y)])[0], stack[r])
         # the per-triple product that preceded the batched one
-        rows = prog.unitaries.evaluate(x, y)[b * 4 : (b + 1) * 4, :]
+        rows = prog.unitaries.stack([(x, y)])[0, b * 4 : (b + 1) * 4, :]
         assert np.array_equal(rows.conj().T @ rows, stack[r])
     with pytest.raises(InvariantError):
         qcore.program_projectors(prog, [(1, "0", "1"), (2, "0", "1")])
@@ -217,7 +220,7 @@ def test_program_projector_output_register_is_first_qubit():
     x_first[0, 2] = x_first[1, 3] = x_first[2, 0] = x_first[3, 1] = 1.0
     prog = qcore.QuantumProgram(
         qcore.StateVector.basis(4, 0),
-        qcore.UnitaryOracle(4, lambda x, y: x_first),
+        qcore.UnitaryOracle(4, per_pair(lambda x, y: x_first)),
     )
     assert abs(accept_probability(prog, 1, "0", "0") - 1.0) < 1e-12
     assert abs(accept_probability(prog, 0, "0", "0")) < 1e-12
@@ -231,7 +234,7 @@ def test_classical_answer_program_expectation():
         u = np.eye(2) if a == 0 else np.array([[0.0, 1.0], [1.0, 0.0]])
         return u.astype(complex)
 
-    prog = qcore.QuantumProgram(qcore.StateVector.basis(2, 0), qcore.UnitaryOracle(2, build))
+    prog = qcore.QuantumProgram(qcore.StateVector.basis(2, 0), qcore.UnitaryOracle(2, per_pair(build)))
     for xv in range(4):
         for yv in range(2):
             x, y = format(xv, "02b"), format(yv, "01b")
