@@ -181,6 +181,10 @@ def cmd_extract(args) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
+# trials x pirates: an experiment holds its task list and then every row, about
+# 1.4 KB each, in memory until it writes rows.csv
+MAX_TRIALS = 1 << 18
+
 ROW_FIELDS = [
     "batch",
     "pirate",
@@ -345,6 +349,10 @@ def cmd_experiment(args) -> int:
         raise IndexRangeError(f"config trials must be at least 1, got {config['trials']}")
     if not isinstance(config["pirates"], list) or not config["pirates"]:
         raise FormatError(f"config pirates must be a non-empty list, got {config['pirates']!r}")
+    if config["trials"] * len(config["pirates"]) > MAX_TRIALS:
+        raise IndexRangeError(
+            f"config trials x pirates must be at most {MAX_TRIALS}, got {config['trials']} x {len(config['pirates'])}"
+        )
     inputs = _trial_inputs(config)  # a malformed config fails here, before any output or worker exists
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

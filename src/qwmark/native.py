@@ -1,5 +1,8 @@
 """The native kernels: ``ggm_walk.c`` built once against libcrypto and loaded with ctypes.
 
+The library walks the GGM tree on the CPU's SHA instructions where CPUID
+reports them, else through libcrypto; ``c_walk_name()`` says which.
+
 ``load_leaf()`` returns a function with the contract of ``crypto._hashlib_leaf``,
 and ``load_sim()`` one that builds the records of a whole Sim distribution;
 each returns None where the kernel cannot be had: no ``cc`` on ``PATH``, no
@@ -87,17 +90,28 @@ def _library():
         return None
 
 
-def _kernel(name: str, restype):
-    """The library's function `name`, returning `restype`; None if there is no library or no such function."""
-    kernel = getattr(_library(), name, None)
+def _kernel(name: str, restype, library):
+    """Function `name` of `library` (the cached one if None), returning `restype`; None if there is none."""
+    kernel = getattr(_library() if library is None else library, name, None)
     if kernel is not None:
         kernel.restype = restype
     return kernel
 
 
-def load_leaf():
-    """The native leaf(seed, path, width, n_blocks) -> bytes; None if it cannot be had."""
-    kernel = _kernel("qwmark_ggm_leaf", None)
+def c_walk_name(library=None) -> str | None:
+    """Which C walk down the GGM tree `library` runs, "sha-ni" or "libcrypto"; None if there is no library.
+
+    The library picks it once per process from CPUID; both give the same bytes.
+    """
+    kernel = _kernel("qwmark_sha_ni", ctypes.c_int, library)
+    if kernel is None:
+        return None
+    return "sha-ni" if kernel() else "libcrypto"
+
+
+def load_leaf(library=None):
+    """The native leaf(seed, path, width, n_blocks) -> bytes of `library` (the cached one if None); None if none."""
+    kernel = _kernel("qwmark_ggm_leaf", None, library)
     if kernel is None:
         return None
     buffers = {}
@@ -111,14 +125,15 @@ def load_leaf():
     return leaf
 
 
-def load_sim():
+def load_sim(library=None):
     """The native sim(head, count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed) -> records.
 
-    None if it cannot be had.  It returns the `count` records (m, x, y) of a
-    Sim distribution as ints; ``qwmark_sim`` in ``ggm_walk.c`` states what they
-    are and what the arguments mean.
+    It runs in `library`, the cached one if None, and is None if it cannot be
+    had.  It returns the `count` records (m, x, y) of a Sim distribution as
+    ints; ``qwmark_sim`` in ``ggm_walk.c`` states what they are and what the
+    arguments mean.
     """
-    kernel = _kernel("qwmark_sim", ctypes.c_int)
+    kernel = _kernel("qwmark_sim", ctypes.c_int, library)
     if kernel is None:
         return None
     kernel.argtypes = (ctypes.c_char_p, *[ctypes.c_uint] * 6, *[ctypes.c_char_p] * 4)

@@ -778,6 +778,28 @@ def test_fuzz_experiment_numeric_inputs(values):
             assert not (Path(tmp) / "run").exists()
 
 
+ODD_TRIALS = (0, -1, cli.MAX_TRIALS + 1, 2**32, 2**64)
+
+
+@settings(deadline=None, max_examples=10)
+@given(trials=odd_or(st.integers(1, 2), ODD_TRIALS))
+@example(trials=0)
+@example(trials=-1)
+@example(trials=cli.MAX_TRIALS + 1)  # the budget is on trials x pirates, here one pirate
+@example(trials=2**32)
+@example(trials=2**64)
+def test_fuzz_experiment_trials(trials):
+    # --trials beyond the budget is refused before the task list or --out exists
+    config = {"k": 2, "eps": 0.25, "trials": 1, "seed": 1, "s": 4, "pirates": [{"kind": "honest"}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "run"
+        path.write_text(json.dumps(config))
+        code = exits_cleanly("experiment", "--config", path, "--out", out, f"--trials={trials!r}")
+        assert code == (0 if 1 <= trials <= cli.MAX_TRIALS else cli.EXIT_LENGTH)
+        if code != 0:
+            assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # every input file in every file slot
 # ---------------------------------------------------------------------------

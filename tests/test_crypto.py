@@ -3,10 +3,14 @@ sparse SKE, and keyed coin derivation."""
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import platform
+import random
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -225,6 +229,13 @@ def straight_line_ggm(seed: bytes, x: str, out_bits: int) -> str:
     return oracle_prg_expand(straight_line_walk(seed, x), out_bits, b"leaf")
 
 
+def straight_line_leaf(seed: bytes, x: str, n_blocks: int) -> bytes:
+    """A leaf's contract from per-character hashes: the node seed for 0 blocks, else the first n_blocks leaf blocks."""
+    node = straight_line_walk(seed, x)
+    blocks = b"".join(hashlib.sha256(b"leaf|" + node + ctr.to_bytes(4, "big")).digest() for ctr in range(n_blocks))
+    return blocks if n_blocks else node
+
+
 # The leaves this host runs: the hashlib loop always, and the native kernel
 # where it builds, taken as built rather than after crypto's probe has vetted it.
 LEAVES = {"hashlib": crypto._hashlib_leaf}
@@ -285,7 +296,7 @@ LEAF_OUT_BITS = [0, 1, 12, 16, 90, 255, 256, 257, 600]  # 0 asks the leaf for th
 
 @given(
     st.binary(min_size=16, max_size=16),
-    st.text(alphabet="01", max_size=130),
+    st.text(alphabet="01", max_size=400),
     st.sampled_from(LEAF_OUT_BITS),
 )
 @example(b"\x00" * 16, "", 600)
@@ -296,18 +307,65 @@ LEAF_OUT_BITS = [0, 1, 12, 16, 90, 255, 256, 257, 600]  # 0 asks the leaf for th
 @example(b"\x09" * 16, ("0110" * 30)[:108], 256)
 @example(b"\x0a" * 16, ("0110" * 30)[:120], 600)
 @example(b"\x0b" * 16, ("0110" * 30)[:120], 0)
+@example(b"\x0c" * 16, ("0110" * 100)[:324], 256)  # G's walk in the wide Sim probe, 9 ell = 324
+@example(b"\x0d" * 16, ("0110" * 100)[:400], 0)
 def test_every_leaf_matches_the_straight_line_oracle(seed, x, out_bits):
     # the native and hashlib leaves against a per-character walk and a
     # per-block leaf PRG, at every output width the kernel handles
     path, width = int(x or "0", 2), len(x)
-    node = straight_line_walk(seed, x)
     n_blocks = -(-out_bits // 256)
-    blocks = b"".join(hashlib.sha256(b"leaf|" + node + ctr.to_bytes(4, "big")).digest() for ctr in range(n_blocks))
+    expected = straight_line_leaf(seed, x, n_blocks)
     for leaf in LEAVES.values():
-        assert leaf(seed, path, width, n_blocks) == (blocks if n_blocks else node)
+        assert leaf(seed, path, width, n_blocks) == expected
         if out_bits:
             with walking_with(leaf):
                 assert crypto._ggm_leaf(seed, path, width, out_bits) == int(straight_line_ggm(seed, x, out_bits), 2)
+
+
+def cpu_flags() -> set[str]:
+    """The flags that /proc/cpuinfo lists for the first CPU; none where there is no such file."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.partition(":")[2].split()) for line in lines if line.startswith("flags")), set())
+
+
+@pytest.mark.skipif("native" not in LEAVES, reason="the native leaf does not build on this host")
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or not {"sha_ni", "ssse3", "sse4_1"} <= cpu_flags(),
+    reason="not an x86-64 Linux CPU with the SHA extensions",
+)
+def test_the_sha_ni_walk_runs_wherever_the_cpu_has_it():
+    # a CPUID check that silently fell back would give the same bytes, only slower
+    assert native.c_walk_name() == "sha-ni"
+
+
+@pytest.mark.skipif("native" not in LEAVES, reason="the native leaf does not build on this host")
+def test_the_libcrypto_c_walk_matches_the_oracles(tmp_path):
+    # a CPU with the SHA extensions never runs the library's libcrypto walk, so
+    # build it a second time with the SHA-NI walk compiled out and run its two
+    # kernels through native's own loaders
+    target = tmp_path / "ggm_walk_libcrypto.so"
+    command = [*native.COMPILE, "-DQWMARK_NO_SHA_NI", "-o", str(target), str(native.SOURCE), *native.LINK]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
+    library = ctypes.PyDLL(str(target))
+    assert native.c_walk_name(library) == "libcrypto"
+    leaf = native.load_leaf(library)
+    for width in (0, 1, 7, 8, 9, 27, 108, 120, 130, 324, 400):
+        seed = hashlib.sha256(b"libcrypto-walk-%d" % width).digest()[:16]
+        x = format(random.Random(width).getrandbits(width), f"0{width}b") if width else ""
+        for n_blocks in (0, 1, 3):
+            assert leaf(seed, int(x or "0", 2), width, n_blocks) == straight_line_leaf(seed, x, n_blocks)
+    sim = elwm._native_sim(native.load_sim(library))
+    try:
+        # F and G walk 30 and 90 bits, 108 and 324, and 396 and 1 188
+        for params in (*elwm._SIM_PROBES, elwm.ElwmParams(2, 130, 257)):
+            probe = elwm._sim_probe(params)
+            assert sim(*probe) == elwm._python_sim(*probe)
+    finally:
+        crypto.forget_leaves()
 
 
 WALK_NAME = [sys.executable, "-c", "from qwmark import crypto; print(crypto.ggm_walk_name())"]
