@@ -11,9 +11,9 @@ Subcommands:
 
 Determinism: every command takes --seed; identical seeds and inputs yield
 byte-identical outputs.  Wall-clock timings go to a separate timings file so
-the row data stays reproducible; it also names the GGM walk ("native" or
-"hashlib") and the Sim builder ("native" or "python") that ran, which set the
-speed but not the bytes.
+the row data stays reproducible; it also holds ``native.kernels()``: the GGM
+walk ("native" or "hashlib"), the Sim builder ("native" or "python") and the
+C walk that ran, which set the speed but not the bytes.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import elwm, wmprf
-from .crypto import _keyed_coins, check_bits, decode_text, ggm_walk_name
+from . import elwm, native, wmprf
+from .crypto import _keyed_coins, check_bits, decode_text
 from .errors import (
     DegenerateStateError,
     DimensionCapError,
@@ -377,8 +377,9 @@ def cmd_experiment(args) -> int:
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     with (outdir / "timings.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["total_wall_seconds", "trials", "jobs", "ggm_walk", "sim_kernel"])
-        writer.writerow([f"{elapsed:.3f}", len(tasks), workers, ggm_walk_name(), elwm.sim_kernel_name()])
+        kernels = native.kernels()
+        writer.writerow(["total_wall_seconds", "trials", "jobs", *kernels])
+        writer.writerow([f"{elapsed:.3f}", len(tasks), workers, *kernels.values()])
     print(rows_path)
     print(outdir / "summary.json")
     return 0

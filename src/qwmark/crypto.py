@@ -18,11 +18,11 @@ Conventions
   the character '0' or '1', and a leaf's output is ``prg_expand(node,
   out_bits, domain=b"leaf")``.  The leaf in use walks a whole path and hashes
   the leaf blocks in one call, or returns the node seed when asked for no
-  blocks.  ``_leaf_in_use`` picks it on first use: the native kernel of
-  ``native.py`` if it builds, loads, and agrees with the hashlib leaf
-  ``_hashlib_leaf`` on probes that include a 120-bit path and a multi-block
-  output; otherwise the hashlib leaf.  No option chooses: both give the same
-  bytes, and ``ggm_walk_name()`` says which one runs.
+  blocks.  ``_leaf_in_use`` picks it on first use (``native.first_use``):
+  the native kernel of ``native.py`` if it builds, loads, and agrees with the
+  hashlib leaf ``_hashlib_leaf`` on probes that include a 120-bit path and a
+  multi-block output; otherwise the hashlib leaf.  No option chooses: both
+  give the same bytes, and ``native.kernels()`` says which one runs.
 * ``_ggm_leaf`` memoizes leaf outputs by (root seed, path, path width, output
   width) in an LRU of ``_LEAF_MEMO_SIZE`` entries: the marked circuit
   recomputes the PRF values of the live probe's real queries, so a trial hits
@@ -44,6 +44,8 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import native
 from .errors import FormatError, IndexRangeError, LengthError
@@ -194,18 +196,7 @@ def _hashlib_leaf(seed: bytes, path: int, width: int, n_blocks: int) -> bytes:
     return _blocks(b"leaf|" + seed, n_blocks) if n_blocks else seed
 
 
-@lru_cache(maxsize=None)
-def _leaf_in_use():
-    """The native kernel if it loads and agrees with the hashlib leaf on the probes, else the hashlib leaf."""
-    leaf = native.load_leaf()
-    if leaf is not None and all(leaf(*probe) == _hashlib_leaf(*probe) for probe in _LEAF_PROBES):
-        return leaf
-    return _hashlib_leaf
-
-
-def ggm_walk_name() -> str:
-    """Which leaf this process runs, "native" or "hashlib"; both give the same bytes."""
-    return "hashlib" if _leaf_in_use() is _hashlib_leaf else "native"
+_leaf_in_use = native.first_use("ggm_walk", native.load_leaf, _hashlib_leaf, _LEAF_PROBES, "hashlib")
 
 
 @lru_cache(maxsize=_LEAF_MEMO_SIZE)
@@ -321,80 +312,6 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
 
 
 _MASK_CHUNK = 4  # input bits per XOR table: 16 entries hold about 4x the columns
-_STRIP_ROWS = 256  # rows ``_columns`` transposes at a time
-_CACHED_MOVES_BITS = 1 << 14  # strips up to this size keep their transposition masks
-
-
-def _repeat(block: int, period: int, total: int) -> int:
-    """A `period`-bit pattern repeated over `total` bits; both are powers of two and total >= 8."""
-    while period < 8:
-        block |= block << period
-        period *= 2
-    return int.from_bytes(block.to_bytes(period // 8, "big") * (total // period), "big")
-
-
-def _transpose_moves(rows: int, cols: int):
-    """The moves of ``_columns``, as (distance, mask, exchange) triples, made one at a time.
-
-    The matrix is padded to 2^a rows of 2^b bits, with 2^a >= max(8, rows)
-    and 2^b >= cols.  Row r' (counted from the least significant row) and
-    column c' (counted from the least significant bit of a row) then sit at
-    bit r' * 2^b + c', and transposing moves the b index bits of c' above the
-    a bits of r'.  The moves spread the rows from `cols` to 2^b bits apart,
-    one row-index bit at a time from the top: a move shifts the bits under its
-    mask up by its distance, clearing them where they were.  The exchanges
-    then swap two index bits each: an exchange swaps the bits under its mask
-    with the bits that distance above them.
-    """
-    a, b = max(3, (rows - 1).bit_length()), (cols - 1).bit_length()
-    total = 1 << (a + b)
-    for t in reversed(range(a)) if cols < 1 << b else ():
-        run = cols << t  # the upper half of each group of 2^(t+1) rows moves up into its padding
-        yield ((1 << b) - cols) << t, _repeat(((1 << run) - 1) << run, 2 << (b + t), total), False
-
-    def index_bit(k: int) -> int:  # the positions whose index has bit k set
-        return _repeat(((1 << (1 << k)) - 1) << (1 << k), 2 << k, total)
-
-    where, held = list(range(a + b)), list(range(a + b))  # index bit k is at where[k]; position i holds held[i]
-    for k in range(a + b):
-        target, at = (a + k if k < b else k - b), where[k]
-        if at != target:
-            high, low = max(at, target), min(at, target)
-            yield (1 << high) - (1 << low), index_bit(low) & ~index_bit(high), True
-            other = held[target]
-            where[k], where[other], held[target], held[at] = target, at, k, other
-
-
-_cached_moves = lru_cache(maxsize=4)(lambda rows, cols: tuple(_transpose_moves(rows, cols)))
-
-
-def _columns(matrix: int, rows: int, cols: int) -> list[bytes]:
-    """The columns, leftmost first, of a rows x cols bit matrix held row by row in an int, each ``_pack``-ed.
-
-    A column is read as a `rows`-bit word whose leftmost bit is row 0.  The
-    matrix is transposed a strip of at most _STRIP_ROWS rows at a time, so
-    that the ints stay small on a wide matrix.  A strip is padded at the
-    bottom to a power-of-two height and transposed by O(log(height * cols))
-    moves and exchanges over its whole int, so the work grows as rows * cols
-    times its logarithm.  Each padded column of a strip then starts with its
-    piece of the column, and a column is its pieces in order.
-    """
-    height = min(_STRIP_ROWS, max(8, 1 << (rows - 1).bit_length()))
-    moves = _cached_moves(height, cols) if height * cols <= _CACHED_MOVES_BITS else None
-    raw, step = _pack(matrix, rows * cols), height // 8  # bytes per padded column of a strip
-    span = step << (cols - 1).bit_length()  # bytes of a transposed strip
-    strips = []
-    for top in range(0, rows, height):
-        n = min(height, rows - top)
-        start, end = top * cols // 8, -(-(top + n) * cols // 8)
-        strip = int.from_bytes(raw[start:end], "big") >> (8 * (end - start) - n * cols) << (height - n) * cols
-        for distance, mask, exchange in moves or _transpose_moves(height, cols):
-            t = ((strip >> distance) ^ strip if exchange else strip) & mask
-            strip ^= t ^ (t << distance)
-        out = strip.to_bytes(span, "big")
-        strips.append([out[at : at + step] for at in range(span - cols * step, span, step)])
-    width = -(-rows // 8)
-    return [b"".join(pieces)[:width] for pieces in zip(*strips)]
 
 
 def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tuple[int, ...], ...], int, bytes]:
@@ -408,19 +325,22 @@ def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tupl
     native Sim kernel reads, is each column and then the offset, each
     ``_pack``-ed to whole bytes.
     """
-    stream = _stream(seed, out_bits * in_bits + out_bits, b"aff")
+    matrix_bits = out_bits * in_bits
+    stream = _stream(seed, matrix_bits + out_bits, b"aff")
     offset = stream & ((1 << out_bits) - 1)
-    packed = _columns(stream >> out_bits, out_bits, in_bits)
+    rows = np.unpackbits(np.frombuffer(_pack(stream >> out_bits, matrix_bits), np.uint8), count=matrix_bits)
     del stream
-    pad = -out_bits % 8
-    from_right = [int.from_bytes(word, "big") >> pad for word in reversed(packed)]
+    columns = np.packbits(rows.reshape(out_bits, in_bits), axis=0).T.tobytes()  # column j down its rows, _pack-ed
+    del rows
+    width, pad = -(-out_bits // 8), -out_bits % 8
+    from_right = [int.from_bytes(columns[at - width : at], "big") >> pad for at in range(len(columns), 0, -width)]
     tables = []
     for start in range(0, in_bits, _MASK_CHUNK):
         table = [0]
         for column in from_right[start : start + _MASK_CHUNK]:
             table += [entry ^ column for entry in table]
         tables.append(tuple(table))
-    return tuple(tables), offset, b"".join(packed) + _pack(offset, out_bits)
+    return tuple(tables), offset, columns + _pack(offset, out_bits)
 
 
 def _affine_mask(base: int, affine: tuple[tuple[tuple[int, ...], ...], int], x: int) -> int:

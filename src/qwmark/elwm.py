@@ -27,15 +27,15 @@ All randomness for distribution building is derived through keyed coins, so
 private- and public-coin modes share one code path: publishing the coin key
 makes the simulation public.  A Sim distribution is built in one call of the
 native kernel of ``native.py`` where it loads and agrees with the Python
-builder on probes (``_sim_in_use``); both give the same bytes, and both record
-each ciphertext's plaintext in the memo that the marked circuit's decryption
-reads first.
+builder on probes (``_sim_in_use``, reported by ``native.kernels()``); both
+give the same bytes, and both record each ciphertext's plaintext in the memo
+that the marked circuit's decryption reads first.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import ClassVar
 
 from . import native
@@ -93,7 +93,7 @@ class ElwmParams:
 
     # The width budget.  The injective PPRF's affine map takes 3 * pt_bits to
     # 9 * pt_bits bits, a 27 * pt_bits**2-bit matrix: at 1024, key generation
-    # plus a first Sim took 0.4-0.7 s and 64 MB peak RSS on a 2-vCPU x86-64 host.
+    # plus a first Sim took 0.5-0.6 s and 80 MB peak RSS on a 2-vCPU x86-64 host.
     MAX_PT_BITS: ClassVar[int] = 1024
 
     msg_bits: int
@@ -351,24 +351,10 @@ def _sim_probe(params: ElwmParams) -> tuple:
 
 
 # a game's widths, and a 9-bit index with F's output (324 bits) and y (300 bits) each wider than one hash block
-_SIM_PROBES = (ElwmParams(5, 6, 12), ElwmParams(300, 26, 300))
-
-
-@lru_cache(maxsize=None)
-def _sim_in_use():
-    """The native Sim if it loads and agrees with ``_python_sim`` on the probes, else ``_python_sim``."""
-    kernel = native.load_sim()
-    if kernel is not None:
-        native_sim = _native_sim(kernel)
-        probes = [_sim_probe(params) for params in _SIM_PROBES]
-        if all(native_sim(*probe) == _python_sim(*probe) for probe in probes):
-            return native_sim
-    return _python_sim
-
-
-def sim_kernel_name() -> str:
-    """Which Sim builder this process runs, "native" or "python"; both give the same bytes."""
-    return "python" if _sim_in_use() is _python_sim else "native"
+_SIM_PROBES = tuple(map(_sim_probe, (ElwmParams(5, 6, 12), ElwmParams(300, 26, 300))))
+_sim_in_use = native.first_use(
+    "sim_kernel", lambda: (kernel := native.load_sim()) and _native_sim(kernel), _python_sim, _SIM_PROBES, "python"
+)
 
 
 def build_distribution(

@@ -7,15 +7,17 @@ reports them, else through libcrypto; ``c_walk_name()`` says which.
 and ``load_sim()`` one that builds the records of a whole Sim distribution;
 each returns None where the kernel cannot be had: no ``cc`` on ``PATH``, no
 OpenSSL headers or libcrypto to link, no cache directory that only this user
-can write, or a library that does not load.  The caller then keeps its Python
-path, which gives the same bytes.
+can write, or a library that does not load.  ``first_use`` is the one rule
+that picks a kernel over its Python twin, which gives the same bytes, and
+``kernels()`` reports each pick and the C walk.
 
 The library is cached in ``$XDG_CACHE_HOME/qwmark`` (``~/.cache/qwmark`` when
 that is unset), under a name that is a digest of the source and the compile
 command, so an edited source or command builds a new file and a cached load
 runs no compiler.  A build writes to a temporary file in that directory and
 publishes it with an atomic rename, so processes that build at once each load
-a whole library.
+a whole library; it then unlinks the libraries of other sources or commands,
+while a process that mapped one keeps its mapping.
 
 One leaf call walks a packed path and hashes the leaf blocks into a buffer
 kept per block count, since a fresh one costs more than the call.  ``PyDLL``
@@ -67,6 +69,8 @@ def _build(target: Path) -> bool:
             return False
         if done.returncode == 0:
             os.replace(tmp, target)
+            for stale in set(target.parent.glob("ggm_walk-*.so")) - {target}:  # never a .build- temporary
+                stale.unlink(missing_ok=True)
         return done.returncode == 0
     finally:
         if os.path.exists(tmp):
@@ -96,6 +100,36 @@ def _kernel(name: str, restype, library):
     if kernel is not None:
         kernel.restype = restype
     return kernel
+
+
+_PICKS = {}  # report name -> a function naming the kernel picked, one per ``first_use``
+
+
+def first_use(name: str, load, twin, probes, twin_name: str):
+    """A function returning the kernel to run, picked on its first call.
+
+    That is ``load()`` if it returns a kernel that agrees with `twin` on every
+    probe, else `twin`; ``kernels()`` reports it as "native" or `twin_name`.
+    """
+
+    @lru_cache(maxsize=None)
+    def picker():
+        kernel = load()
+        if kernel is not None and all(kernel(*probe) == twin(*probe) for probe in probes):
+            return kernel
+        return twin
+
+    _PICKS[name] = lambda: twin_name if picker() is twin else "native"
+    return picker
+
+
+def kernels() -> dict[str, str | None]:
+    """Each kernel this process runs, under its ``first_use`` name and picked now if not yet, then "c_walk".
+
+    The package imports every module that picks a kernel, so the report holds
+    "ggm_walk" and "sim_kernel", and "c_walk" is ``c_walk_name()``.
+    """
+    return {**{name: report() for name, report in _PICKS.items()}, "c_walk": c_walk_name()}
 
 
 def c_walk_name(library=None) -> str | None:

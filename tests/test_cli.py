@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwmark import api, cli, crypto, elwm, wmprf
+from qwmark import api, cli, elwm, native, wmprf
 from qwmark.crypto import keyed_rand
 from qwmark.pirates import honest_pirate
 
@@ -500,8 +500,10 @@ def test_experiment_starts_at_most_one_worker_per_task_and_cpu(
         (timing,) = csv.DictReader(fh)
     assert int(timing["jobs"]) == (started[0] if started else 1)
     assert int(timing["trials"]) == 4
-    assert timing["ggm_walk"] == crypto.ggm_walk_name() and timing["ggm_walk"] in ("native", "hashlib")
-    assert timing["sim_kernel"] == elwm.sim_kernel_name() and timing["sim_kernel"] in ("native", "python")
+    kernels = native.kernels()
+    assert timing["ggm_walk"] == kernels["ggm_walk"] and timing["ggm_walk"] in ("native", "hashlib")
+    assert timing["sim_kernel"] == kernels["sim_kernel"] and timing["sim_kernel"] in ("native", "python")
+    assert timing["c_walk"] == (kernels["c_walk"] or "")
 
 
 def test_experiment_without_a_compiler_falls_back_to_the_same_bytes(tmp_path, capsys):
@@ -526,8 +528,9 @@ def test_experiment_without_a_compiler_falls_back_to_the_same_bytes(tmp_path, ca
     for run in ("here", "child"):
         with (tmp_path / run / "timings.csv").open(newline="") as fh:
             (timing,) = csv.DictReader(fh)
-        kernels.append((timing["ggm_walk"], timing["sim_kernel"]))
-    assert kernels == [(crypto.ggm_walk_name(), elwm.sim_kernel_name()), ("hashlib", "python")]
+        kernels.append((timing["ggm_walk"], timing["sim_kernel"], timing["c_walk"]))
+    here = native.kernels()
+    assert kernels == [(here["ggm_walk"], here["sim_kernel"], here["c_walk"] or ""), ("hashlib", "python", "")]
 
 
 def test_extract_maps_flush_limit_to_numeric_exit(tmp_path, keys, capsys, monkeypatch):
@@ -708,15 +711,26 @@ def exits_cleanly(*argv) -> int:
 
 
 @settings(deadline=None, max_examples=50)
-@given(st.fixed_dictionaries({name: FUZZED[name] for name in ("eps", "delta_prime", "theta", "eta")}), INT_FLAGS["seed"])
-@example({"eps": 1e-9, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0}, 1)
-@example({"eps": 1e-200, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0}, 1)
-@example({"eps": 0.25, "delta_prime": 5e-324, "theta": 0.0, "eta": 0.0}, 1)
-def test_fuzz_extract_numeric_inputs(fuzz_files, values, seed):
+@given(
+    st.fixed_dictionaries({name: FUZZED[name] for name in ("eps", "delta_prime", "theta", "eta")}),
+    INT_FLAGS["seed"],
+    INT_FLAGS["size"],
+)
+@example({"eps": 1e-9, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0}, 1, 4)
+@example({"eps": 1e-200, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0}, 1, 4)
+@example({"eps": 0.25, "delta_prime": 5e-324, "theta": 0.0, "eta": 0.0}, 1, 4)
+# at k = 3 the exact engine's largest round count, T = MAX_EXACT_ROUNDS, and the next eps down is refused
+@example({"eps": 0.032708266865670646, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0}, 1, 64)
+@example({"eps": 0.03270826686567064, "delta_prime": 0.05, "theta": 0.0, "eta": 0.0}, 1, 64)
+def test_fuzz_extract_numeric_inputs(fuzz_files, values, seed, s):
+    # the exact engine only for pirates whose state sits in one Jordan block:
+    # a state spread over several goes through the Python block walk, which
+    # takes seconds at the largest round count
     files = [f"--{name}={path}" for name, path in fuzz_files.items()]
     numbers = [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
-    for kind in ("noisy", "superposed"):
-        exits_cleanly("extract", *files, *numbers, f"--seed={seed!r}", f"--pirate={kind}", "--s=4")
+    for kind, engine in (("noisy", "fast"), ("superposed", "fast"), ("honest", "exact"), ("anti", "exact")):
+        flags = [f"--seed={seed!r}", f"--pirate={kind}", f"--engine={engine}", f"--s={s!r}"]
+        exits_cleanly("extract", *files, *numbers, *flags)
 
 
 @settings(deadline=None)

@@ -244,7 +244,7 @@ if (native_leaf := native.load_leaf()) is not None:
 
 
 def test_the_native_walk_runs_wherever_it_builds():
-    assert crypto.ggm_walk_name() == ("native" if "native" in LEAVES else "hashlib")
+    assert native.kernels()["ggm_walk"] == ("native" if "native" in LEAVES else "hashlib")
 
 
 @contextmanager
@@ -361,26 +361,27 @@ def test_the_libcrypto_c_walk_matches_the_oracles(tmp_path):
     sim = elwm._native_sim(native.load_sim(library))
     try:
         # F and G walk 30 and 90 bits, 108 and 324, and 396 and 1 188
-        for params in (*elwm._SIM_PROBES, elwm.ElwmParams(2, 130, 257)):
-            probe = elwm._sim_probe(params)
+        for probe in (*elwm._SIM_PROBES, elwm._sim_probe(elwm.ElwmParams(2, 130, 257))):
             assert sim(*probe) == elwm._python_sim(*probe)
     finally:
         crypto.forget_leaves()
 
 
-WALK_NAME = [sys.executable, "-c", "from qwmark import crypto; print(crypto.ggm_walk_name())"]
+WALK_NAME = [sys.executable, "-c", "from qwmark import native; print(native.kernels()['ggm_walk'])"]
 
 
 @pytest.mark.skipif("native" not in LEAVES, reason="the native leaf does not build on this host")
 def test_processes_building_into_one_cache_at_once_each_load_the_kernel(tmp_path):
     cache = tmp_path / "cache"
+    (cache / "qwmark").mkdir(mode=0o700, parents=True)
+    (cache / "qwmark" / "ggm_walk-0000000000000000.so").write_bytes(b"a library of another source")  # pruned
     children = [
         subprocess.Popen(WALK_NAME, env=child_env(cache), stdout=subprocess.PIPE, text=True) for _ in range(2)
     ]
     outputs = [child.communicate(timeout=120)[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
     assert outputs == ["native\n"] * 2
-    (built,) = (cache / "qwmark").iterdir()  # one published library, no temporary file left
+    (built,) = (cache / "qwmark").iterdir()  # one published library, no stale one or temporary file left
     assert built.suffix == ".so" and not built.name.startswith(".")
     assert (cache / "qwmark").stat().st_mode & 0o777 == 0o700
     # a cached load needs no compiler
@@ -482,7 +483,7 @@ def test_each_game_starts_with_an_empty_leaf_memo():
     # a game's keys are fresh, so a second run of the same game may not hit
     # leaves the first one left behind
     params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=8, engine="fast")
-    elwm.sim_kernel_name()  # pick the Sim builder first: its probe on first use walks leaves of its own keys
+    native.kernels()  # pick the Sim builder first: its probe on first use walks leaves of its own keys
     stats = []
     for _ in range(2):
         wmprf.run_event_trial(
@@ -618,23 +619,31 @@ def test_injective_pprf_puncture_agrees_off_set():
     assert outputs == outputs[:7] * len(LEAVES)
 
 
-def oracle_affine_mask(base: str, seed: bytes, x: str) -> str:
-    """base xor (A x + b), XORing in the column of every set bit of x."""
-    in_bits, out_bits = len(x), len(base)
+def oracle_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[list[int], int]:
+    """The columns A_j, leftmost input bit first, and the offset b of the affine map, sliced from its stream."""
     stream = crypto.prg_expand(seed, out_bits * in_bits + out_bits, domain=b"aff")
     columns = [int(stream[j : out_bits * in_bits : in_bits], 2) for j in range(in_bits)]
-    acc = int(stream[out_bits * in_bits :], 2)
+    return columns, int(stream[out_bits * in_bits :], 2)
+
+
+def oracle_affine_mask(base: str, seed: bytes, x: str) -> str:
+    """base xor (A x + b), XORing in the column of every set bit of x."""
+    columns, acc = oracle_affine(seed, len(x), len(base))
     for column, bit in zip(columns, x):
         if bit == "1":
             acc ^= column
-    return format(int(base, 2) ^ acc, f"0{out_bits}b")
+    return format(int(base, 2) ^ acc, f"0{len(base)}b")
 
 
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=90), st.data())
+# output widths past 256 and off a multiple of 8 too, where the packed form pads each column
+@given(st.integers(min_value=1, max_value=40), st.integers(1, 90) | st.integers(250, 600), st.data())
 def test_table_affine_mask_matches_column_xor(in_bits, out_bits, data):
     seed = data.draw(st.binary(min_size=16, max_size=16))
     affine = crypto._derive_affine(seed, in_bits, out_bits)
     assert len(affine[0]) == -(-in_bits // crypto._MASK_CHUNK)  # one table per chunk of x
+    # the packed form the native Sim reads: each column, then the offset, each _pack-ed
+    columns, offset = oracle_affine(seed, in_bits, out_bits)
+    assert affine[2] == b"".join(crypto._pack(word, out_bits) for word in (*columns, offset))
     for _ in range(4):
         x = data.draw(st.text(alphabet="01", min_size=in_bits, max_size=in_bits))
         base = data.draw(st.text(alphabet="01", min_size=out_bits, max_size=out_bits))

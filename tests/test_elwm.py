@@ -465,7 +465,7 @@ if (sim_kernel := native.load_sim()) is not None:
 
 
 def test_the_native_sim_runs_wherever_it_builds():
-    assert elwm.sim_kernel_name() == ("native" if "native" in SIMS else "python")
+    assert native.kernels()["sim_kernel"] == ("native" if "native" in SIMS else "python")
 
 
 @pytest.mark.skipif("native" not in SIMS, reason="the native Sim kernel does not build on this host")

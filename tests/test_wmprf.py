@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from qwmark import crypto, elwm, pirates, wmprf
+from qwmark import crypto, elwm, native, pirates, wmprf
 from qwmark.errors import DimensionCapError, IndexRangeError, InvariantError, LengthError
 from qwmark.qcore import DIMENSION_CAP
 
@@ -269,7 +269,7 @@ def test_each_game_starts_with_an_empty_plaintext_memo(monkeypatch):
         return wm_gen(*args)
 
     monkeypatch.setattr(wmprf, "wm_gen", counting_gen)
-    elwm.sim_kernel_name()  # pick the Sim builder first: its probe on first use encrypts under its own keys
+    native.kernels()  # pick the Sim builder first: its probe on first use encrypts under its own keys
     after = []
     for _ in range(2):
         wmprf.run_event_trial(
