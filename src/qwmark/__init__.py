@@ -26,12 +26,7 @@ from .pirates import (
     superposed_pirate,
 )
 from .qcore import QuantumProgram, StateVector, UnitaryOracle
-from .spectral import (
-    OutcomeDistribution,
-    projimp,
-    shift_distance,
-    spectral_measurement,
-)
+from .spectral import projimp
 from .wmprf import (
     ExtractParams,
     ExtractionReport,
@@ -50,7 +45,6 @@ __all__ = [
     "ElwmParams",
     "ExtractParams",
     "ExtractionReport",
-    "OutcomeDistribution",
     "PirateSpec",
     "QuantumProgram",
     "QwmarkError",
@@ -75,9 +69,7 @@ __all__ = [
     "projimp",
     "run_api",
     "run_event_trial",
-    "shift_distance",
     "sim",
-    "spectral_measurement",
     "superposed_pirate",
     "wm_gen",
     "wm_mark",

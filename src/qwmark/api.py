@@ -60,7 +60,7 @@ from .errors import (
     RoundLimitError,
 )
 from .qcore import DIMENSION_CAP, QuantumProgram, StateVector, program_projectors
-from .spectral import accept_eigenbasis, eigen_coefficients, projimp_cluster
+from .spectral import projimp_cluster, spectrum
 
 FLUSH_ROUNDS_PER_T = 64
 MAX_EXACT_ROUNDS = 1 << 20  # largest T api_exact runs; T grows as 1/eps^2
@@ -287,10 +287,9 @@ def api_exact(
     composite = len(dist) * prog.dim
     if composite > DIMENSION_CAP:
         raise DimensionCapError(f"composite dimension {composite} exceeds cap {DIMENSION_CAP}")
-    p, eigvecs = accept_eigenbasis(distribution_povm(prog, dist))
-    coef, born = eigen_coefficients(eigvecs, prog.state)
-    held = born > 0  # a block without weight adds exact zeros to every sum
-    p, eigvecs, coef, born = p[held], eigvecs[:, held], coef[held], born[held]
+    spec = spectrum(distribution_povm(prog, dist), prog.state)
+    held = spec.born > 0  # a block without weight adds exact zeros to every sum
+    p, eigvecs, coef, born = spec.values[held], spec.vectors[:, held], spec.coef[held], spec.born[held]
     agree, flip = ((1.0 - p).tolist(), p.tolist()) if reverse else (p.tolist(), (1.0 - p).tolist())
     n = 2 * params.T
     draws = rng.random(n)

@@ -1,5 +1,5 @@
 """Spectral measurement machinery: projective implementation of mixtures of
-binary POVMs and the shift distance between outcome distributions.
+binary POVMs.
 
 A mixture of binary projective measurements {(P_i, I-P_i)} with uniform weight
 has accept operator P_D = mean_i P_i, and that (d, d) array is all a
@@ -7,16 +7,26 @@ measurement here takes of the mixture (`api.distribution_povm` builds it).
 Its *projective implementation* measures the eigenbasis of P_D and reports the
 eigenvalue: a projective measurement whose outcome p, followed by a
 Bernoulli(p) draw, reproduces the original POVM's statistics exactly.
+
+Every measurement takes its eigen data from `spectrum(accept, state)`, a memo
+keyed by the bytes of the complex P_D and of the state's amplitudes and
+bounded to SPECTRUM_MEMO entries, least recently used first out.  A classical
+or perfect pirate's P_D takes few values and its state is a basis vector up to
+phase, so a game diagonalizes the same pair again and again.  A miss runs every
+check (Hermiticity, eigenvalue slack, Born sum) on its input; a hit has
+byte-identical input, so it returns the same read-only arrays and the same
+verdict.  A raised check is never stored.  The draws are not memoized: each
+measurement makes its own `born_draw`, so the rng stream is the same with a
+cold memo or a warm one.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import reduce
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
-from operator import add
 
 import numpy as np
 
@@ -26,28 +36,7 @@ from .qcore import StateVector
 EIGENVALUE_SLACK = 1e-9  # clamp eigenvalues this far outside [0, 1]; error beyond
 CLUSTER_TOL = 1e-9  # eigenvalues this close are one eigenvalue of P_D
 CHOICE_ATOL = math.sqrt(np.finfo(float).eps)  # how far from 1 `rng.choice` lets p sum
-
-
-@dataclass(frozen=True)
-class SpectralMeasurement:
-    """Clustered eigendecomposition of an accept operator.
-
-    eigenvalues are ascending and unique after clustering; eigenprojectors[i]
-    projects onto the eigenspace of eigenvalues[i].
-    """
-
-    eigenvalues: tuple[float, ...]
-    eigenprojectors: tuple[np.ndarray, ...]
-
-    def probabilities(self, state: StateVector) -> np.ndarray:
-        probs = np.array(
-            [float(np.real(np.vdot(state.amplitudes, proj @ state.amplitudes))) for proj in self.eigenprojectors]
-        )
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if not (abs(total - 1.0) <= 1e-8):
-            raise InvariantError(f"eigenspace probabilities sum to {total!r}, not 1")
-        return probs / total
+SPECTRUM_MEMO = 256  # (P_D, state) pairs whose spectra are kept
 
 
 def _runs(ascending: list[float], tol: float) -> list[tuple[int, int]]:
@@ -79,17 +68,6 @@ def accept_eigenbasis(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def spectral_measurement(accept: np.ndarray) -> SpectralMeasurement:
-    vals, vecs = accept_eigenbasis(accept)
-    eigenvalues = []
-    projectors = []
-    for lo, hi in _runs(vals.tolist(), CLUSTER_TOL):
-        cols = vecs[:, lo:hi]
-        eigenvalues.append(float(vals[lo:hi].mean()))
-        projectors.append(cols @ cols.conj().T)
-    return SpectralMeasurement(tuple(eigenvalues), tuple(projectors))
-
-
 def eigen_coefficients(eigvecs: np.ndarray, state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients <phi_j|psi> of a state in an orthonormal eigenbasis, and
     their Born weights; weights that sum further than 1e-8 from 1 raise
@@ -100,6 +78,59 @@ def eigen_coefficients(eigvecs: np.ndarray, state: StateVector) -> tuple[np.ndar
     if not (abs(total - 1.0) <= 1e-8):
         raise InvariantError(f"Born weights of the state sum to {total!r}, not 1")
     return coef, born
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Checked eigen data of a state under an accept operator; arrays read-only.
+
+    values ascend and vectors holds their eigenvectors as columns; coef are
+    the state's coefficients <phi_j|psi> and born their Born weights.  Each
+    cluster of eigenvalues within CLUSTER_TOL is a [lo, hi) run of columns,
+    and weights holds the clusters' Born weights over their sum.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    coef: np.ndarray
+    born: np.ndarray
+    runs: tuple[tuple[int, int], ...]
+    weights: tuple[float, ...]
+    _clusters: dict[int, tuple[float, StateVector]] = field(default_factory=dict, repr=False)
+
+    def cluster(self, idx: int) -> tuple[float, StateVector]:
+        """(eigenvalue, post state) of cluster idx: the mean of its eigenvalues,
+        and sum_j <phi_j|psi> phi_j over it, normalized; computed on first use."""
+        found = self._clusters.get(idx)
+        if found is None:
+            lo, hi = self.runs[idx]
+            # matmul rounds by layout; the pinned post states came from a column-major copy
+            post = StateVector.from_unnormalized(np.asfortranarray(self.vectors[:, lo:hi]) @ self.coef[lo:hi])
+            value = float(self.values[lo:hi].sum()) / (hi - lo)  # np.mean's sum and division
+            found = self._clusters[idx] = (value, post)
+        return found
+
+
+@lru_cache(maxsize=SPECTRUM_MEMO)
+def _spectrum(accept: bytes, amplitudes: bytes) -> Spectrum:
+    """The spectrum of a state under an accept operator, both given as the bytes of their complex arrays."""
+    state = StateVector(np.frombuffer(amplitudes, dtype=complex))  # the same amplitudes, checked again
+    vals, vecs = accept_eigenbasis(np.frombuffer(accept, dtype=complex).reshape(state.dim, state.dim))
+    coef, born = eigen_coefficients(vecs, state)
+    runs = tuple(_runs(vals.tolist(), CLUSTER_TOL))  # `eigh` sorts, so each cluster is a run of columns
+    probs = np.array([born[lo:hi].sum() for lo, hi in runs])
+    for array in (vals, vecs, coef, born):
+        array.flags.writeable = False
+    return Spectrum(vals, vecs, coef, born, runs, tuple((probs / probs.sum()).tolist()))
+
+
+def spectrum(accept: np.ndarray, state: StateVector) -> Spectrum:
+    """Eigen data of `state` under the accept operator P_D, from the memo when
+    the same bytes were seen before."""
+    accept = np.asarray(accept, dtype=complex)
+    if accept.shape != (state.dim, state.dim):
+        raise DimensionError(f"accept operator of shape {accept.shape} vs state dim {state.dim}")
+    return _spectrum(accept.tobytes(), state.amplitudes.tobytes())
 
 
 def born_draw(p: list[float], rng) -> int:
@@ -129,17 +160,9 @@ def projimp_cluster(accept: np.ndarray, state: StateVector, rng) -> tuple[int, f
     Draws one `rng.random()` uniform, which gives the index `rng.choice`
     would give (`born_draw`).
     """
-    if accept.shape != (state.dim, state.dim):
-        raise DimensionError(f"accept operator of shape {accept.shape} vs state dim {state.dim}")
-    vals, vecs = accept_eigenbasis(accept)
-    coef, born = eigen_coefficients(vecs, state)
-    runs = _runs(vals.tolist(), CLUSTER_TOL)  # `eigh` sorts, so each cluster is a run of columns
-    probs = np.array([born[lo:hi].sum() for lo, hi in runs])
-    idx = born_draw((probs / probs.sum()).tolist(), rng)
-    lo, hi = runs[idx]
-    cols = np.asfortranarray(vecs[:, lo:hi])  # matmul rounds by layout; pinned post states came from column-major
-    post = StateVector.from_unnormalized(cols @ coef[lo:hi])
-    return idx, float(vals[lo:hi].sum()) / (hi - lo), post  # np.mean's sum and division
+    spec = spectrum(accept, state)
+    idx = born_draw(spec.weights, rng)
+    return (idx, *spec.cluster(idx))
 
 
 def projimp(accept: np.ndarray, state: StateVector, rng) -> tuple[float, StateVector]:
@@ -151,67 +174,3 @@ def projimp(accept: np.ndarray, state: StateVector, rng) -> tuple[float, StateVe
     """
     _, value, post = projimp_cluster(accept, state, rng)
     return value, post
-
-
-# ---------------------------------------------------------------------------
-# shift distance between finite outcome distributions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Finite distribution over real outcomes; support ascending, masses positive."""
-
-    support: tuple[float, ...]
-    masses: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.masses) or not self.support:
-            raise DimensionError("support and masses must be nonempty and equal length")
-        if any(b <= a for a, b in zip(self.support, self.support[1:])):
-            raise InvariantError("support must be strictly ascending")
-        if any(m < 0 for m in self.masses):
-            raise InvariantError("masses must be nonnegative")
-        total = reduce(add, self.masses, 0.0)  # left to right: the builtin sum compensates from 3.12 on
-        if abs(total - 1.0) > 1e-9:
-            raise InvariantError(f"masses sum to {total!r}, not 1")
-
-    @classmethod
-    def from_samples(cls, values, bin_resolution: float | None = None) -> "OutcomeDistribution":
-        """Empirical distribution; optionally snap values to a grid of given pitch."""
-        values = np.asarray(values, dtype=float)
-        if bin_resolution is not None:
-            values = np.round(values / bin_resolution) * bin_resolution
-        support, counts = np.unique(values, return_counts=True)
-        return cls(tuple(float(s) for s in support), tuple(float(c) / values.size for c in counts))
-
-    def cdf(self, x: float) -> float:
-        """Pr[X <= x], with a hair of slack so grid points compare as intended."""
-        return float(reduce(add, self.masses[: bisect_right(self.support, x + 1e-12)], 0.0))
-
-    def sf(self, x: float) -> float:
-        """Pr[X >= x]."""
-        return float(reduce(add, self.masses[bisect_left(self.support, x - 1e-12) :], 0.0))
-
-
-def shift_distance(d0: OutcomeDistribution, d1: OutcomeDistribution, eps: float) -> float:
-    """Smallest delta such that each distribution's CDF/SF is dominated by the
-    other's after an eps shift:
-
-        Pr[D0 <= x] <= Pr[D1 <= x + eps] + delta      for all x,
-        Pr[D0 >= x] <= Pr[D1 >= x - eps] + delta      for all x,
-
-    and the same two inequalities with D0 and D1 swapped.
-    """
-    if eps < 0:
-        raise InvariantError("shift parameter must be nonnegative")
-
-    def worst(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
-        gap = 0.0
-        for x in set(a.support) | {s - eps for s in b.support}:
-            gap = max(gap, a.cdf(x) - b.cdf(x + eps))
-        for x in set(a.support) | {s + eps for s in b.support}:
-            gap = max(gap, a.sf(x) - b.sf(x - eps))
-        return gap
-
-    return max(0.0, worst(d0, d1), worst(d1, d0))

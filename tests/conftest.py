@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic rngs, a small watermarking stack, a
 reusable random-program builder for measurement tests, the dense
-operators of the API walk on H_R (x) H, and measurement oracles."""
+operators of the API walk on H_R (x) H, a measurement oracle, and an empty
+spectral memo before every test."""
 
 from __future__ import annotations
 
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import block_diag
 
-from qwmark import elwm, wmprf
+from qwmark import elwm, spectral, wmprf
 from qwmark.crypto import _keyed_coins, _prg, int_to_bits
 from qwmark.errors import InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
-from qwmark.spectral import spectral_measurement
+from spectral_oracles import spectral_measurement
 
 settings.register_profile("repo", derandomize=True, max_examples=25)
 settings.load_profile("repo")
@@ -34,6 +35,12 @@ def child_env(cache: Path, path: Path | None = None) -> dict:
     if path is not None:
         env["PATH"] = str(path)
     return env
+
+
+@pytest.fixture(autouse=True)
+def cold_spectral_memo():
+    """Every test starts with an empty spectral memo, so no result or count depends on test order."""
+    spectral._spectrum.cache_clear()
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import FakeDistribution, projimp_bernoulli_check, random_program, random_triples, rng_for
+from spectral_oracles import OutcomeDistribution, shift_distance, spectral_measurement
 from qwmark import cli, elwm, pirates
 from qwmark.api import ApiParams, api_exact, api_fast, distribution_povm
 from qwmark.crypto import (
@@ -34,12 +35,7 @@ from qwmark.crypto import (
 )
 from qwmark.elwm import ElwmParams, build_distribution
 from qwmark.pe import pe_dec, pe_enc, pe_gen, pe_puncture
-from qwmark.spectral import (
-    OutcomeDistribution,
-    projimp,
-    shift_distance,
-    spectral_measurement,
-)
+from qwmark.spectral import projimp
 from qwmark.wmprf import ExtractParams, classify_events, run_event_trial
 
 ATOL = 1e-8

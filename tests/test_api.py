@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
-from qwmark import api, elwm
+from qwmark import api, elwm, spectral, wmprf
 from qwmark.errors import (
     DegenerateStateError,
     DimensionCapError,
@@ -21,7 +21,6 @@ from qwmark.errors import (
     RoundLimitError,
 )
 from qwmark.qcore import QuantumProgram, UnitaryOracle, program_projectors
-from qwmark.spectral import spectral_measurement
 
 from conftest import (
     FakeDistribution,
@@ -34,6 +33,7 @@ from conftest import (
     random_triples,
     rng_for,
 )
+from spectral_oracles import spectral_measurement
 from qwmark.api import distribution_povm
 from qwmark.pirates import classical_pirate, coin_pirate, honest_pirate, superposed_pirate
 
@@ -747,6 +747,35 @@ def test_engines_share_estimate_law_chi_square():
         merged_exp = np.append(law[keep] * n, law[~keep].sum() * n)
         stat, pval = stats.chisquare(merged_obs, merged_exp)
         assert pval > 0.01
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", ["random", "classical"])
+def test_exact_is_the_same_on_a_cold_and_a_warm_memo(kind, reverse):
+    # the random program's state spreads over several blocks (the block walk),
+    # the classical one's lies in one (the carry chain)
+    prog = random_program(4, "api-memo") if kind == "random" else classical_pirate(lambda x, y: x[0] == "1")
+    dist = FakeDistribution(random_triples(6, "api-memo"))
+    params = api.ApiParams(0.4, 0.4)
+    runs = []
+    for _ in range(2):  # the first run fills the memo, the second hits it
+        local = rng_for(f"api-memo-{kind}-{int(reverse)}")
+        est, post, transcript = api.api_exact(dist, prog, params, local, reverse=reverse)
+        runs.append((est, post.amplitudes.tobytes(), transcript, local.random()))
+    assert runs[1] == runs[0]
+    info = spectral._spectrum.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_spectral_memo_counts_of_one_honest_trial():
+    # the live probe and the k+1 measurements of one game: an honest pirate's
+    # state stays a basis vector, and its five measurements see two distinct (P_D, state)
+    params = wmprf.ExtractParams(k=3, eps=0.25, delta_prime=0.05, s=8)
+    ep = elwm.ElwmParams(4, seed_bits=6, range_bits=12)
+    result = wmprf.run_event_trial(params, honest_pirate, "101", rng_for("api-memo-honest"), elwm_params=ep)
+    assert result.live and result.report.decoded == "101"
+    info = spectral._spectrum.cache_info()
+    assert (info.hits, info.misses) == (3, 2)
 
 
 def test_run_api_dispatch():

@@ -15,9 +15,10 @@ from qwmark.api import distribution_povm
 from qwmark.crypto import _keyed_coins, bits_to_bytes
 from qwmark.errors import DimensionError, FormatError, InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, program_projectors
-from qwmark.spectral import projimp, spectral_measurement
+from qwmark.spectral import projimp
 
 from conftest import FakeDistribution, accept_probability, per_pair, rng_for
+from spectral_oracles import spectral_measurement
 
 
 class ToyCircuit:

@@ -20,6 +20,7 @@ from conftest import (
     random_triples,
     rng_for,
 )
+from spectral_oracles import OutcomeDistribution, SpectralMeasurement, shift_distance, spectral_measurement
 from qwmark.api import distribution_povm
 from qwmark.pirates import classical_pirate, superposed_pirate
 
@@ -57,7 +58,7 @@ def test_mixture_average_equals_running_sum():
 
 
 def test_spectral_measurement_clusters_close_eigenvalues():
-    spec = spectral.spectral_measurement(np.diag([0.5, 0.5 + 1e-12, 0.9]))
+    spec = spectral_measurement(np.diag([0.5, 0.5 + 1e-12, 0.9]))
     assert len(spec.eigenvalues) == 2
     assert abs(spec.eigenvalues[0] - 0.5) < 1e-10
     assert spec.eigenprojectors[0].shape == (3, 3)
@@ -66,20 +67,20 @@ def test_spectral_measurement_clusters_close_eigenvalues():
 
 def test_spectral_measurement_rejects_bad_operators():
     with pytest.raises(InvariantError):
-        spectral.spectral_measurement(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        spectral_measurement(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InvariantError):
-        spectral.spectral_measurement(np.diag([1.5, 0.0]))
+        spectral_measurement(np.diag([1.5, 0.0]))
 
 
 def test_probabilities_born_rule():
-    spec = spectral.spectral_measurement(np.diag([0.2, 0.7]))
+    spec = spectral_measurement(np.diag([0.2, 0.7]))
     psi = StateVector(np.array([0.6, 0.8]))
     probs = spec.probabilities(psi)
     assert np.allclose(probs, [0.36, 0.64])
 
 
 def test_probabilities_reject_nan():
-    spec = spectral.SpectralMeasurement((0.0, 1.0), (np.diag([1.0, 0.0]), np.full((2, 2), np.nan)))
+    spec = SpectralMeasurement((0.0, 1.0), (np.diag([1.0, 0.0]), np.full((2, 2), np.nan)))
     with pytest.raises(InvariantError, match="sum"):
         spec.probabilities(StateVector(np.array([0.6, 0.8])))
 
@@ -252,7 +253,7 @@ def test_projimp_superposed_pirate_mixture_weights():
     f1 = sum(g for g, _, _ in triples) / len(triples)
     assert f1 != 0.5  # seed chosen so the branch eigenvalues stay distinct
     accept = distribution_povm(prog, FakeDistribution(triples))
-    spec = spectral.spectral_measurement(accept)
+    spec = spectral_measurement(accept)
     probs = spec.probabilities(prog.state)
     weight = {round(val, 9): p for val, p in zip(spec.eigenvalues, probs) if p > 1e-12}
     assert set(weight) == {round(f1, 9), round(1 - f1, 9)}
@@ -263,7 +264,7 @@ def test_projimp_superposed_pirate_mixture_weights():
 def projector_cluster(accept: np.ndarray, state: StateVector, rng):
     """`projimp_cluster` through the eigenprojectors of `spectral_measurement`:
     (cluster index, eigenvalue, post amplitudes, cluster probabilities)."""
-    spec = spectral.spectral_measurement(accept)
+    spec = spectral_measurement(accept)
     probs = spec.probabilities(state)
     idx = int(rng.choice(len(probs), p=probs))
     post = StateVector.from_unnormalized(spec.eigenprojectors[idx] @ state.amplitudes)
@@ -366,25 +367,101 @@ def test_projimp_cluster_refuses_an_operator_of_the_wrong_shape():
 
 
 # ---------------------------------------------------------------------------
+# the spectral memo
+# ---------------------------------------------------------------------------
+
+
+def memo_cases(d: int):
+    """(label, accept, state): mixtures of random programs, and mixtures with a
+    repeated or a near-repeated eigenvalue."""
+    for i in range(6):
+        label = f"memo-{d}-{i}"
+        local = rng_for(label)
+        if i % 3 == 1:
+            accept = shared_basis_mixture(d, 3, local)
+        elif i % 3 == 2:
+            accept = near_pair_mixture(d, local)
+        else:
+            prog = random_program(d, label)
+            accept = distribution_povm(prog, FakeDistribution(random_triples(3, label)))
+        yield label, accept, random_state(d, local)
+
+
+def cluster_draws(accept: np.ndarray, state: StateVector, rng, *, cold: bool):
+    """Eight `projimp_cluster` draws from one stream, the memo emptied before
+    each when cold: (idx, value, post bytes) per draw, and the stream's next uniform."""
+    draws = []
+    for _ in range(8):
+        if cold:
+            spectral._spectrum.cache_clear()
+        idx, value, post = spectral.projimp_cluster(accept, state, rng)
+        draws.append((idx, value, post.amplitudes.tobytes()))
+    return draws, rng.random()
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_projimp_cluster_is_the_same_on_a_cold_and_a_warm_memo(d):
+    for label, accept, state in memo_cases(d):
+        cold = cluster_draws(accept, state, rng_for(f"{label}-draw"), cold=True)
+        spectral._spectrum.cache_clear()
+        warm = cluster_draws(accept, state, rng_for(f"{label}-draw"), cold=False)
+        assert warm == cold
+        info = spectral._spectrum.cache_info()
+        assert (info.hits, info.misses) == (7, 1)
+
+
+@pytest.mark.parametrize(
+    "accept, match",
+    [
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+        (np.diag([0.5, 1.0 + 2e-9]), "slack"),
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), "Hermitian"),
+    ],
+)
+def test_spectrum_refuses_a_bad_operator_on_every_call(accept, match):
+    for _ in range(2):
+        with pytest.raises(InvariantError, match=match):
+            spectral.projimp_cluster(accept, StateVector.basis(2, 0), rng_for("memo-bad-draw"))
+    info = spectral._spectrum.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+def test_spectral_memo_is_bounded_and_its_arrays_read_only():
+    state = StateVector.basis(2, 0)
+    operators = [np.diag([i / 1024, 1.0]) for i in range(spectral.SPECTRUM_MEMO + 8)]
+    for accept in operators:
+        spec = spectral.spectrum(accept, state)
+        assert spectral._spectrum.cache_info().currsize <= spectral.SPECTRUM_MEMO
+    assert spectral._spectrum.cache_info().currsize == spectral.SPECTRUM_MEMO
+    for array in (spec.values, spec.vectors, spec.coef, spec.born, spec.cluster(0)[1].amplitudes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert spectral.spectrum(operators[-1], state) is spec
+    misses = spectral._spectrum.cache_info().misses
+    spectral.spectrum(operators[0], state)  # the least recently used, so gone
+    assert spectral._spectrum.cache_info().misses == misses + 1
+
+
+# ---------------------------------------------------------------------------
 # outcome distributions and shift distance
 # ---------------------------------------------------------------------------
 
 
 def test_outcome_distribution_validation():
     with pytest.raises(InvariantError):
-        spectral.OutcomeDistribution((0.3, 0.1), (0.5, 0.5))
+        OutcomeDistribution((0.3, 0.1), (0.5, 0.5))
     with pytest.raises(InvariantError):
-        spectral.OutcomeDistribution((0.1, 0.3), (0.4, 0.4))
+        OutcomeDistribution((0.1, 0.3), (0.4, 0.4))
 
 
 def test_from_samples_bins():
-    d = spectral.OutcomeDistribution.from_samples([0.1001, 0.0999, 0.3], bin_resolution=0.01)
+    d = OutcomeDistribution.from_samples([0.1001, 0.0999, 0.3], bin_resolution=0.01)
     assert d.support == (0.1, 0.3)
     assert abs(d.masses[0] - 2 / 3) < 1e-12
 
 
 def test_cdf_sf_grid_slack():
-    d = spectral.OutcomeDistribution((0.25, 0.75), (0.5, 0.5))
+    d = OutcomeDistribution((0.25, 0.75), (0.5, 0.5))
     assert d.cdf(0.25) == 0.5
     assert d.cdf(0.25 - 1e-13) == 0.5  # slack absorbs float dust
     assert d.cdf(0.2) == 0.0
@@ -403,7 +480,7 @@ def left_to_right(values) -> float:
 def test_cdf_and_sf_sum_left_to_right(masses):
     # the builtin sum compensates from Python 3.12 on; a left fold gives one value on every version
     support = tuple(0.1 * i for i in range(len(masses)))
-    d = spectral.OutcomeDistribution(support, masses)
+    d = OutcomeDistribution(support, masses)
     for i, x in enumerate(support):
         assert d.cdf(x) == left_to_right(masses[: i + 1])
         assert d.sf(x) == left_to_right(masses[i:])
@@ -412,34 +489,34 @@ def test_cdf_and_sf_sum_left_to_right(masses):
 
 
 def test_shift_distance_identical_is_zero():
-    d = spectral.OutcomeDistribution((0.2, 0.8), (0.3, 0.7))
-    assert spectral.shift_distance(d, d, 0.0) == 0.0
+    d = OutcomeDistribution((0.2, 0.8), (0.3, 0.7))
+    assert shift_distance(d, d, 0.0) == 0.0
 
 
 def test_shift_distance_point_masses():
-    a = spectral.OutcomeDistribution((0.3,), (1.0,))
-    b = spectral.OutcomeDistribution((0.5,), (1.0,))
+    a = OutcomeDistribution((0.3,), (1.0,))
+    b = OutcomeDistribution((0.5,), (1.0,))
     # separation 0.2: inside an 0.2 shift the distance vanishes, below it is 1
-    assert spectral.shift_distance(a, b, 0.2) == 0.0
-    assert spectral.shift_distance(a, b, 0.1999) == 1.0
-    assert spectral.shift_distance(a, b, 0.5) == 0.0
+    assert shift_distance(a, b, 0.2) == 0.0
+    assert shift_distance(a, b, 0.1999) == 1.0
+    assert shift_distance(a, b, 0.5) == 0.0
 
 
 def test_shift_distance_symmetric():
     local = rng_for("shift-sym")
     vals_a = np.sort(local.random(4))
     vals_b = np.sort(local.random(3) + 0.2)
-    a = spectral.OutcomeDistribution(tuple(vals_a), (0.1, 0.2, 0.3, 0.4))
-    b = spectral.OutcomeDistribution(tuple(vals_b), (0.3, 0.3, 0.4))
-    assert spectral.shift_distance(a, b, 0.05) == spectral.shift_distance(b, a, 0.05)
+    a = OutcomeDistribution(tuple(vals_a), (0.1, 0.2, 0.3, 0.4))
+    b = OutcomeDistribution(tuple(vals_b), (0.3, 0.3, 0.4))
+    assert shift_distance(a, b, 0.05) == shift_distance(b, a, 0.05)
 
 
 def test_shift_distance_monotone_in_eps():
-    a = spectral.OutcomeDistribution((0.1, 0.4, 0.9), (0.2, 0.5, 0.3))
-    b = spectral.OutcomeDistribution((0.15, 0.55), (0.6, 0.4))
+    a = OutcomeDistribution((0.1, 0.4, 0.9), (0.2, 0.5, 0.3))
+    b = OutcomeDistribution((0.15, 0.55), (0.6, 0.4))
     prev = None
     for eps in (0.0, 0.05, 0.1, 0.2, 0.5):
-        cur = spectral.shift_distance(a, b, eps)
+        cur = shift_distance(a, b, eps)
         if prev is not None:
             assert cur <= prev + 1e-12
         prev = cur
@@ -447,6 +524,6 @@ def test_shift_distance_monotone_in_eps():
 
 def test_shift_distance_partial_mass():
     # mass 0.3 escapes any 0.1-window around the other support point
-    a = spectral.OutcomeDistribution((0.0, 1.0), (0.7, 0.3))
-    b = spectral.OutcomeDistribution((0.0,), (1.0,))
-    assert abs(spectral.shift_distance(a, b, 0.1) - 0.3) < 1e-12
+    a = OutcomeDistribution((0.0, 1.0), (0.7, 0.3))
+    b = OutcomeDistribution((0.0,), (1.0,))
+    assert abs(shift_distance(a, b, 0.1) - 0.3) < 1e-12

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from qwmark import api, cli, crypto, elwm, pe
+from qwmark import api, cli, crypto, elwm, pe, spectral
 from qwmark.crypto import GgmKey, InjectivePprfKey, keyed_rand
 
 from conftest import FakeDistribution, random_program, random_triples, rng_for
@@ -338,3 +338,19 @@ def test_exact_experiment_artifact_digests(tmp_path, capsys):
     capsys.readouterr()
     assert rows_sha == EXACT_ROWS_SHA
     assert summary_sha == EXACT_SUMMARY_SHA
+
+
+def test_pinned_digests_hold_with_the_spectral_memo_cleared_and_warm(tmp_path, capsys):
+    # the memo is empty when the test starts; the second pass measures on
+    # every spectrum the first one left in it
+    for memo in ("cleared", "warm"):
+        (tmp_path / memo).mkdir()
+        assert exact_walk_vectors() == EXACT_WALK
+        assert experiment_digests(tmp_path / memo) == (ROWS_SHA, SUMMARY_SHA)
+        (tmp_path / memo / "exact").mkdir()
+        assert experiment_digests(tmp_path / memo / "exact", EXACT_EXPERIMENT_CONFIG) == (EXACT_ROWS_SHA, EXACT_SUMMARY_SHA)
+        if memo == "cleared":
+            first = spectral._spectrum.cache_info()
+    capsys.readouterr()
+    info = spectral._spectrum.cache_info()
+    assert info.misses == first.misses and info.hits > first.hits
