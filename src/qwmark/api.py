@@ -155,7 +155,8 @@ def distribution_povm(prog: QuantumProgram, dist) -> np.ndarray:
     P_D is the checked member stack summed over axis 0 and divided by s: the
     sum of a C-contiguous stack adds the members in order, so this is the
     left-to-right running sum bit for bit, and any other reduction changes the
-    eigenbasis `eigh` returns.
+    eigenbasis `eigh` returns.  A member memo hit holds the bytes a miss
+    computes, so P_D is the same bytes cold or warm (`program_projectors`).
     """
     stack = program_projectors(prog, dist)
     return stack.sum(0) / len(stack)

@@ -10,9 +10,9 @@ U_{x,y} and reading its first qubit, so the projector onto answer b is
 
 A distribution's projectors live in one (s, d, d) stack built by
 `program_projectors`: the oracle returns the matrices of all s queries in one
-call, they are checked for unitarity in one batched product, and
-`check_projectors` checks the stack for Hermiticity and idempotence as a
-whole.
+call, and each member's projector comes from a bounded memo keyed by the bytes
+of its matrix and its answer bit.  A miss checks that member for unitarity and
+with `check_projectors`; a hit, on byte-identical input, returns the same bytes.
 
 Everything is dense complex numpy; dimensions are desk-scale and capped at
 DIMENSION_CAP.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,8 @@ UNITARY_TOL = 1e-9
 PROJECTOR_TOL = 1e-9
 
 DIMENSION_CAP = 256
+PROJECTOR_MEMO = 256  # checked member projectors kept
+MEMO_DIM = 16  # the memos keep inputs of at most this dimension, so each stays under 4 MiB; larger ones are not kept
 
 
 def check_dimension(dim: int, *, require_power_of_two: bool = False, what: str = "dimension") -> int:
@@ -109,27 +112,13 @@ class UnitaryOracle:
 
     `stack(pairs)` returns the (len(pairs), d, d) array of U_{x,y} over a list
     of query pairs, in order.  It must be referentially transparent: the same
-    pair gives the same matrix wherever it stands in a batch.  Unitarity is
-    checked on every call, so an oracle that breaks that rule is caught on the
-    first call that returns a non-unitary matrix.
+    pair gives the same matrix wherever it stands in a batch.  Every matrix it
+    returns is checked by the bytes it holds, so an oracle that breaks that
+    rule is caught on the first call that returns a non-unitary matrix.
     """
 
     dim: int
     stack: Callable[[list[tuple[str, str]]], np.ndarray]
-
-    def matrices(self, pairs) -> np.ndarray:
-        """(n, d, d) stack of U_{x,y} over the query pairs, in order, from one
-        call of `stack`, each member checked for unitarity in one batched
-        product."""
-        pairs = list(pairs)
-        mats = np.asarray(self.stack(pairs), dtype=complex)
-        if mats.shape != (len(pairs), self.dim, self.dim):
-            raise DimensionError(f"oracle returned shape {mats.shape}, expected {(len(pairs), self.dim, self.dim)}")
-        dev = np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(self.dim))
-        if not (dev.max(initial=0.0) <= UNITARY_TOL):
-            x, y = next(pair for pair, member in zip(pairs, dev) if not (member.max() <= UNITARY_TOL))
-            raise InvariantError(f"oracle matrix for ({x!r}, {y!r}) is not unitary")
-        return mats
 
 
 @dataclass(frozen=True)
@@ -168,12 +157,25 @@ def check_projectors(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=PROJECTOR_MEMO)
+def _checked_projector(u: bytes, dim: int, b: int) -> bytes | None:
+    """The bytes of the accept projector U_b^dag U_b of one oracle matrix U,
+    given as the bytes of its complex (dim, dim) array, once `check_projectors`
+    has passed it; None when U is not unitary within UNITARY_TOL."""
+    mat = np.frombuffer(u, dtype=complex).reshape(dim, dim)
+    if not (np.abs(mat @ mat.conj().T - np.eye(dim)).max() <= UNITARY_TOL):
+        return None
+    rows = mat[b * (dim // 2) : (b + 1) * (dim // 2)]
+    return check_projectors((rows.conj().T @ rows)[None]).tobytes()
+
+
 def program_projectors(prog: QuantumProgram, triples) -> np.ndarray:
     """Read-only (s, d, d) stack of the accept projectors of (b, x, y) triples.
 
     P = U^dag Pi_b U where Pi_b keeps the half of the index space whose first
-    qubit reads b.  Each member is computed as U_b^dag U_b from the b-half
-    rows of U; the whole stack goes through `check_projectors`.
+    qubit reads b, computed as U_b^dag U_b from the b-half rows of U.  The
+    oracle's `stack` runs once; each member, in order, is checked for
+    unitarity and then as a projector, or found checked in the memo.
     """
     if not triples:
         raise DimensionError("a projector stack needs at least one triple")
@@ -182,6 +184,14 @@ def program_projectors(prog: QuantumProgram, triples) -> np.ndarray:
     if bad:
         raise InvariantError(f"answer bit must be 0 or 1, got {bad[0]!r}")
     d = prog.dim
-    us = prog.unitaries.matrices([(x, y) for _, x, y in triples])
-    rows = us.reshape(len(bits), 2, d // 2, d)[np.arange(len(bits)), np.array(bits, dtype=np.intp)]
-    return check_projectors(rows.conj().transpose(0, 2, 1) @ rows)
+    pairs = [(x, y) for _, x, y in triples]
+    mats = np.asarray(prog.unitaries.stack(pairs), dtype=complex)
+    if mats.shape != (len(pairs), d, d):
+        raise DimensionError(f"oracle returned shape {mats.shape}, expected {(len(pairs), d, d)}")
+    raw, size = mats.tobytes(), mats.itemsize * d * d
+    checked = _checked_projector if d <= MEMO_DIM else _checked_projector.__wrapped__
+    members = [checked(raw[r * size : (r + 1) * size], d, b) for r, b in enumerate(bits)]
+    if None in members:
+        x, y = pairs[members.index(None)]
+        raise InvariantError(f"oracle matrix for ({x!r}, {y!r}) is not unitary")
+    return np.frombuffer(b"".join(members), dtype=complex).reshape(len(pairs), d, d)

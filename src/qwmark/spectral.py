@@ -10,14 +10,15 @@ Bernoulli(p) draw, reproduces the original POVM's statistics exactly.
 
 Every measurement takes its eigen data from `spectrum(accept, state)`, a memo
 keyed by the bytes of the complex P_D and of the state's amplitudes and
-bounded to SPECTRUM_MEMO entries, least recently used first out.  A classical
+bounded to SPECTRUM_MEMO entries of dimension at most MEMO_DIM, least recently
+used first out; a larger pair is decomposed on every call.  A classical
 or perfect pirate's P_D takes few values and its state is a basis vector up to
 phase, so a game diagonalizes the same pair again and again.  A miss runs every
 check (Hermiticity, eigenvalue slack, Born sum) on its input; a hit has
 byte-identical input, so it returns the same read-only arrays and the same
 verdict.  A raised check is never stored.  The draws are not memoized: each
 measurement makes its own `born_draw`, so the rng stream is the same with a
-cold memo or a warm one.
+cold memo or a warm one; the checked cdf of a weight tuple has its own memo.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionError, EigensolverError, InvariantError
-from .qcore import StateVector
+from .qcore import MEMO_DIM, StateVector
 
 EIGENVALUE_SLACK = 1e-9  # clamp eigenvalues this far outside [0, 1]; error beyond
 CLUSTER_TOL = 1e-9  # eigenvalues this close are one eigenvalue of P_D
@@ -130,7 +131,21 @@ def spectrum(accept: np.ndarray, state: StateVector) -> Spectrum:
     accept = np.asarray(accept, dtype=complex)
     if accept.shape != (state.dim, state.dim):
         raise DimensionError(f"accept operator of shape {accept.shape} vs state dim {state.dim}")
-    return _spectrum(accept.tobytes(), state.amplitudes.tobytes())
+    memo = _spectrum if state.dim <= MEMO_DIM else _spectrum.__wrapped__
+    return memo(accept.tobytes(), state.amplitudes.tobytes())
+
+
+@lru_cache(maxsize=SPECTRUM_MEMO)
+def _born_cdf(p: tuple[float, ...]) -> tuple[float, ...]:
+    """The running sums of the checked Born weights p, each divided by the last (`born_draw`)."""
+    if not all(w >= 0.0 for w in p):
+        raise InvariantError(f"Born weights {p!r} are not all nonnegative")
+    total = math.fsum(p)
+    if not (abs(total - 1.0) <= CHOICE_ATOL):
+        raise InvariantError(f"Born weights sum to {total!r}, not 1")
+    cdf = list(accumulate(p))
+    last = cdf[-1]
+    return tuple(c / last for c in cdf)
 
 
 def born_draw(p: list[float], rng) -> int:
@@ -139,16 +154,10 @@ def born_draw(p: list[float], rng) -> int:
     by the last running sum, exceeds the uniform.
 
     Negative or NaN weights, or a sum further than CHOICE_ATOL from 1,
-    raise InvariantError where `choice` raises ValueError.
+    raise InvariantError where `choice` raises ValueError, before the draw.
     """
-    if not all(w >= 0.0 for w in p):
-        raise InvariantError(f"Born weights {p!r} are not all nonnegative")
-    total = math.fsum(p)
-    if not (abs(total - 1.0) <= CHOICE_ATOL):
-        raise InvariantError(f"Born weights sum to {total!r}, not 1")
-    cdf = list(accumulate(p))
-    last = cdf[-1]
-    return bisect_right([c / last for c in cdf], rng.random())
+    p = tuple(p)
+    return bisect_right((_born_cdf if len(p) <= MEMO_DIM else _born_cdf.__wrapped__)(p), rng.random())
 
 
 def projimp_cluster(accept: np.ndarray, state: StateVector, rng) -> tuple[int, float, StateVector]:

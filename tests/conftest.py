@@ -1,7 +1,7 @@
 """Shared fixtures: deterministic rngs, a small watermarking stack, a
-reusable random-program builder for measurement tests, the dense
-operators of the API walk on H_R (x) H, a measurement oracle, and an empty
-spectral memo before every test."""
+reusable random-program builder for measurement tests, an oracle's checked
+matrices, the dense operators of the API walk on H_R (x) H, a measurement
+oracle, and empty measurement memos before every test."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import block_diag
 
-from qwmark import elwm, spectral, wmprf
+from qwmark import elwm, qcore, spectral, wmprf
 from qwmark.crypto import _keyed_coins, _prg, int_to_bits
 from qwmark.errors import InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
@@ -39,8 +39,11 @@ def child_env(cache: Path, path: Path | None = None) -> dict:
 
 @pytest.fixture(autouse=True)
 def cold_spectral_memo():
-    """Every test starts with an empty spectral memo, so no result or count depends on test order."""
+    """Every test starts with empty projector, spectral and Born-draw memos, so
+    no result or count depends on test order."""
+    qcore._checked_projector.cache_clear()
     spectral._spectrum.cache_clear()
+    spectral._born_cdf.cache_clear()
 
 
 @pytest.fixture
@@ -77,6 +80,20 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 def per_pair(evaluate):
     """An oracle `stack` built one pair at a time from the rule evaluate(x, y)."""
     return lambda pairs: np.array([evaluate(x, y) for x, y in pairs], dtype=complex)
+
+
+def oracle_matrices(oracle: UnitaryOracle, pairs) -> np.ndarray:
+    """The (n, d, d) stack one call of the oracle's `stack` returns over the
+    query pairs, once `program_projectors` has checked every member of it."""
+    pairs, returned = list(pairs), []
+
+    def stack(batch):
+        returned.append(oracle.stack(batch))
+        return returned[-1]
+
+    prog = QuantumProgram(StateVector.basis(oracle.dim, 0), UnitaryOracle(oracle.dim, stack))
+    program_projectors(prog, [(0, x, y) for x, y in pairs])
+    return np.asarray(returned[0], dtype=complex)
 
 
 def random_program(dim: int, seed: str) -> QuantumProgram:

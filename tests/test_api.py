@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
-from qwmark import api, elwm, spectral, wmprf
+from qwmark import api, elwm, pirates, qcore, spectral, wmprf
 from qwmark.errors import (
     DegenerateStateError,
     DimensionCapError,
@@ -776,6 +776,61 @@ def test_spectral_memo_counts_of_one_honest_trial():
     assert result.live and result.report.decoded == "101"
     info = spectral._spectrum.cache_info()
     assert (info.hits, info.misses) == (3, 2)
+
+
+MEMO_PIRATES = (
+    {"kind": "honest"},
+    {"kind": "anti"},
+    {"kind": "noisy", "eta": 0.3},
+    {"kind": "coin"},
+    {"kind": "superposed", "theta": 0.7},
+)
+
+
+@pytest.mark.parametrize("spec", MEMO_PIRATES, ids=lambda spec: spec["kind"])
+def test_accept_operators_are_the_same_bytes_with_the_member_memo_cold_and_warm(spec, small_stack):
+    # a game's RealD and Sim distributions, each P_D built from an empty member
+    # memo, then twice from a full one
+    prog = pirates.build_pirate(pirates.PirateSpec.from_dict(spec), small_stack["circuit"])
+    ep, s, coin_key = small_stack["elwm_params"], small_stack["params"].s, small_stack["coin_key"]
+    dists = [elwm.build_distribution(None, params=ep, s=s, master_seed=b"memo", coin_key=coin_key, prfk=small_stack["prfk"])]
+    for i in range(1, ep.msg_bits + 1):
+        dists.append(elwm.build_distribution(i, params=ep, s=s, master_seed=b"memo", coin_key=coin_key, tag=small_stack["tag"]))
+    cold = []
+    for dist in dists:
+        qcore._checked_projector.cache_clear()
+        cold.append(distribution_povm(prog, dist).tobytes())
+    assert [distribution_povm(prog, dist).tobytes() for dist in dists] == cold
+    misses = qcore._checked_projector.cache_info().misses
+    assert [distribution_povm(prog, dist).tobytes() for dist in dists] == cold
+    info = qcore._checked_projector.cache_info()
+    # every CLI pirate's members are I and X, or their interleavings, under b = 0 and 1
+    assert info.misses == misses and info.currsize <= 4
+
+
+def test_memo_counts_of_twenty_honest_trials():
+    # the live probe and the k+1 measurements of twenty games: an honest
+    # pirate's members are I and X under b = 0 and 1, and its Born weights
+    # take few values
+    params = wmprf.ExtractParams(k=3, eps=0.25, delta_prime=0.05, s=8)
+    ep = elwm.ElwmParams(4, seed_bits=6, range_bits=12)
+    rng = rng_for("api-memo-honest-20")
+    for _ in range(20):
+        assert wmprf.run_event_trial(params, honest_pirate, "101", rng, elwm_params=ep).report.decoded == "101"
+    members, cdfs = qcore._checked_projector.cache_info(), spectral._born_cdf.cache_info()
+    assert (members.hits, members.misses) == (20 * 5 * 8 - 4, 4)
+    assert (cdfs.hits, cdfs.misses) == (20 * 5 - 2, 2)
+
+
+def test_no_memo_keeps_a_program_above_memo_dim():
+    # a d = 64 program's members and spectrum are computed and checked on
+    # every call, by the same functions, and kept by neither memo
+    prog = random_program(64, "api-memo-d64")
+    dist = FakeDistribution(random_triples(3, "api-memo-d64"))
+    draws = [spectral.projimp_cluster(distribution_povm(prog, dist), prog.state, rng_for("api-memo-d64-draw")) for _ in range(2)]
+    assert draws[0][:2] == draws[1][:2] and draws[0][2].amplitudes.tobytes() == draws[1][2].amplitudes.tobytes()
+    for memo in (qcore._checked_projector, spectral._spectrum):
+        assert memo.cache_info().misses == memo.cache_info().currsize == 0
 
 
 def test_run_api_dispatch():

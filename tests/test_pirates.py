@@ -17,7 +17,7 @@ from qwmark.errors import DimensionError, FormatError, InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, program_projectors
 from qwmark.spectral import projimp
 
-from conftest import FakeDistribution, accept_probability, per_pair, rng_for
+from conftest import FakeDistribution, accept_probability, oracle_matrices, per_pair, rng_for
 from spectral_oracles import spectral_measurement
 
 
@@ -299,7 +299,7 @@ def test_batched_stack_matches_the_per_pair_reference(kind, queries, eta):
     # one run per query of each branch that reads the circuit, branch by branch, in batch order
     readers = [part for part in kind.split(":") if part in ("honest", "anti", "noisy")]
     assert counting.asked == [x for _ in readers for x, _ in pairs]
-    assert np.array_equal(prog.unitaries.matrices(pairs), expected)
+    assert np.array_equal(oracle_matrices(prog.unitaries, pairs), expected)
 
 
 @settings(max_examples=30)
@@ -314,7 +314,7 @@ def test_the_first_non_unitary_member_of_a_stack_is_named(queries, data):
     )
     for branches in ((pirates.honest_pirate(circ), leaky), (leaky, pirates.coin_pirate())):
         with pytest.raises(InvariantError, match=re.escape(f"({bad[0]!r}, {bad[1]!r})")):
-            pirates.superposed_pirate(0.4, *branches).unitaries.matrices(pairs)
+            oracle_matrices(pirates.superposed_pirate(0.4, *branches).unitaries, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""State vectors, oracle unitarity checks, and acceptance projectors."""
+"""State vectors, oracle unitarity checks, acceptance projectors, and the
+memo of checked members."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +16,16 @@ from qwmark.errors import (
     InvariantError,
 )
 
-from conftest import accept_probability, expectation, haar_unitary, per_pair, random_program, rng_for
+from conftest import (
+    accept_probability,
+    expectation,
+    haar_unitary,
+    oracle_matrices,
+    per_pair,
+    random_program,
+    random_triples,
+    rng_for,
+)
 
 
 def test_state_vector_validation():
@@ -99,7 +111,7 @@ def test_projector_expectation():
 def test_unitary_oracle_rejects_non_unitary():
     bad = qcore.UnitaryOracle(2, per_pair(lambda x, y: np.array([[1.0, 0.0], [0.0, 2.0]])))
     with pytest.raises(InvariantError):
-        bad.matrices([("0", "0")])
+        oracle_matrices(bad, [("0", "0")])
 
 
 def test_unitary_oracle_rechecks_only_new_points():
@@ -110,8 +122,8 @@ def test_unitary_oracle_rechecks_only_new_points():
         return np.eye(2, dtype=complex)[None].repeat(len(pairs), 0)
 
     oracle = qcore.UnitaryOracle(2, stack)
-    oracle.matrices([("0", "1")])
-    oracle.matrices([("0", "1")])
+    oracle_matrices(oracle, [("0", "1")])
+    oracle_matrices(oracle, [("0", "1")])
     # the stack runs on every call (no matrix cache) but both calls succeed
     assert calls == [[("0", "1")], [("0", "1")]]
 
@@ -126,7 +138,7 @@ def test_oracle_batch_rejects_non_unitary_at_any_position(position):
 
     oracle = qcore.UnitaryOracle(2, per_pair(build))
     with pytest.raises(InvariantError, match=repr(bad_y)):
-        oracle.matrices(pairs)
+        oracle_matrices(oracle, pairs)
 
 
 def test_oracle_batch_rejects_nan_matrices():
@@ -135,7 +147,7 @@ def test_oracle_batch_rejects_nan_matrices():
 
     oracle = qcore.UnitaryOracle(2, per_pair(build))
     with pytest.raises(InvariantError, match=repr("1")):
-        oracle.matrices([("0", "0"), ("0", "1")])
+        oracle_matrices(oracle, [("0", "0"), ("0", "1")])
 
 
 def test_oracle_batch_checks_every_pair_on_every_call():
@@ -149,9 +161,9 @@ def test_oracle_batch_checks_every_pair_on_every_call():
         return scale * np.eye(2)
 
     oracle = qcore.UnitaryOracle(2, per_pair(build))
-    assert np.array_equal(oracle.matrices([("0", "0"), ("0", "1")]), np.stack([np.eye(2)] * 2))
+    assert np.array_equal(oracle_matrices(oracle, [("0", "0"), ("0", "1")]), np.stack([np.eye(2)] * 2))
     with pytest.raises(InvariantError, match=r"\('0', '1'\)"):
-        oracle.matrices([("1", "1"), ("0", "1")])
+        oracle_matrices(oracle, [("1", "1"), ("0", "1")])
     assert calls == [("0", "0"), ("0", "1"), ("1", "1"), ("0", "1")]
 
 
@@ -165,7 +177,7 @@ def test_oracle_batch_checks_each_pair_once():
         return np.stack([(-1.0) ** (r + len(calls)) * np.eye(2) for r in range(len(pairs))])
 
     pairs = [("0", "0"), ("0", "1"), ("0", "0")]
-    mats = qcore.UnitaryOracle(2, stack).matrices(pairs)
+    mats = oracle_matrices(qcore.UnitaryOracle(2, stack), pairs)
     assert calls == [pairs]
     assert np.array_equal(mats, np.stack([-np.eye(2), np.eye(2), -np.eye(2)]))
 
@@ -178,7 +190,7 @@ def test_oracle_batch_rejects_wrong_shapes():
     )
     for stack in stacks:
         with pytest.raises(DimensionError):
-            qcore.UnitaryOracle(2, stack).matrices([("0", "0"), ("1", "0")])
+            oracle_matrices(qcore.UnitaryOracle(2, stack), [("0", "0"), ("1", "0")])
 
 
 def test_program_projector_is_a_slice_of_the_stack():
@@ -253,3 +265,99 @@ def test_with_state_preserves_oracle():
 def test_haar_unitary_fixture_is_unitary():
     u = haar_unitary(6, rng_for("qc-haar"))
     assert np.allclose(u @ u.conj().T, np.eye(6), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the memo of checked members
+# ---------------------------------------------------------------------------
+
+
+def memo_counts() -> tuple[int, int, int]:
+    info = qcore._checked_projector.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_program_projectors_are_the_same_bytes_with_the_member_memo_cold_and_warm(d):
+    # each distribution repeats a pair under both bits, so a warm memo serves
+    # members the same call has just computed
+    for i in range(6):
+        prog = random_program(d, f"qc-memo-{d}-{i}")
+        triples = list(random_triples(4, f"qc-memo-{d}-{i}")) * 2
+        triples += [(1 - b, x, y) for b, x, y in triples[:2]]
+        cold = []
+        for _ in range(2):
+            qcore._checked_projector.cache_clear()
+            cold.append(qcore.program_projectors(prog, triples).tobytes())
+        warm = qcore.program_projectors(prog, triples)
+        assert cold[0] == cold[1] == warm.tobytes()
+        assert not warm.flags.writeable
+        assert memo_counts() == (4 + 10, 6, 6)  # 6 distinct members: 4 hits on the cold call, 10 on the warm one
+
+
+def pair_oracle(bad_pair, bad_matrix, d: int = 2):
+    """An identity oracle on every pair but one."""
+    return qcore.UnitaryOracle(d, per_pair(lambda x, y: bad_matrix if (x, y) == bad_pair else np.eye(d)))
+
+
+@pytest.mark.parametrize("bad_matrix", [np.diag([1.0, 2.0]), np.full((2, 2), np.nan)], ids=["non-unitary", "nan"])
+def test_a_bad_member_is_refused_on_every_call_naming_its_pair(bad_matrix):
+    prog = qcore.QuantumProgram(qcore.StateVector.basis(2, 0), pair_oracle(("01", "1"), bad_matrix))
+    triples = [(0, "00", "0"), (1, "01", "1"), (0, "01", "1")]
+    for _ in range(3):
+        with pytest.raises(InvariantError, match=re.escape("('01', '1') is not unitary")):
+            qcore.program_projectors(prog, triples)
+    assert memo_counts() == (6, 3, 3)  # the verdict of each distinct member is kept, the projector of none raised
+
+
+def nearly_unitary_non_projector() -> np.ndarray:
+    """A d = 4 matrix U with |U U^dag - I| <= 0.9e-9 entrywise whose b = 0 projector
+    U_0^dag U_0 misses idempotence by about 1.8e-9: (I + gJ) H on the first two
+    indices, J the all-ones 2x2 and H the Hadamard."""
+    g = 0.45e-9
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    u = np.eye(4, dtype=complex)
+    u[:2, :2] = (np.eye(2) + g * np.ones((2, 2))) @ hadamard
+    return u
+
+
+def test_a_unitary_member_that_is_no_projector_raises_on_every_call():
+    u = nearly_unitary_non_projector()
+    assert np.abs(u @ u.conj().T - np.eye(4)).max() <= qcore.UNITARY_TOL
+    prog = qcore.QuantumProgram(qcore.StateVector.basis(4, 0), pair_oracle(("1", "0"), u, 4))
+    assert qcore.program_projectors(prog, [(1, "1", "0")]).shape == (1, 4, 4)  # its b = 1 half is a projector
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="idempotent"):
+            qcore.program_projectors(prog, [(0, "0", "0"), (0, "1", "0")])
+    assert memo_counts() == (1, 4, 2)  # the identity's member was kept, the raised one missed both times
+
+
+def test_the_oracle_stack_runs_once_per_call_with_a_warm_memo():
+    calls = []
+
+    def stack(pairs):
+        calls.append(list(pairs))
+        return np.eye(2, dtype=complex)[None].repeat(len(pairs), 0)
+
+    prog = qcore.QuantumProgram(qcore.StateVector.basis(2, 0), qcore.UnitaryOracle(2, stack))
+    triples = [(0, "0", "1"), (1, "1", "1"), (0, "0", "1")]
+    for _ in range(3):
+        qcore.program_projectors(prog, triples)
+    assert calls == [[("0", "1"), ("1", "1"), ("0", "1")]] * 3
+    assert memo_counts() == (7, 2, 2)
+
+
+def test_member_memo_is_bounded_least_recently_used_out():
+    prog = qcore.QuantumProgram(
+        qcore.StateVector.basis(2, 0),
+        qcore.UnitaryOracle(2, per_pair(lambda x, y: np.diag([1.0, np.exp(1j * int(x, 2) / 1024)]))),
+    )
+    first = qcore.program_projectors(prog, [(0, "0", "0")])
+    for i in range(1, qcore.PROJECTOR_MEMO + 1):
+        qcore.program_projectors(prog, [(0, format(i, "b"), "0")])
+    assert memo_counts() == (0, qcore.PROJECTOR_MEMO + 1, qcore.PROJECTOR_MEMO)
+    again = qcore.program_projectors(prog, [(0, "0", "0")])  # the least recently used, so gone
+    assert memo_counts()[1] == qcore.PROJECTOR_MEMO + 2
+    assert again.tobytes() == first.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        again[0, 0, 0] = 0

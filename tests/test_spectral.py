@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qwmark import spectral
 from qwmark.errors import DimensionError, InvariantError
-from qwmark.qcore import StateVector, check_projectors, program_projectors
+from qwmark.qcore import MEMO_DIM, StateVector, check_projectors, program_projectors
 
 from conftest import (
     FakeDistribution,
@@ -180,6 +180,45 @@ def test_born_draw_refuses_what_rng_choice_refuses(p):
     with pytest.raises(InvariantError):
         spectral.born_draw(p, ours)
     assert ours.random() == theirs.random()
+
+
+def born_draws(p, seed: int, *, cold: bool) -> tuple[list[int], float]:
+    """Twelve draws of p from one stream, the cdf memo emptied before each when
+    cold, and the stream's next uniform."""
+    rng, draws = np.random.default_rng(seed), []
+    for _ in range(12):
+        if cold:
+            spectral._born_cdf.cache_clear()
+        draws.append(spectral.born_draw(p, rng))
+    return draws, rng.random()
+
+
+@pytest.mark.parametrize("p", [(0.25, 0.75), [0.0, 0.5, 0.0, 0.5], (1 / 3,) * 3, [0.5, 0.5 - 1e-8], (1 / 16,) * 16])
+def test_born_draw_is_the_same_with_its_memo_cold_and_warm(p):
+    cold = born_draws(p, 7, cold=True)
+    spectral._born_cdf.cache_clear()
+    assert born_draws(p, 7, cold=False) == cold
+    info = spectral._born_cdf.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (11, 1, 1)
+    assert isinstance(spectral._born_cdf(tuple(p)), tuple)  # nothing a caller could change
+
+
+@pytest.mark.parametrize("p", [[-0.25, 1.25], [np.nan, 1.0], [0.5, 0.5 + 2 * spectral.CHOICE_ATOL]])
+def test_born_draw_refuses_on_every_call_and_keeps_no_refusal(p):
+    ours, theirs = rng_for("born-memo-refusal"), rng_for("born-memo-refusal")
+    for _ in range(2):
+        with pytest.raises(InvariantError):
+            spectral.born_draw(p, ours)
+    info = spectral._born_cdf.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+    assert ours.random() == theirs.random()
+
+
+def test_born_draw_keeps_no_weights_longer_than_memo_dim():
+    for n in (MEMO_DIM + 1, MEMO_DIM):
+        p = [1.0 / n] * n
+        assert born_draws(p, 3, cold=False) == born_draws(p, 3, cold=True)
+        assert spectral._born_cdf.cache_info().currsize == (n == MEMO_DIM)
 
 
 # ---------------------------------------------------------------------------
