@@ -29,9 +29,12 @@ Conventions
   it.  ``_plaintexts`` maps each PE ciphertext made since it was last emptied
   to its plaintext, keyed by the seeds of F, of F's mask and of G, ell and
   the ciphertext; ``pe`` fills it on every encryption, Sim's included, and
-  answers a decryption from it before it walks.  Both are exact: a hit
-  returns what the walk would.  ``forget_leaves`` empties both: a game calls
-  it before it generates fresh keys.
+  answers a decryption from it before it walks.  ``forget_leaves`` empties
+  both: a game calls it before it generates fresh keys.  ``_prg`` memoizes
+  the PRG in an LRU of ``_PRG_MEMO_SIZE`` entries, which ``forget_leaves``
+  keeps, since the PRG takes no key: the marked circuit answers a biting Sim
+  query with PRG(s), and a game has only 2^seed_bits seeds s.  Each memo is
+  exact: a hit returns what the hash would.
 * Every serialized key, tag and circuit is built from one record layout,
   written by ``write_record`` and read by ``read_record``: u16 fields, then
   the u16 length of each blob, then the blobs, all big-endian.  A truncated,
@@ -51,6 +54,7 @@ from . import native
 from .errors import FormatError, IndexRangeError, LengthError
 
 SEED_BYTES = 16
+_PRG_MEMO_SIZE = 1024  # 16 times the 2^seed_bits PRG seeds of a game at seed_bits = 6
 
 # ---------------------------------------------------------------------------
 # bit-string helpers
@@ -160,6 +164,7 @@ def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
     return int_to_bits(_stream(seed, out_bits, domain), out_bits)
 
 
+@lru_cache(maxsize=_PRG_MEMO_SIZE)
 def _prg(seed: int, width: int, out_bits: int) -> int:
     """Bit-level PRG of a `width`-bit seed, used by the encryption layers (e.g. length doubling)."""
     return _stream(b"bits|" + _pack(seed, width) + struct.pack(">I", width), out_bits, b"prg")

@@ -21,6 +21,14 @@
  * which walk runs.  The SHA-NI walk takes about 60 ns a node against about
  * 85 ns through libcrypto, on a Xeon of a shared 2-vCPU host.
  *
+ * One node waits on the 32 dependent sha256rnds2 of its parent's, so a lone
+ * walk runs at the latency of that chain.  The Sim kernel walks two records
+ * at once: walk2_sha_ni runs their two paths as two lanes, alternating their
+ * rounds group by group, and the CPU overlaps the two chains: 40-46 ns a
+ * node each on the same host, where a lone walk took 60-66 ns.  An odd last
+ * record walks alone, and the libcrypto walk takes the two paths one after
+ * the other.
+ *
  * The leaf blocks, the keyed coins and the PRG blocks hash through libcrypto's
  * low-level SHA256_Init/Update/Final, which OpenSSL 3 deprecates but still
  * exports; the EVP interface costs several times the hash on a 21-byte
@@ -112,6 +120,8 @@ static void walk_libcrypto(const unsigned char *seed, const unsigned char *path,
 #include <cpuid.h>
 #include <smmintrin.h>
 
+#define SHA_NI_TARGET __attribute__((target("sha,ssse3,sse4.1")))
+
 /* The SHA-256 round constants; ROUNDS loads words 4g .. 4g + 3 as one register. */
 static const unsigned K[64] __attribute__((aligned(16))) = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -124,72 +134,117 @@ static const unsigned K[64] __attribute__((aligned(16))) = {
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
-/* Rounds 4g .. 4g + 3 of the state abef, cdgh on the message words w, which
- * hold W[4g .. 4g + 3].  The schedule runs three groups ahead: groups 3 to 14
- * finish W[4g + 4 ..] in `next` from `prev` and w, and groups 1 to 12 start
- * W[4g + 12 ..] in `prev`. */
-#define ROUNDS(g, w, prev, next)                                                                                \
-    do {                                                                                                        \
-        __m128i wk = _mm_add_epi32(w, _mm_load_si128((const __m128i *)K + (g)));                                \
-        cdgh = (__m128i)__builtin_ia32_sha256rnds2((__v4si)cdgh, (__v4si)abef, (__v4si)wk);                     \
-        if ((g) >= 3 && (g) <= 14)                                                                              \
-            next = (__m128i)__builtin_ia32_sha256msg2((__v4si)_mm_add_epi32(next, _mm_alignr_epi8(w, prev, 4)), \
-                                                      (__v4si)w);                                               \
-        wk = _mm_shuffle_epi32(wk, 0x0e);                                                                       \
-        abef = (__m128i)__builtin_ia32_sha256rnds2((__v4si)abef, (__v4si)cdgh, (__v4si)wk);                     \
-        if ((g) >= 1 && (g) <= 12)                                                                              \
-            prev = (__m128i)__builtin_ia32_sha256msg1((__v4si)prev, (__v4si)w);                                 \
+/* One lane of a walk: a SHA-256 state as the instructions hold it, elements
+ * 3 .. 0 of abef being A, B, E, F and of cdgh C, D, G, H, and the message
+ * words W[0 .. 15] of its block, four to a register. */
+struct lane {
+    __m128i abef, cdgh, w0, w1, w2, w3;
+};
+
+/* Rounds 4g .. 4g + 3 of lane x, whose register w holds W[4g .. 4g + 3].  The
+ * schedule runs three groups ahead: groups 3 to 14 finish W[4g + 4 ..] in
+ * `next` from `prev` and w, and groups 1 to 12 start W[4g + 12 ..] in `prev`. */
+#define ROUNDS(x, g, w, prev, next)                                                                              \
+    do {                                                                                                         \
+        __m128i wk = _mm_add_epi32((x).w, _mm_load_si128((const __m128i *)K + (g)));                            \
+        (x).cdgh = (__m128i)__builtin_ia32_sha256rnds2((__v4si)(x).cdgh, (__v4si)(x).abef, (__v4si)wk);         \
+        if ((g) >= 3 && (g) <= 14)                                                                               \
+            (x).next = (__m128i)__builtin_ia32_sha256msg2(                                                       \
+                (__v4si)_mm_add_epi32((x).next, _mm_alignr_epi8((x).w, (x).prev, 4)), (__v4si)(x).w);            \
+        wk = _mm_shuffle_epi32(wk, 0x0e);                                                                        \
+        (x).abef = (__m128i)__builtin_ia32_sha256rnds2((__v4si)(x).abef, (__v4si)(x).cdgh, (__v4si)wk);         \
+        if ((g) >= 1 && (g) <= 12)                                                                               \
+            (x).prev = (__m128i)__builtin_ia32_sha256msg1((__v4si)(x).prev, (__v4si)(x).w);                     \
     } while (0)
 
-/* walk_libcrypto on the SHA instructions.  The seed is held as its four big-endian words, in lanes 0 to 3. */
-__attribute__((target("sha,ssse3,sse4.1"))) static void walk_sha_ni(const unsigned char *seed,
-                                                                   const unsigned char *path, size_t nbits,
-                                                                   unsigned char *node)
+/* The 64 rounds of a compression, as LANE_ROUNDS(g, w, prev, next) for each group g: the four registers of
+ * message words take the roles w, prev and next in turn, every four groups. */
+#define FOUR_GROUPS(LANE_ROUNDS, g)                                                                              \
+    LANE_ROUNDS(g, w0, w3, w1);                                                                                  \
+    LANE_ROUNDS((g) + 1, w1, w0, w2);                                                                            \
+    LANE_ROUNDS((g) + 2, w2, w1, w3);                                                                            \
+    LANE_ROUNDS((g) + 3, w3, w2, w0)
+#define COMPRESS(LANE_ROUNDS)                                                                                    \
+    do {                                                                                                         \
+        FOUR_GROUPS(LANE_ROUNDS, 0);                                                                             \
+        FOUR_GROUPS(LANE_ROUNDS, 4);                                                                             \
+        FOUR_GROUPS(LANE_ROUNDS, 8);                                                                             \
+        FOUR_GROUPS(LANE_ROUNDS, 12);                                                                            \
+    } while (0)
+
+#define ONE_LANE(g, w, prev, next) ROUNDS(a, g, w, prev, next)
+#define TWO_LANES(g, w, prev, next)                                                                              \
+    do {                                                                                                         \
+        ROUNDS(a, g, w, prev, next);                                                                             \
+        ROUNDS(b, g, w, prev, next);                                                                             \
+    } while (0)
+
+/* The IV as the instructions hold the state. */
+#define ABEF_IV _mm_set_epi32(0x6a09e667, 0xbb67ae85, 0x510e527f, 0x9b05688c)
+#define CDGH_IV _mm_set_epi32(0x3c6ef372, 0xa54ff53a, 0x1f83d9ab, 0x5be0cd19)
+/* Byte order between a 16-byte seed and its four big-endian words in elements 0 to 3, either way. */
+#define SEED_WORDS _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3)
+
+/* Start x on the node block of the seed s, held as its words, under the path
+ * bit `bit`: x's state is the IV and its message is "node" || '0' + bit || seed
+ * || 0x80 || zeros || the bit length 168. */
+SHA_NI_TARGET __attribute__((always_inline)) static inline void node_block(struct lane *x, __m128i s, unsigned bit)
 {
-    const __m128i swap = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
-    /* the IV as the instructions hold the state: lanes 3 .. 0 are A, B, E, F and C, D, G, H */
-    const __m128i abef_iv = _mm_set_epi32(0x6a09e667, 0xbb67ae85, 0x510e527f, 0x9b05688c);
-    const __m128i cdgh_iv = _mm_set_epi32(0x3c6ef372, 0xa54ff53a, 0x1f83d9ab, 0x5be0cd19);
-    /* W0 = "node" and the bit character in the top byte of W1; W5 ends in the 0x80 pad; W15 is the bit length */
-    const __m128i head[2] = {_mm_set_epi32(0, 0, '0' << 24, 0x6e6f6465),
-                             _mm_set_epi32(0, 0, '1' << 24, 0x6e6f6465)};
-    const __m128i pad = _mm_set_epi32(0, 0, 0x800000, 0), length = _mm_set_epi32(168, 0, 0, 0);
-    __m128i s = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)seed), swap);
+    /* the seed starts at byte 5, so word k of the block, for k = 1 .. 5, is the low byte of seed word k - 2
+     * (the bit character for k = 1, the pad for k = 5) and the top three bytes of seed word k - 1 */
+    __m128i low = _mm_slli_epi32(s, 24), high = _mm_srli_epi32(s, 8);
+
+    x->w0 = _mm_or_si128(_mm_or_si128(_mm_slli_si128(high, 4), _mm_slli_si128(low, 8)),
+                         _mm_set_epi32(0, 0, ('0' + bit) << 24, 0x6e6f6465));
+    x->w1 = _mm_or_si128(_mm_or_si128(_mm_srli_si128(high, 12), _mm_srli_si128(low, 8)),
+                         _mm_set_epi32(0, 0, 0x800000, 0));
+    x->w2 = _mm_setzero_si128();
+    x->w3 = _mm_set_epi32(168, 0, 0, 0);
+    x->abef = ABEF_IV;
+    x->cdgh = CDGH_IV;
+}
+
+/* The seed, as its words, of the child whose node block x has compressed: the digest's first four words, A B C D. */
+SHA_NI_TARGET __attribute__((always_inline)) static inline __m128i child_seed(const struct lane *x)
+{
+    return _mm_shuffle_epi32(_mm_unpackhi_epi64(_mm_add_epi32(x->cdgh, CDGH_IV), _mm_add_epi32(x->abef, ABEF_IV)),
+                             0x1b);
+}
+
+/* walk_libcrypto on the SHA instructions, with the node's seed in a register. */
+SHA_NI_TARGET static void walk_sha_ni(const unsigned char *seed, const unsigned char *path, size_t nbits, unsigned char *node)
+{
+    __m128i s = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)seed), SEED_WORDS);
+    struct lane a;
     size_t i;
 
     for (i = 0; i < nbits; i++) {
-        /* the seed starts at byte 5, so word k of the block, for k = 1 .. 5, is the low byte of seed word k - 2
-         * (the bit character for k = 1, the pad for k = 5) and the top three bytes of seed word k - 1 */
-        __m128i low = _mm_slli_epi32(s, 24), high = _mm_srli_epi32(s, 8);
-        __m128i w0 = _mm_or_si128(_mm_slli_si128(high, 4), _mm_slli_si128(low, 8));
-        __m128i w1 = _mm_or_si128(_mm_srli_si128(high, 12), _mm_srli_si128(low, 8));
-        __m128i w2 = _mm_setzero_si128(), w3 = length;
-        __m128i abef = abef_iv, cdgh = cdgh_iv;
-
-        w0 = _mm_or_si128(w0, head[bit_at(path, i)]);
-        w1 = _mm_or_si128(w1, pad);
-        ROUNDS(0, w0, w3, w1);
-        ROUNDS(1, w1, w0, w2);
-        ROUNDS(2, w2, w1, w3);
-        ROUNDS(3, w3, w2, w0);
-        ROUNDS(4, w0, w3, w1);
-        ROUNDS(5, w1, w0, w2);
-        ROUNDS(6, w2, w1, w3);
-        ROUNDS(7, w3, w2, w0);
-        ROUNDS(8, w0, w3, w1);
-        ROUNDS(9, w1, w0, w2);
-        ROUNDS(10, w2, w1, w3);
-        ROUNDS(11, w3, w2, w0);
-        ROUNDS(12, w0, w3, w1);
-        ROUNDS(13, w1, w0, w2);
-        ROUNDS(14, w2, w1, w3);
-        ROUNDS(15, w3, w2, w0);
-        abef = _mm_add_epi32(abef, abef_iv);
-        cdgh = _mm_add_epi32(cdgh, cdgh_iv);
-        /* the digest's first four words, A B C D, are the child's seed */
-        s = _mm_shuffle_epi32(_mm_unpackhi_epi64(cdgh, abef), 0x1b);
+        node_block(&a, s, bit_at(path, i));
+        COMPRESS(ONE_LANE);
+        s = child_seed(&a);
     }
-    _mm_storeu_si128((__m128i *)node, _mm_shuffle_epi8(s, swap));
+    _mm_storeu_si128((__m128i *)node, _mm_shuffle_epi8(s, SEED_WORDS));
+}
+
+/* walk_sha_ni of two paths of nbits bits from one seed, in two lanes whose
+ * rounds alternate, so that the CPU overlaps the two chains of dependent
+ * rounds that one lane waits on. */
+SHA_NI_TARGET static void walk2_sha_ni(const unsigned char *seed, const unsigned char *path_a, const unsigned char *path_b,
+                                size_t nbits, unsigned char *node_a, unsigned char *node_b)
+{
+    __m128i s_a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)seed), SEED_WORDS), s_b = s_a;
+    struct lane a, b;
+    size_t i;
+
+    for (i = 0; i < nbits; i++) {
+        node_block(&a, s_a, bit_at(path_a, i));
+        node_block(&b, s_b, bit_at(path_b, i));
+        COMPRESS(TWO_LANES);
+        s_a = child_seed(&a);
+        s_b = child_seed(&b);
+    }
+    _mm_storeu_si128((__m128i *)node_a, _mm_shuffle_epi8(s_a, SEED_WORDS));
+    _mm_storeu_si128((__m128i *)node_b, _mm_shuffle_epi8(s_b, SEED_WORDS));
 }
 
 /* Whether this CPU has the SHA extensions, SSSE3 and SSE4.1. */
@@ -221,6 +276,22 @@ static void walk(const unsigned char *seed, const unsigned char *path, size_t nb
     }
 #endif
     walk_libcrypto(seed, path, nbits, node);
+}
+
+/* walk() of the first `lanes` (1 or 2) of two paths of nbits bits from one seed: two at once on the SHA
+ * instructions, else one after the other. */
+static void walk_lanes(const unsigned char *seed, const unsigned char *path_a, const unsigned char *path_b,
+                       size_t nbits, unsigned lanes, unsigned char *node_a, unsigned char *node_b)
+{
+#ifdef SHA_NI_WALK
+    if (sha_ni && lanes == 2) {
+        walk2_sha_ni(seed, path_a, path_b, nbits, node_a, node_b);
+        return;
+    }
+#endif
+    walk(seed, path_a, nbits, node_a);
+    if (lanes == 2)
+        walk(seed, path_b, nbits, node_b);
 }
 
 /* The first nblocks blocks of the leaf output of node. */
@@ -270,6 +341,11 @@ static void put_int(unsigned char *dst, size_t bytes, const unsigned char *src, 
     put_bits(dst, 8 * bytes - n, src, 0, n);
 }
 
+/* The buffers of one record of qwmark_sim, and the seed of the node its walk reached. */
+struct sim_record {
+    unsigned char *coins, *m, *alpha, *f_in, *beta, *g_out, *x, *y, node[SEED_BYTES];
+};
+
 /* The `count` records of elwm.build_distribution(index, ...) for a Sim index.
  *
  * head is the coin label up to the record number: "coin|" || coin_key || "#"
@@ -286,7 +362,9 @@ static void put_int(unsigned char *dst, size_t bytes, const unsigned char *src, 
  * F is the injective PPRF: the leaf of alpha || m under f_seed (a 3 ell-bit
  * walk) xor the affine map, whose 3 ell columns and offset are each
  * (9 ell + 7) / 8 bytes of `affine`; G is the leaf of beta under g_seed.
- * Returns 0, or -1 if its scratch memory cannot be had. */
+ * Records r and r + 1 are built in lanes 0 and 1 of `rec`: both F walks run
+ * at once and then both G walks (walk_lanes), and an odd last record runs in
+ * lane 0 alone.  Returns 0, or -1 if its scratch memory cannot be had. */
 int qwmark_sim(const unsigned char *head, unsigned head_len, unsigned count, unsigned seed_bits, unsigned idx_bits,
                unsigned index0, unsigned range_bits, const unsigned char *f_seed, const unsigned char *affine,
                const unsigned char *g_seed, unsigned char *out)
@@ -295,61 +373,78 @@ int qwmark_sim(const unsigned char *head, unsigned head_len, unsigned count, uns
     size_t beta_bytes = bytes_of(9 * ell), record = bytes_of(ell) + bytes_of(12 * ell) + bytes_of(range_bits);
     size_t coin_len = 32 * blocks_of(coin_bits), alpha_len = 32 * blocks_of(2 * ell);
     size_t beta_len = 32 * blocks_of(9 * ell), g_len = 32 * blocks_of(ell), y_len = 32 * blocks_of(range_bits);
+    size_t lane_len = coin_len + bytes_of(ell) + alpha_len + bytes_of(3 * ell) + beta_len + g_len +
+                      bytes_of(12 * ell) + y_len;
     size_t r, i, j;
-    unsigned char *scratch, *coin_msg, *prg_msg, *coins, *m, *alpha, *f_in, *beta, *g_out, *x, *y;
-    unsigned char node[SEED_BYTES], index_bits[2];
+    unsigned lanes, l;
+    unsigned char *scratch, *coin_msg, *prg_msg, index_bits[2];
+    struct sim_record rec[2], *k;
 
     if (seed_bits > prg_in)
         prg_in = seed_bits;
-    scratch = malloc(head_len + 8 + 9 + bytes_of(prg_in) + 8 + coin_len + bytes_of(ell) + alpha_len +
-                     bytes_of(3 * ell) + beta_len + g_len + bytes_of(12 * ell) + y_len);
+    scratch = malloc(head_len + 8 + 9 + bytes_of(prg_in) + 8 + 2 * lane_len);
     if (scratch == NULL)
         return -1;
     coin_msg = scratch;
     prg_msg = coin_msg + head_len + 8;
-    coins = prg_msg + 9 + bytes_of(prg_in) + 8;
-    m = coins + coin_len;
-    alpha = m + bytes_of(ell);
-    f_in = alpha + alpha_len;
-    beta = f_in + bytes_of(3 * ell);
-    g_out = beta + beta_len;
-    x = g_out + g_len;
-    y = x + bytes_of(12 * ell);
+    for (l = 0; l < 2; l++) {
+        k = &rec[l];
+        k->coins = prg_msg + 9 + bytes_of(prg_in) + 8 + l * lane_len;
+        k->m = k->coins + coin_len;
+        k->alpha = k->m + bytes_of(ell);
+        k->f_in = k->alpha + alpha_len;
+        k->beta = k->f_in + bytes_of(3 * ell);
+        k->g_out = k->beta + beta_len;
+        k->x = k->g_out + g_len;
+        k->y = k->x + bytes_of(12 * ell);
+    }
 
     memcpy(coin_msg, head, head_len);
     index_bits[0] = (unsigned char)(index0 << (16 - idx_bits) >> 8);
     index_bits[1] = (unsigned char)(index0 << (16 - idx_bits));
-    for (r = 0; r < count; r++, out += record) {
-        put_u32(coin_msg + head_len, r);
-        counter_blocks(coin_msg, head_len + 4, blocks_of(coin_bits), coins);
-        /* m = s || index0 || gamma */
-        put_bits(m, 0, coins, 1, seed_bits);
-        put_bits(m, seed_bits, index_bits, 0, idx_bits);
-        put_bits(m, ell - 1, coins, 0, 1);
-        prg(coins, 1 + seed_bits, ell, blocks_of(2 * ell), prg_msg, alpha);
+    for (r = 0; r < count; r += lanes, out += lanes * record) {
+        lanes = count - r > 1 ? 2 : 1;
+        for (l = 0; l < lanes; l++) {
+            k = &rec[l];
+            put_u32(coin_msg + head_len, r + l);
+            counter_blocks(coin_msg, head_len + 4, blocks_of(coin_bits), k->coins);
+            /* m = s || index0 || gamma */
+            put_bits(k->m, 0, k->coins, 1, seed_bits);
+            put_bits(k->m, seed_bits, index_bits, 0, idx_bits);
+            put_bits(k->m, ell - 1, k->coins, 0, 1);
+            prg(k->coins, 1 + seed_bits, ell, blocks_of(2 * ell), prg_msg, k->alpha);
+            put_bits(k->f_in, 0, k->alpha, 0, 2 * ell);
+            put_bits(k->f_in, 2 * ell, k->m, 0, ell);
+        }
         /* beta = F(alpha || m) */
-        put_bits(f_in, 0, alpha, 0, 2 * ell);
-        put_bits(f_in, 2 * ell, m, 0, ell);
-        walk(f_seed, f_in, 3 * ell, node);
-        leaf_blocks(node, blocks_of(9 * ell), beta);
-        for (i = 0; i < beta_bytes; i++)
-            beta[i] ^= affine[3 * ell * beta_bytes + i];
-        for (j = 0; j < 3 * ell; j++)
-            if (bit_at(f_in, j))
-                for (i = 0; i < beta_bytes; i++)
-                    beta[i] ^= affine[j * beta_bytes + i];
+        walk_lanes(f_seed, rec[0].f_in, rec[1].f_in, 3 * ell, lanes, rec[0].node, rec[1].node);
+        for (l = 0; l < lanes; l++) {
+            k = &rec[l];
+            leaf_blocks(k->node, blocks_of(9 * ell), k->beta);
+            for (i = 0; i < beta_bytes; i++)
+                k->beta[i] ^= affine[3 * ell * beta_bytes + i];
+            for (j = 0; j < 3 * ell; j++)
+                if (bit_at(k->f_in, j))
+                    for (i = 0; i < beta_bytes; i++)
+                        k->beta[i] ^= affine[j * beta_bytes + i];
+        }
         /* G(beta) xor m */
-        walk(g_seed, beta, 9 * ell, node);
-        leaf_blocks(node, blocks_of(ell), g_out);
-        for (i = 0; i < bytes_of(ell); i++)
-            g_out[i] ^= m[i];
-        put_bits(x, 0, alpha, 0, 2 * ell);
-        put_bits(x, 2 * ell, beta, 0, 9 * ell);
-        put_bits(x, 11 * ell, g_out, 0, ell);
-        prg(coins, 1, seed_bits, blocks_of(range_bits), prg_msg, y);
-        put_int(out, bytes_of(ell), m, ell);
-        put_int(out + bytes_of(ell), bytes_of(12 * ell), x, 12 * ell);
-        put_int(out + bytes_of(ell) + bytes_of(12 * ell), bytes_of(range_bits), y, range_bits);
+        walk_lanes(g_seed, rec[0].beta, rec[1].beta, 9 * ell, lanes, rec[0].node, rec[1].node);
+        for (l = 0; l < lanes; l++) {
+            unsigned char *at = out + l * record;
+
+            k = &rec[l];
+            leaf_blocks(k->node, blocks_of(ell), k->g_out);
+            for (i = 0; i < bytes_of(ell); i++)
+                k->g_out[i] ^= k->m[i];
+            put_bits(k->x, 0, k->alpha, 0, 2 * ell);
+            put_bits(k->x, 2 * ell, k->beta, 0, 9 * ell);
+            put_bits(k->x, 11 * ell, k->g_out, 0, ell);
+            prg(k->coins, 1, seed_bits, blocks_of(range_bits), prg_msg, k->y);
+            put_int(at, bytes_of(ell), k->m, ell);
+            put_int(at + bytes_of(ell), bytes_of(12 * ell), k->x, 12 * ell);
+            put_int(at + bytes_of(ell) + bytes_of(12 * ell), bytes_of(range_bits), k->y, range_bits);
+        }
     }
     free(scratch);
     return 0;

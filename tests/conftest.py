@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import block_diag
 
-from qwmark import elwm, qcore, spectral, wmprf
+from qwmark import crypto, elwm, qcore, spectral, wmprf
 from qwmark.crypto import _keyed_coins, _prg, int_to_bits
 from qwmark.errors import InvariantError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
@@ -39,8 +39,9 @@ def child_env(cache: Path, path: Path | None = None) -> dict:
 
 @pytest.fixture(autouse=True)
 def cold_spectral_memo():
-    """Every test starts with empty projector, spectral and Born-draw memos, so
-    no result or count depends on test order."""
+    """Every test starts with empty projector, spectral, Born-draw and PRG
+    memos, so no result or count depends on test order."""
+    crypto._prg.cache_clear()
     qcore._checked_projector.cache_clear()
     spectral._spectrum.cache_clear()
     spectral._born_cdf.cache_clear()

@@ -20,6 +20,7 @@ from qwmark import crypto, elwm, native, wmprf
 from qwmark.errors import FormatError, LengthError
 from qwmark.pirates import honest_pirate
 
+import test_vectors as vectors
 from conftest import bytes_to_bits, child_env, prg_bits, rng_for
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,51 @@ def test_keyed_rand_separates_keys_and_labels():
         assert crypto._keyed_coins(b"k1", b"x", out_bits) == int(crypto.keyed_rand(b"k1", b"x", out_bits), 2)
 
 
+@pytest.mark.parametrize("out_bits", [12, 256, 257, 600])  # one block, and two and three
+def test_the_prg_memo_gives_the_stream_cold_and_warm(out_bits):
+    # every seed of a game at seed_bits = 6, and one int under two widths; forget_leaves keeps the memo
+    cases = [(seed, 6, out_bits) for seed in range(64)] + [(0b101, 3, out_bits), (0b101, 4, out_bits)]
+    fresh = [crypto._stream(b"bits|" + crypto._pack(v, w) + w.to_bytes(4, "big"), n, b"prg") for v, w, n in cases]
+    crypto._prg.cache_clear()
+    assert [crypto._prg(*case) for case in cases] == fresh
+    crypto.forget_leaves()
+    assert [crypto._prg(*case) for case in cases] == fresh
+    info = crypto._prg.cache_info()
+    assert (info.hits, info.misses) == (len(cases), len(cases))
+
+
+def test_the_prg_memo_is_bounded_and_evicts_the_least_recently_used_entry():
+    size = crypto._prg.cache_info().maxsize
+    assert size == crypto._PRG_MEMO_SIZE == 1024
+    crypto._prg.cache_clear()
+    for seed in range(size):
+        crypto._prg(seed, 12, 32)
+    crypto._prg(0, 12, 32)  # seed 0 is now the most recently used, and seed 1 the least
+    crypto._prg(size, 12, 32)  # one entry too many
+    assert crypto._prg.cache_info().currsize == size
+    misses = crypto._prg.cache_info().misses
+    assert crypto._prg(0, 12, 32) == crypto._prg.__wrapped__(0, 12, 32)
+    assert crypto._prg.cache_info().misses == misses
+    assert crypto._prg(1, 12, 32) == crypto._prg.__wrapped__(1, 12, 32)
+    assert crypto._prg.cache_info().misses == misses + 1
+
+
+def test_pinned_vectors_hold_with_the_prg_memo_cleared_and_warm(tmp_path, capsys):
+    # PE encryption takes alpha from the PRG, and the marked circuit answers a biting Sim query with PRG(s)
+    crypto._prg.cache_clear()
+    for memo in ("cleared", "warm"):
+        (tmp_path / memo).mkdir()
+        assert vectors.pe_vectors() == (vectors.PE_CIPHERTEXTS, vectors.PE_RANDOM_DEC)
+        records = vectors.cli_records(tmp_path / memo)
+        assert vectors.circuit_vectors(records) == (vectors.CIRCUIT_ON_SIM, vectors.CIRCUIT_ON_RANDOM)
+        assert vectors.experiment_digests(tmp_path / memo) == (vectors.ROWS_SHA, vectors.SUMMARY_SHA)
+        if memo == "cleared":
+            first = crypto._prg.cache_info()
+    capsys.readouterr()
+    info = crypto._prg.cache_info()
+    assert info.hits > first.hits
+
+
 # ---------------------------------------------------------------------------
 # GGM tree
 # ---------------------------------------------------------------------------
@@ -360,9 +406,12 @@ def test_the_libcrypto_c_walk_matches_the_oracles(tmp_path):
             assert leaf(seed, int(x or "0", 2), width, n_blocks) == straight_line_leaf(seed, x, n_blocks)
     sim = elwm._native_sim(native.load_sim(library))
     try:
-        # F and G walk 30 and 90 bits, 108 and 324, and 396 and 1 188
+        # F and G walk 30 and 90 bits, 108 and 324, and 396 and 1 188; the kernel builds records in pairs,
+        # which this build walks one after the other, so odd and even counts end differently
         for probe in (*elwm._SIM_PROBES, elwm._sim_probe(elwm.ElwmParams(2, 130, 257))):
-            assert sim(*probe) == elwm._python_sim(*probe)
+            for s in (1, 2, 3, 5):
+                sized = (*probe[:3], s, *probe[4:])
+                assert sim(*sized) == elwm._python_sim(*sized)
     finally:
         crypto.forget_leaves()
 

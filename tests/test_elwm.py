@@ -473,24 +473,26 @@ def test_the_native_sim_runs_wherever_it_builds():
     msg_bits=st.integers(1, 40) | st.integers(1, 0xFFFF),
     seed_bits=st.integers(1, 140),
     range_bits=st.integers(1, 600),
+    s=st.integers(1, 9),  # the kernel walks records in pairs: odd and even counts end differently
     data=st.data(),
 )
-@example(msg_bits=5, seed_bits=6, range_bits=12, data=None)  # the widths of a game
-@example(msg_bits=3, seed_bits=26, range_bits=300, data=None)  # F's output and y wider than one block
-@example(msg_bits=2, seed_bits=130, range_bits=257, data=None)  # coins of 263 bits: 9 ell = 1188
-@example(msg_bits=1, seed_bits=1, range_bits=1, data=None)  # the narrowest
-@example(msg_bits=40, seed_bits=1, range_bits=256, data=None)  # six index bits, y of exactly one block
-@example(msg_bits=300, seed_bits=5, range_bits=9, data=None)  # an index of two bytes
-@example(msg_bits=0xFFFF, seed_bits=2, range_bits=40, data=None)  # the widest index, 16 bits
-def test_native_and_python_sim_build_the_same_triples(msg_bits, seed_bits, range_bits, data):
+@example(msg_bits=5, seed_bits=6, range_bits=12, s=3, data=None)  # the widths of a game
+@example(msg_bits=5, seed_bits=6, range_bits=12, s=64, data=None)  # and its s in superposed_s64
+@example(msg_bits=3, seed_bits=26, range_bits=300, s=3, data=None)  # F's output and y wider than one block
+@example(msg_bits=2, seed_bits=130, range_bits=257, s=3, data=None)  # coins of 263 bits: 9 ell = 1188
+@example(msg_bits=1, seed_bits=1, range_bits=1, s=3, data=None)  # the narrowest
+@example(msg_bits=40, seed_bits=1, range_bits=256, s=3, data=None)  # six index bits, y of exactly one block
+@example(msg_bits=300, seed_bits=5, range_bits=9, s=3, data=None)  # an index of two bytes
+@example(msg_bits=0xFFFF, seed_bits=2, range_bits=40, s=3, data=None)  # the widest index, 16 bits
+def test_native_and_python_sim_build_the_same_triples(msg_bits, seed_bits, range_bits, s, data):
     params = elwm.ElwmParams(msg_bits, seed_bits, range_bits)
     _, tag = elwm.gen(params, rng_for(f"sim-twin-{msg_bits}-{seed_bits}-{range_bits}"))
     index = data.draw(st.integers(1, msg_bits)) if data is not None else msg_bits
-    args = (params, tag.pe_ek.circuit, index, 3, b"twin-master-seed", b"twin-coin-key-16")
+    args = (params, tag.pe_ek.circuit, index, s, b"twin-master-seed", b"twin-coin-key-16")
     triples = SIMS["python"](*args)
     assert SIMS["native"](*args) == triples
     assert triples == elwm.build_distribution(
-        index, params=params, s=3, master_seed=args[4], coin_key=args[5], tag=tag
+        index, params=params, s=s, master_seed=args[4], coin_key=args[5], tag=tag
     )
 
 
