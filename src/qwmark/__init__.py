@@ -30,7 +30,6 @@ from .spectral import projimp
 from .wmprf import (
     ExtractParams,
     ExtractionReport,
-    classify_events,
     extract,
     live_probe,
     run_event_trial,
@@ -56,7 +55,6 @@ __all__ = [
     "build_distribution",
     "build_pirate",
     "classical_pirate",
-    "classify_events",
     "coin_pirate",
     "distribution_povm",
     "eval_prf",

@@ -341,14 +341,13 @@ def run_api(
     rng,
     *,
     engine: str = "fast",
-    reverse: bool = False,
 ) -> tuple[float, StateVector, dict]:
     """Engine dispatch; returns (estimate, post state, summary dict)."""
     if engine == "fast":
-        est, post, idx = api_fast(dist, prog, params, rng, reverse=reverse)
+        est, post, idx = api_fast(dist, prog, params, rng)
         return est, post, {"engine": "fast", "estimate": est, "subspace": idx}
     if engine == "exact":
-        est, post, transcript = api_exact(dist, prog, params, rng, reverse=reverse)
+        est, post, transcript = api_exact(dist, prog, params, rng)
         return est, post, {
             "engine": "exact",
             "estimate": est,

@@ -184,6 +184,7 @@ def cmd_extract(args) -> int:
 # trials x pirates: an experiment holds its task list and then every row, about
 # 1.4 KB each, in memory until it writes rows.csv
 MAX_TRIALS = 1 << 18
+MAX_PIRATES = 1 << 16  # `_trial_rng` packs a batch index into two bytes
 
 ROW_FIELDS = [
     "batch",
@@ -199,6 +200,25 @@ ROW_FIELDS = [
     "bad_ext",
     "bit_estimates",
 ]
+
+
+def trial_row(result: wmprf.TrialResult, batch: int, pirate: str, trial: int) -> dict:
+    """The `ROW_FIELDS` of one game's result, as `rows.csv` writes them."""
+    report = result.report
+    return {
+        "batch": batch,
+        "pirate": pirate,
+        "trial": trial,
+        "message": result.message,
+        "live": int(result.live),
+        "live_p": repr(result.live_p),
+        "gate_estimate": repr(report.gate_estimate),
+        "decoded": report.decoded,
+        "fallback": int(report.fallback),
+        "good_ext": int(result.good_ext),
+        "bad_ext": int(result.bad_ext),
+        "bit_estimates": ";".join(repr(e) for e in report.bit_estimates),
+    }
 
 
 def _batch_label(spec: PirateSpec) -> str:
@@ -275,28 +295,14 @@ def _run_trial(inputs: tuple, seed: int, batch: int, trial: int) -> dict:
         rng,
         elwm_params=elwm_params,
     )
-    report = result.report
-    return {
-        "batch": batch,
-        "pirate": _batch_label(spec),
-        "trial": trial,
-        "message": message,
-        "live": int(result.live),
-        "live_p": repr(result.live_p),
-        "gate_estimate": repr(report.gate_estimate),
-        "decoded": report.decoded,
-        "fallback": int(report.fallback),
-        "good_ext": int(result.good_ext),
-        "bad_ext": int(result.bad_ext),
-        "bit_estimates": ";".join(repr(e) for e in report.bit_estimates),
-    }
+    return trial_row(result, batch, _batch_label(spec), trial)
 
 
-def wilson_interval(count: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(count: int, n: int) -> tuple[float, float]:
+    """Wilson score interval at 95 % (z = 1.96) for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
-    p_hat = count / n
+    p_hat, z = count / n, 1.96
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2 * n)) / denom
     half = z * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
@@ -349,6 +355,8 @@ def cmd_experiment(args) -> int:
         raise IndexRangeError(f"config trials must be at least 1, got {config['trials']}")
     if not isinstance(config["pirates"], list) or not config["pirates"]:
         raise FormatError(f"config pirates must be a non-empty list, got {config['pirates']!r}")
+    if len(config["pirates"]) > MAX_PIRATES:
+        raise IndexRangeError(f"config pirates must number at most {MAX_PIRATES}, got {len(config['pirates'])}")
     if config["trials"] * len(config["pirates"]) > MAX_TRIALS:
         raise IndexRangeError(
             f"config trials x pirates must be at most {MAX_TRIALS}, got {config['trials']} x {len(config['pirates'])}"

@@ -15,8 +15,8 @@ Conventions
   stream primitive is SHA-256 in counter mode behind domain-separation
   prefixes, so every derivation is a pure function of its inputs.
 * A GGM node's child is SHA256("node" || bit || seed)[:SEED_BYTES], with bit
-  the character '0' or '1', and a leaf's output is ``prg_expand(node,
-  out_bits, domain=b"leaf")``.  The leaf in use walks a whole path and hashes
+  the character '0' or '1', and a leaf's output is ``_stream(node,
+  out_bits, b"leaf")``.  The leaf in use walks a whole path and hashes
   the leaf blocks in one call, or returns the node seed when asked for no
   blocks.  ``_leaf_in_use`` picks it on first use (``native.first_use``):
   the native kernel of ``native.py`` if it builds, loads, and agrees with the
@@ -157,26 +157,14 @@ def _stream(seed: bytes, out_bits: int, domain: bytes) -> int:
     return int.from_bytes(_blocks(prefix, n_blocks), "big") >> (256 * n_blocks - out_bits)
 
 
-def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
-    """Expand a byte seed to `out_bits` pseudorandom bits: SHA256(domain || seed || ctr) blocks, truncated."""
-    if out_bits < 0:
-        raise LengthError("out_bits must be nonnegative")
-    return int_to_bits(_stream(seed, out_bits, domain), out_bits)
-
-
 @lru_cache(maxsize=_PRG_MEMO_SIZE)
 def _prg(seed: int, width: int, out_bits: int) -> int:
     """Bit-level PRG of a `width`-bit seed, used by the encryption layers (e.g. length doubling)."""
     return _stream(b"bits|" + _pack(seed, width) + struct.pack(">I", width), out_bits, b"prg")
 
 
-def keyed_rand(key: bytes, label: bytes, out_bits: int) -> str:
-    """Deterministic keyed coin derivation: one key, disjoint labels, fresh-looking coins."""
-    return prg_expand(key + b"#" + label, out_bits, domain=b"coin")
-
-
 def _keyed_coins(key: bytes, label: bytes, out_bits: int) -> int:
-    """``keyed_rand`` as an int, for a nonnegative `out_bits`."""
+    """Deterministic keyed coins as an int: one key, disjoint labels, fresh-looking coins."""
     return _stream(key + b"#" + label, out_bits, b"coin")
 
 

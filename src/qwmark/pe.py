@@ -232,7 +232,6 @@ class PeKeys:
 
     ek: ObfuscatedCircuit
     dk: DecryptionCircuit
-    ell: int
 
 
 def pe_gen(ell: int, rng) -> PeKeys:
@@ -240,7 +239,7 @@ def pe_gen(ell: int, rng) -> PeKeys:
         raise LengthError("plaintext length must be positive")
     f_key = injective_pprf_gen(3 * ell, 9 * ell, rng)
     g_key = ggm_gen(9 * ell, ell, rng)
-    return PeKeys(ObfuscatedCircuit(EncryptionCircuit(f_key, g_key, ell)), DecryptionCircuit(f_key, g_key, ell), ell)
+    return PeKeys(ObfuscatedCircuit(EncryptionCircuit(f_key, g_key, ell)), DecryptionCircuit(f_key, g_key, ell))
 
 
 def pe_enc(ek: ObfuscatedCircuit, m: str, rng) -> str:

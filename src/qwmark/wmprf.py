@@ -34,7 +34,7 @@ not commute.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import crypto, elwm
 from .api import MAX_EXACT_ROUNDS, ApiParams, distribution_povm, run_api
@@ -231,21 +231,6 @@ class TrialResult:
         return self.good_ext and self.report.decoded != self.message
 
 
-@dataclass(frozen=True)
-class EventTally:
-    trials: int
-    live: int
-    good_ext: int
-    bad_ext: int
-    unmarked: int
-    fallback: int
-
-    def __post_init__(self):
-        for name in ("live", "good_ext", "bad_ext", "unmarked", "fallback"):
-            if not (0 <= getattr(self, name) <= self.trials):
-                raise InvariantError(f"tally {name} outside 0..{self.trials}")
-
-
 def live_probe(prog: QuantumProgram, prfk: PrfKeyIo, params: ExtractParams, coin_key: bytes, master_seed: bytes, rng) -> tuple[bool, float]:
     """Projective implementation of the real query mixture on a fresh copy."""
     dist = build_distribution(
@@ -282,12 +267,3 @@ def run_event_trial(
     report = extract(coin_key, tag, prog, params, rng)
     return TrialResult(message, live, live_p, report)
 
-
-def classify_events(results: Sequence[TrialResult]) -> EventTally:
-    """Aggregate trials into the Live / GoodExt / BadExt tally."""
-    live = sum(r.live for r in results)
-    unmarked = sum(r.report.unmarked for r in results)
-    good = sum(r.good_ext for r in results)
-    bad = sum(r.bad_ext for r in results)
-    fallback = sum(r.report.fallback for r in results)
-    return EventTally(len(results), live, good, bad, unmarked, fallback)

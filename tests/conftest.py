@@ -1,5 +1,5 @@
-"""Shared fixtures: deterministic rngs, a small watermarking stack, a
-reusable random-program builder for measurement tests, an oracle's checked
+"""Shared fixtures: deterministic rngs, the string forms of the PRG and the
+keyed coins, a small watermarking stack, a reusable random-program builder for measurement tests, an oracle's checked
 matrices, the dense operators of the API walk on H_R (x) H, a measurement
 oracle, and empty measurement memos before every test."""
 
@@ -14,8 +14,8 @@ from hypothesis import settings
 from scipy.linalg import block_diag
 
 from qwmark import crypto, elwm, qcore, spectral, wmprf
-from qwmark.crypto import _keyed_coins, _prg, int_to_bits
-from qwmark.errors import InvariantError
+from qwmark.crypto import _keyed_coins, _prg, _stream, int_to_bits
+from qwmark.errors import InvariantError, LengthError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
 from spectral_oracles import spectral_measurement
 
@@ -60,6 +60,18 @@ def bytes_to_bits(data: bytes, length: int) -> str:
     """The first `length` bits of `data`, as a bit string."""
     assert len(data) * 8 >= length
     return int_to_bits(int.from_bytes(data, "big") >> (len(data) * 8 - length), length)
+
+
+def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
+    """Expand a byte seed to `out_bits` pseudorandom bits: SHA256(domain || seed || ctr) blocks, truncated."""
+    if out_bits < 0:
+        raise LengthError("out_bits must be nonnegative")
+    return int_to_bits(_stream(seed, out_bits, domain), out_bits)
+
+
+def keyed_rand(key: bytes, label: bytes, out_bits: int) -> str:
+    """Deterministic keyed coin derivation: one key, disjoint labels, fresh-looking coins."""
+    return prg_expand(key + b"#" + label, out_bits, domain=b"coin")
 
 
 def prg_bits(seed: str, out_bits: int) -> str:

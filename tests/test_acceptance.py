@@ -36,7 +36,7 @@ from qwmark.crypto import (
 from qwmark.elwm import ElwmParams, build_distribution
 from qwmark.pe import pe_dec, pe_enc, pe_gen, pe_puncture
 from qwmark.spectral import projimp
-from qwmark.wmprf import ExtractParams, classify_events, run_event_trial
+from qwmark.wmprf import ExtractParams, run_event_trial
 
 ATOL = 1e-8
 
@@ -296,13 +296,15 @@ def superposed_honest_coin(circuit, theta: float):
 
 def superposed_tally(label: str, theta: float, trials: int):
     """Tally of `trials` games at s = 64 against the honest/coin superposition
-    at one angle, drawn from that angle's own stream."""
+    at one angle, drawn from that angle's own stream: the `cli.summarize_rows`
+    batch of their `cli.trial_row` rows."""
     params = ExtractParams(k=4, eps=0.25, delta_prime=0.01, s=64, engine="fast")
     ep = ElwmParams(5, seed_bits=6, range_bits=12)
     builder = partial(superposed_honest_coin, theta=theta)
     local = rng_for(f"accept-superposed-{label}")
     results = [run_event_trial(params, builder, random_message(4, local), local, elwm_params=ep) for _ in range(trials)]
-    return classify_events(results)
+    rows = [cli.trial_row(result, 0, label, trial) for trial, result in enumerate(results)]
+    return cli.summarize_rows(rows, {"pirates": []})["batches"][0]
 
 
 def pooled_superposed_tallies(trials: int):
@@ -322,9 +324,9 @@ def test_a07_superposed_pirates_live_and_extract_at_branch_weights():
     trials = 200
     lines = []
     for (label, theta), tally in zip(SUPERPOSED_ANGLES, pooled_superposed_tallies(trials)):
-        live = tally.live / trials
-        good = tally.good_ext / trials
-        bad = tally.bad_ext / trials
+        live = tally["live"]["count"] / trials
+        good = tally["good_ext"]["count"] / trials
+        bad = tally["bad_ext"]["count"] / trials
         target = float(np.cos(theta) ** 2)
         assert abs(live - target) <= 0.10, f"theta={label}: live {live} vs cos^2 {target}"
         assert good >= live - 0.10, f"theta={label}: good {good} vs live {live}"

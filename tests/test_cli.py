@@ -18,10 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwmark import api, cli, elwm, native, wmprf
-from qwmark.crypto import keyed_rand
 from qwmark.pirates import honest_pirate
 
-from conftest import child_env, malformed_bits
+from conftest import child_env, keyed_rand, malformed_bits
 
 
 def run_cli(*argv) -> int:
@@ -441,6 +440,19 @@ def test_experiment_checks_the_whole_config_before_any_output(tmp_path, capsys, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_experiment_refuses_more_pirates_than_a_batch_index_holds(tmp_path, capsys):
+    # a trial's rng label packs its batch index into two bytes; one trial per pirate stays within MAX_TRIALS
+    cli._trial_rng(1, cli.MAX_PIRATES - 1, 0)
+    with pytest.raises(OverflowError):
+        cli._trial_rng(1, cli.MAX_PIRATES, 0)
+    out = tmp_path / "x"
+    config = experiment_config(tmp_path, trials=1, pirates=[{"kind": "honest"}] * (cli.MAX_PIRATES + 1))
+    assert run_cli("experiment", "--config", config, "--out", out) == cli.EXIT_LENGTH
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"at most {cli.MAX_PIRATES}" in err
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_experiment_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
     out = tmp_path / "run"
@@ -856,6 +868,43 @@ def test_input_files_of_every_kind_in_every_file_slot(tmp_path, keys):
                 paths = {flag: files[kind] for flag, kind in slots.items()} | {slot: path}
                 code = exits_cleanly(command, *(arg for pair in paths.items() for arg in pair), *rest)
                 assert (code == 0) == (name == slots[slot]), (command, slot, name, code)
+
+
+def test_trial_row_and_summarize_rows_count_each_outcome():
+    # hand-built games, message 101: unmarked, exact decode, wrong mark, band-exit fallback
+    outcomes = [
+        (False, wmprf.UNMARKED, False, ()),
+        (True, "101", False, (0.9, 0.1, 0.9)),
+        (True, "111", False, (0.1, 0.1, 0.1)),
+        (True, "000", True, (0.9, 0.5)),
+    ]
+    results = []
+    for live, decoded, fallback, estimates in outcomes:
+        report = wmprf.ExtractionReport(3, 0.25, 0.015625, 0.05, "fast", 0.9 if live else 0.3, estimates, decoded, fallback, ())
+        results.append(wmprf.TrialResult("101", live, 0.95 if live else 0.5, report))
+    rows = [cli.trial_row(result, 2, "hand", trial) for trial, result in enumerate(results)]
+    assert all(list(row) == cli.ROW_FIELDS for row in rows)
+    for row, r in zip(rows, results):
+        assert (row["live"], row["good_ext"], row["bad_ext"], row["fallback"]) == (r.live, r.good_ext, r.bad_ext, r.report.fallback)
+    summary = cli.summarize_rows(rows, {"pirates": []})
+    (tally,) = summary["batches"]
+    assert (tally["batch"], tally["pirate"], tally["trials"]) == (2, "hand", 4)
+    expected = {
+        "live": sum(r.live for r in results),
+        "good_ext": sum(r.good_ext for r in results),
+        "bad_ext": sum(r.bad_ext for r in results),
+        "unmarked": sum(r.report.unmarked for r in results),
+        "fallback": sum(r.report.fallback for r in results),
+        "decode_exact": sum(r.report.decoded == r.message for r in results),
+    }
+    assert expected == {"live": 3, "good_ext": 3, "bad_ext": 2, "unmarked": 1, "fallback": 1, "decode_exact": 1}
+    assert {key: tally[key]["count"] for key in expected} == expected
+    # verify tallies the rows as rows.csv holds them, every field a string
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=cli.ROW_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    assert cli.summarize_rows(list(csv.DictReader(io.StringIO(text.getvalue()))), {"pirates": []}) == summary
 
 
 def test_wilson_interval_properties():

@@ -21,7 +21,7 @@ from qwmark.errors import FormatError, LengthError
 from qwmark.pirates import honest_pirate
 
 import test_vectors as vectors
-from conftest import bytes_to_bits, child_env, prg_bits, rng_for
+from conftest import bytes_to_bits, child_env, keyed_rand, prg_bits, prg_expand, rng_for
 
 # ---------------------------------------------------------------------------
 # bit helpers
@@ -95,7 +95,7 @@ def test_bit_helpers_on_empty_strings():
     assert crypto.int_to_bits(0, 0) == ""
     assert crypto.bits_to_bytes("") == b""
     assert crypto._pack(0, 0) == b""
-    assert crypto.prg_expand(b"\xff", 0) == ""
+    assert prg_expand(b"\xff", 0) == ""
 
 
 @pytest.mark.parametrize("bits", ["0_1", " 01", "01 ", "0b1", "+1", "-1", "１", "0１", "01\n", None, b"01"])
@@ -145,23 +145,23 @@ GOLDEN_SEED_128 = (
 
 def test_prg_golden_vectors():
     # frozen from the reference primitive; a change here breaks every key format
-    assert crypto.prg_expand(b"\x00" * 16, 64) == GOLDEN_ZERO16_64
-    assert crypto.prg_expand(b"golden-seed-0001", 128) == GOLDEN_SEED_128
+    assert prg_expand(b"\x00" * 16, 64) == GOLDEN_ZERO16_64
+    assert prg_expand(b"golden-seed-0001", 128) == GOLDEN_SEED_128
     assert prg_bits("10110010", 16) == "0011110101010111"
     assert crypto._prg(0b10110010, 8, 16) == 0b0011110101010111
-    assert crypto.keyed_rand(b"key-material-000", b"label", 32) == "10110000010010000101010110101110"
+    assert keyed_rand(b"key-material-000", b"label", 32) == "10110000010010000101010110101110"
 
 
 def test_prg_determinism_and_prefix_structure():
-    long = crypto.prg_expand(b"seedling", 512)
-    short = crypto.prg_expand(b"seedling", 100)
+    long = prg_expand(b"seedling", 512)
+    short = prg_expand(b"seedling", 100)
     assert long[:100] == short
-    assert crypto.prg_expand(b"seedling", 512) == long
+    assert prg_expand(b"seedling", 512) == long
 
 
 def test_prg_distinct_seeds_disagree():
-    a = crypto.prg_expand(b"a" * 16, 256)
-    b = crypto.prg_expand(b"b" * 16, 256)
+    a = prg_expand(b"a" * 16, 256)
+    b = prg_expand(b"b" * 16, 256)
     assert a != b
     # crude balance: a fixed seed pair should not be wildly skewed
     assert 80 < a.count("1") < 176
@@ -192,17 +192,17 @@ def oracle_prg_expand(seed: bytes, out_bits: int, domain: bytes) -> str:
 @example(b"edge", 257, b"prg")
 def test_prg_expand_matches_counter_mode(seed, out_bits, domain):
     # out_bits <= 256 takes the one-block path
-    assert crypto.prg_expand(seed, out_bits, domain=domain) == oracle_prg_expand(seed, out_bits, domain)
+    assert prg_expand(seed, out_bits, domain=domain) == oracle_prg_expand(seed, out_bits, domain)
     with pytest.raises(LengthError):
-        crypto.prg_expand(seed, -1, domain=domain)
+        prg_expand(seed, -1, domain=domain)
 
 
 def test_keyed_rand_separates_keys_and_labels():
-    assert crypto.keyed_rand(b"k1", b"x", 64) != crypto.keyed_rand(b"k2", b"x", 64)
-    assert crypto.keyed_rand(b"k1", b"x", 64) != crypto.keyed_rand(b"k1", b"y", 64)
-    assert len(crypto.keyed_rand(b"k1", b"z", 13)) == 13
+    assert keyed_rand(b"k1", b"x", 64) != keyed_rand(b"k2", b"x", 64)
+    assert keyed_rand(b"k1", b"x", 64) != keyed_rand(b"k1", b"y", 64)
+    assert len(keyed_rand(b"k1", b"z", 13)) == 13
     for out_bits in (1, 53, 64, 300):  # the int coins are the same bits
-        assert crypto._keyed_coins(b"k1", b"x", out_bits) == int(crypto.keyed_rand(b"k1", b"x", out_bits), 2)
+        assert crypto._keyed_coins(b"k1", b"x", out_bits) == int(keyed_rand(b"k1", b"x", out_bits), 2)
 
 
 @pytest.mark.parametrize("out_bits", [12, 256, 257, 600])  # one block, and two and three
@@ -498,13 +498,13 @@ INJECTIVE_EVAL_270 = (
 
 def test_multi_block_leaf_vectors():
     root, mask = b"kat-ggm-root-000", b"kat-affine-mask0"
-    assert WIDE_INPUT_120 == crypto.keyed_rand(b"kat-inputs", b"ggm-wide", 120)
+    assert WIDE_INPUT_120 == keyed_rand(b"kat-inputs", b"ggm-wide", 120)
     for leaf in LEAVES.values():
         with walking_with(leaf):
             assert crypto.ggm_eval(crypto.GgmKey(root, 120, 257), WIDE_INPUT_120) == GGM_EVAL_257
             assert crypto.ggm_eval(crypto.GgmKey(root, 120, 600), WIDE_INPUT_120) == GGM_EVAL_600
             key = crypto.InjectivePprfKey(crypto.GgmKey(root, 90, 270), mask)
-            x = crypto.keyed_rand(b"kat-inputs", b"inj-wide", 90)
+            x = keyed_rand(b"kat-inputs", b"inj-wide", 90)
             assert crypto.injective_pprf_eval(key, x) == INJECTIVE_EVAL_270
 
 
@@ -670,7 +670,7 @@ def test_injective_pprf_puncture_agrees_off_set():
 
 def oracle_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[list[int], int]:
     """The columns A_j, leftmost input bit first, and the offset b of the affine map, sliced from its stream."""
-    stream = crypto.prg_expand(seed, out_bits * in_bits + out_bits, domain=b"aff")
+    stream = prg_expand(seed, out_bits * in_bits + out_bits, domain=b"aff")
     columns = [int(stream[j : out_bits * in_bits : in_bits], 2) for j in range(in_bits)]
     return columns, int(stream[out_bits * in_bits :], 2)
 

@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from qwmark import api, cli, crypto, elwm, pe, spectral
-from qwmark.crypto import GgmKey, InjectivePprfKey, keyed_rand
+from qwmark.crypto import GgmKey, InjectivePprfKey
 
-from conftest import FakeDistribution, random_program, random_triples, rng_for
+from conftest import FakeDistribution, keyed_rand, prg_expand, random_program, random_triples, rng_for
 
 ROOT_SEED = b"kat-ggm-root-000"
 MASK_SEED = b"kat-affine-mask0"
@@ -124,12 +124,12 @@ EXACT_SUMMARY_SHA = "9dc741e79bb3994fabd81292166b1f9b1abd08bbec29e581feb479af9d4
 
 
 def prg_expand_vectors():
-    return {n: crypto.prg_expand(ROOT_SEED, n) for n in (0, 1, 256, 257)}
+    return {n: prg_expand(ROOT_SEED, n) for n in (0, 1, 256, 257)}
 
 
 def prg_expand_affine_sha():
     # the length of the affine-mask stream for in_bits=30, out_bits=90
-    return _sha(crypto.prg_expand(MASK_SEED, 90 * 30 + 90, domain=b"aff"))
+    return _sha(prg_expand(MASK_SEED, 90 * 30 + 90, domain=b"aff"))
 
 
 def ggm_eval_vectors():

@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from qwmark import crypto, elwm, native, pirates, wmprf
+from qwmark import cli, crypto, elwm, native, pirates, wmprf
 from qwmark.errors import DimensionCapError, IndexRangeError, InvariantError, LengthError
 from qwmark.qcore import DIMENSION_CAP
 
@@ -244,15 +244,16 @@ def test_run_event_trial_and_classify():
         results.append(
             wmprf.run_event_trial(params, builder, "101", local, elwm_params=ep)
         )
-    tally = wmprf.classify_events(results)
-    assert tally.trials == 3
+    rows = [cli.trial_row(result, 0, "mixed", trial) for trial, result in enumerate(results)]
+    tally = cli.summarize_rows(rows, {"pirates": []})["batches"][0]
+    assert tally["trials"] == 3
     # honest copies are always live (they answer every real query correctly);
     # the coin copy may or may not be, depending on the coin-count balance
     assert results[0].live and results[1].live
-    assert tally.live >= 2
-    assert tally.good_ext == 2
-    assert tally.bad_ext == 0
-    assert tally.unmarked == 1
+    assert tally["live"]["count"] >= 2
+    assert tally["good_ext"]["count"] == 2
+    assert tally["bad_ext"]["count"] == 0
+    assert tally["unmarked"]["count"] == 1
     assert results[0].report.decoded == "101"
     assert results[1].report.decoded == "101"
     assert results[2].report.unmarked
@@ -278,9 +279,3 @@ def test_each_game_starts_with_an_empty_plaintext_memo(monkeypatch):
         after.append(len(crypto._plaintexts))
     assert at_keygen == [0, 0]
     assert after[0] == after[1] == 3 * 8  # the k + 1 Sim distributions of 8 distinct ciphertexts
-
-
-def test_event_tally_validation():
-    with pytest.raises(InvariantError):
-        wmprf.EventTally(trials=2, live=3, good_ext=0, bad_ext=0, unmarked=0, fallback=0)
-    wmprf.EventTally(trials=2, live=1, good_ext=1, bad_ext=0, unmarked=1, fallback=0)
