@@ -13,7 +13,7 @@ modules remain the authoritative namespaces.
 """
 
 from .api import ApiParams, api_exact, api_fast, distribution_povm, run_api
-from .elwm import ElwmParams, build_distribution, eval_prf, gen, mark, sim
+from .elwm import ElwmParams, build_distribution, eval_prf, gen, mark
 from .errors import QwmarkError
 from .pirates import (
     PirateSpec,
@@ -67,7 +67,6 @@ __all__ = [
     "projimp",
     "run_api",
     "run_event_trial",
-    "sim",
     "superposed_pirate",
     "wm_gen",
     "wm_mark",

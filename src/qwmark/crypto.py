@@ -29,7 +29,8 @@ Conventions
   it.  ``_plaintexts`` maps each PE ciphertext made since it was last emptied
   to its plaintext, keyed by the seeds of F, of F's mask and of G, ell and
   the ciphertext; ``pe`` fills it on every encryption, Sim's included, and
-  answers a decryption from it before it walks.  ``forget_leaves`` empties
+  answers a decryption from it before it walks (``pe._decrypt``; a native
+  decryption walks without the leaf memo).  ``forget_leaves`` empties
   both: a game calls it before it generates fresh keys.  ``_prg`` memoizes
   the PRG in an LRU of ``_PRG_MEMO_SIZE`` entries, which ``forget_leaves``
   keeps, since the PRG takes no key: the marked circuit answers a biting Sim
@@ -307,38 +308,39 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
 _MASK_CHUNK = 4  # input bits per XOR table: 16 entries hold about 4x the columns
 
 
-def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tuple[int, ...], ...], int, bytes]:
-    """XOR tables of the affine map's columns, _MASK_CHUNK input bits to a table, its offset, and its packed form.
+def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> bytes:
+    """The packed form of the affine map: each column and then the offset, each ``_pack``-ed to whole bytes.
 
     The stream holds the out_bits x in_bits matrix row by row, then the
     offset.  Column j (input bit j, leftmost first) is read as an out_bits-wide
-    word whose leftmost bit is row 0.  Table t serves the t-th chunk of
-    int(x, 2) from the right (the last one may be short): its entry v is the
-    XOR of the columns of the bits set in v.  The packed form, which the
-    native Sim kernel reads, is each column and then the offset, each
-    ``_pack``-ed to whole bytes.
+    word whose leftmost bit is row 0.  The native kernels read this form; the
+    Python evaluations read the tables ``_affine_tables`` builds from it.
     """
     matrix_bits = out_bits * in_bits
     stream = _stream(seed, matrix_bits + out_bits, b"aff")
-    offset = stream & ((1 << out_bits) - 1)
+    offset = _pack(stream & ((1 << out_bits) - 1), out_bits)
     rows = np.unpackbits(np.frombuffer(_pack(stream >> out_bits, matrix_bits), np.uint8), count=matrix_bits)
     del stream
-    columns = np.packbits(rows.reshape(out_bits, in_bits), axis=0).T.tobytes()  # column j down its rows, _pack-ed
-    del rows
+    return np.packbits(rows.reshape(out_bits, in_bits), axis=0).T.tobytes() + offset  # column j down its rows
+
+
+def _affine_tables(packed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """XOR tables of the packed affine map's columns, and its offset.  Table t serves the t-th chunk of
+    _MASK_CHUNK bits of int(x, 2) from the right: its entry v is the XOR of the columns of the bits set in v."""
     width, pad = -(-out_bits // 8), -out_bits % 8
-    from_right = [int.from_bytes(columns[at - width : at], "big") >> pad for at in range(len(columns), 0, -width)]
+    words = [int.from_bytes(packed[at - width : at], "big") >> pad for at in range(len(packed), 0, -width)]
     tables = []
-    for start in range(0, in_bits, _MASK_CHUNK):
+    for start in range(1, in_bits + 1, _MASK_CHUNK):  # words[0] is the offset, words[1:] the columns from the right
         table = [0]
-        for column in from_right[start : start + _MASK_CHUNK]:
+        for column in words[start : start + _MASK_CHUNK]:
             table += [entry ^ column for entry in table]
         tables.append(tuple(table))
-    return tuple(tables), offset, columns + _pack(offset, out_bits)
+    return tuple(tables), words[0]
 
 
 def _affine_mask(base: int, affine: tuple[tuple[tuple[int, ...], ...], int], x: int) -> int:
     """base xor (A x + b): one table lookup per chunk of x."""
-    tables, acc, _ = affine
+    tables, acc = affine
     mask = (1 << _MASK_CHUNK) - 1
     for table in tables:
         acc ^= table[x & mask]
@@ -364,10 +366,15 @@ class InjectivePprfKey:
             )
 
     @cached_property
-    def _affine(self) -> tuple:
-        """The affine map's tables, derived on first use, so that a key whose
-        record is refused for its widths never costs their square."""
+    def _packed_affine(self) -> bytes:
+        """The affine map's packed form, derived on first use, so that a key
+        whose record is refused for its widths never costs its square."""
         return _derive_affine(self.mask_seed, self.ggm.domain_bits, self.ggm.out_bits)
+
+    @cached_property
+    def _affine(self) -> tuple:
+        """The tables of the Python evaluations, built from the packed form; the native kernels never need them."""
+        return _affine_tables(self._packed_affine, self.ggm.domain_bits, self.ggm.out_bits)
 
     @property
     def in_bits(self) -> int:

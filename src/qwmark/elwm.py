@@ -292,20 +292,9 @@ def sim_coin_bits(params: ElwmParams) -> int:
     return 1 + params.seed_bits + params.pt_bits
 
 
-def sim(params: ElwmParams, tag: TagIo, i: int, coins: str) -> tuple[int, str, str]:
-    """Simulate one marker-revealing triple for message position i (1-based).
-
-    coins supply gamma, the PRG seed s, and the encryption seed; the output
-    is (gamma, Enc(ek, s || i || gamma), PRG(s)).
-    """
-    if not (1 <= i <= params.msg_bits):
-        raise IndexRangeError(f"index {i} outside 1..{params.msg_bits}")
-    check_bits(coins, sim_coin_bits(params), what="sim coins")
-    return _sim(params, tag.pe_ek.circuit, i, int(coins, 2))
-
-
 def _sim(params: ElwmParams, ek: EncryptionCircuit, i: int, coins: int) -> tuple[int, str, str]:
-    """``sim`` under the encryption circuit `ek`, on the coins gamma || s || enc_seed as an int, for a checked i."""
+    """Sim(tau, i) under `ek` for a position i in 1..msg_bits, on the coins gamma || s || enc_seed as an int:
+    (gamma, Enc(ek, s || i || gamma), PRG(s)), with x and y formatted."""
     pt_bits, seed_bits = params.pt_bits, params.seed_bits
     gamma = coins >> (seed_bits + pt_bits)
     s = (coins >> pt_bits) & ((1 << seed_bits) - 1)
@@ -333,7 +322,7 @@ def _native_sim(kernel):
 
     def build(params, ek, index, s, master_seed, coin_key) -> tuple[tuple[int, str, str], ...]:
         head = b"coin|" + coin_key + b"#" + _sim_label(master_seed, index)  # _keyed_coins's hash prefix
-        key_material = (ek.f_key.ggm.seed, ek.f_key._affine[2], ek.g_key.seed)
+        key_material = (ek.f_key.ggm.seed, ek.f_key._packed_affine, ek.g_key.seed)
         records = kernel(head, s, params.seed_bits, params.idx_bits, index - 1, params.range_bits, *key_material)
         _remember(_keys(ek), [(x, m) for m, x, _ in records])
         x_format, y_format = f"0{params.domain_bits}b", f"0{params.range_bits}b"

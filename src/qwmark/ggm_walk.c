@@ -1,5 +1,6 @@
-/* The native kernels of qwmark/native.py: a GGM leaf of crypto._ggm_leaf and
- * a whole Sim distribution of elwm.build_distribution, each in one call.
+/* The native kernels of qwmark/native.py: a GGM leaf of crypto._ggm_leaf, a
+ * whole Sim distribution of elwm.build_distribution, and a PE decryption of
+ * pe._decrypt, each in one call.
  *
  * Bits are held big-endian: bit i of a buffer is bit 7 - i % 8 of byte i / 8,
  * so the first bit is the most significant bit of the first byte.  A w-bit
@@ -8,7 +9,7 @@
  * A child seed is SHA-256("node" || bit || seed)[:16], where bit is the
  * character '0' or '1', and a leaf's output is the blocks
  * SHA-256("leaf|" || node || ctr), ctr a big-endian u32 from 0: the blocks of
- * crypto.prg_expand(node, ., domain=b"leaf") before truncation.
+ * crypto._stream(node, out_bits, b"leaf") before truncation.
  *
  * There are two walks down the tree, and both give the same bytes as the
  * third, crypto._hashlib_leaf.  On an x86 CPU with the SHA extensions, SSSE3
@@ -341,6 +342,21 @@ static void put_int(unsigned char *dst, size_t bytes, const unsigned char *src, 
     put_bits(dst, 8 * bytes - n, src, 0, n);
 }
 
+/* out ^= A x + b, where x is the in_bits bits of `in` and the affine map's in_bits columns and then its offset
+ * b are each out_bytes bytes of `affine`: the injective PPRF's mask of crypto._affine_mask. */
+static void affine_mask(unsigned char *out, size_t out_bytes, const unsigned char *affine, const unsigned char *in,
+                        size_t in_bits)
+{
+    size_t i, j;
+
+    for (i = 0; i < out_bytes; i++)
+        out[i] ^= affine[in_bits * out_bytes + i];
+    for (j = 0; j < in_bits; j++)
+        if (bit_at(in, j))
+            for (i = 0; i < out_bytes; i++)
+                out[i] ^= affine[j * out_bytes + i];
+}
+
 /* The buffers of one record of qwmark_sim, and the seed of the node its walk reached. */
 struct sim_record {
     unsigned char *coins, *m, *alpha, *f_in, *beta, *g_out, *x, *y, node[SEED_BYTES];
@@ -370,12 +386,12 @@ int qwmark_sim(const unsigned char *head, unsigned head_len, unsigned count, uns
                const unsigned char *g_seed, unsigned char *out)
 {
     size_t ell = (size_t)seed_bits + idx_bits + 1, coin_bits = 1 + seed_bits + ell, prg_in = ell;
-    size_t beta_bytes = bytes_of(9 * ell), record = bytes_of(ell) + bytes_of(12 * ell) + bytes_of(range_bits);
+    size_t record = bytes_of(ell) + bytes_of(12 * ell) + bytes_of(range_bits);
     size_t coin_len = 32 * blocks_of(coin_bits), alpha_len = 32 * blocks_of(2 * ell);
     size_t beta_len = 32 * blocks_of(9 * ell), g_len = 32 * blocks_of(ell), y_len = 32 * blocks_of(range_bits);
     size_t lane_len = coin_len + bytes_of(ell) + alpha_len + bytes_of(3 * ell) + beta_len + g_len +
                       bytes_of(12 * ell) + y_len;
-    size_t r, i, j;
+    size_t r, i;
     unsigned lanes, l;
     unsigned char *scratch, *coin_msg, *prg_msg, index_bits[2];
     struct sim_record rec[2], *k;
@@ -421,12 +437,7 @@ int qwmark_sim(const unsigned char *head, unsigned head_len, unsigned count, uns
         for (l = 0; l < lanes; l++) {
             k = &rec[l];
             leaf_blocks(k->node, blocks_of(9 * ell), k->beta);
-            for (i = 0; i < beta_bytes; i++)
-                k->beta[i] ^= affine[3 * ell * beta_bytes + i];
-            for (j = 0; j < 3 * ell; j++)
-                if (bit_at(k->f_in, j))
-                    for (i = 0; i < beta_bytes; i++)
-                        k->beta[i] ^= affine[j * beta_bytes + i];
+            affine_mask(k->beta, bytes_of(9 * ell), affine, k->f_in, 3 * ell);
         }
         /* G(beta) xor m */
         walk_lanes(g_seed, rec[0].beta, rec[1].beta, 9 * ell, lanes, rec[0].node, rec[1].node);
@@ -448,4 +459,48 @@ int qwmark_sim(const unsigned char *head, unsigned head_len, unsigned count, uns
     }
     free(scratch);
     return 0;
+}
+
+/* pe._decrypt of a 12 ell-bit ciphertext c = alpha || beta || gamma, held
+ * right-aligned in (12 ell + 7) / 8 bytes (the big-endian int): m = G(beta)
+ * xor gamma, where G is the leaf of beta under g_seed (a 9 ell-bit walk), and
+ * c is a ciphertext iff beta = F(alpha || m), F being the leaf of alpha || m
+ * under f_seed (a 3 ell-bit walk) xor the affine map `affine`, laid out as in
+ * qwmark_sim.  Returns 1 and writes m to m_out, right-aligned in (ell + 7) / 8
+ * bytes, if c is a ciphertext; 0 if it is not; -1 if its scratch memory cannot
+ * be had. */
+int qwmark_decrypt(const unsigned char *c, unsigned ell, const unsigned char *f_seed, const unsigned char *affine,
+                   const unsigned char *g_seed, unsigned char *m_out)
+{
+    size_t n = ell, at = 8 * bytes_of(12 * n) - 12 * n, beta_bytes = bytes_of(9 * n), tail = 9 * n % 8, i;
+    unsigned char node[SEED_BYTES], *scratch, *beta, *g_out, *m, *f_in, *f_out;
+    int found;
+
+    scratch = calloc(beta_bytes + 32 * blocks_of(n) + bytes_of(n) + bytes_of(3 * n) + 32 * blocks_of(9 * n), 1);
+    if (scratch == NULL)
+        return -1;
+    beta = scratch;
+    g_out = beta + beta_bytes;
+    m = g_out + 32 * blocks_of(n);
+    f_in = m + bytes_of(n);
+    f_out = f_in + bytes_of(3 * n);
+    /* m = G(beta) xor gamma */
+    put_bits(beta, 0, c, at + 2 * n, 9 * n);
+    walk(g_seed, beta, 9 * n, node);
+    leaf_blocks(node, blocks_of(n), g_out);
+    put_bits(m, 0, c, at + 11 * n, n);
+    for (i = 0; i < bytes_of(n); i++)
+        m[i] ^= g_out[i];
+    /* F(alpha || m), compared with beta on its 9 ell bits */
+    put_bits(f_in, 0, c, at, 2 * n);
+    put_bits(f_in, 2 * n, m, 0, n);
+    walk(f_seed, f_in, 3 * n, node);
+    leaf_blocks(node, blocks_of(9 * n), f_out);
+    affine_mask(f_out, beta_bytes, affine, f_in, 3 * n);
+    found = memcmp(f_out, beta, 9 * n / 8) == 0 &&
+            (tail == 0 || (f_out[9 * n / 8] ^ beta[9 * n / 8]) >> (8 - tail) == 0);
+    if (found)
+        put_int(m_out, bytes_of(n), m, n);
+    free(scratch);
+    return found;
 }

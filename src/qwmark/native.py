@@ -4,30 +4,33 @@ The library walks the GGM tree on the CPU's SHA instructions where CPUID
 reports them, else through libcrypto; ``c_walk_name()`` says which.
 
 ``load_leaf()`` returns a function with the contract of ``crypto._hashlib_leaf``,
-and ``load_sim()`` one that builds the records of a whole Sim distribution;
-each returns None where the kernel cannot be had: no ``cc`` on ``PATH``, no
-OpenSSL headers or libcrypto to link, no cache directory that only this user
-can write, or a library that does not load.  ``first_use`` is the one rule
-that picks a kernel over its Python twin, which gives the same bytes, and
-``kernels()`` reports each pick and the C walk.
+``load_sim()`` one that builds the records of a whole Sim distribution, and
+``load_decrypt()`` one that decrypts a PE ciphertext; each returns None where
+the kernel cannot be had: no ``cc`` on ``PATH``, no OpenSSL headers or
+libcrypto to link, no cache directory that only this user can write, or a
+library that does not load.  ``first_use`` is the one rule that picks a kernel
+over its Python twin, which gives the same bytes, and ``kernels()`` reports
+each pick and the C walk.
 
 The library is cached in ``$XDG_CACHE_HOME/qwmark`` (``~/.cache/qwmark`` when
 that is unset), under a name that is a digest of the source and the compile
 command, so an edited source or command builds a new file and a cached load
 runs no compiler.  A build writes to a temporary file in that directory and
 publishes it with an atomic rename, so processes that build at once each load
-a whole library; it then unlinks the libraries of other sources or commands,
-while a process that mapped one keeps its mapping.
+a whole library; it then unlinks the libraries of other sources or commands
+but the ``KEEP_OTHERS`` newest, so that two checkouts run in turn each keep
+theirs, while a process that mapped one keeps its mapping.
 
-One leaf call walks a packed path and hashes the leaf blocks into a buffer
-kept per block count, since a fresh one costs more than the call.  ``PyDLL``
-keeps the GIL through a call, and no ``argtypes`` are declared for the one
-caller, which cut the call overhead from 0.9 to 0.3 us.  The shared buffers
-make the leaf one thread's at a time, as qwmark calls it.
+A leaf call writes into a buffer kept per block count, and a decryption into
+one kept per plaintext width, since a fresh one costs more than the call.
+``PyDLL`` keeps the GIL through a call, and neither declares ``argtypes``,
+which cut the call overhead from 0.9 to 0.3 us.  The shared buffers make
+both one thread's at a time, as qwmark calls them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -39,6 +42,7 @@ SOURCE = Path(__file__).with_name("ggm_walk.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 LINK = ("-lcrypto",)
 BUILD_TIMEOUT_S = 60
+KEEP_OTHERS = 1  # libraries of other sources or commands that a build leaves, the most recently built first
 
 
 def _cache_dir() -> Path:
@@ -69,8 +73,10 @@ def _build(target: Path) -> bool:
             return False
         if done.returncode == 0:
             os.replace(tmp, target)
-            for stale in set(target.parent.glob("ggm_walk-*.so")) - {target}:  # never a .build- temporary
-                stale.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # another process pruned one first: leave the rest to the next build
+                others = set(target.parent.glob("ggm_walk-*.so")) - {target}  # never a .build- temporary
+                for stale in sorted(others, key=lambda other: other.stat().st_mtime_ns, reverse=True)[KEEP_OTHERS:]:
+                    stale.unlink(missing_ok=True)
         return done.returncode == 0
     finally:
         if os.path.exists(tmp):
@@ -110,6 +116,7 @@ def first_use(name: str, load, twin, probes, twin_name: str):
 
     That is ``load()`` if it returns a kernel that agrees with `twin` on every
     probe, else `twin`; ``kernels()`` reports it as "native" or `twin_name`.
+    `probes`, an iterable of argument tuples, is iterated then, and only once.
     """
 
     @lru_cache(maxsize=None)
@@ -127,7 +134,7 @@ def kernels() -> dict[str, str | None]:
     """Each kernel this process runs, under its ``first_use`` name and picked now if not yet, then "c_walk".
 
     The package imports every module that picks a kernel, so the report holds
-    "ggm_walk" and "sim_kernel", and "c_walk" is ``c_walk_name()``.
+    "ggm_walk", "decrypt" and "sim_kernel", and "c_walk" is ``c_walk_name()``.
     """
     return {**{name: report() for name, report in _PICKS.items()}, "c_walk": c_walk_name()}
 
@@ -196,3 +203,25 @@ def load_sim(library=None):
         return records
 
     return sim
+
+
+def load_decrypt(library=None):
+    """The native decrypt(dk, c) of `library` (the cached one if None), ``pe._python_decrypt``'s contract; or None."""
+    kernel = _kernel("qwmark_decrypt", ctypes.c_int, library)
+    if kernel is None:
+        return None
+    buffers = {}
+
+    def decrypt(dk, c: int) -> int | None:
+        ell, f_seed, affine, g_seed = dk.ell, dk.f_key.ggm.seed, dk.f_key._packed_affine, dk.g_key.seed
+        # the kernel reads and writes as far as these say, so they must hold before it runs
+        widths = (len(f_seed), len(affine), len(g_seed)) == (16, (3 * ell + 1) * -(-9 * ell // 8), 16)
+        if not (ell >= 1 and widths and 0 <= c and c.bit_length() <= 12 * ell):
+            raise ValueError("the decryption kernel's arguments do not match its widths")
+        out = buffers.get(ell) or buffers.setdefault(ell, ctypes.create_string_buffer(-(-ell // 8)))
+        found = kernel(c.to_bytes(-(-12 * ell // 8), "big"), ell, f_seed, affine, g_seed, out)
+        if found < 0:
+            raise MemoryError("the native decryption kernel could not allocate its scratch memory")
+        return int.from_bytes(out.raw, "big") if found else None
+
+    return decrypt

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
+from . import native
 from .crypto import (
     _PLAINTEXT_MEMO_SIZE,
     GgmKey,
@@ -138,23 +139,47 @@ def _encrypt(ek, m: int, s: int) -> int:
     return c
 
 
-def _decrypt(dk, c: int, keys: tuple) -> int | None:
-    """Decrypt a 12ell-bit ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m).
-
-    `keys` is ``_keys(dk)``, which a caller that decrypts many ciphertexts
-    under one circuit builds once.  A ciphertext encrypted under the same
-    keys since the memo was last emptied is answered from it: by correctness
-    its plaintext is the one it was made from.
-    """
-    m = _plaintexts.get((keys, c))
-    if m is not None:
-        return m
+def _python_decrypt(dk, c: int) -> int | None:
+    """Decrypt a 12ell-bit ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m)."""
     ell = dk.ell
     beta = (c >> ell) & ((1 << 9 * ell) - 1)
     m = _ggm_eval(dk.g_key, beta) ^ (c & ((1 << ell) - 1))
     if _injective_eval(dk.f_key, ((c >> 10 * ell) << ell) | m) != beta:
         return None
     return m
+
+
+def _decrypt_probes():
+    """At ell = 10 and 36 (F's output in two blocks), under fixed keys: a ciphertext; the same with beta's last bit,
+    or a bit of its last whole byte, flipped and gamma made again so that m is kept, which only the check of beta
+    refuses; one-bit flips of alpha, beta and gamma; and a random string."""
+    for ell in (10, 36):
+        f_key = InjectivePprfKey(GgmKey(b"dec-probe-f-root", 3 * ell, 9 * ell), b"dec-probe-f-mask")
+        dk = DecryptionCircuit(f_key, GgmKey(b"dec-probe-g-root", 9 * ell, ell), ell)
+        alpha, m = _prg(ell, 16, 2 * ell), _prg(ell, 16, ell)
+        beta = _injective_eval(f_key, (alpha << ell) | m)
+        cs = [(((alpha << 9 * ell) | b) << ell) | (_ggm_eval(dk.g_key, b) ^ m) for b in (beta, beta ^ 1, beta ^ 256)]
+        flips = (1 << 12 * ell - 1, 1 << 5 * ell, 1)  # alpha's first bit, beta's middle bit, gamma's last bit
+        yield from ((dk, x) for x in (*cs, *(cs[0] ^ flip for flip in flips), _prg(ell, 16, 12 * ell)))
+
+
+_decrypt_in_use = native.first_use("decrypt", native.load_decrypt, _python_decrypt, _decrypt_probes(), "python")
+
+
+def _decrypt(dk, c: int, keys: tuple) -> int | None:
+    """Decrypt a 12ell-bit ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m).
+
+    `keys` is ``_keys(dk)``, which a caller that decrypts many ciphertexts
+    under one circuit builds once.  A ciphertext encrypted under the same
+    keys since the memo was last emptied is answered from it: by correctness
+    its plaintext is the one it was made from.  Any other goes to the native
+    kernel if it loads and agrees with ``_python_decrypt`` on the probes, else
+    to that twin.
+    """
+    m = _plaintexts.get((keys, c))
+    if m is not None:
+        return m
+    return _decrypt_in_use()(dk, c)
 
 
 def _decrypt_bits(dk, c: str) -> str | None:
@@ -254,18 +279,3 @@ def pe_dec(dk, c: str) -> str | None:
 
 def pe_puncture(dk: DecryptionCircuit, c_star: str) -> ObfuscatedCircuit:
     return ObfuscatedCircuit(PuncturedDecryptionCircuit(dk.f_key, dk.g_key, dk.ell, c_star))
-
-
-__all__ = [
-    "EncryptionCircuit",
-    "DecryptionCircuit",
-    "PuncturedDecryptionCircuit",
-    "ObfuscatedCircuit",
-    "PeKeys",
-    "pe_gen",
-    "pe_enc",
-    "pe_dec",
-    "pe_puncture",
-    "circuit_to_bytes",
-    "circuit_from_bytes",
-]

@@ -1,7 +1,8 @@
-"""Shared fixtures: deterministic rngs, the string forms of the PRG and the
-keyed coins, a small watermarking stack, a reusable random-program builder for measurement tests, an oracle's checked
-matrices, the dense operators of the API walk on H_R (x) H, a measurement
-oracle, and empty measurement memos before every test."""
+"""Shared fixtures: deterministic rngs, the string forms of the PRG, the
+keyed coins and Sim, a small watermarking stack, a reusable random-program
+builder for measurement tests, an oracle's checked matrices, the dense
+operators of the API walk on H_R (x) H, a measurement oracle, and empty
+measurement memos before every test."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from hypothesis import settings
 from scipy.linalg import block_diag
 
 from qwmark import crypto, elwm, qcore, spectral, wmprf
-from qwmark.crypto import _keyed_coins, _prg, _stream, int_to_bits
-from qwmark.errors import InvariantError, LengthError
+from qwmark.crypto import _keyed_coins, _prg, _stream, check_bits, int_to_bits
+from qwmark.errors import IndexRangeError, InvariantError, LengthError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
 from spectral_oracles import spectral_measurement
 
@@ -72,6 +73,18 @@ def prg_expand(seed: bytes, out_bits: int, *, domain: bytes = b"prg") -> str:
 def keyed_rand(key: bytes, label: bytes, out_bits: int) -> str:
     """Deterministic keyed coin derivation: one key, disjoint labels, fresh-looking coins."""
     return prg_expand(key + b"#" + label, out_bits, domain=b"coin")
+
+
+def sim(params: elwm.ElwmParams, tag: elwm.TagIo, i: int, coins: str) -> tuple[int, str, str]:
+    """Simulate one marker-revealing triple for message position i (1-based).
+
+    coins supply gamma, the PRG seed s, and the encryption seed; the output
+    is (gamma, Enc(ek, s || i || gamma), PRG(s)).
+    """
+    if not (1 <= i <= params.msg_bits):
+        raise IndexRangeError(f"index {i} outside 1..{params.msg_bits}")
+    check_bits(coins, elwm.sim_coin_bits(params), what="sim coins")
+    return elwm._sim(params, tag.pe_ek.circuit, i, int(coins, 2))
 
 
 def prg_bits(seed: str, out_bits: int) -> str:

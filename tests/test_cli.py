@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qwmark import api, cli, elwm, native, wmprf
 from qwmark.pirates import honest_pirate
 
-from conftest import child_env, keyed_rand, malformed_bits
+from conftest import child_env, keyed_rand, malformed_bits, sim
 
 
 def run_cli(*argv) -> int:
@@ -119,7 +119,7 @@ def test_sim_matches_library_coins(tmp_path, keys, capsys):
             (11).to_bytes(8, "big") + b"S" + (2).to_bytes(2, "big") + r.to_bytes(4, "big"),
             elwm.sim_coin_bits(tag.params),
         )
-        gamma, x, y = elwm.sim(tag.params, tag, 2, coins)
+        gamma, x, y = sim(tag.params, tag, 2, coins)
         assert triple == {"gamma": gamma, "x": x, "y": y}
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import os
 import platform
 import random
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qwmark import crypto, elwm, native, wmprf
+from qwmark import crypto, elwm, native, pe, wmprf
 from qwmark.errors import FormatError, LengthError
 from qwmark.pirates import honest_pirate
 
@@ -390,7 +391,7 @@ def test_the_sha_ni_walk_runs_wherever_the_cpu_has_it():
 @pytest.mark.skipif("native" not in LEAVES, reason="the native leaf does not build on this host")
 def test_the_libcrypto_c_walk_matches_the_oracles(tmp_path):
     # a CPU with the SHA extensions never runs the library's libcrypto walk, so
-    # build it a second time with the SHA-NI walk compiled out and run its two
+    # build it a second time with the SHA-NI walk compiled out and run its
     # kernels through native's own loaders
     target = tmp_path / "ggm_walk_libcrypto.so"
     command = [*native.COMPILE, "-DQWMARK_NO_SHA_NI", "-o", str(target), str(native.SOURCE), *native.LINK]
@@ -412,6 +413,12 @@ def test_the_libcrypto_c_walk_matches_the_oracles(tmp_path):
             for s in (1, 2, 3, 5):
                 sized = (*probe[:3], s, *probe[4:])
                 assert sim(*sized) == elwm._python_sim(*sized)
+        # every 12-bit string at ell = 1, and the decryption probes at ell = 10 and 36, where F's output takes
+        # one and two leaf blocks
+        decrypt = native.load_decrypt(library)
+        dk = pe.pe_gen(1, rng_for("libcrypto-decrypt")).dk
+        cases = [*((dk, c) for c in range(1 << 12)), *pe._decrypt_probes()]
+        assert [decrypt(*case) for case in cases] == [pe._python_decrypt(*case) for case in cases]
     finally:
         crypto.forget_leaves()
 
@@ -423,15 +430,20 @@ WALK_NAME = [sys.executable, "-c", "from qwmark import native; print(native.kern
 def test_processes_building_into_one_cache_at_once_each_load_the_kernel(tmp_path):
     cache = tmp_path / "cache"
     (cache / "qwmark").mkdir(mode=0o700, parents=True)
-    (cache / "qwmark" / "ggm_walk-0000000000000000.so").write_bytes(b"a library of another source")  # pruned
+    # libraries of two other sources: a build keeps the more recently built one and unlinks the other
+    older, newer = (cache / "qwmark" / f"ggm_walk-000000000000000{n}.so" for n in (0, 1))
+    for age, stale in enumerate((newer, older), 1):
+        stale.write_bytes(b"a library of another source")
+        os.utime(stale, (1e9 - 1e6 * age, 1e9 - 1e6 * age))
     children = [
         subprocess.Popen(WALK_NAME, env=child_env(cache), stdout=subprocess.PIPE, text=True) for _ in range(2)
     ]
     outputs = [child.communicate(timeout=120)[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
     assert outputs == ["native\n"] * 2
-    (built,) = (cache / "qwmark").iterdir()  # one published library, no stale one or temporary file left
-    assert built.suffix == ".so" and not built.name.startswith(".")
+    # one published library beside the newer stale one, and no temporary file left
+    (built,) = set((cache / "qwmark").iterdir()) - {newer}
+    assert newer.exists() and built.suffix == ".so" and not built.name.startswith(".")
     assert (cache / "qwmark").stat().st_mode & 0o777 == 0o700
     # a cached load needs no compiler
     (tmp_path / "empty-bin").mkdir()
@@ -688,16 +700,41 @@ def oracle_affine_mask(base: str, seed: bytes, x: str) -> str:
 @given(st.integers(min_value=1, max_value=40), st.integers(1, 90) | st.integers(250, 600), st.data())
 def test_table_affine_mask_matches_column_xor(in_bits, out_bits, data):
     seed = data.draw(st.binary(min_size=16, max_size=16))
-    affine = crypto._derive_affine(seed, in_bits, out_bits)
-    assert len(affine[0]) == -(-in_bits // crypto._MASK_CHUNK)  # one table per chunk of x
-    # the packed form the native Sim reads: each column, then the offset, each _pack-ed
+    packed = crypto._derive_affine(seed, in_bits, out_bits)
+    # the packed form the native kernels read: each column, then the offset, each _pack-ed
     columns, offset = oracle_affine(seed, in_bits, out_bits)
-    assert affine[2] == b"".join(crypto._pack(word, out_bits) for word in (*columns, offset))
+    assert packed == b"".join(crypto._pack(word, out_bits) for word in (*columns, offset))
+    affine = crypto._affine_tables(packed, in_bits, out_bits)
+    assert len(affine[0]) == -(-in_bits // crypto._MASK_CHUNK)  # one table per chunk of x
     for _ in range(4):
         x = data.draw(st.text(alphabet="01", min_size=in_bits, max_size=in_bits))
         base = data.draw(st.text(alphabet="01", min_size=out_bits, max_size=out_bits))
         masked = crypto._affine_mask(int(base, 2), affine, int(x, 2))
         assert crypto.int_to_bits(masked, out_bits) == oracle_affine_mask(base, seed, x)
+
+
+def oracle_tables(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The XOR tables and offset from the column oracle: table t serves the t-th chunk of _MASK_CHUNK bits of x
+    from the right, and its entry v is the XOR of the columns of the bits set in v."""
+    columns, offset = oracle_affine(seed, in_bits, out_bits)
+    from_right, tables = columns[::-1], []
+    for start in range(0, in_bits, crypto._MASK_CHUNK):
+        chunk = from_right[start : start + crypto._MASK_CHUNK]
+        table = []
+        for v in range(1 << len(chunk)):
+            entry = 0
+            for b, column in enumerate(chunk):
+                entry ^= column if v >> b & 1 else 0
+            table.append(entry)
+        tables.append(tuple(table))
+    return tuple(tables), offset
+
+
+@pytest.mark.parametrize("ell", [1, 10, 36])  # the PE widths 3 ell -> 9 ell; 324 bits at 36 is two blocks
+def test_xor_tables_built_from_the_packed_form_match_the_column_oracle(ell):
+    key = crypto.InjectivePprfKey(crypto.GgmKey(b"tables-root-key!", 3 * ell, 9 * ell), b"tables-mask-seed")
+    assert key._affine == oracle_tables(key.mask_seed, 3 * ell, 9 * ell)
+    assert key._packed_affine == crypto._derive_affine(key.mask_seed, 3 * ell, 9 * ell)
 
 
 def test_injective_pprf_eval_checks_its_input():

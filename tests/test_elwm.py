@@ -15,7 +15,7 @@ from qwmark.crypto import int_to_bits, read_record, read_whole_record, write_rec
 from qwmark.errors import FormatError, IndexRangeError, LengthError
 from qwmark.pe import ObfuscatedCircuit
 
-from conftest import malformed_bits, prg_bits, rng_for
+from conftest import malformed_bits, prg_bits, rng_for, sim
 
 
 def small_params():
@@ -339,7 +339,7 @@ def test_sim_triple_structure():
     params = small_params()
     prfk, tag = elwm.gen(params, rng_for("elwm-sim"))
     coins = "1" + "010101" + "110011001"  # gamma, s, enc seed
-    gamma, x, y = elwm.sim(params, tag, 2, coins)
+    gamma, x, y = sim(params, tag, 2, coins)
     assert gamma == 1
     assert len(x) == params.domain_bits
     assert y == prg_bits("010101", params.range_bits)
@@ -347,7 +347,7 @@ def test_sim_triple_structure():
     d = prfk.pe_dk.run(x)
     assert d == "010101" + int_to_bits(1, params.idx_bits) + "1"
     # determinism in the coins
-    assert elwm.sim(params, tag, 2, coins) == (gamma, x, y)
+    assert sim(params, tag, 2, coins) == (gamma, x, y)
 
 
 def test_sim_index_range():
@@ -355,9 +355,9 @@ def test_sim_index_range():
     _, tag = elwm.gen(params, rng_for("elwm-sim-idx"))
     coins = "0" * elwm.sim_coin_bits(params)
     with pytest.raises(IndexRangeError):
-        elwm.sim(params, tag, 0, coins)
+        sim(params, tag, 0, coins)
     with pytest.raises(IndexRangeError):
-        elwm.sim(params, tag, 5, coins)
+        sim(params, tag, 5, coins)
 
 
 def test_sim_marked_circuit_answers_complement_on_disagreement():
@@ -372,7 +372,7 @@ def test_sim_marked_circuit_answers_complement_on_disagreement():
     for i in range(1, 5):
         for _ in range(8):
             coins = "".join(str(b) for b in local.integers(0, 2, size=elwm.sim_coin_bits(params)))
-            gamma, x, y = elwm.sim(params, tag, i, coins)
+            gamma, x, y = sim(params, tag, i, coins)
             if str(gamma) != message[i - 1]:
                 assert circuit.run(x) == y
             else:

@@ -1,11 +1,15 @@
 """Sparse encryption layer: correctness, ciphertext structure, puncturing,
-sparseness, and circuit serialization."""
+sparseness, circuit serialization, and the native and Python decryptions."""
 
 from __future__ import annotations
 
-import pytest
+import types
 
-from qwmark import crypto, elwm, pe
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qwmark import crypto, elwm, native, pe
 from qwmark.crypto import int_to_bits, write_record
 from qwmark.errors import FormatError, LengthError
 
@@ -194,3 +198,105 @@ def test_circuits_check_key_widths_when_built():
 def test_pe_gen_validates_length():
     with pytest.raises(LengthError):
         pe.pe_gen(0, rng_for("pe-bad"))
+
+
+# ---------------------------------------------------------------------------
+# the native and Python decryptions
+# ---------------------------------------------------------------------------
+
+# The decryptions this host runs: the Python twin always, and the native
+# kernel where it builds, taken as built rather than after pe's probe has vetted it.
+DECRYPTS = {"python": pe._python_decrypt}
+if (native_decrypt := native.load_decrypt()) is not None:
+    DECRYPTS["native"] = native_decrypt
+
+
+def test_the_native_decrypt_runs_wherever_it_builds():
+    assert native.kernels()["decrypt"] == ("native" if "native" in DECRYPTS else "python")
+
+
+@pytest.mark.skipif("native" not in DECRYPTS, reason="the native decryption does not build on this host")
+@pytest.mark.parametrize("ell", [1, 10, 36])  # at 36, 9 ell = 324 bits: F's output takes two leaf blocks
+@given(data=st.data())
+def test_native_and_python_decryptions_agree_with_the_memo_warm_and_cold(ell, data):
+    keys = pe.pe_gen(ell, rng_for(f"pe-decrypt-twin-{ell}"))
+    m, s = (data.draw(st.integers(0, (1 << ell) - 1)) for _ in range(2))
+    crypto.forget_leaves()
+    c = pe._encrypt(keys.ek.circuit, m, s)
+    # one bit flipped in alpha, in beta and in gamma, and a random string
+    flips = [data.draw(st.integers(low, high - 1)) for low, high in ((10 * ell, 12 * ell), (ell, 10 * ell), (0, ell))]
+    cases = [c, *(c ^ 1 << bit for bit in flips), data.draw(st.integers(0, (1 << 12 * ell) - 1))]
+    expected = [pe._python_decrypt(keys.dk, x) for x in cases]
+    assert expected[0] == m
+    assert [DECRYPTS["native"](keys.dk, x) for x in cases] == expected
+    for name, decrypt in DECRYPTS.items():
+        for warm in (True, False):  # the memo answers c when warm; the kernel decrypts every case when cold
+            if warm:
+                crypto._plaintexts[pe._keys(keys.dk), c] = m
+            else:
+                crypto.forget_leaves()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pe, "_decrypt_in_use", lambda decrypt=decrypt: decrypt)
+                assert [pe._decrypt(keys.dk, x, pe._keys(keys.dk)) for x in cases] == expected, (name, warm)
+    crypto.forget_leaves()
+
+
+class RecordedKernel:
+    """A stand-in for a library's C function that records its calls."""
+
+    restype = None
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return 0
+
+
+def test_the_decryption_kernel_refuses_wrong_widths_before_any_c_call():
+    kernel = RecordedKernel()
+    decrypt = native.load_decrypt(types.SimpleNamespace(qwmark_decrypt=kernel))
+    ell, seed = 10, b"s" * 16
+    affine = bytes((3 * ell + 1) * 12)  # 3 ell + 1 columns of 9 ell = 90 bits, 12 bytes each
+
+    def keys(ell=ell, f_seed=seed, affine=affine, g_seed=seed):
+        """A stand-in for a decryption circuit, with keys of any widths."""
+        f_key = types.SimpleNamespace(ggm=types.SimpleNamespace(seed=f_seed), _packed_affine=affine)
+        return types.SimpleNamespace(ell=ell, f_key=f_key, g_key=types.SimpleNamespace(seed=g_seed))
+
+    bad = [
+        (keys(), 1 << 12 * ell),  # a ciphertext one bit too wide
+        (keys(), -1),
+        (keys(ell=0, affine=b""), 0),
+        (keys(ell=1 << 40), 0),  # refused before 1 << 12 ell could be formed
+        (keys(f_seed=seed[:15]), 0),
+        (keys(g_seed=seed + b"s"), 0),
+        (keys(affine=affine[:-1]), 0),
+        (keys(affine=affine + b"\0"), 0),
+        (keys(ell=ell + 1), 0),  # an affine map of other widths
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            decrypt(*args)
+    assert kernel.calls == []
+    assert decrypt(keys(), (1 << 12 * ell) - 1) is None  # the widest ciphertext reaches it
+    assert len(kernel.calls) == 1
+
+
+def test_a_decryption_kernel_that_disagrees_on_a_probe_is_refused(monkeypatch):
+    monkeypatch.setattr(native, "_PICKS", dict(native._PICKS))  # the picks below leave the report as it was
+    (dk, c), *_ = pe._decrypt_probes()
+    wrong = [
+        lambda dk_, c_: None if c_ == c else pe._python_decrypt(dk_, c_),  # refuses the one valid probe at ell = 10
+        lambda dk_, c_: pe._python_decrypt(dk_, c_) or 0,  # accepts every string
+    ]
+    for kernel in wrong:
+        picker = native.first_use("decrypt", lambda k=kernel: k, pe._python_decrypt, pe._decrypt_probes(), "python")
+        assert picker() is pe._python_decrypt
+        assert native.kernels()["decrypt"] == "python"
+    if "native" in DECRYPTS:
+        picker = native.first_use("decrypt", lambda: native_decrypt, pe._python_decrypt, pe._decrypt_probes(), "python")
+        assert picker() is native_decrypt
+        assert native.kernels()["decrypt"] == "native"
+    crypto.forget_leaves()

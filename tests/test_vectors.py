@@ -19,7 +19,7 @@ import numpy as np
 from qwmark import api, cli, crypto, elwm, pe, spectral
 from qwmark.crypto import GgmKey, InjectivePprfKey
 
-from conftest import FakeDistribution, keyed_rand, prg_expand, random_program, random_triples, rng_for
+from conftest import FakeDistribution, keyed_rand, prg_expand, random_program, random_triples, rng_for, sim
 
 ROOT_SEED = b"kat-ggm-root-000"
 MASK_SEED = b"kat-affine-mask0"
@@ -223,7 +223,7 @@ def circuit_vectors(records):
     for i in range(1, params.msg_bits + 1):
         for r in range(2):
             coins = keyed_rand(records["xk"], f"kat-sim-{i}-{r}".encode(), elwm.sim_coin_bits(params))
-            gamma, x, y = elwm.sim(params, tag, i, coins)
+            gamma, x, y = sim(params, tag, i, coins)
             on_sim.append((gamma, x, y, circuit.run(x)))
     on_random = [circuit.run(_bits(f"circ-rand-{i}", params.domain_bits)) for i in range(3)]
     return on_sim, on_random

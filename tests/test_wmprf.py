@@ -279,3 +279,20 @@ def test_each_game_starts_with_an_empty_plaintext_memo(monkeypatch):
         after.append(len(crypto._plaintexts))
     assert at_keygen == [0, 0]
     assert after[0] == after[1] == 3 * 8  # the k + 1 Sim distributions of 8 distinct ciphertexts
+
+
+def test_an_honest_game_on_the_native_kernels_builds_no_xor_tables(monkeypatch):
+    # the Sim kernel encrypts and the decryption kernel decrypts with the affine
+    # map's packed form, so no evaluation in Python ever needs its tables
+    kernels = native.kernels()  # the Python twins build tables of their probe keys when the kernels are picked
+    if (kernels["sim_kernel"], kernels["decrypt"]) != ("native", "native"):
+        pytest.skip("the native Sim and decryption kernels do not run on this host")
+    built, tables = [], crypto._affine_tables
+    monkeypatch.setattr(crypto, "_affine_tables", lambda *args: built.append(args) or tables(*args))
+    params = wmprf.ExtractParams(k=4, eps=0.25, delta_prime=0.05, s=8)
+    crypto.forget_leaves()
+    result = wmprf.run_event_trial(
+        params, pirates.honest_pirate, "1011", rng_for("no-xor-tables"), elwm_params=elwm.ElwmParams(5, 6, 12)
+    )
+    assert result.report.decoded == "1011"  # a whole game: the live probe, then every measurement
+    assert built == []
