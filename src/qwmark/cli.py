@@ -12,8 +12,9 @@ Subcommands:
 Determinism: every command takes --seed; identical seeds and inputs yield
 byte-identical outputs.  Wall-clock timings go to a separate timings file so
 the row data stays reproducible; it also holds ``native.kernels()``: the GGM
-walk ("native" or "hashlib"), the Sim builder ("native" or "python") and the
-C walk that ran, which set the speed but not the bytes.
+leaf ("ggm_walk": "native" or "hashlib"), the decryption ("decrypt") and the
+Sim builder ("sim_kernel"), each "native" or "python", and the C walk
+("c_walk"), which set the speed but not the bytes.
 """
 
 from __future__ import annotations
@@ -244,13 +245,19 @@ def _check_config_numbers(config: dict) -> None:
                 raise FormatError(f"config field {key!r} must be {kind}, got {value!r}")
 
 
-def _experiment_config(path: str) -> dict:
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`; anything else, too deep a nesting included, is a format fault."""
     try:
-        raw = json.loads(decode_text(Path(path).read_bytes(), "config"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config is not valid JSON: {exc}") from exc
+        raw = json.loads(decode_text(Path(path).read_bytes(), what))
+    except (ValueError, RecursionError) as exc:  # ValueError: a JSONDecodeError, or an int of too many digits
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise FormatError("config must be a JSON object")
+        raise FormatError(f"{what} must be a JSON object")
+    return raw
+
+
+def _experiment_config(path: str) -> dict:
+    raw = _read_json(path, "config")
     required = {"k", "eps", "trials", "seed", "pirates"}
     missing = required - set(raw)
     if missing:
@@ -270,14 +277,12 @@ def _trial_inputs(config: dict) -> tuple[list[PirateSpec], wmprf.ExtractParams, 
     message = config["message"]
     if message != "random":
         message = check_bits(str(message), k, what="config message")
-    params = wmprf.ExtractParams(
-        k=k,
-        eps=float(config["eps"]),
-        delta_prime=float(config["delta_prime"]),
-        s=config["s"],
-        engine=str(config["engine"]),
-    )
-    elwm_params = elwm.ElwmParams(k + 1, config["seed_bits"], config["range_bits"])
+    elwm_params = elwm.ElwmParams(k + 1, config["seed_bits"], config["range_bits"])  # k meets its 16-bit bound first
+    try:
+        eps, delta_prime = float(config["eps"]), float(config["delta_prime"])
+    except OverflowError as exc:
+        raise FormatError(f"config fields 'eps' and 'delta_prime' must each fit a float: {exc}") from exc
+    params = wmprf.ExtractParams(k=k, eps=eps, delta_prime=delta_prime, s=config["s"], engine=str(config["engine"]))
     return [PirateSpec.from_dict(raw) for raw in config["pirates"]], params, elwm_params, message
 
 
@@ -395,7 +400,10 @@ def cmd_experiment(args) -> int:
 
 def cmd_verify(args) -> int:
     reader = csv.DictReader(io.StringIO(decode_text(Path(args.rows).read_bytes(), "rows file"), newline=""))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a field over csv's limit, for one
+        raise FormatError(f"rows file is not readable CSV: {exc}") from exc
     if reader.fieldnames != ROW_FIELDS:
         raise FormatError(f"rows file header {reader.fieldnames!r} is not {ROW_FIELDS!r}")
     if not rows:
@@ -403,12 +411,7 @@ def cmd_verify(args) -> int:
     # DictReader fills a short row with None values and files extra fields under the key None
     if any(None in row or None in row.values() for row in rows):
         raise FormatError(f"rows file holds a row without exactly the {len(ROW_FIELDS)} header fields")
-    try:
-        stored = json.loads(decode_text(Path(args.summary).read_bytes(), "summary file"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"summary is not valid JSON: {exc}") from exc
-    if not isinstance(stored, dict):
-        raise FormatError("summary must be a JSON object")
+    stored = _read_json(args.summary, "summary")
     config, pirates, batches = stored.get("config", {}), stored.get("pirates", []), stored.get("batches")
     if not isinstance(config, dict):
         raise FormatError("summary config must be a JSON object")

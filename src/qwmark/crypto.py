@@ -305,16 +305,13 @@ def ggm_eval_punctured(pkey: PuncturedGgmKey, x: str) -> str | None:
 # masked function injective except with probability 2^-(e+1) over the key.
 
 
-_MASK_CHUNK = 4  # input bits per XOR table: 16 entries hold about 4x the columns
-
-
 def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> bytes:
     """The packed form of the affine map: each column and then the offset, each ``_pack``-ed to whole bytes.
 
     The stream holds the out_bits x in_bits matrix row by row, then the
     offset.  Column j (input bit j, leftmost first) is read as an out_bits-wide
-    word whose leftmost bit is row 0.  The native kernels read this form; the
-    Python evaluations read the tables ``_affine_tables`` builds from it.
+    word whose leftmost bit is row 0.  The native kernels read this form, and
+    the Python evaluations its words (``_affine_words``).
     """
     matrix_bits = out_bits * in_bits
     stream = _stream(seed, matrix_bits + out_bits, b"aff")
@@ -324,27 +321,20 @@ def _derive_affine(seed: bytes, in_bits: int, out_bits: int) -> bytes:
     return np.packbits(rows.reshape(out_bits, in_bits), axis=0).T.tobytes() + offset  # column j down its rows
 
 
-def _affine_tables(packed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """XOR tables of the packed affine map's columns, and its offset.  Table t serves the t-th chunk of
-    _MASK_CHUNK bits of int(x, 2) from the right: its entry v is the XOR of the columns of the bits set in v."""
+def _affine_words(packed: bytes, out_bits: int) -> tuple[tuple[int, ...], int]:
+    """The packed affine map's columns as ints, that of the rightmost bit of x first, and its offset."""
     width, pad = -(-out_bits // 8), -out_bits % 8
     words = [int.from_bytes(packed[at - width : at], "big") >> pad for at in range(len(packed), 0, -width)]
-    tables = []
-    for start in range(1, in_bits + 1, _MASK_CHUNK):  # words[0] is the offset, words[1:] the columns from the right
-        table = [0]
-        for column in words[start : start + _MASK_CHUNK]:
-            table += [entry ^ column for entry in table]
-        tables.append(tuple(table))
-    return tuple(tables), words[0]
+    return tuple(words[1:]), words[0]
 
 
-def _affine_mask(base: int, affine: tuple[tuple[tuple[int, ...], ...], int], x: int) -> int:
-    """base xor (A x + b): one table lookup per chunk of x."""
-    tables, acc = affine
-    mask = (1 << _MASK_CHUNK) - 1
-    for table in tables:
-        acc ^= table[x & mask]
-        x >>= _MASK_CHUNK
+def _affine_mask(base: int, affine: tuple[tuple[int, ...], int], x: int) -> int:
+    """base xor (A x + b): the offset and the column of each bit set in x, lowest first."""
+    columns, acc = affine
+    while x:
+        low = x & -x
+        acc ^= columns[low.bit_length() - 1]
+        x ^= low
     return base ^ acc
 
 
@@ -373,8 +363,8 @@ class InjectivePprfKey:
 
     @cached_property
     def _affine(self) -> tuple:
-        """The tables of the Python evaluations, built from the packed form; the native kernels never need them."""
-        return _affine_tables(self._packed_affine, self.ggm.domain_bits, self.ggm.out_bits)
+        """The columns and offset of the Python evaluations, split from the packed form once per key."""
+        return _affine_words(self._packed_affine, self.ggm.out_bits)
 
     @property
     def in_bits(self) -> int:
@@ -411,7 +401,7 @@ def _injective_eval(key: InjectivePprfKey, x: int) -> int:
 
 @dataclass(frozen=True)
 class PuncturedInjectivePprfKey:
-    """Punctured GGM key plus the full key's affine tables."""
+    """Punctured GGM key plus the full key's affine columns and offset."""
 
     ggm: PuncturedGgmKey
     _affine: tuple = field(repr=False, compare=False)

@@ -19,6 +19,7 @@ filled from the two branches' stacks, one branch after the other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,8 @@ class PirateSpec:
             raise FormatError(f"unknown pirate kind {self.kind!r}")
         for name in ("eta", "theta"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            # NaN, the infinities and an int too large for a float (`math.cos` overflows on it) fail the bound
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
                 raise FormatError(f"pirate {name} must be a finite real number, got {value!r}")
         if self.kind == "noisy" and not 0.0 <= self.eta <= 1.0:
             raise FormatError(f"noise rate must lie in [0,1], got {self.eta}")

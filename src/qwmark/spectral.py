@@ -17,8 +17,8 @@ phase, so a game diagonalizes the same pair again and again.  A miss runs every
 check (Hermiticity, eigenvalue slack, Born sum) on its input; a hit has
 byte-identical input, so it returns the same read-only arrays and the same
 verdict.  A raised check is never stored.  The draws are not memoized: each
-measurement makes its own `born_draw`, so the rng stream is the same with a
-cold memo or a warm one; the checked cdf of a weight tuple has its own memo.
+measurement makes its own draw on the spectrum's checked cdf, so the rng stream
+is the same with a cold memo or a warm one.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class Spectrum:
     values ascend and vectors holds their eigenvectors as columns; coef are
     the state's coefficients <phi_j|psi> and born their Born weights.  Each
     cluster of eigenvalues within CLUSTER_TOL is a [lo, hi) run of columns,
-    and weights holds the clusters' Born weights over their sum.
+    and cdf holds the running sums of the clusters' Born weights (`_born_cdf`).
     """
 
     values: np.ndarray
@@ -96,7 +96,7 @@ class Spectrum:
     coef: np.ndarray
     born: np.ndarray
     runs: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...]
+    cdf: tuple[float, ...]
     _clusters: dict[int, tuple[float, StateVector]] = field(default_factory=dict, repr=False)
 
     def cluster(self, idx: int) -> tuple[float, StateVector]:
@@ -122,7 +122,7 @@ def _spectrum(accept: bytes, amplitudes: bytes) -> Spectrum:
     probs = np.array([born[lo:hi].sum() for lo, hi in runs])
     for array in (vals, vecs, coef, born):
         array.flags.writeable = False
-    return Spectrum(vals, vecs, coef, born, runs, tuple((probs / probs.sum()).tolist()))
+    return Spectrum(vals, vecs, coef, born, runs, _born_cdf((probs / probs.sum()).tolist()))
 
 
 def spectrum(accept: np.ndarray, state: StateVector) -> Spectrum:
@@ -135,9 +135,10 @@ def spectrum(accept: np.ndarray, state: StateVector) -> Spectrum:
     return memo(accept.tobytes(), state.amplitudes.tobytes())
 
 
-@lru_cache(maxsize=SPECTRUM_MEMO)
-def _born_cdf(p: tuple[float, ...]) -> tuple[float, ...]:
-    """The running sums of the checked Born weights p, each divided by the last (`born_draw`)."""
+def _born_cdf(p: list[float]) -> tuple[float, ...]:
+    """The running sums of the Born weights p, each divided by the last: `bisect_right` of one uniform into
+    them is the index `rng.choice(len(p), p=p)` draws from it.  Negative or NaN weights, or a sum further
+    than CHOICE_ATOL from 1, raise InvariantError where `choice` raises ValueError."""
     if not all(w >= 0.0 for w in p):
         raise InvariantError(f"Born weights {p!r} are not all nonnegative")
     total = math.fsum(p)
@@ -148,18 +149,6 @@ def _born_cdf(p: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(c / last for c in cdf)
 
 
-def born_draw(p: list[float], rng) -> int:
-    """The index `rng.choice(len(p), p=p)` draws, from the same single
-    `rng.random()` uniform: the first index whose running sum of p, divided
-    by the last running sum, exceeds the uniform.
-
-    Negative or NaN weights, or a sum further than CHOICE_ATOL from 1,
-    raise InvariantError where `choice` raises ValueError, before the draw.
-    """
-    p = tuple(p)
-    return bisect_right((_born_cdf if len(p) <= MEMO_DIM else _born_cdf.__wrapped__)(p), rng.random())
-
-
 def projimp_cluster(accept: np.ndarray, state: StateVector, rng) -> tuple[int, float, StateVector]:
     """Born draw of an eigencluster of the accept operator P_D: (cluster
     index, eigenvalue, post state).
@@ -167,10 +156,10 @@ def projimp_cluster(accept: np.ndarray, state: StateVector, rng) -> tuple[int, f
     A cluster's weight is the sum of its Born weights |<phi_j|psi>|^2, and
     its post state is sum_j <phi_j|psi> phi_j over the cluster, normalized.
     Draws one `rng.random()` uniform, which gives the index `rng.choice`
-    would give (`born_draw`).
+    would give (`_born_cdf`).
     """
     spec = spectrum(accept, state)
-    idx = born_draw(spec.weights, rng)
+    idx = bisect_right(spec.cdf, rng.random())
     return (idx, *spec.cluster(idx))
 
 

@@ -40,12 +40,11 @@ def child_env(cache: Path, path: Path | None = None) -> dict:
 
 @pytest.fixture(autouse=True)
 def cold_spectral_memo():
-    """Every test starts with empty projector, spectral, Born-draw and PRG
-    memos, so no result or count depends on test order."""
+    """Every test starts with empty projector, spectral and PRG memos, so no
+    result or count depends on test order."""
     crypto._prg.cache_clear()
     qcore._checked_projector.cache_clear()
     spectral._spectrum.cache_clear()
-    spectral._born_cdf.cache_clear()
 
 
 @pytest.fixture

@@ -810,16 +810,14 @@ def test_accept_operators_are_the_same_bytes_with_the_member_memo_cold_and_warm(
 
 def test_memo_counts_of_twenty_honest_trials():
     # the live probe and the k+1 measurements of twenty games: an honest
-    # pirate's members are I and X under b = 0 and 1, and its Born weights
-    # take few values
+    # pirate's members are I and X under b = 0 and 1
     params = wmprf.ExtractParams(k=3, eps=0.25, delta_prime=0.05, s=8)
     ep = elwm.ElwmParams(4, seed_bits=6, range_bits=12)
     rng = rng_for("api-memo-honest-20")
     for _ in range(20):
         assert wmprf.run_event_trial(params, honest_pirate, "101", rng, elwm_params=ep).report.decoded == "101"
-    members, cdfs = qcore._checked_projector.cache_info(), spectral._born_cdf.cache_info()
+    members = qcore._checked_projector.cache_info()
     assert (members.hits, members.misses) == (20 * 5 * 8 - 4, 4)
-    assert (cdfs.hits, cdfs.misses) == (20 * 5 - 2, 2)
 
 
 def test_no_memo_keeps_a_program_above_memo_dim():

@@ -314,7 +314,7 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{nope")
     assert run_cli("experiment", "--config", notjson, "--out", tmp_path / "y") == cli.EXIT_FORMAT
-    for i, blob in enumerate((b"\xff\xfe{", b"5", b'"k"')):
+    for i, blob in enumerate((b"\xff\xfe{", b"5", b'"k"', b"[" * 200_000, b"1" * 5_000)):  # too deep, too many digits
         other = tmp_path / f"other{i}.json"
         other.write_bytes(blob)
         assert run_cli("experiment", "--config", other, "--out", tmp_path / "z") == cli.EXIT_FORMAT
@@ -430,6 +430,11 @@ def test_experiment_rejects_runs_without_trials(tmp_path, capsys, overrides, arg
         ({"eps": 1e-200}, cli.EXIT_NUMERIC),
         ({"delta_prime": 5e-324}, cli.EXIT_NUMERIC),
         ({"delta_prim": 0.05}, cli.EXIT_FORMAT),
+        ({"eps": 10**400}, cli.EXIT_FORMAT),  # an int too large for a float
+        ({"delta_prime": 10**400}, cli.EXIT_FORMAT),
+        ({"k": 10**400}, cli.EXIT_LENGTH),  # beyond the carrier's 16-bit field, as keygen --k
+        ({"pirates": [{"kind": "superposed", "theta": 10**400}]}, cli.EXIT_FORMAT),
+        ({"pirates": [{"kind": "noisy", "eta": -(10**400)}]}, cli.EXIT_FORMAT),
     ],
 )
 def test_experiment_checks_the_whole_config_before_any_output(tmp_path, capsys, overrides, code):
@@ -640,8 +645,11 @@ def test_verify_rejects_undecodable_and_malformed_files(tmp_path, capsys):
     short_row, long_row = tmp_path / "short_row.csv", tmp_path / "long_row.csv"
     short_row.write_text(f"{header}\n0,honest,0\n")
     long_row.write_text(f"{header}\n{first},extra\n")
+    deep_json, wide_field = tmp_path / "deep.json", tmp_path / "wide_field.csv"
+    deep_json.write_text("[" * 200_000)
+    wide_field.write_text(f"{header}\n{first}{'0' * 131_073}\n")  # a last field over csv's limit of 131 072
     pairs = [(binary, summary), (rows, binary), (rows, not_json), (rows, rows), (foreign, summary), (bad_batch, summary)]
-    pairs += [(short_row, summary), (long_row, summary)]
+    pairs += [(short_row, summary), (long_row, summary), (rows, deep_json), (wide_field, summary)]
     for r, s in pairs:
         assert run_cli("verify", "--rows", r, "--summary", s) == cli.EXIT_FORMAT
         assert "Traceback" not in capsys.readouterr().err

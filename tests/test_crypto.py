@@ -704,8 +704,7 @@ def test_table_affine_mask_matches_column_xor(in_bits, out_bits, data):
     # the packed form the native kernels read: each column, then the offset, each _pack-ed
     columns, offset = oracle_affine(seed, in_bits, out_bits)
     assert packed == b"".join(crypto._pack(word, out_bits) for word in (*columns, offset))
-    affine = crypto._affine_tables(packed, in_bits, out_bits)
-    assert len(affine[0]) == -(-in_bits // crypto._MASK_CHUNK)  # one table per chunk of x
+    affine = crypto._affine_words(packed, out_bits)
     for _ in range(4):
         x = data.draw(st.text(alphabet="01", min_size=in_bits, max_size=in_bits))
         base = data.draw(st.text(alphabet="01", min_size=out_bits, max_size=out_bits))
@@ -713,27 +712,11 @@ def test_table_affine_mask_matches_column_xor(in_bits, out_bits, data):
         assert crypto.int_to_bits(masked, out_bits) == oracle_affine_mask(base, seed, x)
 
 
-def oracle_tables(seed: bytes, in_bits: int, out_bits: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The XOR tables and offset from the column oracle: table t serves the t-th chunk of _MASK_CHUNK bits of x
-    from the right, and its entry v is the XOR of the columns of the bits set in v."""
-    columns, offset = oracle_affine(seed, in_bits, out_bits)
-    from_right, tables = columns[::-1], []
-    for start in range(0, in_bits, crypto._MASK_CHUNK):
-        chunk = from_right[start : start + crypto._MASK_CHUNK]
-        table = []
-        for v in range(1 << len(chunk)):
-            entry = 0
-            for b, column in enumerate(chunk):
-                entry ^= column if v >> b & 1 else 0
-            table.append(entry)
-        tables.append(tuple(table))
-    return tuple(tables), offset
-
-
 @pytest.mark.parametrize("ell", [1, 10, 36])  # the PE widths 3 ell -> 9 ell; 324 bits at 36 is two blocks
-def test_xor_tables_built_from_the_packed_form_match_the_column_oracle(ell):
+def test_columns_split_from_the_packed_form_match_the_column_oracle(ell):
     key = crypto.InjectivePprfKey(crypto.GgmKey(b"tables-root-key!", 3 * ell, 9 * ell), b"tables-mask-seed")
-    assert key._affine == oracle_tables(key.mask_seed, 3 * ell, 9 * ell)
+    columns, offset = oracle_affine(key.mask_seed, 3 * ell, 9 * ell)
+    assert key._affine == (tuple(columns[::-1]), offset)  # the column of the rightmost bit of x first
     assert key._packed_affine == crypto._derive_affine(key.mask_seed, 3 * ell, 9 * ell)
 
 

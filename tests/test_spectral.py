@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from qwmark import spectral
 from qwmark.errors import DimensionError, InvariantError
-from qwmark.qcore import MEMO_DIM, StateVector, check_projectors, program_projectors
+from qwmark.qcore import StateVector, check_projectors, program_projectors
 
 from conftest import (
     FakeDistribution,
@@ -117,6 +119,11 @@ WEIGHTS = st.lists(
 )
 
 
+def born_draw(p, rng) -> int:
+    """The draw of `projimp_cluster`: one uniform bisected into the checked cdf of p."""
+    return bisect_right(spectral._born_cdf(list(p)), rng.random())
+
+
 @given(WEIGHTS, st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
 def test_born_draw_is_rng_choice(raw, off, seed):
     # Twin streams: the same index, or the same refusal, and the same next
@@ -130,9 +137,9 @@ def test_born_draw_is_rng_choice(raw, off, seed):
         expected = int(theirs.choice(len(p), p=p))
     except ValueError:
         with pytest.raises(InvariantError):
-            spectral.born_draw(p.tolist(), ours)
+            born_draw(p.tolist(), ours)
     else:
-        assert spectral.born_draw(p.tolist(), ours) == expected
+        assert born_draw(p.tolist(), ours) == expected
     assert ours.random() == theirs.random()
 
 
@@ -150,15 +157,15 @@ def test_born_draw_never_lands_on_a_zero_weight():
     # a uniform exactly on a step of the running sum goes past the zero
     # weights there, as `searchsorted(side="right")` in `rng.choice` does
     p = [0.0, 0.5, 0.0, 0.5]
-    assert [spectral.born_draw(p, FixedUniforms(u)) for u in (0.0, 0.25, 0.5, 0.75)] == [1, 1, 3, 3]
+    assert [born_draw(p, FixedUniforms(u)) for u in (0.0, 0.25, 0.5, 0.75)] == [1, 1, 3, 3]
 
 
 def test_born_draw_scales_the_running_sum_to_one():
     # p sums to 1 - 1e-8: the steps move up by the same factor, and the
     # largest uniform below 1 still lands on the last index
     p = [0.5, 0.5 - 1e-8]
-    assert spectral.born_draw(p, FixedUniforms(0.5 + 1e-9)) == 0
-    assert spectral.born_draw(p, FixedUniforms(1.0 - 2.0**-53)) == 1
+    assert born_draw(p, FixedUniforms(0.5 + 1e-9)) == 0
+    assert born_draw(p, FixedUniforms(1.0 - 2.0**-53)) == 1
 
 
 @pytest.mark.parametrize(
@@ -178,47 +185,8 @@ def test_born_draw_refuses_what_rng_choice_refuses(p):
     with pytest.raises(ValueError):
         theirs.choice(len(p), p=p)
     with pytest.raises(InvariantError):
-        spectral.born_draw(p, ours)
+        born_draw(p, ours)
     assert ours.random() == theirs.random()
-
-
-def born_draws(p, seed: int, *, cold: bool) -> tuple[list[int], float]:
-    """Twelve draws of p from one stream, the cdf memo emptied before each when
-    cold, and the stream's next uniform."""
-    rng, draws = np.random.default_rng(seed), []
-    for _ in range(12):
-        if cold:
-            spectral._born_cdf.cache_clear()
-        draws.append(spectral.born_draw(p, rng))
-    return draws, rng.random()
-
-
-@pytest.mark.parametrize("p", [(0.25, 0.75), [0.0, 0.5, 0.0, 0.5], (1 / 3,) * 3, [0.5, 0.5 - 1e-8], (1 / 16,) * 16])
-def test_born_draw_is_the_same_with_its_memo_cold_and_warm(p):
-    cold = born_draws(p, 7, cold=True)
-    spectral._born_cdf.cache_clear()
-    assert born_draws(p, 7, cold=False) == cold
-    info = spectral._born_cdf.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (11, 1, 1)
-    assert isinstance(spectral._born_cdf(tuple(p)), tuple)  # nothing a caller could change
-
-
-@pytest.mark.parametrize("p", [[-0.25, 1.25], [np.nan, 1.0], [0.5, 0.5 + 2 * spectral.CHOICE_ATOL]])
-def test_born_draw_refuses_on_every_call_and_keeps_no_refusal(p):
-    ours, theirs = rng_for("born-memo-refusal"), rng_for("born-memo-refusal")
-    for _ in range(2):
-        with pytest.raises(InvariantError):
-            spectral.born_draw(p, ours)
-    info = spectral._born_cdf.cache_info()
-    assert (info.misses, info.currsize) == (2, 0)
-    assert ours.random() == theirs.random()
-
-
-def test_born_draw_keeps_no_weights_longer_than_memo_dim():
-    for n in (MEMO_DIM + 1, MEMO_DIM):
-        p = [1.0 / n] * n
-        assert born_draws(p, 3, cold=False) == born_draws(p, 3, cold=True)
-        assert spectral._born_cdf.cache_info().currsize == (n == MEMO_DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +278,6 @@ def projector_cluster(accept: np.ndarray, state: StateVector, rng):
     return idx, spec.eigenvalues[idx], post.amplitudes, probs
 
 
-class DrawRecorder:
-    """Stands in for `spectral.born_draw` and keeps the probabilities it was given."""
-
-    def __init__(self, rng, draw):
-        self.rng, self.draw, self.p = rng, draw, None
-
-    def __call__(self, p, rng):
-        self.p = np.array(p)
-        return self.draw(p, rng)
-
-
 def shared_basis_mixture(d: int, s: int, rng) -> np.ndarray:
     """Mixture of s projectors diagonal in one Haar basis, with 0/1 diagonals
     whose first two entries agree: P_D has eigenvalues k/s, at least one repeated, which
@@ -347,7 +304,7 @@ def near_pair_mixture(d: int, rng) -> np.ndarray:
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
-def test_projimp_cluster_matches_eigenprojector_oracle(d, monkeypatch):
+def test_projimp_cluster_matches_eigenprojector_oracle(d):
     # Twin streams: the same cluster and eigenvalue, probabilities and post
     # amplitudes within 1e-12, and the same next draw.  Two programs in three
     # have a cluster of at least two eigenvalues.
@@ -363,15 +320,13 @@ def test_projimp_cluster_matches_eigenprojector_oracle(d, monkeypatch):
             prog = random_program(d, label)
             accept = distribution_povm(prog, FakeDistribution(random_triples(3, label)))
         state = random_state(d, local)
-        oracle_rng, recorder = rng_for(f"{label}-draw"), DrawRecorder(rng_for(f"{label}-draw"), spectral.born_draw)
+        oracle_rng, ours = rng_for(f"{label}-draw"), rng_for(f"{label}-draw")
         idx, value, post_amps, probs = projector_cluster(accept, state, oracle_rng)
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "born_draw", recorder)
-            got = spectral.projimp_cluster(accept, state, recorder.rng)
+        got = spectral.projimp_cluster(accept, state, ours)
         assert got[:2] == (idx, value)
-        assert np.max(np.abs(recorder.p - probs)) < 1e-12
+        assert np.max(np.abs(np.diff(spectral.spectrum(accept, state).cdf, prepend=0.0) - probs)) < 1e-12
         assert np.max(np.abs(got[2].amplitudes - post_amps)) < 1e-12
-        assert recorder.rng.random() == oracle_rng.random()
+        assert ours.random() == oracle_rng.random()
         merged += len(probs) < d
     assert merged >= 8
 

@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from qwmark import cli, crypto, elwm, native, pirates, wmprf
+from qwmark import cli, crypto, elwm, native, pe, pirates, wmprf
 from qwmark.errors import DimensionCapError, IndexRangeError, InvariantError, LengthError
 from qwmark.qcore import DIMENSION_CAP
 
@@ -281,18 +281,23 @@ def test_each_game_starts_with_an_empty_plaintext_memo(monkeypatch):
     assert after[0] == after[1] == 3 * 8  # the k + 1 Sim distributions of 8 distinct ciphertexts
 
 
-def test_an_honest_game_on_the_native_kernels_builds_no_xor_tables(monkeypatch):
+def test_an_honest_game_on_the_native_kernels_runs_no_python_mask(monkeypatch):
     # the Sim kernel encrypts and the decryption kernel decrypts with the affine
-    # map's packed form, so no evaluation in Python ever needs its tables
-    kernels = native.kernels()  # the Python twins build tables of their probe keys when the kernels are picked
+    # map's packed form, so no evaluation in Python ever masks a PPRF output
+    kernels = native.kernels()  # the Python twins mask their probes when the kernels are picked
     if (kernels["sim_kernel"], kernels["decrypt"]) != ("native", "native"):
         pytest.skip("the native Sim and decryption kernels do not run on this host")
-    built, tables = [], crypto._affine_tables
-    monkeypatch.setattr(crypto, "_affine_tables", lambda *args: built.append(args) or tables(*args))
+    masked, mask = [], crypto._affine_mask
+    monkeypatch.setattr(crypto, "_affine_mask", lambda *args: masked.append(args) or mask(*args))
     params = wmprf.ExtractParams(k=4, eps=0.25, delta_prime=0.05, s=8)
-    crypto.forget_leaves()
-    result = wmprf.run_event_trial(
-        params, pirates.honest_pirate, "1011", rng_for("no-xor-tables"), elwm_params=elwm.ElwmParams(5, 6, 12)
-    )
-    assert result.report.decoded == "1011"  # a whole game: the live probe, then every measurement
-    assert built == []
+
+    def game() -> wmprf.TrialResult:
+        crypto.forget_leaves()
+        return wmprf.run_event_trial(
+            params, pirates.honest_pirate, "1011", rng_for("no-python-mask"), elwm_params=elwm.ElwmParams(5, 6, 12)
+        )
+
+    assert game().report.decoded == "1011"  # a whole game: the live probe, then every measurement
+    assert masked == []
+    monkeypatch.setattr(pe, "_decrypt_in_use", lambda: pe._python_decrypt)  # the same game on the Python decryption
+    assert game().report.decoded == "1011" and masked
