@@ -12,9 +12,11 @@ Subcommands:
 Determinism: every command takes --seed; identical seeds and inputs yield
 byte-identical outputs.  Wall-clock timings go to a separate timings file so
 the row data stays reproducible; it also holds ``native.kernels()``: the GGM
-leaf ("ggm_walk": "native" or "hashlib"), the decryption ("decrypt") and the
-Sim builder ("sim_kernel"), each "native" or "python", and the C walk
-("c_walk"), which set the speed but not the bytes.
+leaf ("ggm_walk": "native" or "hashlib"), the decryption ("decrypt"), the Sim
+builder ("sim_kernel") and the RealD builder ("reald_kernel"), each "native"
+or "python", and the C walks ("c_walk" and "wide_walk"), which set the speed
+but not the bytes.  An experiment interrupted by SIGINT prints one error line,
+writes no summary and exits with EXIT_INTERRUPTED.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import io
 import json
 import math
 import os
+import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +59,7 @@ EXIT_LENGTH = 4
 EXIT_DIMENSION = 5
 EXIT_NUMERIC = 6
 EXIT_OTHER = 7
+EXIT_INTERRUPTED = 130  # the shell's code for a command ended by SIGINT
 
 # flag and config-field defaults, read off the parameter classes
 DEFAULTS = {
@@ -375,8 +379,14 @@ def cmd_experiment(args) -> int:
     workers = min(args.jobs, len(tasks), _usable_cpus())
     run = functools.partial(_run_trial, inputs, config["seed"])
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, *zip(*tasks), chunksize=8))
+        # the workers ignore SIGINT, so that an interrupt reaches this process alone, which cancels what has not started
+        ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+        with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal, initargs=ignore_sigint) as pool:
+            try:
+                rows = list(pool.map(run, *zip(*tasks), chunksize=8))
+            except KeyboardInterrupt:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         rows = [run(b, t) for b, t in tasks]
     rows.sort(key=lambda r: (r["batch"], r["trial"]))
@@ -516,6 +526,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except QwmarkError as exc:
         for classes, code in _EXIT_CODES:
             if isinstance(exc, classes):

@@ -24,18 +24,20 @@ Conventions
   multi-block output; otherwise the hashlib leaf.  No option chooses: both
   give the same bytes, and ``native.kernels()`` says which one runs.
 * ``_ggm_leaf`` memoizes leaf outputs by (root seed, path, path width, output
-  width) in an LRU of ``_LEAF_MEMO_SIZE`` entries: the marked circuit
-  recomputes the PRF values of the live probe's real queries, so a trial hits
-  it.  ``_plaintexts`` maps each PE ciphertext made since it was last emptied
-  to its plaintext, keyed by the seeds of F, of F's mask and of G, ell and
-  the ciphertext; ``pe`` fills it on every encryption, Sim's included, and
-  answers a decryption from it before it walks (``pe._decrypt``; a native
-  decryption walks without the leaf memo).  ``forget_leaves`` empties
-  both: a game calls it before it generates fresh keys.  ``_prg`` memoizes
-  the PRG in an LRU of ``_PRG_MEMO_SIZE`` entries, which ``forget_leaves``
-  keeps, since the PRG takes no key: the marked circuit answers a biting Sim
-  query with PRG(s), and a game has only 2^seed_bits seeds s.  Each memo is
-  exact: a hit returns what the hash would.
+  width) in ``_leaves``, a dict of at most ``_LEAF_MEMO_SIZE`` entries that is
+  emptied when full: the marked circuit recomputes the PRF values of the live
+  probe's real queries, so a trial hits it, and a RealD distribution built
+  natively puts them there itself (``_remember_leaves``).  ``_plaintexts``
+  maps each PE ciphertext made since it was last emptied to its plaintext,
+  keyed by the seeds of F, of F's mask and of G, ell and the ciphertext;
+  ``pe`` fills it on every encryption, Sim's included, and answers a
+  decryption from it before it walks (``pe._decrypt``; a native decryption
+  walks without the leaf memo).  ``forget_leaves`` empties both: a game calls
+  it before it generates fresh keys.  ``_prg`` memoizes the PRG in an LRU of
+  ``_PRG_MEMO_SIZE`` entries, which ``forget_leaves`` keeps, since the PRG
+  takes no key: the marked circuit answers a biting Sim query with PRG(s),
+  and a game has only 2^seed_bits seeds s.  Each memo is exact: a hit returns
+  what the hash would.
 * Every serialized key, tag and circuit is built from one record layout,
   written by ``write_record`` and read by ``read_record``: u16 fields, then
   the u16 length of each blob, then the blobs, all big-endian.  A truncated,
@@ -48,6 +50,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -176,7 +179,8 @@ def _keyed_coins(key: bytes, label: bytes, out_bits: int) -> int:
 
 # node child = SHA256("node" || bit || seed)[:SEED_BYTES], from pre-keyed states
 _NODE_HASH = {"0": hashlib.sha256(b"node0"), "1": hashlib.sha256(b"node1")}
-_LEAF_MEMO_SIZE = 1024
+_LEAF_MEMO_SIZE = 4096  # the b = 1 leaves of a whole RealD distribution of elwm.MAX_TRIPLES fit
+_leaves: dict[tuple[bytes, int, int, int], int] = {}
 # a 120-bit path (the widest a game walks) to 3 blocks, and a 1-bit path to its node seed
 _LEAF_PROBES = ((b"ggm-walk-probe-0", int("0110" * 30, 2), 120, 3), (b"ggm-walk-probe-1", 1, 1, 0))
 
@@ -193,11 +197,32 @@ def _hashlib_leaf(seed: bytes, path: int, width: int, n_blocks: int) -> bytes:
 _leaf_in_use = native.first_use("ggm_walk", native.load_leaf, _hashlib_leaf, _LEAF_PROBES, "hashlib")
 
 
-@lru_cache(maxsize=_LEAF_MEMO_SIZE)
 def _ggm_leaf(seed: bytes, path: int, width: int, out_bits: int) -> int:
-    """Output of the leaf reached from `seed` along the `width`-bit path, for a positive `out_bits`."""
-    n_blocks = -(-out_bits // 256)
-    return int.from_bytes(_leaf_in_use()(seed, path, width, n_blocks), "big") >> (256 * n_blocks - out_bits)
+    """Output of the leaf reached from `seed` along the `width`-bit path, for a positive `out_bits`.
+
+    It is read from the leaf memo, or computed by the leaf in use and put there.
+    """
+    key = (seed, path, width, out_bits)
+    out = _leaves.get(key)
+    if out is None:
+        n_blocks = -(-out_bits // 256)
+        out = int.from_bytes(_leaf_in_use()(seed, path, width, n_blocks), "big") >> (256 * n_blocks - out_bits)
+        if len(_leaves) >= _LEAF_MEMO_SIZE:
+            _leaves.clear()
+        _leaves[key] = out
+    return out
+
+
+def _remember_leaves(seed: bytes, width: int, out_bits: int, paths: list[int], outputs) -> None:
+    """Record in the leaf memo that each of the `width`-bit `paths` leads from `seed` to the `out_bits`-bit output
+    at its place in `outputs`.
+
+    A memo without room for all of them, at most _LEAF_MEMO_SIZE, is emptied
+    first.
+    """
+    if len(_leaves) + len(paths) > _LEAF_MEMO_SIZE:
+        _leaves.clear()
+    _leaves.update(zip(zip(repeat(seed), paths, repeat(width), repeat(out_bits)), outputs))
 
 
 _PLAINTEXT_MEMO_SIZE = 4096  # a whole distribution of elwm.MAX_TRIPLES fits
@@ -206,7 +231,7 @@ _plaintexts: dict[tuple[tuple, int], int] = {}
 
 def forget_leaves() -> None:
     """Empty the leaf memo and the plaintext memo, so that the next evaluations start cold."""
-    _ggm_leaf.cache_clear()
+    _leaves.clear()
     _plaintexts.clear()
 
 

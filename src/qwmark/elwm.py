@@ -25,17 +25,20 @@ the bit m[i].
 
 All randomness for distribution building is derived through keyed coins, so
 private- and public-coin modes share one code path: publishing the coin key
-makes the simulation public.  A Sim distribution is built in one call of the
-native kernel of ``native.py`` where it loads and agrees with the Python
-builder on probes (``_sim_in_use``, reported by ``native.kernels()``); both
-give the same bytes, and both record each ciphertext's plaintext in the memo
-that the marked circuit's decryption reads first.
+makes the simulation public.  A Sim and a RealD distribution are each built
+in one call of a native kernel of ``native.py`` where it loads and agrees
+with its Python builder on probes (``_sim_in_use`` and ``_reald_in_use``,
+reported by ``native.kernels()``); both give the same bytes.  Both Sim
+builders record each ciphertext's plaintext in the memo that the marked
+circuit's decryption reads first, and both RealD builders leave each F(x)
+they compute in the leaf memo, which the marked circuit reads on those x.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from functools import cached_property
+from itertools import compress
 from typing import ClassVar
 
 from . import native
@@ -47,6 +50,7 @@ from .crypto import (
     _ggm_leaf,
     _keyed_coins,
     _prg,
+    _remember_leaves,
     check_bits,
     decode_text,
     ggm_gen,
@@ -323,26 +327,77 @@ def _native_sim(kernel):
     def build(params, ek, index, s, master_seed, coin_key) -> tuple[tuple[int, str, str], ...]:
         head = b"coin|" + coin_key + b"#" + _sim_label(master_seed, index)  # _keyed_coins's hash prefix
         key_material = (ek.f_key.ggm.seed, ek.f_key._packed_affine, ek.g_key.seed)
-        records = kernel(head, s, params.seed_bits, params.idx_bits, index - 1, params.range_bits, *key_material)
-        _remember(_keys(ek), [(x, m) for m, x, _ in records])
-        x_format, y_format = f"0{params.domain_bits}b", f"0{params.range_bits}b"
-        return tuple((m & 1, format(x, x_format), format(y, y_format)) for m, x, y in records)
+        widths = (params.seed_bits, params.idx_bits, index - 1, params.range_bits)
+        ms, xs, x_texts, y_texts = kernel(head, s, *widths, *key_material)
+        _remember(_keys(ek), xs, ms)
+        return tuple(zip(map((1).__and__, ms), x_texts, y_texts))  # gamma is the last bit of m
 
     return build
 
 
 def _sim_probe(params: ElwmParams) -> tuple:
-    """Arguments of a 3-triple Sim distribution at the last index, under fixed keys of the widths of `params`."""
+    """Arguments of a 17-triple Sim distribution at the last index, under fixed keys of the widths of `params`:
+    a group of 16 records and one left over."""
     ell = params.pt_bits
     f_key = InjectivePprfKey(GgmKey(b"sim-probe-f-root", 3 * ell, 9 * ell), b"sim-probe-f-mask")
     ek = EncryptionCircuit(f_key, GgmKey(b"sim-probe-g-root", 9 * ell, ell), ell)
-    return params, ek, params.msg_bits, 3, b"sim-probe-master", b"sim-probe-coin-k"
+    return params, ek, params.msg_bits, 17, b"sim-probe-master", b"sim-probe-coin-k"
 
 
 # a game's widths, and a 9-bit index with F's output (324 bits) and y (300 bits) each wider than one hash block
-_SIM_PROBES = tuple(map(_sim_probe, (ElwmParams(5, 6, 12), ElwmParams(300, 26, 300))))
+_PROBE_PARAMS = (ElwmParams(5, 6, 12), ElwmParams(300, 26, 300))
+_SIM_PROBES = tuple(map(_sim_probe, _PROBE_PARAMS))
 _sim_in_use = native.first_use(
     "sim_kernel", lambda: (kernel := native.load_sim()) and _native_sim(kernel), _python_sim, _SIM_PROBES, "python"
+)
+
+
+def _reald_label(master_seed: bytes) -> bytes:
+    """The keyed-coin label of RealD up to the record number, a big-endian u32."""
+    return master_seed + b"R"
+
+
+def _python_reald(f_main: GgmKey, s: int, master_seed: bytes, coin_key: bytes) -> tuple[tuple[int, str, str], ...]:
+    """The s triples of RealD under the PRF key `f_main`: b, x and fresh y from the keyed coins of each record,
+    and y = F(x) where b is 1."""
+    n, m = f_main.domain_bits, f_main.out_bits
+    label = _reald_label(master_seed)
+    triples: list[tuple[int, str, str]] = []
+    for r in range(s):
+        coins = _keyed_coins(coin_key, label + r.to_bytes(4, "big"), 1 + n + m)
+        b, x = coins >> (n + m), (coins >> m) & ((1 << n) - 1)
+        y = _ggm_eval(f_main, x) if b else coins & ((1 << m) - 1)
+        triples.append((b, int_to_bits(x, n), int_to_bits(y, m)))
+    return tuple(triples)
+
+
+def _native_reald(kernel):
+    """``_python_reald`` in one call of the native RealD `kernel`; each F(x) it computes goes to the leaf memo."""
+
+    def build(f_main, s, master_seed, coin_key) -> tuple[tuple[int, str, str], ...]:
+        n, m = f_main.domain_bits, f_main.out_bits
+        head = b"coin|" + coin_key + b"#" + _reald_label(master_seed)  # _keyed_coins's hash prefix
+        bs, xs, ys, x_texts, y_texts = kernel(head, s, n, m, f_main.seed)
+        _remember_leaves(f_main.seed, n, m, list(compress(xs, bs)), compress(ys, bs))
+        return tuple(zip(bs, x_texts, y_texts))
+
+    return build
+
+
+def _reald_probe(params: ElwmParams) -> tuple:
+    """Arguments of a 40-triple RealD distribution under a fixed PRF key of the widths of `params`: 23 of its
+    records have b = 1, a group of 16 and 7 left over."""
+    key = GgmKey(b"reald-probe-root", params.domain_bits, params.range_bits)
+    return key, 40, b"reald-probe-mast", b"reald-probe-coin"
+
+
+_REALD_PROBES = tuple(map(_reald_probe, _PROBE_PARAMS))
+_reald_in_use = native.first_use(
+    "reald_kernel",
+    lambda: (kernel := native.load_reald()) and _native_reald(kernel),
+    _python_reald,
+    _REALD_PROBES,
+    "python",
 )
 
 
@@ -359,9 +414,9 @@ def build_distribution(
     """Instantiate a distribution as its s pseudorandom triples (b, x, y), one per coin.
 
     index None is RealD: b <- coins, x <- coins, y = Eval(x) if b else fresh
-    coins.  A message position i in 1..msg_bits is Sim(tau, i): the Sim
-    output on keyed coins, built by ``_sim_in_use()``.  s runs from 1 to
-    MAX_TRIPLES.
+    coins, built by ``_reald_in_use()``.  A message position i in
+    1..msg_bits is Sim(tau, i): the Sim output on keyed coins, built by
+    ``_sim_in_use()``.  s runs from 1 to MAX_TRIPLES.
 
     The same (coin_key, master_seed) yields byte-identical triples.
     """
@@ -370,14 +425,7 @@ def build_distribution(
     if index is None:
         if prfk is None:
             raise LengthError("RealD distributions need the PRF key")
-        n, m = params.domain_bits, params.range_bits
-        triples: list[tuple[int, str, str]] = []
-        for r in range(s):
-            coins = _keyed_coins(coin_key, master_seed + b"R" + r.to_bytes(4, "big"), 1 + n + m)
-            b, x = coins >> (n + m), (coins >> m) & ((1 << n) - 1)
-            y = _ggm_eval(prfk.f_main, x) if b else coins & ((1 << m) - 1)
-            triples.append((b, int_to_bits(x, n), int_to_bits(y, m)))
-        return tuple(triples)
+        return _reald_in_use()(prfk.f_main, s, master_seed, coin_key)
     if tag is None:
         raise LengthError("Sim distributions need the tag")
     if not (1 <= index <= params.msg_bits):

@@ -1,16 +1,18 @@
 """The native kernels: ``ggm_walk.c`` built once against libcrypto and loaded with ctypes.
 
 The library walks the GGM tree on the CPU's SHA instructions where CPUID
-reports them, else through libcrypto; ``c_walk_name()`` says which.
+reports them, else through libcrypto, and walks a group of more than 8 paths
+from one root in the 16 lanes of AVX-512 registers where the CPU has them;
+``c_walk_name()`` and ``wide_walk_name()`` say which.
 
 ``load_leaf()`` returns a function with the contract of ``crypto._hashlib_leaf``,
-``load_sim()`` one that builds the records of a whole Sim distribution, and
-``load_decrypt()`` one that decrypts a PE ciphertext; each returns None where
-the kernel cannot be had: no ``cc`` on ``PATH``, no OpenSSL headers or
-libcrypto to link, no cache directory that only this user can write, or a
-library that does not load.  ``first_use`` is the one rule that picks a kernel
-over its Python twin, which gives the same bytes, and ``kernels()`` reports
-each pick and the C walk.
+``load_sim()`` and ``load_reald()`` ones that build the records of a whole Sim
+and a whole RealD distribution, and ``load_decrypt()`` one that decrypts a PE
+ciphertext; each returns None where the kernel cannot be had: no ``cc`` on
+``PATH``, no OpenSSL headers or libcrypto to link, no cache directory that only
+this user can write, or a library that does not load.  ``first_use`` is the one
+rule that picks a kernel over its Python twin, which gives the same bytes, and
+``kernels()`` reports each pick and the C walks.
 
 The library is cached in ``$XDG_CACHE_HOME/qwmark`` (``~/.cache/qwmark`` when
 that is unset), under a name that is a digest of the source and the compile
@@ -25,7 +27,10 @@ A leaf call writes into a buffer kept per block count, and a decryption into
 one kept per plaintext width, since a fresh one costs more than the call.
 ``PyDLL`` keeps the GIL through a call, and neither declares ``argtypes``,
 which cut the call overhead from 0.9 to 0.3 us.  The shared buffers make
-both one thread's at a time, as qwmark calls them.
+both one thread's at a time, as qwmark calls them.  The Sim and RealD kernels
+write their records field by field, each field's column whole before the
+next, and each column reaches Python as one ``struct`` unpack mapped to ints
+or strings, with no Python statement per record.
 """
 
 from __future__ import annotations
@@ -34,8 +39,10 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import struct
 import tempfile
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("ggm_walk.c")
@@ -117,12 +124,14 @@ def first_use(name: str, load, twin, probes, twin_name: str):
     That is ``load()`` if it returns a kernel that agrees with `twin` on every
     probe, else `twin`; ``kernels()`` reports it as "native" or `twin_name`.
     `probes`, an iterable of argument tuples, is iterated then, and only once.
+    The twin runs first on each probe: a kernel may fill a memo that the twin
+    would read, as the RealD kernel fills the leaf memo.
     """
 
     @lru_cache(maxsize=None)
     def picker():
         kernel = load()
-        if kernel is not None and all(kernel(*probe) == twin(*probe) for probe in probes):
+        if kernel is not None and all(twin(*probe) == kernel(*probe) for probe in probes):
             return kernel
         return twin
 
@@ -131,12 +140,14 @@ def first_use(name: str, load, twin, probes, twin_name: str):
 
 
 def kernels() -> dict[str, str | None]:
-    """Each kernel this process runs, under its ``first_use`` name and picked now if not yet, then "c_walk".
+    """Each kernel this process runs, under its ``first_use`` name and picked now if not yet, then the C walks.
 
     The package imports every module that picks a kernel, so the report holds
-    "ggm_walk", "decrypt" and "sim_kernel", and "c_walk" is ``c_walk_name()``.
+    "ggm_walk", "decrypt", "sim_kernel" and "reald_kernel"; "c_walk" is
+    ``c_walk_name()`` and "wide_walk" is ``wide_walk_name()``.
     """
-    return {**{name: report() for name, report in _PICKS.items()}, "c_walk": c_walk_name()}
+    picks = {name: report() for name, report in _PICKS.items()}
+    return {**picks, "c_walk": c_walk_name(), "wide_walk": wide_walk_name()}
 
 
 def c_walk_name(library=None) -> str | None:
@@ -148,6 +159,34 @@ def c_walk_name(library=None) -> str | None:
     if kernel is None:
         return None
     return "sha-ni" if kernel() else "libcrypto"
+
+
+def wide_walk_name(library=None) -> str | None:
+    """Whether `library` walks a group of more than 8 paths in 16 AVX-512 lanes, "avx512", or not, "none";
+    None if there is no library.
+
+    The library picks it once per process from CPUID and XGETBV; both give the
+    same bytes.
+    """
+    kernel = _kernel("qwmark_avx512", ctypes.c_int, library)
+    if kernel is None:
+        return None
+    return "avx512" if kernel() else "none"
+
+
+def _fields(raw: bytes, at: int, width: int, count: int) -> tuple[bytes, ...]:
+    """The `count` fields of `width` bytes each that lie end to end in `raw` from `at`."""
+    return struct.unpack_from(f"{width}s" * count, raw, at)
+
+
+def _ints(fields) -> list[int]:
+    """Each of `fields` read as a big-endian int."""
+    return list(map(int.from_bytes, fields, repeat("big")))
+
+
+def _texts(fields) -> list[str]:
+    """Each of `fields`, a bit string in ASCII, as a str."""
+    return list(map(bytes.decode, fields))
 
 
 def load_leaf(library=None):
@@ -167,23 +206,22 @@ def load_leaf(library=None):
 
 
 def load_sim(library=None):
-    """The native sim(head, count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed) -> records.
+    """The native sim(head, count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed).
 
     It runs in `library`, the cached one if None, and is None if it cannot be
     had.  It returns the `count` records (m, x, y) of a Sim distribution as
-    ints; ``qwmark_sim`` in ``ggm_walk.c`` states what they are and what the
-    arguments mean.
+    the lists ms and xs of their m and x, as ints, and x_texts and y_texts of
+    their x and y as bit strings; ``qwmark_sim`` in ``ggm_walk.c`` states what
+    they are and what the arguments mean.
     """
     kernel = _kernel("qwmark_sim", ctypes.c_int, library)
     if kernel is None:
         return None
     kernel.argtypes = (ctypes.c_char_p, *[ctypes.c_uint] * 6, *[ctypes.c_char_p] * 4)
 
-    def sim(head, count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed) -> list[tuple[int, int, int]]:
+    def sim(head, count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed):
         ell = seed_bits + idx_bits + 1
-        m_end = -(-ell // 8)
-        x_end = m_end + -(-12 * ell // 8)
-        size = x_end + -(-range_bits // 8)
+        m_bytes, x_bytes = -(-ell // 8), -(-12 * ell // 8)
         # the kernel reads and writes as far as these say, so they must hold before it runs
         if not (
             0 <= count <= 0xFFFF_FFFF
@@ -193,16 +231,53 @@ def load_sim(library=None):
             and len(affine) == (3 * ell + 1) * -(-9 * ell // 8)
         ):
             raise ValueError("the Sim kernel's arguments do not match its widths")
-        out = ctypes.create_string_buffer(count * size)
+        out = ctypes.create_string_buffer(count * (m_bytes + x_bytes + 12 * ell + range_bits))
         if kernel(head, len(head), count, seed_bits, idx_bits, index0, range_bits, f_seed, affine, g_seed, out):
             raise MemoryError("the native Sim kernel could not allocate its scratch memory")
-        raw, value, records = out.raw, int.from_bytes, []
-        for at in range(0, len(raw), size):
-            m, x, y = raw[at : at + m_end], raw[at + m_end : at + x_end], raw[at + x_end : at + size]
-            records.append((value(m, "big"), value(x, "big"), value(y, "big")))
-        return records
+        raw, x_at = out.raw, count * m_bytes
+        text_at = x_at + count * x_bytes
+        return (
+            _ints(_fields(raw, 0, m_bytes, count)),
+            _ints(_fields(raw, x_at, x_bytes, count)),
+            _texts(_fields(raw, text_at, 12 * ell, count)),
+            _texts(_fields(raw, text_at + count * 12 * ell, range_bits, count)),
+        )
 
     return sim
+
+
+def load_reald(library=None):
+    """The native reald(head, count, n, m, root) of `library` (the cached one if None); or None.
+
+    It returns the `count` records (b, x, y) of a RealD distribution under the
+    n-bit to m-bit GGM PRF of root seed `root`: their bits b as bytes, the
+    lists xs and ys of their x and y as ints, and x_texts and y_texts of their
+    x and y as bit strings; ``qwmark_reald`` in ``ggm_walk.c`` states what they
+    are and what the arguments mean.
+    """
+    kernel = _kernel("qwmark_reald", ctypes.c_int, library)
+    if kernel is None:
+        return None
+    kernel.argtypes = (ctypes.c_char_p, *[ctypes.c_uint] * 4, ctypes.c_char_p, ctypes.c_char_p)
+
+    def reald(head, count, n, m, root):
+        x_bytes, y_bytes = -(-n // 8), -(-m // 8)
+        # the kernel reads and writes as far as these say, so they must hold before it runs
+        if not (0 <= count <= 0xFFFF_FFFF and 1 <= n <= 0xFFFF_FFFF and 1 <= m <= 0xFFFF_FFFF and len(root) == 16):
+            raise ValueError("the RealD kernel's arguments do not match its widths")
+        out = ctypes.create_string_buffer(count * (1 + x_bytes + y_bytes + n + m))
+        if kernel(head, len(head), count, n, m, root, out):
+            raise MemoryError("the native RealD kernel could not allocate its scratch memory")
+        raw, y_at, text_at = out.raw, count * (1 + x_bytes), count * (1 + x_bytes + y_bytes)
+        return (
+            raw[:count],
+            _ints(_fields(raw, count, x_bytes, count)),
+            _ints(_fields(raw, y_at, y_bytes, count)),
+            _texts(_fields(raw, text_at, n, count)),
+            _texts(_fields(raw, text_at + count * n, m, count)),
+        )
+
+    return reald
 
 
 def load_decrypt(library=None):

@@ -29,6 +29,7 @@ functional and measurement-theoretic behavior only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import ClassVar
 
 from . import native
@@ -117,15 +118,15 @@ def _keys(circuit) -> tuple[bytes, bytes, bytes, int]:
     return circuit.f_key.ggm.seed, circuit.f_key.mask_seed, circuit.g_key.seed, circuit.ell
 
 
-def _remember(keys: tuple, pairs) -> None:
-    """Record in ``crypto._plaintexts`` that each c of the (c, m) `pairs` decrypts to m under `keys`.
+def _remember(keys: tuple, cs, ms) -> None:
+    """Record in ``crypto._plaintexts`` that each c of `cs` decrypts under `keys` to the m at its place in `ms`.
 
     A memo without room for all of them, at most _PLAINTEXT_MEMO_SIZE, is
     emptied first.
     """
-    if len(_plaintexts) + len(pairs) > _PLAINTEXT_MEMO_SIZE:
+    if len(_plaintexts) + len(cs) > _PLAINTEXT_MEMO_SIZE:
         _plaintexts.clear()
-    _plaintexts.update(((keys, c), m) for c, m in pairs)
+    _plaintexts.update(zip(zip(repeat(keys), cs), ms))
 
 
 def _encrypt(ek, m: int, s: int) -> int:
@@ -135,7 +136,7 @@ def _encrypt(ek, m: int, s: int) -> int:
     beta = _injective_eval(ek.f_key, (alpha << ell) | m)
     gamma = _ggm_eval(ek.g_key, beta) ^ m
     c = (((alpha << 9 * ell) | beta) << ell) | gamma
-    _remember(_keys(ek), ((c, m),))
+    _remember(_keys(ek), (c,), (m,))
     return c
 
 

@@ -7,6 +7,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -493,7 +495,7 @@ def test_experiment_starts_at_most_one_worker_per_task_and_cpu(
     class InProcessPool:
         """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **worker_setup):
             workers.append(max_workers)
 
         def __enter__(self):
@@ -520,7 +522,9 @@ def test_experiment_starts_at_most_one_worker_per_task_and_cpu(
     kernels = native.kernels()
     assert timing["ggm_walk"] == kernels["ggm_walk"] and timing["ggm_walk"] in ("native", "hashlib")
     assert timing["sim_kernel"] == kernels["sim_kernel"] and timing["sim_kernel"] in ("native", "python")
+    assert timing["reald_kernel"] == kernels["reald_kernel"] and timing["reald_kernel"] in ("native", "python")
     assert timing["c_walk"] == (kernels["c_walk"] or "")
+    assert timing["wide_walk"] == (kernels["wide_walk"] or "")
 
 
 def test_experiment_without_a_compiler_falls_back_to_the_same_bytes(tmp_path, capsys):
@@ -545,9 +549,36 @@ def test_experiment_without_a_compiler_falls_back_to_the_same_bytes(tmp_path, ca
     for run in ("here", "child"):
         with (tmp_path / run / "timings.csv").open(newline="") as fh:
             (timing,) = csv.DictReader(fh)
-        kernels.append((timing["ggm_walk"], timing["sim_kernel"], timing["c_walk"]))
+        kernels.append((timing["ggm_walk"], timing["sim_kernel"], timing["reald_kernel"], timing["c_walk"]))
     here = native.kernels()
-    assert kernels == [(here["ggm_walk"], here["sim_kernel"], here["c_walk"] or ""), ("hashlib", "python", "")]
+    assert kernels == [
+        (here["ggm_walk"], here["sim_kernel"], here["reald_kernel"], here["c_walk"] or ""),
+        ("hashlib", "python", "python", ""),
+    ]
+
+
+def test_an_interrupted_experiment_prints_one_error_line_and_exits_130(tmp_path):
+    # SIGINT to the process group, as a terminal's ^C sends it, at --jobs 1 and at --jobs 2, whose workers ignore it
+    config = experiment_config(tmp_path, trials=20_000)
+    env = child_env(native._cache_dir().parent)  # this process's cache, so the children build nothing
+    runs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs-{jobs}"
+        argv = [sys.executable, "-m", "qwmark", "experiment", "--config", config, "--out", out, "--jobs", str(jobs)]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True}
+        runs[jobs] = out, subprocess.Popen(argv, env=env, start_new_session=True, **pipes)
+    deadline = time.monotonic() + 60
+    for out, child in runs.values():
+        while not out.exists() and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+    time.sleep(0.5)  # into the trials, and past the start of the pool's workers
+    for out, child in runs.values():
+        os.killpg(child.pid, signal.SIGINT)
+    for out, child in runs.values():
+        stdout, stderr = child.communicate(timeout=60)
+        assert child.returncode == cli.EXIT_INTERRUPTED, stderr
+        assert stderr.splitlines() == ["error: interrupted"]
+        assert stdout == "" and not (out / "summary.json").exists()
 
 
 def test_extract_maps_flush_limit_to_numeric_exit(tmp_path, keys, capsys, monkeypatch):

@@ -296,7 +296,8 @@ def test_the_native_walk_runs_wherever_it_builds():
 
 @contextmanager
 def walking_with(leaf):
-    """Evaluate through `leaf` from an empty leaf memo; restore the leaf in use afterwards.
+    """Evaluate through `leaf` from an empty leaf memo, yielding the list of its calls; restore the leaf in use
+    afterwards.
 
     The block must reach the leaf at least once, so that a test cannot pass
     while it runs another one.
@@ -311,7 +312,7 @@ def walking_with(leaf):
     crypto._leaf_in_use = lambda: counted
     crypto.forget_leaves()
     try:
-        yield
+        yield calls
     finally:
         crypto._leaf_in_use = saved
         crypto.forget_leaves()
@@ -406,13 +407,18 @@ def test_the_libcrypto_c_walk_matches_the_oracles(tmp_path):
         for n_blocks in (0, 1, 3):
             assert leaf(seed, int(x or "0", 2), width, n_blocks) == straight_line_leaf(seed, x, n_blocks)
     sim = elwm._native_sim(native.load_sim(library))
+    reald = elwm._native_reald(native.load_reald(library))
     try:
-        # F and G walk 30 and 90 bits, 108 and 324, and 396 and 1 188; the kernel builds records in pairs,
-        # which this build walks one after the other, so odd and even counts end differently
+        # F and G walk 30 and 90 bits, 108 and 324, and 396 and 1 188; the kernel builds records in groups of up
+        # to 16, which this build walks one after the other, or in 16 AVX-512 lanes where there are more than 8
         for probe in (*elwm._SIM_PROBES, elwm._sim_probe(elwm.ElwmParams(2, 130, 257))):
-            for s in (1, 2, 3, 5):
+            for s in (1, 2, 3, 5, 9, 17):
                 sized = (*probe[:3], s, *probe[4:])
                 assert sim(*sized) == elwm._python_sim(*sized)
+        for probe in elwm._REALD_PROBES:
+            expected = elwm._python_reald(*probe)
+            crypto.forget_leaves()  # the Python builder reads F(x) from the leaf memo, where the kernel puts it
+            assert reald(*probe) == expected
         # every 12-bit string at ell = 1, and the decryption probes at ell = 10 and 36, where F's output takes
         # one and two leaf blocks
         decrypt = native.load_decrypt(library)
@@ -462,26 +468,51 @@ def test_a_short_or_long_ggm_seed_is_refused():
         crypto.GgmKey.from_bytes(record)
 
 
-def test_memoized_ggm_eval_matches_straight_line_walk():
+class CountingMemo(dict):
+    """A leaf memo that counts the lookups it answers."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += value is not None
+        return value
+
+
+def test_memoized_ggm_eval_matches_straight_line_walk(monkeypatch):
     seed = b"memo-seed-000001"
     xs = [crypto.int_to_bits(v, 10) for v in range(0, 1024, 37)]
-    crypto._ggm_leaf.cache_clear()
-    for out_bits in (16, 300):  # the output width is part of the memo key
-        key = crypto.GgmKey(seed, 10, out_bits)
-        expected = [straight_line_ggm(seed, x, out_bits) for x in xs]
-        assert [crypto.ggm_eval(key, x) for x in xs] == expected  # misses
-        assert [crypto.ggm_eval(key, x) for x in xs] == expected  # hits
-    info = crypto._ggm_leaf.cache_info()
-    assert info.misses == 2 * len(xs) and info.hits == 2 * len(xs)
+    memo = CountingMemo()
+    monkeypatch.setattr(crypto, "_leaves", memo)
+    with walking_with(crypto._leaf_in_use()) as calls:
+        for out_bits in (16, 300):  # the output width is part of the memo key
+            key = crypto.GgmKey(seed, 10, out_bits)
+            expected = [straight_line_ggm(seed, x, out_bits) for x in xs]
+            assert [crypto.ggm_eval(key, x) for x in xs] == expected  # misses
+            assert [crypto.ggm_eval(key, x) for x in xs] == expected  # hits
+        # each miss walked the leaf once and left one entry; each hit walked nothing
+        assert len(calls) == len(memo) == 2 * len(xs) and memo.hits == 2 * len(xs)
 
 
 def test_leaf_memo_keys_on_the_path_width():
     # "0101" and "101" are the same int but different leaves
     seed = b"memo-seed-000002"
-    crypto.forget_leaves()
-    assert crypto._ggm_leaf(seed, 0b101, 4, 16) == int(straight_line_ggm(seed, "0101", 16), 2)
-    assert crypto._ggm_leaf(seed, 0b101, 3, 16) == int(straight_line_ggm(seed, "101", 16), 2)
-    assert crypto._ggm_leaf.cache_info().misses == 2
+    with walking_with(crypto._leaf_in_use()) as calls:
+        assert crypto._ggm_leaf(seed, 0b101, 4, 16) == int(straight_line_ggm(seed, "0101", 16), 2)
+        assert crypto._ggm_leaf(seed, 0b101, 3, 16) == int(straight_line_ggm(seed, "101", 16), 2)
+        assert len(calls) == len(crypto._leaves) == 2
+
+
+def test_the_leaf_memo_is_emptied_when_full():
+    seed = b"memo-seed-000003"
+    with walking_with(crypto._leaf_in_use()) as calls:
+        for path in range(crypto._LEAF_MEMO_SIZE + 1):
+            crypto._ggm_leaf(seed, path, 13, 16)
+        assert list(crypto._leaves) == [(seed, crypto._LEAF_MEMO_SIZE, 13, 16)]
+        crypto._remember_leaves(seed, 13, 16, list(range(crypto._LEAF_MEMO_SIZE)), range(crypto._LEAF_MEMO_SIZE))
+        assert len(crypto._leaves) == crypto._LEAF_MEMO_SIZE  # emptied first, since all of them did not fit
+        assert crypto._ggm_leaf(seed, 7, 13, 16) == 7  # what was remembered is what is read
+        assert len(calls) == crypto._LEAF_MEMO_SIZE + 1
 
 
 # Multi-block leaves, computed by the string-level code that preceded the int
@@ -520,12 +551,14 @@ def test_multi_block_leaf_vectors():
             assert crypto.injective_pprf_eval(key, x) == INJECTIVE_EVAL_270
 
 
-def test_walk_memo_hits_in_s64_extraction():
+def test_walk_memo_hits_in_s64_extraction(monkeypatch):
     # the marked circuit recomputes the PRF value y = F(x) of each real query
     # the live probe drew with b = 1, so a game must hit the leaf memo; Sim's
     # ciphertexts hit the plaintext memo instead.  The memo never outgrows its bound
     params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=64, engine="fast")
-    crypto._ggm_leaf.cache_clear()
+    native.kernels()  # pick the builders first: their probes on first use fill the memo with leaves of their own keys
+    memo = CountingMemo()
+    monkeypatch.setattr(crypto, "_leaves", memo)
     result = wmprf.run_event_trial(
         params,
         honest_pirate,
@@ -534,24 +567,26 @@ def test_walk_memo_hits_in_s64_extraction():
         elwm_params=elwm.ElwmParams(3, seed_bits=6, range_bits=12),
     )
     assert result.report.decoded == "10"
-    info = crypto._ggm_leaf.cache_info()
-    assert info.maxsize == 1024
-    assert info.hits > 0
-    assert 0 < info.currsize <= info.maxsize
+    assert crypto._LEAF_MEMO_SIZE == elwm.MAX_TRIPLES
+    assert memo.hits > 0
+    assert 0 < len(memo) <= crypto._LEAF_MEMO_SIZE
 
 
-def test_each_game_starts_with_an_empty_leaf_memo():
+def test_each_game_starts_with_an_empty_leaf_memo(monkeypatch):
     # a game's keys are fresh, so a second run of the same game may not hit
     # leaves the first one left behind
     params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=8, engine="fast")
-    native.kernels()  # pick the Sim builder first: its probe on first use walks leaves of its own keys
+    native.kernels()  # pick the builders first: their probes on first use walk leaves of their own keys
+    memo = CountingMemo()
+    monkeypatch.setattr(crypto, "_leaves", memo)
     stats = []
-    for _ in range(2):
-        wmprf.run_event_trial(
-            params, honest_pirate, "10", rng_for("memo-per-game"), elwm_params=elwm.ElwmParams(3, 6, 12)
-        )
-        info = crypto._ggm_leaf.cache_info()
-        stats.append((info.hits, info.misses))
+    with walking_with(crypto._leaf_in_use()) as calls:
+        for _ in range(2):
+            hits, misses = memo.hits, len(calls)
+            wmprf.run_event_trial(
+                params, honest_pirate, "10", rng_for("memo-per-game"), elwm_params=elwm.ElwmParams(3, 6, 12)
+            )
+            stats.append((memo.hits - hits, len(calls) - misses, len(memo)))
     assert stats[0] == stats[1]
     assert stats[0][1] > 0
 

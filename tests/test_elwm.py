@@ -473,7 +473,7 @@ def test_the_native_sim_runs_wherever_it_builds():
     msg_bits=st.integers(1, 40) | st.integers(1, 0xFFFF),
     seed_bits=st.integers(1, 140),
     range_bits=st.integers(1, 600),
-    s=st.integers(1, 9),  # the kernel walks records in pairs: odd and even counts end differently
+    s=st.integers(1, 9),  # up to 8 records walk in pairs: odd and even counts end differently
     data=st.data(),
 )
 @example(msg_bits=5, seed_bits=6, range_bits=12, s=3, data=None)  # the widths of a game
@@ -494,6 +494,65 @@ def test_native_and_python_sim_build_the_same_triples(msg_bits, seed_bits, range
     assert triples == elwm.build_distribution(
         index, params=params, s=s, master_seed=args[4], coin_key=args[5], tag=tag
     )
+
+
+# The RealD builders this host runs, as SIMS above.
+REALDS = {"python": elwm._python_reald}
+if (reald_kernel := native.load_reald()) is not None:
+    REALDS["native"] = elwm._native_reald(reald_kernel)
+
+
+def test_the_native_reald_runs_wherever_it_builds():
+    assert native.kernels()["reald_kernel"] == ("native" if "native" in REALDS else "python")
+
+
+def test_the_probes_reach_every_walk():
+    # first_use runs the probes on both builders, so each must hold a group of 16 walks and some left over
+    for _, _, _, s, _, _ in elwm._SIM_PROBES:
+        assert s > 16 and s % 2
+    for key, s, master_seed, coin_key in elwm._REALD_PROBES:
+        b_ones = sum(b for b, _, _ in elwm._python_reald(key, s, master_seed, coin_key))
+        assert b_ones > 16 and b_ones % 2
+
+
+@pytest.mark.skipif(
+    "native" not in SIMS or "native" not in REALDS, reason="the native Sim and RealD kernels do not build on this host"
+)
+@given(s=st.integers(1, 40), wide=st.booleans(), data=st.data())
+@example(s=64, wide=False, data=None)  # four full groups
+@example(s=17, wide=True, data=None)
+def test_native_and_python_builders_agree_on_groups_of_every_size(s, wide, data):
+    # groups of more than 8 records walk in 16 lanes where the CPU has AVX-512, smaller ones in pairs; RealD
+    # groups the records whose b is 1
+    params = elwm._PROBE_PARAMS[wide]
+    prfk, tag = elwm.gen(params, rng_for(f"group-twin-{wide}"))
+    index = data.draw(st.integers(1, params.msg_bits)) if data is not None else params.msg_bits
+    args = (params, tag.pe_ek.circuit, index, s, b"group-twin-mstr!", b"group-twin-coin!")
+    assert SIMS["native"](*args) == SIMS["python"](*args)
+    args = (prfk.f_main, s, b"group-twin-mstr!", b"group-twin-coin!")
+    expected = REALDS["python"](*args)
+    crypto.forget_leaves()  # the Python builder reads F(x) from the leaf memo, where the kernel puts it
+    assert REALDS["native"](*args) == expected
+    crypto.forget_leaves()
+
+
+@pytest.mark.parametrize("name", sorted(REALDS))
+def test_a_reald_build_leaves_its_prf_values_for_the_marked_circuit(name, monkeypatch):
+    params = small_params()
+    prfk, _ = elwm.gen(params, rng_for("reald-leaves"))
+    circuit = elwm.mark(prfk, "0110")
+    native.kernels()  # pick the kernels first: their probes walk leaves of their own keys
+    crypto.forget_leaves()
+    triples = REALDS[name](prfk.f_main, 64, b"reald-leaf-mstr!", b"reald-leaf-coin!")
+    real = [(x, y) for b, x, y in triples if b]
+    n, m = params.domain_bits, params.range_bits
+    assert len(real) > 16
+    assert crypto._leaves == {(prfk.f_main.seed, int(x, 2), n, m): int(y, 2) for x, y in real}
+    walked, leaf = [], crypto._leaf_in_use()
+    monkeypatch.setattr(crypto, "_leaf_in_use", lambda: lambda *args: walked.append(args) or leaf(*args))
+    assert [circuit.run(x) for x, _ in real] == [y for _, y in real]
+    assert [args for args in walked if args[0] == prfk.f_main.seed] == []
+    crypto.forget_leaves()
 
 
 def sim_stack():
