@@ -16,28 +16,32 @@ Conventions
   prefixes, so every derivation is a pure function of its inputs.
 * A GGM node's child is SHA256("node" || bit || seed)[:SEED_BYTES], with bit
   the character '0' or '1', and a leaf's output is ``_stream(node,
-  out_bits, b"leaf")``.  The leaf in use walks a whole path and hashes
-  the leaf blocks in one call, or returns the node seed when asked for no
-  blocks.  ``_leaf_in_use`` picks it on first use (``native.first_use``):
-  the native kernel of ``native.py`` if it builds, loads, and agrees with the
-  hashlib leaf ``_hashlib_leaf`` on probes that include a 120-bit path and a
-  multi-block output; otherwise the hashlib leaf.  No option chooses: both
-  give the same bytes, and ``native.kernels()`` says which one runs.
-* ``_ggm_leaf`` memoizes leaf outputs by (root seed, path, path width, output
-  width) in ``_leaves``, a dict of at most ``_LEAF_MEMO_SIZE`` entries that is
-  emptied when full: the marked circuit recomputes the PRF values of the live
-  probe's real queries, so a trial hits it, and a RealD distribution built
-  natively puts them there itself (``_remember_leaves``).  ``_plaintexts``
-  maps each PE ciphertext made since it was last emptied to its plaintext,
-  keyed by the seeds of F, of F's mask and of G, ell and the ciphertext;
-  ``pe`` fills it on every encryption, Sim's included, and answers a
-  decryption from it before it walks (``pe._decrypt``; a native decryption
-  walks without the leaf memo).  ``forget_leaves`` empties both: a game calls
-  it before it generates fresh keys.  ``_prg`` memoizes the PRG in an LRU of
-  ``_PRG_MEMO_SIZE`` entries, which ``forget_leaves`` keeps, since the PRG
-  takes no key: the marked circuit answers a biting Sim query with PRG(s),
-  and a game has only 2^seed_bits seeds s.  Each memo is exact: a hit returns
-  what the hash would.
+  out_bits, b"leaf")``.  The leaf in use walks a batch of paths from one
+  root and hashes their leaf blocks in one call, or returns their node seeds
+  when asked for no blocks.  ``_leaf_in_use`` picks it on first use
+  (``native.first_use``): the native kernel of ``native.py`` if it builds,
+  loads, and agrees with the hashlib leaves ``_hashlib_leaves`` on probes
+  that include a batch of 17 120-bit paths to a multi-block output;
+  otherwise the hashlib leaves.  No option chooses: both give the same
+  bytes, and ``native.kernels()`` says which one runs.
+* ``_ggm_leaves`` memoizes leaf outputs by (root seed, path, path width,
+  output width) in ``_leaves``, a dict of at most ``_LEAF_MEMO_SIZE`` entries
+  that is emptied when full, and walks a batch's misses in one call: the
+  marked circuit recomputes the PRF values of the live probe's real queries,
+  so a trial hits it, and a RealD distribution built natively puts them
+  there itself (``_remember_leaves``).  ``_plaintexts`` maps each PE
+  ciphertext made since it was last emptied to its plaintext, keyed by the
+  seeds of F, of F's mask and of G, ell and the ciphertext; ``pe`` fills it
+  on every encryption, Sim's included, and answers a decryption from it
+  before it walks (``pe._decrypt``; a native decryption walks without the
+  leaf memo).  ``_pending`` is the pending batch: the x's of the
+  distribution ``elwm`` built last, which the marked circuit answers at once
+  when asked for one of them.  ``forget_leaves`` empties all three: a game
+  calls it before it generates fresh keys.  ``_prg`` memoizes the PRG in an
+  LRU of ``_PRG_MEMO_SIZE`` entries, which ``forget_leaves`` keeps, since the
+  PRG takes no key: the marked circuit answers a biting Sim query with
+  PRG(s), and a game has only 2^seed_bits seeds s.  Each memo is exact: a hit
+  returns what the hash would.
 * Every serialized key, tag and circuit is built from one record layout,
   written by ``write_record`` and read by ``read_record``: u16 fields, then
   the u16 length of each blob, then the blobs, all big-endian.  A truncated,
@@ -181,8 +185,6 @@ def _keyed_coins(key: bytes, label: bytes, out_bits: int) -> int:
 _NODE_HASH = {"0": hashlib.sha256(b"node0"), "1": hashlib.sha256(b"node1")}
 _LEAF_MEMO_SIZE = 4096  # the b = 1 leaves of a whole RealD distribution of elwm.MAX_TRIPLES fit
 _leaves: dict[tuple[bytes, int, int, int], int] = {}
-# a 120-bit path (the widest a game walks) to 3 blocks, and a 1-bit path to its node seed
-_LEAF_PROBES = ((b"ggm-walk-probe-0", int("0110" * 30, 2), 120, 3), (b"ggm-walk-probe-1", 1, 1, 0))
 
 
 def _hashlib_leaf(seed: bytes, path: int, width: int, n_blocks: int) -> bytes:
@@ -194,23 +196,43 @@ def _hashlib_leaf(seed: bytes, path: int, width: int, n_blocks: int) -> bytes:
     return _blocks(b"leaf|" + seed, n_blocks) if n_blocks else seed
 
 
-_leaf_in_use = native.first_use("ggm_walk", native.load_leaf, _hashlib_leaf, _LEAF_PROBES, "hashlib")
+def _hashlib_leaves(seed: bytes, paths, width: int, n_blocks: int) -> list[bytes]:
+    """``_hashlib_leaf`` of each of the `width`-bit `paths` from `seed`: the twin of the native leaf kernel."""
+    return [_hashlib_leaf(seed, path, width, n_blocks) for path in paths]
+
+
+def _leaf_probes():
+    """17 random 120-bit paths (the widest a game walks) to 3 blocks, a group of 16 and one left over, and the two
+    1-bit paths to their node seeds, as puncturing asks, a pair."""
+    paths = [_stream(bytes([r]), 120, b"ggm-walk-probe") for r in range(17)]
+    return ((b"ggm-walk-probe-0", paths, 120, 3), (b"ggm-walk-probe-1", [0, 1], 1, 0))
+
+
+_leaf_in_use = native.first_use("ggm_walk", native.load_leaf, _hashlib_leaves, _leaf_probes, "hashlib")
+
+
+def _ggm_leaves(seed: bytes, paths, width: int, out_bits: int) -> list[int]:
+    """Outputs of the leaves reached from `seed` along each of the `width`-bit `paths`, for a positive `out_bits`.
+
+    Each is read from the leaf memo, or computed by the leaf in use, every
+    miss in one call, and put there.
+    """
+    keys = list(zip(repeat(seed), paths, repeat(width), repeat(out_bits)))
+    outs = list(map(_leaves.get, keys))
+    missing = [path for path, out in zip(paths, outs) if out is None]
+    if missing:
+        n_blocks = -(-out_bits // 256)
+        shift = 256 * n_blocks - out_bits
+        walked = [int.from_bytes(raw, "big") >> shift for raw in _leaf_in_use()(seed, missing, width, n_blocks)]
+        _remember_leaves(seed, width, out_bits, missing, walked)
+        fill = iter(walked)
+        outs = [next(fill) if out is None else out for out in outs]
+    return outs
 
 
 def _ggm_leaf(seed: bytes, path: int, width: int, out_bits: int) -> int:
-    """Output of the leaf reached from `seed` along the `width`-bit path, for a positive `out_bits`.
-
-    It is read from the leaf memo, or computed by the leaf in use and put there.
-    """
-    key = (seed, path, width, out_bits)
-    out = _leaves.get(key)
-    if out is None:
-        n_blocks = -(-out_bits // 256)
-        out = int.from_bytes(_leaf_in_use()(seed, path, width, n_blocks), "big") >> (256 * n_blocks - out_bits)
-        if len(_leaves) >= _LEAF_MEMO_SIZE:
-            _leaves.clear()
-        _leaves[key] = out
-    return out
+    """``_ggm_leaves`` of one path."""
+    return _ggm_leaves(seed, (path,), width, out_bits)[0]
 
 
 def _remember_leaves(seed: bytes, width: int, out_bits: int, paths: list[int], outputs) -> None:
@@ -227,12 +249,14 @@ def _remember_leaves(seed: bytes, width: int, out_bits: int, paths: list[int], o
 
 _PLAINTEXT_MEMO_SIZE = 4096  # a whole distribution of elwm.MAX_TRIPLES fits
 _plaintexts: dict[tuple[tuple, int], int] = {}
+_pending: dict[str, int] = {}  # the x's of the distribution built last, each bit string mapped to its int
 
 
 def forget_leaves() -> None:
-    """Empty the leaf memo and the plaintext memo, so that the next evaluations start cold."""
+    """Empty the leaf memo, the plaintext memo and the pending batch, so that the next evaluations start cold."""
     _leaves.clear()
     _plaintexts.clear()
+    _pending.clear()
 
 
 @dataclass(frozen=True)
@@ -304,8 +328,9 @@ def ggm_puncture(key: GgmKey, points: set[str] | frozenset[str] | tuple[str, ...
             return  # punctured leaf: drop
         left = [p for p in under if p[len(prefix)] == "0"]
         right = [p for p in under if p[len(prefix)] == "1"]
-        descend(prefix + "0", _leaf_in_use()(seed, 0, 1, 0), left)
-        descend(prefix + "1", _leaf_in_use()(seed, 1, 1, 0), right)
+        left_seed, right_seed = _leaf_in_use()(seed, (0, 1), 1, 0)
+        descend(prefix + "0", left_seed, left)
+        descend(prefix + "1", right_seed, right)
 
     descend("", key.seed, pts)
     nodes.sort()

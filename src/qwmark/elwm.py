@@ -32,13 +32,23 @@ reported by ``native.kernels()``); both give the same bytes.  Both Sim
 builders record each ciphertext's plaintext in the memo that the marked
 circuit's decryption reads first, and both RealD builders leave each F(x)
 they compute in the leaf memo, which the marked circuit reads on those x.
+
+Every builder also makes its distribution's x's the pending batch
+(``crypto._pending``), each bit string mapped to its int.  The pirate asks
+the marked circuit one ``run(x)`` at a time, and the first x of the pending
+batch that a circuit has no answer for makes it answer the whole batch: one
+call decrypts every plaintext-memo miss, the tails are tested, and one call
+walks every leaf-memo miss, each in groups of 16 lanes.  The answers stay in
+a map of the circuit's, holding only its latest batch, so each later
+``run(x)`` of the distribution is one lookup.  Any other x is a batch of one
+and is checked as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from typing import ClassVar
 
 from . import native
@@ -47,7 +57,8 @@ from .crypto import (
     GgmKey,
     InjectivePprfKey,
     _ggm_eval,
-    _ggm_leaf,
+    _ggm_leaves,
+    _pending,
     _keyed_coins,
     _prg,
     _remember_leaves,
@@ -237,7 +248,7 @@ class MarkedEvalCircuit:
 
     @cached_property
     def _constants(self) -> tuple:
-        """What ``run`` reads of this circuit, derived once: the input width, the
+        """What ``_answer`` reads of this circuit, derived once: the input width, the
         plaintext-memo key of `pe_dk`, the width and mask of a plaintext's
         tail idx || gamma, the tails on which the mark bites, the seed and
         output widths, the PRF's root seed, and the output format."""
@@ -250,13 +261,36 @@ class MarkedEvalCircuit:
             p.seed_bits, p.range_bits, self.f_main.seed, f"0{p.range_bits}b",
         )
 
+    @cached_property
+    def _answers(self) -> dict[str, str]:
+        """The answer to each x of the latest pending batch this circuit answered, by x."""
+        return {}
+
     def run(self, x: str) -> str:
+        try:
+            return self._answers[x]  # a key was written by a builder, so a hit is a valid x
+        except (KeyError, TypeError):
+            pass
+        n = self.params.domain_bits
+        if isinstance(x, str) and x in _pending and len(x) == n:
+            answers = self._answers
+            answers.clear()
+            answers.update(self._answer(_pending))
+            return answers[x]
+        return self._answer({x: int(check_bits(x, n, what="PRF input"), 2)})[x]
+
+    def _answer(self, batch: dict[str, int]) -> dict[str, str]:
+        """D(x) of each x of `batch`, a map of n-bit strings to their ints, by x: the plaintext memo read and its
+        misses decrypted in one call, the tails tested, and the leaf memo read and its misses walked in one call."""
         n, keys, tail, tail_mask, bites, seed_bits, range_bits, root, out = self._constants
-        value = int(check_bits(x, n, what="PRF input"), 2)
-        d = _decrypt(self.pe_dk, value, keys)  # d = s || idx || gamma
-        if d is not None and d & tail_mask in bites:
-            return format(_prg(d >> tail, seed_bits, range_bits), out)
-        return format(_ggm_leaf(root, value, n, range_bits), out)
+        values = list(batch.values())
+        ds = _decrypt(self.pe_dk, values, keys)  # d = s || idx || gamma, or None
+        bitten = [d is not None and d & tail_mask in bites for d in ds]
+        leaves = iter(_ggm_leaves(root, [value for value, bit in zip(values, bitten) if not bit], n, range_bits))
+        return {
+            x: format(_prg(d >> tail, seed_bits, range_bits) if bit else next(leaves), out)
+            for x, d, bit in zip(batch, ds, bitten)
+        }
 
     def payload_bytes(self) -> bytes:
         blobs = (self.f_main.to_bytes(), circuit_to_bytes(self.pe_dk), self.message.encode())
@@ -313,16 +347,27 @@ def _sim_label(master_seed: bytes, index: int) -> bytes:
     return master_seed + b"S" + index.to_bytes(2, "big")
 
 
+def _pend(x_texts, xs) -> None:
+    """Make the x's of the distribution just built, as bit strings and as ints, the pending batch."""
+    _pending.clear()
+    _pending.update(zip(x_texts, xs))
+
+
 def _python_sim(
     params: ElwmParams, ek: EncryptionCircuit, index: int, s: int, master_seed: bytes, coin_key: bytes
 ) -> tuple[tuple[int, str, str], ...]:
     """The s triples of Sim(tau, index), one ``_sim`` on the keyed coins of each record."""
     label, bits = _sim_label(master_seed, index), sim_coin_bits(params)
-    return tuple(_sim(params, ek, index, _keyed_coins(coin_key, label + r.to_bytes(4, "big"), bits)) for r in range(s))
+    coins = (_keyed_coins(coin_key, label + r.to_bytes(4, "big"), bits) for r in range(s))
+    triples = tuple(_sim(params, ek, index, record) for record in coins)
+    x_texts = [x for _, x, _ in triples]
+    _pend(x_texts, map(int, x_texts, repeat(2)))
+    return triples
 
 
 def _native_sim(kernel):
-    """``_python_sim`` in one call of the native Sim `kernel`, which also fills the plaintext memo."""
+    """``_python_sim`` in one call of the native Sim `kernel`, which also fills the plaintext memo and the pending
+    batch."""
 
     def build(params, ek, index, s, master_seed, coin_key) -> tuple[tuple[int, str, str], ...]:
         head = b"coin|" + coin_key + b"#" + _sim_label(master_seed, index)  # _keyed_coins's hash prefix
@@ -330,6 +375,7 @@ def _native_sim(kernel):
         widths = (params.seed_bits, params.idx_bits, index - 1, params.range_bits)
         ms, xs, x_texts, y_texts = kernel(head, s, *widths, *key_material)
         _remember(_keys(ek), xs, ms)
+        _pend(x_texts, xs)
         return tuple(zip(map((1).__and__, ms), x_texts, y_texts))  # gamma is the last bit of m
 
     return build
@@ -348,7 +394,11 @@ def _sim_probe(params: ElwmParams) -> tuple:
 _PROBE_PARAMS = (ElwmParams(5, 6, 12), ElwmParams(300, 26, 300))
 _SIM_PROBES = tuple(map(_sim_probe, _PROBE_PARAMS))
 _sim_in_use = native.first_use(
-    "sim_kernel", lambda: (kernel := native.load_sim()) and _native_sim(kernel), _python_sim, _SIM_PROBES, "python"
+    "sim_kernel",
+    lambda: (kernel := native.load_sim()) and _native_sim(kernel),
+    _python_sim,
+    lambda: _SIM_PROBES,
+    "python",
 )
 
 
@@ -363,22 +413,27 @@ def _python_reald(f_main: GgmKey, s: int, master_seed: bytes, coin_key: bytes) -
     n, m = f_main.domain_bits, f_main.out_bits
     label = _reald_label(master_seed)
     triples: list[tuple[int, str, str]] = []
+    xs = []
     for r in range(s):
         coins = _keyed_coins(coin_key, label + r.to_bytes(4, "big"), 1 + n + m)
         b, x = coins >> (n + m), (coins >> m) & ((1 << n) - 1)
         y = _ggm_eval(f_main, x) if b else coins & ((1 << m) - 1)
         triples.append((b, int_to_bits(x, n), int_to_bits(y, m)))
+        xs.append(x)
+    _pend([x for _, x, _ in triples], xs)
     return tuple(triples)
 
 
 def _native_reald(kernel):
-    """``_python_reald`` in one call of the native RealD `kernel`; each F(x) it computes goes to the leaf memo."""
+    """``_python_reald`` in one call of the native RealD `kernel`; each F(x) it computes goes to the leaf memo, and
+    its x's are the pending batch."""
 
     def build(f_main, s, master_seed, coin_key) -> tuple[tuple[int, str, str], ...]:
         n, m = f_main.domain_bits, f_main.out_bits
         head = b"coin|" + coin_key + b"#" + _reald_label(master_seed)  # _keyed_coins's hash prefix
         bs, xs, ys, x_texts, y_texts = kernel(head, s, n, m, f_main.seed)
         _remember_leaves(f_main.seed, n, m, list(compress(xs, bs)), compress(ys, bs))
+        _pend(x_texts, xs)
         return tuple(zip(bs, x_texts, y_texts))
 
     return build
@@ -396,7 +451,7 @@ _reald_in_use = native.first_use(
     "reald_kernel",
     lambda: (kernel := native.load_reald()) and _native_reald(kernel),
     _python_reald,
-    _REALD_PROBES,
+    lambda: _REALD_PROBES,
     "python",
 )
 
@@ -416,7 +471,9 @@ def build_distribution(
     index None is RealD: b <- coins, x <- coins, y = Eval(x) if b else fresh
     coins, built by ``_reald_in_use()``.  A message position i in
     1..msg_bits is Sim(tau, i): the Sim output on keyed coins, built by
-    ``_sim_in_use()``.  s runs from 1 to MAX_TRIPLES.
+    ``_sim_in_use()``.  s runs from 1 to MAX_TRIPLES.  The builder makes
+    the x's it built the pending batch, which the marked circuit answers at
+    once.
 
     The same (coin_key, master_seed) yields byte-identical triples.
     """

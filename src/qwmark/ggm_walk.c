@@ -1,6 +1,8 @@
-/* The native kernels of qwmark/native.py: a GGM leaf of crypto._ggm_leaf, a
- * whole Sim distribution and a whole RealD distribution of
- * elwm.build_distribution, and a PE decryption of pe._decrypt, each in one call.
+/* The native kernels of qwmark/native.py: a batch of GGM leaves of
+ * crypto._ggm_leaves, a whole Sim distribution and a whole RealD distribution
+ * of elwm.build_distribution, and a batch of PE decryptions of pe._decrypt,
+ * each in one call.  The marked circuit answers a whole distribution's queries
+ * at once, so its leaves and decryptions come in batches too.
  *
  * Bits are held big-endian: bit i of a buffer is bit 7 - i % 8 of byte i / 8,
  * so the first bit is the most significant bit of the first byte.  A w-bit
@@ -22,10 +24,10 @@
  * libcrypto, on a Xeon of a shared 2-vCPU host.
  *
  * One node waits on the 32 dependent sha256rnds2 of its parent's, so a lone
- * walk runs at the latency of that chain.  The Sim and RealD kernels walk a
- * group of up to 16 paths from one root at once (walk_group).  walk2_sha_ni
- * runs two paths as two lanes, alternating their rounds group by group, and
- * the CPU overlaps the two chains: 40-46 ns a node each on the same host.
+ * walk runs at the latency of that chain.  Every kernel walks a group of up to
+ * 16 paths from one root at once (walk_group).  walk2_sha_ni runs two paths as
+ * two lanes, alternating their rounds group by group, and the CPU overlaps the
+ * two chains: 40-46 ns a node each on the same host.
  * More SHA-NI lanes gain little (one to four lanes took 61, 40, 39 and 37 ns a
  * node), so a group of more than 8 paths, on a CPU with AVX-512F whose
  * registers the OS saves, runs in walk16_avx512: the 16 paths are the 16
@@ -438,7 +440,7 @@ static void walk(const unsigned char *seed, const unsigned char *path, size_t nb
     walk_libcrypto(seed, path, nbits, node);
 }
 
-#define GROUP 16 /* the records qwmark_sim and qwmark_reald walk at once: the lanes of walk16_avx512 */
+#define GROUP 16 /* the paths each kernel walks at once: the lanes of walk16_avx512 */
 
 /* walk() of paths[0 .. lanes - 1], 1 to GROUP paths of nbits bits each from
  * one seed, to nodes[0 .. lanes - 1]: in the 16 lanes of walk16_avx512 if
@@ -476,20 +478,33 @@ static void leaf_blocks(const unsigned char *node, size_t nblocks, unsigned char
     counter_blocks(msg, 5 + SEED_BYTES, nblocks, out);
 }
 
-/* Walk the first nbits bits of `path` from `seed`.  With nblocks = 0 write the
- * seed of the node reached to `out` (16 bytes), which is what puncturing
- * needs; otherwise write that node's first nblocks leaf blocks (32 * nblocks
- * bytes).  Zero bits walk nothing. */
-void qwmark_ggm_leaf(const unsigned char *seed, const unsigned char *path, unsigned nbits, unsigned nblocks,
-                     unsigned char *out)
+/* Walk each of the `count` paths of nbits bits from `seed`; the paths lie end
+ * to end in `paths`, (nbits + 7) / 8 bytes each.  With nblocks = 0 write the
+ * seed of each node reached (16 bytes), which is what puncturing needs;
+ * otherwise write that node's first nblocks leaf blocks (32 * nblocks bytes);
+ * path r's at that many bytes times r into `out`.  The paths walk in groups of
+ * GROUP (walk_group), and the last group takes what is left.  Zero bits walk
+ * nothing. */
+void qwmark_ggm_leaf(const unsigned char *seed, const unsigned char *paths, unsigned count, unsigned nbits,
+                     unsigned nblocks, unsigned char *out)
 {
-    unsigned char node[SEED_BYTES];
+    size_t path_bytes = bytes_of(nbits), out_len = nblocks ? 32 * (size_t)nblocks : SEED_BYTES, r;
+    unsigned char nodes[GROUP][SEED_BYTES];
+    const unsigned char *group[GROUP];
+    unsigned lanes, l;
 
-    walk(seed, path, nbits, node);
-    if (nblocks == 0)
-        memcpy(out, node, SEED_BYTES);
-    else
-        leaf_blocks(node, nblocks, out);
+    for (r = 0; r < count; r += lanes) {
+        lanes = count - r < GROUP ? (unsigned)(count - r) : GROUP;
+        for (l = 0; l < lanes; l++)
+            group[l] = paths + (r + l) * path_bytes;
+        walk_group(seed, group, nbits, lanes, nodes);
+        for (l = 0; l < lanes; l++) {
+            if (nblocks == 0)
+                memcpy(out + (r + l) * out_len, nodes[l], SEED_BYTES);
+            else
+                leaf_blocks(nodes[l], nblocks, out + (r + l) * out_len);
+        }
+    }
 }
 
 /* crypto._prg of the width-bit value at bit `from` of src: the first nblocks
@@ -711,46 +726,74 @@ int qwmark_reald(const unsigned char *head, unsigned head_len, unsigned count, u
     return 0;
 }
 
-/* pe._decrypt of a 12 ell-bit ciphertext c = alpha || beta || gamma, held
- * right-aligned in (12 ell + 7) / 8 bytes (the big-endian int): m = G(beta)
- * xor gamma, where G is the leaf of beta under g_seed (a 9 ell-bit walk), and
- * c is a ciphertext iff beta = F(alpha || m), F being the leaf of alpha || m
- * under f_seed (a 3 ell-bit walk) xor the affine map `affine`, laid out as in
- * qwmark_sim.  Returns 1 and writes m to m_out, right-aligned in (ell + 7) / 8
- * bytes, if c is a ciphertext; 0 if it is not; -1 if its scratch memory cannot
- * be had. */
-int qwmark_decrypt(const unsigned char *c, unsigned ell, const unsigned char *f_seed, const unsigned char *affine,
-                   const unsigned char *g_seed, unsigned char *m_out)
-{
-    size_t n = ell, at = 8 * bytes_of(12 * n) - 12 * n, beta_bytes = bytes_of(9 * n), tail = 9 * n % 8, i;
-    unsigned char node[SEED_BYTES], *scratch, *beta, *g_out, *m, *f_in, *f_out;
-    int found;
+/* The buffers of one ciphertext of qwmark_decrypt. */
+struct dec_record {
+    unsigned char *beta, *g_out, *m, *f_in, *f_out;
+};
 
-    scratch = calloc(beta_bytes + 32 * blocks_of(n) + bytes_of(n) + bytes_of(3 * n) + 32 * blocks_of(9 * n), 1);
+/* pe._decrypt of `count` 12 ell-bit ciphertexts c = alpha || beta || gamma,
+ * each held right-aligned in (12 ell + 7) / 8 bytes (the big-endian int) and
+ * laid end to end in cs: m = G(beta) xor gamma, where G is the leaf of beta
+ * under g_seed (a 9 ell-bit walk), and c is a ciphertext iff beta = F(alpha ||
+ * m), F being the leaf of alpha || m under f_seed (a 3 ell-bit walk) xor the
+ * affine map `affine`, laid out as in qwmark_sim.  out holds the count found
+ * flags, one byte each, 1 if c is a ciphertext and 0 if not, and then the
+ * count m, each right-aligned in (ell + 7) / 8 bytes, to be read only where
+ * the flag is 1.  The ciphertexts are decrypted in groups of GROUP, whose G
+ * walks run at once and then their F walks (walk_group), and the last group
+ * takes what is left.  Returns 0, or -1 if its scratch memory cannot be had. */
+int qwmark_decrypt(const unsigned char *cs, unsigned count, unsigned ell, const unsigned char *f_seed,
+                   const unsigned char *affine, const unsigned char *g_seed, unsigned char *out)
+{
+    size_t n = ell, c_bytes = bytes_of(12 * n), at = 8 * c_bytes - 12 * n, beta_bytes = bytes_of(9 * n);
+    size_t m_bytes = bytes_of(n), tail = 9 * n % 8, r, i;
+    size_t lane_len = beta_bytes + 32 * blocks_of(n) + m_bytes + bytes_of(3 * n) + 32 * blocks_of(9 * n);
+    unsigned char *found = out, *m_col = out + count, *scratch, nodes[GROUP][SEED_BYTES];
+    const unsigned char *paths[GROUP], *c;
+    struct dec_record rec[GROUP], *k;
+    unsigned lanes, l;
+
+    scratch = calloc(GROUP, lane_len);
     if (scratch == NULL)
         return -1;
-    beta = scratch;
-    g_out = beta + beta_bytes;
-    m = g_out + 32 * blocks_of(n);
-    f_in = m + bytes_of(n);
-    f_out = f_in + bytes_of(3 * n);
-    /* m = G(beta) xor gamma */
-    put_bits(beta, 0, c, at + 2 * n, 9 * n);
-    walk(g_seed, beta, 9 * n, node);
-    leaf_blocks(node, blocks_of(n), g_out);
-    put_bits(m, 0, c, at + 11 * n, n);
-    for (i = 0; i < bytes_of(n); i++)
-        m[i] ^= g_out[i];
-    /* F(alpha || m), compared with beta on its 9 ell bits */
-    put_bits(f_in, 0, c, at, 2 * n);
-    put_bits(f_in, 2 * n, m, 0, n);
-    walk(f_seed, f_in, 3 * n, node);
-    leaf_blocks(node, blocks_of(9 * n), f_out);
-    affine_mask(f_out, beta_bytes, affine, f_in, 3 * n);
-    found = memcmp(f_out, beta, 9 * n / 8) == 0 &&
-            (tail == 0 || (f_out[9 * n / 8] ^ beta[9 * n / 8]) >> (8 - tail) == 0);
-    if (found)
-        put_int(m_out, bytes_of(n), m, 0, n);
+    for (l = 0; l < GROUP; l++) {
+        k = &rec[l];
+        k->beta = scratch + l * lane_len;
+        k->g_out = k->beta + beta_bytes;
+        k->m = k->g_out + 32 * blocks_of(n);
+        k->f_in = k->m + m_bytes;
+        k->f_out = k->f_in + bytes_of(3 * n);
+    }
+    for (r = 0; r < count; r += lanes) {
+        lanes = count - r < GROUP ? (unsigned)(count - r) : GROUP;
+        for (l = 0; l < lanes; l++) {
+            put_bits(rec[l].beta, 0, cs + (r + l) * c_bytes, at + 2 * n, 9 * n);
+            paths[l] = rec[l].beta;
+        }
+        /* m = G(beta) xor gamma */
+        walk_group(g_seed, paths, 9 * n, lanes, nodes);
+        for (l = 0; l < lanes; l++) {
+            k = &rec[l];
+            c = cs + (r + l) * c_bytes;
+            leaf_blocks(nodes[l], blocks_of(n), k->g_out);
+            put_bits(k->m, 0, c, at + 11 * n, n);
+            for (i = 0; i < m_bytes; i++)
+                k->m[i] ^= k->g_out[i];
+            put_bits(k->f_in, 0, c, at, 2 * n);
+            put_bits(k->f_in, 2 * n, k->m, 0, n);
+            paths[l] = k->f_in;
+        }
+        /* F(alpha || m), compared with beta on its 9 ell bits */
+        walk_group(f_seed, paths, 3 * n, lanes, nodes);
+        for (l = 0; l < lanes; l++) {
+            k = &rec[l];
+            leaf_blocks(nodes[l], blocks_of(9 * n), k->f_out);
+            affine_mask(k->f_out, beta_bytes, affine, k->f_in, 3 * n);
+            found[r + l] = (unsigned char)(memcmp(k->f_out, k->beta, 9 * n / 8) == 0 &&
+                                           (tail == 0 || (k->f_out[9 * n / 8] ^ k->beta[9 * n / 8]) >> (8 - tail) == 0));
+            put_int(m_col + (r + l) * m_bytes, m_bytes, k->m, 0, n);
+        }
+    }
     free(scratch);
-    return found;
+    return 0;
 }

@@ -5,10 +5,13 @@ reports them, else through libcrypto, and walks a group of more than 8 paths
 from one root in the 16 lanes of AVX-512 registers where the CPU has them;
 ``c_walk_name()`` and ``wide_walk_name()`` say which.
 
-``load_leaf()`` returns a function with the contract of ``crypto._hashlib_leaf``,
-``load_sim()`` and ``load_reald()`` ones that build the records of a whole Sim
-and a whole RealD distribution, and ``load_decrypt()`` one that decrypts a PE
-ciphertext; each returns None where the kernel cannot be had: no ``cc`` on
+``load_leaf()`` returns a function that walks a batch of GGM paths from one
+root, with the contract of ``crypto._hashlib_leaves``, ``load_sim()`` and
+``load_reald()`` ones that build the records of a whole Sim and a whole RealD
+distribution, and ``load_decrypt()`` one that decrypts a batch of PE
+ciphertexts, with the contract of ``pe._python_decrypts``; the marked circuit
+hands each a whole distribution's misses at once.  Each returns None where the
+kernel cannot be had: no ``cc`` on
 ``PATH``, no OpenSSL headers or libcrypto to link, no cache directory that only
 this user can write, or a library that does not load.  ``first_use`` is the one
 rule that picks a kernel over its Python twin, which gives the same bytes, and
@@ -23,14 +26,11 @@ a whole library; it then unlinks the libraries of other sources or commands
 but the ``KEEP_OTHERS`` newest, so that two checkouts run in turn each keep
 theirs, while a process that mapped one keeps its mapping.
 
-A leaf call writes into a buffer kept per block count, and a decryption into
-one kept per plaintext width, since a fresh one costs more than the call.
-``PyDLL`` keeps the GIL through a call, and neither declares ``argtypes``,
-which cut the call overhead from 0.9 to 0.3 us.  The shared buffers make
-both one thread's at a time, as qwmark calls them.  The Sim and RealD kernels
-write their records field by field, each field's column whole before the
-next, and each column reaches Python as one ``struct`` unpack mapped to ints
-or strings, with no Python statement per record.
+``PyDLL`` keeps the GIL through a call.  Every kernel takes its batch laid
+end to end in one buffer and writes its results field by field, each field's
+column whole before the next, and each column reaches Python as one
+``struct`` unpack mapped to ints or strings, with no Python statement per
+record beyond the packing of the leaf paths and the ciphertexts.
 """
 
 from __future__ import annotations
@@ -123,15 +123,17 @@ def first_use(name: str, load, twin, probes, twin_name: str):
 
     That is ``load()`` if it returns a kernel that agrees with `twin` on every
     probe, else `twin`; ``kernels()`` reports it as "native" or `twin_name`.
-    `probes`, an iterable of argument tuples, is iterated then, and only once.
-    The twin runs first on each probe: a kernel may fill a memo that the twin
-    would read, as the RealD kernel fills the leaf memo.
+    `probes` is a function returning the argument tuples of the probes, called
+    then and not at import; a pick that raises is not kept, and the next call
+    picks again on every probe.  The twin runs first on each probe: a kernel
+    may fill a memo that the twin would read, as the RealD kernel fills the
+    leaf memo.
     """
 
     @lru_cache(maxsize=None)
     def picker():
         kernel = load()
-        if kernel is not None and all(twin(*probe) == kernel(*probe) for probe in probes):
+        if kernel is not None and all(twin(*probe) == kernel(*probe) for probe in tuple(probes())):
             return kernel
         return twin
 
@@ -190,19 +192,27 @@ def _texts(fields) -> list[str]:
 
 
 def load_leaf(library=None):
-    """The native leaf(seed, path, width, n_blocks) -> bytes of `library` (the cached one if None); None if none."""
+    """The native leaves(seed, paths, width, n_blocks) -> [bytes] of `library` (the cached one if None); None if
+    none.
+
+    It has the contract of ``crypto._hashlib_leaves``: each of the `width`-bit
+    int `paths` walked from `seed` in one call, in groups of 16.
+    """
     kernel = _kernel("qwmark_ggm_leaf", None, library)
     if kernel is None:
         return None
-    buffers = {}
 
-    def leaf(seed: bytes, path: int, width: int, n_blocks: int) -> bytes:
-        """``crypto._hashlib_leaf``'s contract in one native call."""
-        out = buffers.get(n_blocks) or buffers.setdefault(n_blocks, ctypes.create_string_buffer(32 * n_blocks or 16))
-        kernel(seed, (path << (-width % 8)).to_bytes(-(-width // 8), "big"), width, n_blocks, out)
-        return out.raw
+    def leaves(seed: bytes, paths, width: int, n_blocks: int) -> list[bytes]:
+        count, size, pad, path_bytes = len(paths), 32 * n_blocks or 16, -width % 8, -(-width // 8)
+        # the kernel reads and writes as far as these say, so they must hold before it runs
+        if not (len(seed) == 16 and max(count, width, n_blocks) <= 0xFFFF_FFFF and min(width, n_blocks) >= 0):
+            raise ValueError("the leaf kernel's arguments do not match its widths")
+        packed = b"".join([(path << pad).to_bytes(path_bytes, "big") for path in paths])  # a path too wide raises
+        out = ctypes.create_string_buffer(count * size)
+        kernel(seed, packed, count, width, n_blocks, out)
+        return list(_fields(out.raw, 0, size, count))
 
-    return leaf
+    return leaves
 
 
 def load_sim(library=None):
@@ -281,22 +291,28 @@ def load_reald(library=None):
 
 
 def load_decrypt(library=None):
-    """The native decrypt(dk, c) of `library` (the cached one if None), ``pe._python_decrypt``'s contract; or None."""
+    """The native decrypt(dk, cs) -> [int | None] of `library` (the cached one if None); or None.
+
+    It has the contract of ``pe._python_decrypts``: each of the ciphertexts
+    `cs`, ints, decrypted under the keys of `dk` in one call, in groups of 16.
+    """
     kernel = _kernel("qwmark_decrypt", ctypes.c_int, library)
     if kernel is None:
         return None
-    buffers = {}
 
-    def decrypt(dk, c: int) -> int | None:
+    def decrypt(dk, cs) -> list[int | None]:
         ell, f_seed, affine, g_seed = dk.ell, dk.f_key.ggm.seed, dk.f_key._packed_affine, dk.g_key.seed
+        count, c_bytes, m_bytes = len(cs), -(-12 * ell // 8), -(-ell // 8)
         # the kernel reads and writes as far as these say, so they must hold before it runs
         widths = (len(f_seed), len(affine), len(g_seed)) == (16, (3 * ell + 1) * -(-9 * ell // 8), 16)
-        if not (ell >= 1 and widths and 0 <= c and c.bit_length() <= 12 * ell):
+        if not (1 <= ell <= 0xFFFF_FFFF and widths and count <= 0xFFFF_FFFF):
             raise ValueError("the decryption kernel's arguments do not match its widths")
-        out = buffers.get(ell) or buffers.setdefault(ell, ctypes.create_string_buffer(-(-ell // 8)))
-        found = kernel(c.to_bytes(-(-12 * ell // 8), "big"), ell, f_seed, affine, g_seed, out)
-        if found < 0:
+        if cs and not (min(cs) >= 0 and max(cs).bit_length() <= 12 * ell):
+            raise ValueError("a ciphertext is wider than the decryption kernel's 12 ell bits")
+        out = ctypes.create_string_buffer(count * (1 + m_bytes))
+        if kernel(b"".join([c.to_bytes(c_bytes, "big") for c in cs]), count, ell, f_seed, affine, g_seed, out):
             raise MemoryError("the native decryption kernel could not allocate its scratch memory")
-        return int.from_bytes(out.raw, "big") if found else None
+        raw = out.raw
+        return [m if found else None for found, m in zip(raw[:count], _ints(_fields(raw, count, m_bytes, count)))]
 
     return decrypt

@@ -150,42 +150,51 @@ def _python_decrypt(dk, c: int) -> int | None:
     return m
 
 
+def _python_decrypts(dk, cs) -> list[int | None]:
+    """``_python_decrypt`` of each of the ciphertexts `cs`: the twin of the native decryption kernel."""
+    return [_python_decrypt(dk, c) for c in cs]
+
+
 def _decrypt_probes():
-    """At ell = 10 and 36 (F's output in two blocks), under fixed keys: a ciphertext; the same with beta's last bit,
-    or a bit of its last whole byte, flipped and gamma made again so that m is kept, which only the check of beta
-    refuses; one-bit flips of alpha, beta and gamma; and a random string."""
-    for ell in (10, 36):
+    """At ell = 10 and 36 (F's output in two blocks), under fixed keys, a batch: a ciphertext; the same with beta's
+    last bit, or a bit of its last whole byte, flipped and gamma made again so that m is kept, which only the check
+    of beta refuses; one-bit flips of alpha, beta and gamma; and random strings, ten more at ell = 10, so that its
+    batch of 17 is a group of 16 and one left over."""
+    for ell, randoms in ((10, 11), (36, 1)):
         f_key = InjectivePprfKey(GgmKey(b"dec-probe-f-root", 3 * ell, 9 * ell), b"dec-probe-f-mask")
         dk = DecryptionCircuit(f_key, GgmKey(b"dec-probe-g-root", 9 * ell, ell), ell)
         alpha, m = _prg(ell, 16, 2 * ell), _prg(ell, 16, ell)
         beta = _injective_eval(f_key, (alpha << ell) | m)
         cs = [(((alpha << 9 * ell) | b) << ell) | (_ggm_eval(dk.g_key, b) ^ m) for b in (beta, beta ^ 1, beta ^ 256)]
         flips = (1 << 12 * ell - 1, 1 << 5 * ell, 1)  # alpha's first bit, beta's middle bit, gamma's last bit
-        yield from ((dk, x) for x in (*cs, *(cs[0] ^ flip for flip in flips), _prg(ell, 16, 12 * ell)))
+        yield dk, [*cs, *(cs[0] ^ flip for flip in flips), *(_prg(ell + r, 16, 12 * ell) for r in range(randoms))]
 
 
-_decrypt_in_use = native.first_use("decrypt", native.load_decrypt, _python_decrypt, _decrypt_probes(), "python")
+_decrypt_in_use = native.first_use("decrypt", native.load_decrypt, _python_decrypts, _decrypt_probes, "python")
 
 
-def _decrypt(dk, c: int, keys: tuple) -> int | None:
-    """Decrypt a 12ell-bit ciphertext under the keys of `dk`: m = G(beta) xor gamma if beta = F(alpha || m).
+def _decrypt(dk, cs, keys: tuple) -> list[int | None]:
+    """Decrypt each of the 12ell-bit ciphertexts `cs` under the keys of `dk`: m = G(beta) xor gamma if
+    beta = F(alpha || m), else None.
 
     `keys` is ``_keys(dk)``, which a caller that decrypts many ciphertexts
     under one circuit builds once.  A ciphertext encrypted under the same
     keys since the memo was last emptied is answered from it: by correctness
-    its plaintext is the one it was made from.  Any other goes to the native
-    kernel if it loads and agrees with ``_python_decrypt`` on the probes, else
-    to that twin.
+    its plaintext is the one it was made from.  The others go in one call to
+    the native kernel if it loads and agrees with ``_python_decrypts`` on the
+    probes, else to that twin.
     """
-    m = _plaintexts.get((keys, c))
-    if m is not None:
-        return m
-    return _decrypt_in_use()(dk, c)
+    ms = [_plaintexts.get((keys, c)) for c in cs]
+    missing = [c for c, m in zip(cs, ms) if m is None]
+    if missing:
+        fill = iter(_decrypt_in_use()(dk, missing))
+        ms = [next(fill) if m is None else m for m in ms]
+    return ms
 
 
 def _decrypt_bits(dk, c: str) -> str | None:
     """``_decrypt`` of a checked ciphertext string, formatted."""
-    m = _decrypt(dk, int(c, 2), _keys(dk))
+    (m,) = _decrypt(dk, (int(c, 2),), _keys(dk))
     return None if m is None else int_to_bits(m, dk.ell)
 
 

@@ -8,7 +8,10 @@ commute with the projective implementation.
 A pirate's oracle answers a whole batch of query pairs in one call: a
 classical pirate takes its answer bits for the batch and indexes the constant
 stack [I, X] with them, and the coin pirate returns the identity broadcast
-over the batch.  A circuit is asked one `run(x)` per query, in batch order.
+over the batch.  A circuit is asked one `run(x)` per query, in batch order;
+the marked circuit answers the first such query of a distribution by
+answering the distribution's whole pending batch at once (see ``elwm``), so
+the rest are lookups.
 
 The superposed pirate runs two branch programs coherently, controlled on an
 extra branch qubit appended after the branch programs' own registers; its

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import block_diag
 
-from qwmark import crypto, elwm, qcore, spectral, wmprf
+from qwmark import crypto, elwm, pe, qcore, spectral, wmprf
 from qwmark.crypto import _keyed_coins, _prg, _stream, check_bits, int_to_bits
 from qwmark.errors import IndexRangeError, InvariantError, LengthError
 from qwmark.qcore import QuantumProgram, StateVector, UnitaryOracle, check_projectors, program_projectors
@@ -84,6 +84,18 @@ def sim(params: elwm.ElwmParams, tag: elwm.TagIo, i: int, coins: str) -> tuple[i
         raise IndexRangeError(f"index {i} outside 1..{params.msg_bits}")
     check_bits(coins, elwm.sim_coin_bits(params), what="sim coins")
     return elwm._sim(params, tag.pe_ek.circuit, i, int(coins, 2))
+
+
+def marked_run(circuit: elwm.MarkedEvalCircuit, x: str) -> str:
+    """D(x) of the marked circuit one query at a time, as ``run`` answered before it answered whole batches: the
+    oracle the batch is checked against.  It checks x, reads the plaintext memo or decrypts, tests the tail, and
+    answers PRG(s) where the mark bites, else F(x) from the leaf memo or a walk."""
+    n, keys, tail, tail_mask, bites, seed_bits, range_bits, root, out = circuit._constants
+    value = int(check_bits(x, n, what="PRF input"), 2)
+    (d,) = pe._decrypt(circuit.pe_dk, (value,), keys)  # d = s || idx || gamma
+    if d is not None and d & tail_mask in bites:
+        return format(_prg(d >> tail, seed_bits, range_bits), out)
+    return format(crypto._ggm_leaf(root, value, n, range_bits), out)
 
 
 def prg_bits(seed: str, out_bits: int) -> str:

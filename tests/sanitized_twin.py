@@ -23,6 +23,7 @@ from qwmark.elwm import ElwmParams
 MAX_PT_BITS = ElwmParams.MAX_PT_BITS
 WIDTHS = (0, 1, 7, 8, 9, 255, 256, 257, MAX_PT_BITS)  # the byte and hash-block edges, and the width budget
 COUNTS = (1, 2, 8, 9, 15, 16, 17, 64)  # a pair and a lone record; 8 and 9, either side of the 16-lane walk; groups
+BATCHES = (0, *COUNTS)  # the leaf and decryption kernels also take an empty batch
 MASTER_SEED, COIN_KEY = b"twin-master-seed", b"twin-coin-key-16"
 
 
@@ -43,11 +44,13 @@ def circuits(ell: int) -> tuple[pe.EncryptionCircuit, pe.DecryptionCircuit]:
 
 
 def check_leaf(leaf) -> None:
+    # every batch size at each width edge, to one block; and a group of 16 and one left over to the node seeds
+    # and to three blocks
     for width in WIDTHS:
-        path = bits(f"path-{width}", width)
-        for n_blocks in (0, 1, 3):
-            args = (seed("leaf-root"), path, width, n_blocks)
-            assert leaf(*args) == crypto._hashlib_leaf(*args), args[1:]
+        for count, n_blocks in [(count, 1) for count in BATCHES] + [(17, 0), (17, 3)]:
+            paths = [bits(f"path-{width}-{r}", width) for r in range(count)]
+            args = (seed("leaf-root"), paths, width, n_blocks)
+            assert leaf(*args) == crypto._hashlib_leaves(*args), (width, count, n_blocks)
 
 
 def check_sim(sim) -> None:
@@ -75,9 +78,10 @@ def check_reald(reald) -> None:
 
 
 def check_decrypt(decrypt) -> None:
-    # every 12-bit string at ell = 1; elsewhere a ciphertext, it with beta's last bit flipped and gamma made again
-    # so that only the check of beta refuses it, one-bit flips of alpha, beta and gamma, and a random string
-    cases = [(circuits(1)[1], c) for c in range(1 << 12)]
+    # every 12-bit string at ell = 1 in one batch; elsewhere a ciphertext, it with beta's last bit flipped and
+    # gamma made again so that only the check of beta refuses it, one-bit flips of alpha, beta and gamma, and a
+    # random string, repeated to a group of 16 and one left over, and at ell = 9 to every batch size
+    batches = [(circuits(1)[1], list(range(1 << 12)))]
     for ell in (7, 8, 9, 255, 256, 257, MAX_PT_BITS):
         ek, dk = circuits(ell)
         m, s = bits(f"m-{ell}", ell), bits(f"s-{ell}", ell)
@@ -85,15 +89,16 @@ def check_decrypt(decrypt) -> None:
         beta = ((c >> ell) & ((1 << 9 * ell) - 1)) ^ 1
         remade = (((c >> 10 * ell) << 9 * ell | beta) << ell) | (crypto._ggm_eval(dk.g_key, beta) ^ m)
         flips = (1 << 12 * ell - 1, 1 << 5 * ell, 1)
-        cases += [(dk, x) for x in (c, remade, *(c ^ flip for flip in flips), bits(f"c-{ell}", 12 * ell))]
-    for dk, c in cases:
-        assert decrypt(dk, c) == pe._python_decrypt(dk, c), (dk.ell, c)
+        cases = [c, remade, *(c ^ flip for flip in flips), bits(f"c-{ell}", 12 * ell)]
+        batches += [(dk, [cases[r % len(cases)] for r in range(count)]) for count in (BATCHES if ell == 9 else (17,))]
+    for dk, cs in batches:
+        assert decrypt(dk, cs) == pe._python_decrypts(dk, cs), (dk.ell, len(cs))
     crypto.forget_leaves()
 
 
 def main(path: str) -> None:
     library = ctypes.PyDLL(path)
-    crypto._leaf_in_use = lambda: crypto._hashlib_leaf
+    crypto._leaf_in_use = lambda: crypto._hashlib_leaves
     check_leaf(native.load_leaf(library))
     check_sim(elwm._native_sim(native.load_sim(library)))
     check_reald(elwm._native_reald(native.load_reald(library)))

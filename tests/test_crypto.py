@@ -283,9 +283,9 @@ def straight_line_leaf(seed: bytes, x: str, n_blocks: int) -> bytes:
     return blocks if n_blocks else node
 
 
-# The leaves this host runs: the hashlib loop always, and the native kernel
+# The leaves this host runs, each walking a batch of paths: the hashlib loop always, and the native kernel
 # where it builds, taken as built rather than after crypto's probe has vetted it.
-LEAVES = {"hashlib": crypto._hashlib_leaf}
+LEAVES = {"hashlib": crypto._hashlib_leaves}
 if (native_leaf := native.load_leaf()) is not None:
     LEAVES["native"] = native_leaf
 
@@ -331,7 +331,7 @@ def test_ggm_eval_matches_straight_line_walk(seed, x):
     expected = straight_line_walk(seed, x)
     path = int(x or "0", 2)
     for leaf in LEAVES.values():
-        assert leaf(seed, path, len(x), 0) == expected
+        assert leaf(seed, [path], len(x), 0) == [expected]
         with walking_with(leaf):
             assert crypto._ggm_leaf(seed, path, len(x), 16) == int(straight_line_ggm(seed, x, 16), 2)
             if x:
@@ -364,10 +364,35 @@ def test_every_leaf_matches_the_straight_line_oracle(seed, x, out_bits):
     n_blocks = -(-out_bits // 256)
     expected = straight_line_leaf(seed, x, n_blocks)
     for leaf in LEAVES.values():
-        assert leaf(seed, path, width, n_blocks) == expected
+        assert leaf(seed, [path], width, n_blocks) == [expected]
         if out_bits:
             with walking_with(leaf):
                 assert crypto._ggm_leaf(seed, path, width, out_bits) == int(straight_line_ggm(seed, x, out_bits), 2)
+
+
+@pytest.mark.skipif("native" not in LEAVES, reason="the native leaf does not build on this host")
+@given(
+    st.binary(min_size=16, max_size=16),
+    st.sampled_from([0, 1, 27, 108, 120]),
+    st.sampled_from([0, 1, 3]),
+    st.lists(st.integers(min_value=0), max_size=40),
+)
+@example(b"batch-of-zero---", 108, 1, [])
+@example(b"batch-of-17-----", 108, 1, list(range(17)))  # a group of 16 and one left over
+@example(b"batch-of-64-----", 120, 0, list(range(0, 64 << 100, 1 << 100)))  # four whole groups
+def test_native_and_hashlib_leaves_agree_on_batches_of_every_size(seed, width, n_blocks, paths):
+    # groups of more than 8 paths walk in 16 lanes where the CPU has AVX-512, smaller ones in pairs
+    paths = [path & ((1 << width) - 1) for path in paths]
+    assert LEAVES["native"](seed, paths, width, n_blocks) == crypto._hashlib_leaves(seed, paths, width, n_blocks)
+
+
+@pytest.mark.skipif("native" not in LEAVES, reason="the native leaf does not build on this host")
+def test_the_native_leaf_refuses_a_path_wider_than_its_width():
+    for path in (1 << 13, -1):
+        with pytest.raises(OverflowError):
+            LEAVES["native"](b"s" * 16, [0, path], 13, 1)
+    with pytest.raises(ValueError):
+        LEAVES["native"](b"s" * 15, [0], 13, 1)
 
 
 def cpu_flags() -> set[str]:
@@ -403,9 +428,11 @@ def test_the_libcrypto_c_walk_matches_the_oracles(tmp_path):
     leaf = native.load_leaf(library)
     for width in (0, 1, 7, 8, 9, 27, 108, 120, 130, 324, 400):
         seed = hashlib.sha256(b"libcrypto-walk-%d" % width).digest()[:16]
-        x = format(random.Random(width).getrandbits(width), f"0{width}b") if width else ""
+        # a group of 16 paths, in 16 AVX-512 lanes where the CPU has them, and one left over
+        xs = [format(random.Random(width + r).getrandbits(width), f"0{width}b") if width else "" for r in range(17)]
         for n_blocks in (0, 1, 3):
-            assert leaf(seed, int(x or "0", 2), width, n_blocks) == straight_line_leaf(seed, x, n_blocks)
+            expected = [straight_line_leaf(seed, x, n_blocks) for x in xs]
+            assert leaf(seed, [int(x or "0", 2) for x in xs], width, n_blocks) == expected
     sim = elwm._native_sim(native.load_sim(library))
     reald = elwm._native_reald(native.load_reald(library))
     try:
@@ -423,8 +450,8 @@ def test_the_libcrypto_c_walk_matches_the_oracles(tmp_path):
         # one and two leaf blocks
         decrypt = native.load_decrypt(library)
         dk = pe.pe_gen(1, rng_for("libcrypto-decrypt")).dk
-        cases = [*((dk, c) for c in range(1 << 12)), *pe._decrypt_probes()]
-        assert [decrypt(*case) for case in cases] == [pe._python_decrypt(*case) for case in cases]
+        cases = [(dk, list(range(1 << 12))), *pe._decrypt_probes()]
+        assert [decrypt(*case) for case in cases] == [pe._python_decrypts(*case) for case in cases]
     finally:
         crypto.forget_leaves()
 
@@ -554,11 +581,15 @@ def test_multi_block_leaf_vectors():
 def test_walk_memo_hits_in_s64_extraction(monkeypatch):
     # the marked circuit recomputes the PRF value y = F(x) of each real query
     # the live probe drew with b = 1, so a game must hit the leaf memo; Sim's
-    # ciphertexts hit the plaintext memo instead.  The memo never outgrows its bound
+    # ciphertexts hit the plaintext memo instead.  The circuit reads both memos
+    # once per distribution, when it answers its whole batch, and the leaf memo
+    # never outgrows its bound
     params = wmprf.ExtractParams(k=2, eps=0.25, delta_prime=0.05, s=64, engine="fast")
     native.kernels()  # pick the builders first: their probes on first use fill the memo with leaves of their own keys
     memo = CountingMemo()
     monkeypatch.setattr(crypto, "_leaves", memo)
+    batches, answer = [], elwm.MarkedEvalCircuit._answer
+    monkeypatch.setattr(elwm.MarkedEvalCircuit, "_answer", lambda self, xs: batches.append(len(xs)) or answer(self, xs))
     result = wmprf.run_event_trial(
         params,
         honest_pirate,
@@ -567,6 +598,9 @@ def test_walk_memo_hits_in_s64_extraction(monkeypatch):
         elwm_params=elwm.ElwmParams(3, seed_bits=6, range_bits=12),
     )
     assert result.report.decoded == "10"
+    # one batch for the live probe's RealD distribution and one for each of the k + 1 Sim distributions; a Sim
+    # distribution may repeat a ciphertext, which its batch holds once
+    assert len(batches) == params.k + 2 and all(56 <= size <= 64 for size in batches)
     assert crypto._LEAF_MEMO_SIZE == elwm.MAX_TRIPLES
     assert memo.hits > 0
     assert 0 < len(memo) <= crypto._LEAF_MEMO_SIZE
@@ -582,11 +616,12 @@ def test_each_game_starts_with_an_empty_leaf_memo(monkeypatch):
     stats = []
     with walking_with(crypto._leaf_in_use()) as calls:
         for _ in range(2):
-            hits, misses = memo.hits, len(calls)
+            # a call walks a batch of leaves, so the misses are the paths walked, not the calls
+            hits, misses = memo.hits, sum(len(paths) for _, paths, _, _ in calls)
             wmprf.run_event_trial(
                 params, honest_pirate, "10", rng_for("memo-per-game"), elwm_params=elwm.ElwmParams(3, 6, 12)
             )
-            stats.append((memo.hits - hits, len(calls) - misses, len(memo)))
+            stats.append((memo.hits - hits, sum(len(paths) for _, paths, _, _ in calls) - misses, len(memo)))
     assert stats[0] == stats[1]
     assert stats[0][1] > 0
 

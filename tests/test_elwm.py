@@ -4,6 +4,7 @@ coin-indexed query distributions."""
 from __future__ import annotations
 
 import functools
+from contextlib import contextmanager
 from dataclasses import astuple
 
 import pytest
@@ -15,7 +16,7 @@ from qwmark.crypto import int_to_bits, read_record, read_whole_record, write_rec
 from qwmark.errors import FormatError, IndexRangeError, LengthError
 from qwmark.pe import ObfuscatedCircuit
 
-from conftest import malformed_bits, prg_bits, rng_for, sim
+from conftest import malformed_bits, marked_run, prg_bits, rng_for, sim
 
 
 def small_params():
@@ -188,6 +189,125 @@ def test_marked_circuit_refuses_malformed_inputs():
         with pytest.raises(LengthError, match="PRF input"):
             circuit.run(x)
     assert circuit.run("0" * n) == elwm.eval_prf(prfk, "0" * n)
+
+
+# ---------------------------------------------------------------------------
+# the marked circuit answers the pending batch at once
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def kernels_of(name: str):
+    """Run the block on the native kernels, skipping where one of them does not run, or on every Python twin,
+    from empty memos and no pending batch."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "native":
+            picks = native.kernels()
+            if {picks[kernel] for kernel in ("ggm_walk", "decrypt", "sim_kernel", "reald_kernel")} != {"native"}:
+                pytest.skip("the native kernels do not run on this host")
+        else:
+            patch.setattr(crypto, "_leaf_in_use", lambda: crypto._hashlib_leaves)
+            patch.setattr(pe, "_decrypt_in_use", lambda: pe._python_decrypts)
+            patch.setattr(elwm, "_sim_in_use", lambda: elwm._python_sim)
+            patch.setattr(elwm, "_reald_in_use", lambda: elwm._python_reald)
+        crypto.forget_leaves()
+        try:
+            yield
+        finally:
+            crypto.forget_leaves()
+
+
+@functools.cache
+def batch_keys():
+    params = small_params()
+    return (params, *elwm.gen(params, rng_for("elwm-batch")))
+
+
+def batch_distribution(index: int | None, s: int, label: str, params=None, prfk=None, tag=None):
+    """A Sim distribution at `index`, or RealD where it is None, under the keys of ``batch_keys()`` by default."""
+    default_params, default_prfk, default_tag = batch_keys()
+    return elwm.build_distribution(
+        index,
+        params=params or default_params,
+        s=s,
+        master_seed=label.encode().ljust(16, b"-"),
+        coin_key=b"batch-coin-key16",
+        prfk=prfk or default_prfk,
+        tag=tag or default_tag,
+    )
+
+
+def answer_or_error(run, x) -> str:
+    """What `run` answers on x, or the message of the LengthError it raises."""
+    try:
+        return run(x)
+    except LengthError as exc:
+        return f"LengthError: {exc}"
+
+
+@pytest.mark.parametrize("kernels", ["native", "fallback"])
+@given(data=st.data())
+def test_a_pending_batch_is_answered_as_the_per_query_oracle(kernels, data):
+    # a batch that mixes Sim ciphertexts where the mark bites and where it does not, RealD x's with b = 1, whose
+    # F(x) is in the leaf memo, and with b = 0, and random strings; asked in any order, with repeats and an
+    # invalid input among them
+    params, prfk, _ = batch_keys()
+    message, n = "0110", params.domain_bits
+    with kernels_of(kernels):
+        circuit = elwm.mark(prfk, message).circuit
+        index = data.draw(st.integers(1, params.msg_bits))
+        sim_triples = batch_distribution(index, 20, f"sim-{index}")
+        reald_triples = batch_distribution(None, 20, "reald")
+        assert {gamma != int(message[index - 1]) for gamma, _, _ in sim_triples} == {False, True}
+        assert {b for b, _, _ in reald_triples} == {0, 1}
+        words = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+        pool = [x for _, x, _ in sim_triples + reald_triples] + [int_to_bits(word, n) for word in words]
+        batch = data.draw(st.permutations(pool)) + data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        elwm._pend(batch, [int(x, 2) for x in batch])
+        invalid = (*malformed_bits(n), "0" * (n - 1), b"0" * n, 0, ["0" * n])
+        queries = data.draw(st.permutations([*batch, data.draw(st.sampled_from(invalid))]))
+        answers = [answer_or_error(circuit.run, x) for x in queries]
+        assert set(circuit._answers) == set(batch)  # the first valid query answered the whole batch
+        assert answers == [answer_or_error(functools.partial(marked_run, circuit), x) for x in queries]
+
+
+@pytest.mark.parametrize("kernels", ["native", "fallback"])
+def test_a_query_outside_the_pending_batch_is_a_batch_of_one(kernels):
+    params, prfk, _ = batch_keys()
+    with kernels_of(kernels):
+        circuit = elwm.mark(prfk, "0110").circuit
+        first = [x for _, x, _ in batch_distribution(2, 20, "first")]
+        assert circuit.run(first[0]) == marked_run(circuit, first[0])
+        assert set(circuit._answers) == set(first)  # one query answered the whole distribution
+        outside = int_to_bits(12345, params.domain_bits)
+        assert circuit.run(outside) == marked_run(circuit, outside)
+        assert set(circuit._answers) == set(first)  # a batch of one leaves the answers as they were
+        second = [x for _, x, _ in batch_distribution(None, 20, "second")]
+        assert circuit.run(first[1]) == marked_run(circuit, first[1])  # the previous distribution, still answered
+        assert circuit.run(second[0]) == marked_run(circuit, second[0])
+        assert set(circuit._answers) == set(second)  # only the latest batch is kept
+        assert circuit.run(first[2]) == marked_run(circuit, first[2])  # the previous distribution: a batch of one
+        assert [circuit.run(x) for x in first + second] == [marked_run(circuit, x) for x in first + second]
+
+
+@pytest.mark.parametrize("kernels", ["native", "fallback"])
+def test_a_malformed_input_raises_alike_with_and_without_a_pending_batch(kernels):
+    params, prfk, _ = batch_keys()
+    n = params.domain_bits
+    other = elwm.ElwmParams(3, seed_bits=5, range_bits=12)  # x's of 96 bits
+    _, other_tag = elwm.gen(other, rng_for("elwm-batch-other"))
+    with kernels_of(kernels):
+        circuit = elwm.mark(prfk, "0110").circuit
+        narrow = [x for _, x, _ in batch_distribution(1, 4, "narrow", params=other, tag=other_tag)]
+        assert narrow[0] in crypto._pending  # a builder's x, but not of this circuit's width
+        bad = (*malformed_bits(n), "0" * (n - 1), b"0" * n, 0, ["0" * n], narrow[0])
+        pending = [answer_or_error(circuit.run, x) for x in bad]
+        assert all(error.startswith("LengthError: PRF input") for error in pending)
+        assert pending == [answer_or_error(functools.partial(marked_run, circuit), x) for x in bad]
+        crypto.forget_leaves()  # the start of a game empties the pending batch
+        assert not crypto._pending
+        assert [answer_or_error(circuit.run, x) for x in bad] == pending
+        assert circuit._answers == {}
 
 
 def test_mark_validates_message_length():
@@ -551,7 +671,9 @@ def test_a_reald_build_leaves_its_prf_values_for_the_marked_circuit(name, monkey
     walked, leaf = [], crypto._leaf_in_use()
     monkeypatch.setattr(crypto, "_leaf_in_use", lambda: lambda *args: walked.append(args) or leaf(*args))
     assert [circuit.run(x) for x, _ in real] == [y for _, y in real]
-    assert [args for args in walked if args[0] == prfk.f_main.seed] == []
+    # the first query answered the whole distribution: one call walked every x whose b is 0, and none whose b is 1
+    ((_, paths, _, _),) = [args for args in walked if args[0] == prfk.f_main.seed]
+    assert paths == [int(x, 2) for b, x, _ in triples if not b]
     crypto.forget_leaves()
 
 
@@ -570,7 +692,7 @@ def test_sim_ciphertexts_decrypt_alike_with_the_memo_emptied(name):
     memoized = [crypto._plaintexts[keys, int(x, 2)] for _, x, _ in triples]  # every ciphertext is in the memo
     crypto.forget_leaves()
     assert not crypto._plaintexts
-    walked = [pe._decrypt(prfk.pe_dk, int(x, 2), keys) for _, x, _ in triples]
+    walked = pe._decrypt(prfk.pe_dk, [int(x, 2) for _, x, _ in triples], keys)  # one batch, in groups of 16
     assert walked == memoized
     for (gamma, _, _), m in zip(triples, walked):
         assert m & 1 == gamma and (m >> 1) & ((1 << params.idx_bits) - 1) == 2

@@ -204,9 +204,9 @@ def test_pe_gen_validates_length():
 # the native and Python decryptions
 # ---------------------------------------------------------------------------
 
-# The decryptions this host runs: the Python twin always, and the native
+# The decryptions this host runs, each of a batch of ciphertexts: the Python twin always, and the native
 # kernel where it builds, taken as built rather than after pe's probe has vetted it.
-DECRYPTS = {"python": pe._python_decrypt}
+DECRYPTS = {"python": pe._python_decrypts}
 if (native_decrypt := native.load_decrypt()) is not None:
     DECRYPTS["native"] = native_decrypt
 
@@ -228,7 +228,7 @@ def test_native_and_python_decryptions_agree_with_the_memo_warm_and_cold(ell, da
     cases = [c, *(c ^ 1 << bit for bit in flips), data.draw(st.integers(0, (1 << 12 * ell) - 1))]
     expected = [pe._python_decrypt(keys.dk, x) for x in cases]
     assert expected[0] == m
-    assert [DECRYPTS["native"](keys.dk, x) for x in cases] == expected
+    assert DECRYPTS["native"](keys.dk, cases) == expected
     for name, decrypt in DECRYPTS.items():
         for warm in (True, False):  # the memo answers c when warm; the kernel decrypts every case when cold
             if warm:
@@ -237,7 +237,7 @@ def test_native_and_python_decryptions_agree_with_the_memo_warm_and_cold(ell, da
                 crypto.forget_leaves()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pe, "_decrypt_in_use", lambda decrypt=decrypt: decrypt)
-                assert [pe._decrypt(keys.dk, x, pe._keys(keys.dk)) for x in cases] == expected, (name, warm)
+                assert pe._decrypt(keys.dk, cases, pe._keys(keys.dk)) == expected, (name, warm)
     crypto.forget_leaves()
 
 
@@ -266,37 +266,62 @@ def test_the_decryption_kernel_refuses_wrong_widths_before_any_c_call():
         return types.SimpleNamespace(ell=ell, f_key=f_key, g_key=types.SimpleNamespace(seed=g_seed))
 
     bad = [
-        (keys(), 1 << 12 * ell),  # a ciphertext one bit too wide
-        (keys(), -1),
-        (keys(ell=0, affine=b""), 0),
-        (keys(ell=1 << 40), 0),  # refused before 1 << 12 ell could be formed
-        (keys(f_seed=seed[:15]), 0),
-        (keys(g_seed=seed + b"s"), 0),
-        (keys(affine=affine[:-1]), 0),
-        (keys(affine=affine + b"\0"), 0),
-        (keys(ell=ell + 1), 0),  # an affine map of other widths
+        (keys(), [0, 1 << 12 * ell]),  # a ciphertext one bit too wide
+        (keys(), [-1, 0]),
+        (keys(ell=0, affine=b""), [0]),
+        (keys(ell=1 << 40), [0]),  # refused before 1 << 12 ell could be formed
+        (keys(f_seed=seed[:15]), [0]),
+        (keys(g_seed=seed + b"s"), [0]),
+        (keys(affine=affine[:-1]), [0]),
+        (keys(affine=affine + b"\0"), [0]),
+        (keys(ell=ell + 1), [0]),  # an affine map of other widths
     ]
     for args in bad:
         with pytest.raises(ValueError):
             decrypt(*args)
     assert kernel.calls == []
-    assert decrypt(keys(), (1 << 12 * ell) - 1) is None  # the widest ciphertext reaches it
-    assert len(kernel.calls) == 1
+    assert decrypt(keys(), [0, (1 << 12 * ell) - 1]) == [None, None]  # the widest ciphertext reaches it
+    assert decrypt(keys(), []) == []
+    assert len(kernel.calls) == 2
 
 
 def test_a_decryption_kernel_that_disagrees_on_a_probe_is_refused(monkeypatch):
     monkeypatch.setattr(native, "_PICKS", dict(native._PICKS))  # the picks below leave the report as it was
-    (dk, c), *_ = pe._decrypt_probes()
+    (dk, (c, *_)), *_ = pe._decrypt_probes()
     wrong = [
-        lambda dk_, c_: None if c_ == c else pe._python_decrypt(dk_, c_),  # refuses the one valid probe at ell = 10
-        lambda dk_, c_: pe._python_decrypt(dk_, c_) or 0,  # accepts every string
+        # refuses the one valid probe at ell = 10
+        lambda dk_, cs: [None if c_ == c else m for c_, m in zip(cs, pe._python_decrypts(dk_, cs))],
+        lambda dk_, cs: [m or 0 for m in pe._python_decrypts(dk_, cs)],  # accepts every string
     ]
     for kernel in wrong:
-        picker = native.first_use("decrypt", lambda k=kernel: k, pe._python_decrypt, pe._decrypt_probes(), "python")
-        assert picker() is pe._python_decrypt
+        picker = native.first_use("decrypt", lambda k=kernel: k, pe._python_decrypts, pe._decrypt_probes, "python")
+        assert picker() is pe._python_decrypts
         assert native.kernels()["decrypt"] == "python"
     if "native" in DECRYPTS:
-        picker = native.first_use("decrypt", lambda: native_decrypt, pe._python_decrypt, pe._decrypt_probes(), "python")
+        picker = native.first_use("decrypt", lambda: native_decrypt, pe._python_decrypts, pe._decrypt_probes, "python")
         assert picker() is native_decrypt
         assert native.kernels()["decrypt"] == "native"
+    crypto.forget_leaves()
+
+
+def test_a_kernel_that_raises_during_its_pick_is_vetted_again_on_every_probe(monkeypatch):
+    # the kernel raises once on the last probe, and is wrong there afterwards: the pick that raised is not kept,
+    # and the next one runs every probe again rather than what is left of a half-used generator
+    monkeypatch.setattr(native, "_PICKS", dict(native._PICKS))
+    *_, (_, last) = pe._decrypt_probes()
+    raised = []
+
+    def kernel(dk, cs):
+        if cs != last:
+            return pe._python_decrypts(dk, cs)
+        if not raised:
+            raised.append(cs)
+            raise MemoryError("the kernel could not allocate its scratch memory")
+        return [0] * len(cs)
+
+    picker = native.first_use("decrypt", lambda: kernel, pe._python_decrypts, pe._decrypt_probes, "python")
+    with pytest.raises(MemoryError):
+        picker()
+    assert picker() is pe._python_decrypts and raised
+    assert native.kernels()["decrypt"] == "python"
     crypto.forget_leaves()

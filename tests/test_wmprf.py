@@ -299,5 +299,5 @@ def test_an_honest_game_on_the_native_kernels_runs_no_python_mask(monkeypatch):
 
     assert game().report.decoded == "1011"  # a whole game: the live probe, then every measurement
     assert masked == []
-    monkeypatch.setattr(pe, "_decrypt_in_use", lambda: pe._python_decrypt)  # the same game on the Python decryption
+    monkeypatch.setattr(pe, "_decrypt_in_use", lambda: pe._python_decrypts)  # the same game on the Python decryption
     assert game().report.decoded == "1011" and masked
